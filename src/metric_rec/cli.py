@@ -139,7 +139,7 @@ def train(config_path, apr):
                 result.params, split, v, hyper, mode="apr",
                 log_path=os.path.join(out_dir, "apr_log.jsonl"), rng=rng,
             )
-    except FloatingPointError as exc:
+    except (FloatingPointError, ValueError) as exc:
         _fail(exc)
     ckpt_path = os.path.join(out_dir, "checkpoint.json")
     params_mod.save_checkpoint(result.params, ckpt_path, hyper.to_dict(), hyper.seed)
@@ -199,15 +199,12 @@ def recommend(checkpoint, playlist_id, top, split_dir):
             dtype=np.int64,
         )
         members, count = dataset.pad_members(split.train[p], split.max_members)
-        n = len(candidates)
         batch = models.ScoreBatch(
-            users=np.full(n, split.owner[p], dtype=np.int64),
-            playlists=np.full(n, p, dtype=np.int64),
-            songs=candidates,
-            members=np.broadcast_to(np.array(members, dtype=np.int64), (n, len(members))),
-            counts=np.full(n, count, dtype=np.int64),
+            users=np.array([split.owner[p]]), playlists=np.array([p]),
+            songs=candidates[None, :],
+            members=np.array([members], dtype=np.int64), counts=np.array([count]),
         )
-        scores = scorer(batch)
+        scores = scorer(batch)[0]
         order = np.lexsort((candidates, scores))[:top]
         _, _, inv_s = catalog.inverse()
         for idx in order:

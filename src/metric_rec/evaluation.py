@@ -27,16 +27,12 @@ def rank_candidates(scorer, user, playlist, members, count, test_song, negatives
     candidates = np.concatenate([[test_song], negatives])
     if len(np.unique(candidates)) != len(candidates):
         raise ValueError("duplicate candidate song in ranking list")
-    n = len(candidates)
-    members = np.asarray(members, dtype=np.int64)
     batch = ScoreBatch(
-        users=np.full(n, user, dtype=np.int64),
-        playlists=np.full(n, playlist, dtype=np.int64),
-        songs=candidates,
-        members=np.broadcast_to(members, (n, len(members))),
-        counts=np.full(n, count, dtype=np.int64),
+        users=np.array([user]), playlists=np.array([playlist]),
+        songs=candidates[None, :],
+        members=np.asarray(members, dtype=np.int64)[None, :], counts=np.array([count]),
     )
-    scores = scorer(batch)
+    scores = scorer(batch)[0]
     order = np.lexsort((candidates, scores))
     return int(np.nonzero(order == 0)[0][0]) + 1
 

@@ -1,193 +1,86 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Hot numeric kernels for candidate-major scoring.
 
-Every kernel has a pure-numpy implementation and (when numba is importable)
-a compiled loop version. Set METRIC_REC_NO_NUMBA=1 to force the numpy path,
-e.g. for debugging or on platforms where numba is unavailable. Both paths
-compute the same quantities; summation order may differ, so cross-path
-comparisons are tolerance-based, not bitwise.
+Shapes follow the scoring batch: B contexts, C candidates per context, l
+(padded) members per context, d embedding dims. Candidate-side inputs are
+`(B, C, d)`, member-side inputs `(B, l, d)`, and context-side inputs
+`(B, d)`. Every candidate of a context shares that context's members, so
+member tensors are passed once per context, never once per candidate.
+
+Member distances use the expansion
+    ||b * (q - m)||^2 = q.(b^2 q) + m.(b^2 m) - 2 q.(b^2 m),
+whose cross term is one batched matmul `(B, C, d) @ (B, d, l)`; no
+`(B, C, l, d)` difference tensor is ever built. Near q == m the three terms
+cancel, and rounding can leave a tiny negative value where the exact
+distance is 0 (sklearn's `euclidean_distances` documents the same effect),
+so the result is clamped at 0. The backward passes return the gradient of
+the exact distance, written as matmuls as well.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-_DISABLED = os.environ.get("METRIC_REC_NO_NUMBA", "").lower() in ("1", "true", "yes")
-USE_NUMBA = HAVE_NUMBA and not _DISABLED
-
 
 def active_backend():
-    """Name of the kernel backend selected at import time."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation (recorded by benchmark runs)."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
+def _mT(a):
+    return np.swapaxes(a, -1, -2)
 
-def _sqdist_rows_np(b, x, y):
-    diff = x - y
+
+def _weighted_sum(weights, rows):
+    """sum_i weights_i * rows_i over every leading axis, as one matrix-vector product."""
+    return weights.ravel() @ rows.reshape(-1, rows.shape[-1])
+
+
+def sqdist_rows(b, x, y):
+    """||b * (x_i - y_ic)||^2 for context rows x (B, d), candidates y (B, C, d)."""
+    diff = x[:, None, :] - y
     return np.sum((b * diff) ** 2, axis=-1)
 
 
-def _sqdist_rows_bwd_np(b, x, y, dout):
-    diff = x - y
-    dx = dout[:, None] * (2.0 * b * b) * diff
-    db = 2.0 * b * np.sum(dout[:, None] * diff * diff, axis=0)
-    return dx, db
+def sqdist_rows_backward(b, x, y, dout):
+    """Gradients (dx (B, d), dy (B, C, d), db (d,)) of sum(dout * sqdist_rows)."""
+    diff = x[:, None, :] - y
+    dy = dout[:, :, None] * (-2.0 * b * b) * diff
+    db = 2.0 * b * _weighted_sum(dout, diff * diff)
+    return -dy.sum(axis=1), dy, db
 
 
-def _sqdist_members_np(b, q, m):
-    diff = q[:, None, :] - m
-    return np.sum((b * diff) ** 2, axis=-1)
+def sqdist_members(b, q, m):
+    """Weighted squared distances (B, C, l) from queries q (B, C, d) to members m (B, l, d)."""
+    w = b * b
+    out = (q * w) @ _mT(m)
+    out *= -2.0
+    out += ((q * q) @ w)[:, :, None]
+    out += ((m * m) @ w)[:, None, :]
+    return np.maximum(out, 0.0, out=out)
 
 
-def _sqdist_members_bwd_np(b, q, m, dout):
-    diff = q[:, None, :] - m
-    w = 2.0 * b * b
-    scaled = dout[:, :, None] * diff
-    dm = -w * scaled
-    dq = -np.sum(dm, axis=1)
-    db = 2.0 * b * np.sum(dout[:, :, None] * diff * diff, axis=(0, 1))
-    return dq, dm, db
+def sqdist_members_backward(b, q, m, dout):
+    """Gradients (dq (B, C, d), dm (B, l, d), db (d,)) of sum(dout * sqdist_members)."""
+    w2 = 2.0 * b * b
+    row = dout.sum(axis=2)             # (B, C): total weight of each query
+    col = dout.sum(axis=1)             # (B, l): total weight of each member
+    dout_m = dout @ m                  # (B, C, d)
+    dout_q = _mT(dout) @ q             # (B, l, d)
+    # sum(dout * (q - m)^2) per dim, expanded like the forward pass
+    sq = (_weighted_sum(row, q * q) + _weighted_sum(col, m * m)
+          - 2.0 * np.sum(q * dout_m, axis=(0, 1)))
+    dq = row[:, :, None] * q
+    dq -= dout_m
+    dq *= w2
+    dm = col[:, :, None] * m
+    dm -= dout_q
+    dm *= w2
+    return dq, dm, 2.0 * b * sq
 
 
-def _dot_members_np(q, m):
-    return np.sum(q[:, None, :] * m, axis=-1)
+def dot_members(q, m):
+    """Inner products (B, C, l) of queries q (B, C, d) with members m (B, l, d)."""
+    return q @ _mT(m)
 
 
-def _dot_members_bwd_np(q, m, dout):
-    dq = np.sum(dout[:, :, None] * m, axis=1)
-    dm = dout[:, :, None] * q[:, None, :]
-    return dq, dm
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sqdist_rows_nb(b, x, y):
-        n, d = x.shape
-        out = np.zeros(n)
-        for i in range(n):
-            acc = 0.0
-            for t in range(d):
-                e = b[t] * (x[i, t] - y[i, t])
-                acc += e * e
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _sqdist_rows_bwd_nb(b, x, y, dout):
-        n, d = x.shape
-        dx = np.zeros((n, d))
-        db = np.zeros(d)
-        for i in range(n):
-            g = dout[i]
-            for t in range(d):
-                diff = x[i, t] - y[i, t]
-                dx[i, t] = g * 2.0 * b[t] * b[t] * diff
-                db[t] += g * 2.0 * b[t] * diff * diff
-        return dx, db
-
-    @njit(cache=True)
-    def _sqdist_members_nb(b, q, m):
-        n, l, d = m.shape
-        out = np.zeros((n, l))
-        for i in range(n):
-            for j in range(l):
-                acc = 0.0
-                for t in range(d):
-                    e = b[t] * (q[i, t] - m[i, j, t])
-                    acc += e * e
-                out[i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def _sqdist_members_bwd_nb(b, q, m, dout):
-        n, l, d = m.shape
-        dq = np.zeros((n, d))
-        dm = np.zeros((n, l, d))
-        db = np.zeros(d)
-        for i in range(n):
-            for j in range(l):
-                g = dout[i, j]
-                for t in range(d):
-                    diff = q[i, t] - m[i, j, t]
-                    gx = g * 2.0 * b[t] * b[t] * diff
-                    dq[i, t] += gx
-                    dm[i, j, t] = -gx
-                    db[t] += g * 2.0 * b[t] * diff * diff
-        return dq, dm, db
-
-    @njit(cache=True)
-    def _dot_members_nb(q, m):
-        n, l, d = m.shape
-        out = np.zeros((n, l))
-        for i in range(n):
-            for j in range(l):
-                acc = 0.0
-                for t in range(d):
-                    acc += q[i, t] * m[i, j, t]
-                out[i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def _dot_members_bwd_nb(q, m, dout):
-        n, l, d = m.shape
-        dq = np.zeros((n, d))
-        dm = np.zeros((n, l, d))
-        for i in range(n):
-            for j in range(l):
-                g = dout[i, j]
-                for t in range(d):
-                    dq[i, t] += g * m[i, j, t]
-                    dm[i, j, t] = g * q[i, t]
-        return dq, dm
-
-
-if USE_NUMBA:
-    sqdist_rows = _sqdist_rows_nb
-    sqdist_rows_backward = _sqdist_rows_bwd_nb
-    sqdist_members = _sqdist_members_nb
-    sqdist_members_backward = _sqdist_members_bwd_nb
-    dot_members = _dot_members_nb
-    dot_members_backward = _dot_members_bwd_nb
-else:
-    sqdist_rows = _sqdist_rows_np
-    sqdist_rows_backward = _sqdist_rows_bwd_np
-    sqdist_members = _sqdist_members_np
-    sqdist_members_backward = _sqdist_members_bwd_np
-    dot_members = _dot_members_np
-    dot_members_backward = _dot_members_bwd_np
-
-
-NUMPY_KERNELS = {
-    "sqdist_rows": _sqdist_rows_np,
-    "sqdist_rows_backward": _sqdist_rows_bwd_np,
-    "sqdist_members": _sqdist_members_np,
-    "sqdist_members_backward": _sqdist_members_bwd_np,
-    "dot_members": _dot_members_np,
-    "dot_members_backward": _dot_members_bwd_np,
-}
-
-if HAVE_NUMBA:
-    NUMBA_KERNELS = {
-        "sqdist_rows": _sqdist_rows_nb,
-        "sqdist_rows_backward": _sqdist_rows_bwd_nb,
-        "sqdist_members": _sqdist_members_nb,
-        "sqdist_members_backward": _sqdist_members_bwd_nb,
-        "dot_members": _dot_members_nb,
-        "dot_members_backward": _dot_members_bwd_nb,
-    }
-else:
-    NUMBA_KERNELS = {}
+def dot_members_backward(q, m, dout):
+    """Gradients (dq (B, C, d), dm (B, l, d)) of sum(dout * dot_members)."""
+    return dout @ m, _mT(dout) @ q

@@ -16,6 +16,16 @@ under B4 (metric) or softmax over inner products (dot), computed either on
 dedicated attention-memory tables with their own query map (mem) or on the
 main tables reusing the main query (nonmem). Padded member slots always
 receive exactly zero weight.
+
+The batched path (`forward`, `backward`, `score_batch`) is candidate-major:
+a `ScoreBatch` holds B contexts with their members, `(B,)` and `(B, l)`,
+and C candidates per context, `(B, C)`. C is 1 + k in training, 101 in
+evaluation and the catalog size in `recommend`. Member embeddings are
+gathered once per context and the member distances of all C candidates
+come from one batched matmul (see `kernels`); the user and playlist part of
+the MASS query is likewise computed once per context. The backward pass
+scatters row gradients into the tables with `np.bincount`, and member
+gradients over the B * l member slots, not once per candidate.
 """
 
 from dataclasses import dataclass
@@ -28,13 +38,22 @@ from .params import ModelParams
 
 @dataclass
 class ScoreBatch:
-    """A batch of scoring contexts (index arrays into the parameter tables)."""
+    """Scoring contexts and the candidate songs to score in each of them.
+
+    Shape contract, for B contexts of up to l members and C candidates:
+    `users`, `playlists` and `counts` are (B,); `members` is (B, l), song
+    indices 0-padded past each context's real count; `songs` is (B, C).
+    Every candidate in a row is scored against that row's members, so the
+    member list is held once per context, not once per candidate. A 1-D
+    `songs` of shape (B,) is read as C = 1, and scores then come back with
+    shape (B,). MDR reads neither `members` nor `counts`.
+    """
 
     users: np.ndarray
     playlists: np.ndarray
     songs: np.ndarray
-    members: np.ndarray = None   # (N, l) song indices, 0-padded
-    counts: np.ndarray = None    # (N,) real member counts
+    members: np.ndarray = None
+    counts: np.ndarray = None
 
 
 def _relu(x):
@@ -42,16 +61,19 @@ def _relu(x):
 
 
 def masked_softmax(scores, counts):
-    """Row-wise softmax over the first counts[i] entries; padded slots are 0."""
+    """Softmax over the last axis, on context i's first counts[i] entries only.
+
+    `scores` is (B, l) or (B, C, l) and `counts` is (B,); padded slots get 0.
+    """
     counts = np.asarray(counts)
     if np.any(counts < 1):
         raise ValueError("every context must have at least one real member")
-    n, l = scores.shape
-    mask = np.arange(l)[None, :] < counts[:, None]
+    l = scores.shape[-1]
+    mask = np.arange(l) < counts.reshape(counts.shape + (1,) * (scores.ndim - 1))
     s = np.where(mask, scores, -np.inf)
-    s = s - s.max(axis=1, keepdims=True)
+    s = s - s.max(axis=-1, keepdims=True)
     w = np.exp(s)
-    return w / w.sum(axis=1, keepdims=True)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def masked_softmin(dists, counts):
@@ -87,9 +109,7 @@ def member_distances(q, member_vectors, b3, real_count=None):
         raise ValueError(
             f"shape mismatch: query dim {q.shape[-1]}, members dim {member_vectors.shape[-1]}"
         )
-    return kernels.sqdist_members(
-        np.asarray(b3, float), q[None, :], member_vectors[None, :, :]
-    )[0]
+    return np.sum((np.asarray(b3, float) * (q - member_vectors)) ** 2, axis=-1)
 
 
 def attention_weights(q_a, member_a_vectors, b4, real_count):
@@ -108,9 +128,7 @@ def attention_variant(kind, q, member_vectors, b=None, real_count=None):
     if kind in ("mem_metric", "nonmem_metric"):
         return attention_weights(q, member_vectors, b, real_count)
     if kind in ("mem_dot", "nonmem_dot"):
-        scores = kernels.dot_members(
-            np.asarray(q, float)[None, :], np.asarray(member_vectors, float)[None, :, :]
-        )[0]
+        scores = np.asarray(member_vectors, float) @ np.asarray(q, float)
         return masked_softmax(scores[None, :], np.array([real_count]))[0]
     raise ValueError(f"unknown attention kind: {kind}")
 
@@ -126,36 +144,31 @@ def masr_score(o_mdr, o_mass, alpha=0.5):
 # batched forward / backward
 # ---------------------------------------------------------------------------
 
-def _query_parts(params, batch, mem):
-    t = params.tensors
-    suffix = "_a" if mem else ""
-    parts = []
-    if params.variant in ("us", "ups"):
-        parts.append(t["U" + suffix][batch.users])
-    if params.variant in ("ps", "ups"):
-        parts.append(t["P" + suffix][batch.playlists])
-    parts.append(t["S" + suffix][batch.songs])
-    return parts
+def _candidates(batch):
+    """Candidate songs as (B, C); a 1-D `songs` is one candidate per context."""
+    return batch.songs.reshape(len(batch.users), -1)
 
 
-def _scatter_query_grad(params, batch, dx, grads, mem):
-    suffix = "_a" if mem else ""
-    d = params.dim
-    off = 0
-    if params.variant in ("us", "ups"):
-        np.add.at(grads["U" + suffix], batch.users, dx[:, off:off + d])
-        off += d
-    if params.variant in ("ps", "ups"):
-        np.add.at(grads["P" + suffix], batch.playlists, dx[:, off:off + d])
-        off += d
-    np.add.at(grads["S" + suffix], batch.songs, dx[:, off:off + d])
+def _scatter_add(target, idx, rows):
+    """target[idx] += rows, duplicate indices summed, as one np.bincount.
+
+    Entry j of row r of a 2-D table is flat slot r * width + j, so the
+    whole table is one bincount over its flat slots.
+    """
+    idx = np.ravel(idx)
+    if target.ndim == 2:
+        width = target.shape[1]
+        idx = (idx[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(idx, weights=np.ravel(rows), minlength=target.size)
+    target += sums.reshape(target.shape)
 
 
 def _mdr_forward(params, batch):
     t = params.tensors
-    sk = t["S"][batch.songs]
-    scores = np.zeros(len(batch.songs))
-    cache = {"sk": sk}
+    songs = _candidates(batch)
+    sk = t["S"][songs]
+    scores = np.zeros(songs.shape)
+    cache = {"songs": songs, "sk": sk}
     if "U" in t:
         cache["u"] = t["U"][batch.users]
         scores += kernels.sqdist_rows(t["B1"], cache["u"], sk)
@@ -163,106 +176,158 @@ def _mdr_forward(params, batch):
         cache["p"] = t["P"][batch.playlists]
         scores += kernels.sqdist_rows(t["B2"], cache["p"], sk)
     if params.use_bias:
-        scores = scores + t["theta"][batch.songs]
-    return scores, cache
+        scores = scores + t["theta"][songs]
+    return scores.reshape(batch.songs.shape), cache
 
 
 def _mdr_backward(params, batch, cache, dscores, grads):
     t = params.tensors
-    sk = cache["sk"]
+    songs, sk = cache["songs"], cache["sk"]
+    dscores = dscores.reshape(songs.shape)
+    dsk = 0.0
     if "U" in t:
-        dx, db = kernels.sqdist_rows_backward(t["B1"], cache["u"], sk, dscores)
-        np.add.at(grads["U"], batch.users, dx)
-        np.add.at(grads["S"], batch.songs, -dx)
+        du, dy, db = kernels.sqdist_rows_backward(t["B1"], cache["u"], sk, dscores)
+        _scatter_add(grads["U"], batch.users, du)
+        dsk = dsk + dy
         grads["B1"] += db
     if "P" in t:
-        dx, db = kernels.sqdist_rows_backward(t["B2"], cache["p"], sk, dscores)
-        np.add.at(grads["P"], batch.playlists, dx)
-        np.add.at(grads["S"], batch.songs, -dx)
+        dp, dy, db = kernels.sqdist_rows_backward(t["B2"], cache["p"], sk, dscores)
+        _scatter_add(grads["P"], batch.playlists, dp)
+        dsk = dsk + dy
         grads["B2"] += db
+    _scatter_add(grads["S"], songs, dsk)
     if params.use_bias:
-        np.add.at(grads["theta"], batch.songs, dscores)
+        _scatter_add(grads["theta"], songs, dscores)
+
+
+def _context_rows(params, batch):
+    """(table, row indices) of the context embeddings, in query-input order."""
+    rows = []
+    if params.variant in ("us", "ups"):
+        rows.append(("U", batch.users))
+    if params.variant in ("ps", "ups"):
+        rows.append(("P", batch.playlists))
+    return rows
+
+
+def _query_names(mem):
+    """(table suffix, weight, bias) of the main query map or the attention one."""
+    return ("_a", "W2", "b2") if mem else ("", "W1", "b1")
+
+
+def _query(params, batch, songs, mem):
+    """ReLU query (B, C, d) over the [context...; candidate] embeddings.
+
+    The weight's rows split into one d-row block per input embedding, so
+    the context blocks are applied once per context and only the song block
+    once per candidate.
+    """
+    t = params.tensors
+    suffix, w, b = _query_names(mem)
+    d = params.dim
+    ctx = [t[name + suffix][idx] for name, idx in _context_rows(params, batch)]
+    pre_ctx = t[b] + sum(x @ t[w][i * d:(i + 1) * d] for i, x in enumerate(ctx))
+    sk = t["S" + suffix][songs]
+    pre = sk @ t[w][-d:]
+    pre += pre_ctx[:, None, :]
+    return _relu(pre), {"ctx": ctx, "sk": sk, "pre": pre}
+
+
+def _query_backward(params, batch, qcache, dq, grads, mem):
+    """Accumulate the query map's and context tables' gradients.
+
+    Returns the gradient (B, C, d) of the candidate song embeddings, for
+    the caller to scatter into its song table.
+    """
+    t = params.tensors
+    suffix, w, b = _query_names(mem)
+    d = params.dim
+    dpre = dq * (qcache["pre"] > 0)
+    dctx = dpre.sum(axis=1)
+    grads[b] += dctx.sum(axis=0)
+    for i, ((name, idx), x) in enumerate(zip(_context_rows(params, batch), qcache["ctx"])):
+        block = slice(i * d, (i + 1) * d)
+        grads[w][block] += x.T @ dctx
+        _scatter_add(grads[name + suffix], idx, dctx @ t[w][block].T)
+    grads[w][-d:] += qcache["sk"].reshape(-1, d).T @ dpre.reshape(-1, d)
+    return dpre @ t[w][-d:].T
 
 
 def _mass_forward(params, batch):
     t = params.tensors
     mem = params.attention.startswith("mem")
     metric = params.attention.endswith("metric")
+    songs = _candidates(batch)
 
-    x = np.concatenate(_query_parts(params, batch, mem=False), axis=1)
-    pre = x @ t["W1"] + t["b1"]
-    q = _relu(pre)
+    q, qcache = _query(params, batch, songs, mem=False)
     m = t["S"][batch.members]
     dists = kernels.sqdist_members(t["B3"], q, m)
 
     if mem:
-        x_a = np.concatenate(_query_parts(params, batch, mem=True), axis=1)
-        pre_a = x_a @ t["W2"] + t["b2"]
-        q_a = _relu(pre_a)
+        q_a, qcache_a = _query(params, batch, songs, mem=True)
         m_a = t["S_a"][batch.members]
     else:
-        x_a, pre_a, q_a, m_a = None, None, q, m
+        q_a, qcache_a, m_a = q, None, m
 
     if metric:
-        att_raw = kernels.sqdist_members(t["B4"], q_a, m_a)
-        alpha = masked_softmin(att_raw, batch.counts)
+        alpha = masked_softmin(kernels.sqdist_members(t["B4"], q_a, m_a), batch.counts)
     else:
-        att_raw = kernels.dot_members(q_a, m_a)
-        alpha = masked_softmax(att_raw, batch.counts)
+        alpha = masked_softmax(kernels.dot_members(q_a, m_a), batch.counts)
 
-    wsum = np.sum(alpha * dists, axis=1)
+    wsum = np.sum(alpha * dists, axis=-1)
     scores = wsum
     if params.use_bias:
-        scores = scores + t["song_bias"][batch.songs]
+        scores = scores + t["song_bias"][songs]
+    if batch.songs.ndim == 1:
+        # one candidate per context: attention and distances read (B, l)
+        alpha, dists = alpha[:, 0], dists[:, 0]
     cache = {
-        "x": x, "pre": pre, "q": q, "m": m, "dists": dists,
-        "x_a": x_a, "pre_a": pre_a, "q_a": q_a, "m_a": m_a,
-        "alpha": alpha, "wsum": wsum,
+        "songs": songs, "q": q, "m": m, "dists": dists, "qcache": qcache,
+        "q_a": q_a, "m_a": m_a, "qcache_a": qcache_a, "alpha": alpha, "wsum": wsum,
     }
-    return scores, cache
+    return scores.reshape(batch.songs.shape), cache
 
 
 def _mass_backward(params, batch, cache, dscores, grads):
     t = params.tensors
     mem = params.attention.startswith("mem")
     metric = params.attention.endswith("metric")
-    g = dscores
-    alpha, dists, wsum = cache["alpha"], cache["dists"], cache["wsum"]
+    songs = cache["songs"]
+    g = dscores.reshape(songs.shape)
+    alpha = cache["alpha"].reshape(songs.shape + (-1,))
+    dists = cache["dists"].reshape(alpha.shape)
+    wsum = cache["wsum"][:, :, None]
 
     if params.use_bias:
-        np.add.at(grads["song_bias"], batch.songs, g)
+        _scatter_add(grads["song_bias"], songs, g)
 
     # distance branch (padded slots carry alpha == 0, so they contribute nothing)
-    ddists = g[:, None] * alpha
+    ddists = g[:, :, None] * alpha
     dq, dm, db3 = kernels.sqdist_members_backward(t["B3"], cache["q"], cache["m"], ddists)
     grads["B3"] += db3
 
     # attention branch: softmax/softmin jacobian collapsed against the distances
     if metric:
-        draw = g[:, None] * alpha * (wsum[:, None] - dists)
+        draw = ddists * (wsum - dists)
         dq_a, dm_a, db4 = kernels.sqdist_members_backward(
             t["B4"], cache["q_a"], cache["m_a"], draw
         )
         grads["B4"] += db4
     else:
-        draw = g[:, None] * alpha * (dists - wsum[:, None])
+        draw = ddists * (dists - wsum)
         dq_a, dm_a = kernels.dot_members_backward(cache["q_a"], cache["m_a"], draw)
 
     if mem:
-        np.add.at(grads["S_a"], batch.members, dm_a)
-        dpre_a = dq_a * (cache["pre_a"] > 0)
-        grads["W2"] += cache["x_a"].T @ dpre_a
-        grads["b2"] += dpre_a.sum(axis=0)
-        _scatter_query_grad(params, batch, dpre_a @ t["W2"].T, grads, mem=True)
+        dsk_a = _query_backward(params, batch, cache["qcache_a"], dq_a, grads, mem=True)
+        _scatter_add(grads["S_a"], batch.members, dm_a)
+        _scatter_add(grads["S_a"], songs, dsk_a)
     else:
         dq = dq + dq_a
         dm = dm + dm_a
 
-    np.add.at(grads["S"], batch.members, dm)
-    dpre = dq * (cache["pre"] > 0)
-    grads["W1"] += cache["x"].T @ dpre
-    grads["b1"] += dpre.sum(axis=0)
-    _scatter_query_grad(params, batch, dpre @ t["W1"].T, grads, mem=False)
+    dsk = _query_backward(params, batch, cache["qcache"], dq, grads, mem=False)
+    _scatter_add(grads["S"], batch.members, dm)
+    _scatter_add(grads["S"], songs, dsk)
 
 
 def forward(params, batch):
@@ -294,16 +359,6 @@ def mdr_score(params, user, playlist, song):
     """Distance score of one candidate under an MDR parameter set."""
     batch = ScoreBatch(
         users=np.array([user]), playlists=np.array([playlist]), songs=np.array([song])
-    )
-    return float(score_batch(params, batch)[0])
-
-
-def mass_score(params, user, playlist, song, members, count):
-    """Distance score of one candidate under a MASS parameter set."""
-    members = np.asarray(members, dtype=np.int64)
-    batch = ScoreBatch(
-        users=np.array([user]), playlists=np.array([playlist]), songs=np.array([song]),
-        members=members[None, :], counts=np.array([count]),
     )
     return float(score_batch(params, batch)[0])
 

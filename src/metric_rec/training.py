@@ -152,30 +152,20 @@ def bpr_loss(pos_scores, neg_scores, params=None, lambda_theta=0.0):
     return loss
 
 
-def _pos_neg_batches(tb):
-    b, k = tb.negs.shape
-    pos_batch = ScoreBatch(
-        users=tb.users, playlists=tb.playlists, songs=tb.pos,
+def _quartet_batch(tb):
+    """One context per positive; its candidates are [pos, neg_1..neg_k]."""
+    return ScoreBatch(
+        users=tb.users, playlists=tb.playlists,
+        songs=np.concatenate([tb.pos[:, None], tb.negs], axis=1),
         members=tb.members, counts=tb.counts,
     )
-    neg_batch = ScoreBatch(
-        users=np.repeat(tb.users, k),
-        playlists=np.repeat(tb.playlists, k),
-        songs=tb.negs.ravel(),
-        members=np.repeat(tb.members, k, axis=0),
-        counts=np.repeat(tb.counts, k),
-    )
-    return pos_batch, neg_batch, k
 
 
 def batch_loss(params, tb, lambda_theta=0.0):
     """Minibatch loss only (used by the finite-difference oracle)."""
-    pos_batch, neg_batch, k = _pos_neg_batches(tb)
-    pos_scores = models.score_batch(params, pos_batch)
-    neg_scores = models.score_batch(params, neg_batch)
-    return bpr_loss(
-        np.repeat(pos_scores, k), neg_scores, params, lambda_theta
-    )
+    scores = models.score_batch(params, _quartet_batch(tb))
+    pos = np.broadcast_to(scores[:, :1], tb.negs.shape)
+    return bpr_loss(pos, scores[:, 1:], params, lambda_theta)
 
 
 def gradients(params, tb, lambda_theta=0.0, loss_scale=1.0):
@@ -184,20 +174,19 @@ def gradients(params, tb, lambda_theta=0.0, loss_scale=1.0):
     Returns (loss, grads) where grads matches params.tensors in shape and
     padding rows are exactly zero.
     """
-    pos_batch, neg_batch, k = _pos_neg_batches(tb)
-    pos_scores, pos_cache = models.forward(params, pos_batch)
-    neg_scores, neg_cache = models.forward(params, neg_batch)
+    batch = _quartet_batch(tb)
+    scores, cache = models.forward(params, batch)
 
-    x = neg_scores - np.repeat(pos_scores, k)
+    x = scores[:, 1:] - scores[:, :1]
     loss = float(np.sum(np.logaddexp(0.0, -x)))
     # d/dx of -log sigmoid(x)
     dx = _sigmoid(x) - 1.0
-    dneg = loss_scale * dx
-    dpos = -loss_scale * dx.reshape(-1, k).sum(axis=1)
+    dscores = np.empty_like(scores)
+    dscores[:, 1:] = loss_scale * dx
+    dscores[:, 0] = -loss_scale * dx.sum(axis=1)
 
     grads = params.zero_like()
-    models.backward(params, pos_batch, pos_cache, dpos, grads)
-    models.backward(params, neg_batch, neg_cache, dneg, grads)
+    models.backward(params, batch, cache, dscores, grads)
 
     if lambda_theta:
         for name, t in params.tensors.items():
@@ -236,24 +225,26 @@ def adam_update(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     params.zero_padding_rows()
 
 
-def _perturbed(params, delta):
-    out = params.copy()
-    for name, d in delta.items():
-        out.tensors[name] += d
+def _perturbed(params, delta, out):
+    """Fill `out` (a copy of `params`) with params + delta, tensor by tensor."""
+    for name, t in params.tensors.items():
+        np.add(t, delta[name], out=out.tensors[name])
     return out
 
 
-def adversarial_delta(params, tb, epsilon, delta=None):
+def adversarial_delta(params, tb, epsilon, delta=None, work=None):
     """Fast-gradient perturbation: per tensor, epsilon * std * unit gradient.
 
     The gradient of the pairwise loss is taken at params + delta with the
     parameters treated as constants. Tensors with zero gradient (or zero
-    spread) keep a zero perturbation.
+    spread) keep a zero perturbation. `work` is a scratch copy of `params`
+    that receives params + delta; one is allocated when it is not given.
     """
     if delta is None:
         delta = params.zero_like()
-    at = _perturbed(params, delta)
-    _, grads = gradients(at, tb, lambda_theta=0.0)
+    if work is None:
+        work = params.copy()
+    _, grads = gradients(_perturbed(params, delta, work), tb, lambda_theta=0.0)
     new_delta = {}
     for name, g in grads.items():
         norm = float(np.linalg.norm(g))
@@ -308,8 +299,15 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
     if data is None:
         data = build_train_data(split, num_songs)
     k = hyper.negatives_per_positive
+    smallest = min((len(pool) for pool in data.neg_pools.values()), default=k)
+    if k > smallest:
+        raise ValueError(
+            f"negatives_per_positive = {k} exceeds the smallest negative pool "
+            f"({smallest} songs outside a playlist)"
+        )
     state = AdamState()
     delta = params.zero_like() if mode == "apr" else None
+    work = params.copy() if mode == "apr" else None
     result = TrainResult(params=params.copy())
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
 
@@ -326,10 +324,10 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
                         params, tb, hyper.lambda_theta, loss_scale
                     )
                 else:
-                    delta = adversarial_delta(params, tb, hyper.epsilon, delta)
+                    delta = adversarial_delta(params, tb, hyper.epsilon, delta, work)
                     loss, grads = gradients(params, tb, hyper.lambda_theta)
                     adv_loss, adv_grads = gradients(
-                        _perturbed(params, delta), tb, lambda_theta=0.0
+                        _perturbed(params, delta, work), tb, lambda_theta=0.0
                     )
                     loss += hyper.lambda_delta * adv_loss
                     for name in grads:

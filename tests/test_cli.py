@@ -96,6 +96,18 @@ def test_train_bad_config_fails(workspace, tmp_path):
     assert "error:" in result.output
 
 
+def test_train_rejects_k_beyond_negative_pool(workspace, tmp_path):
+    out_dir = tmp_path / "out"
+    cfg = _write_config(tmp_path / "bigk.cfg", model="mdr",
+                        split_dir=workspace / "splits", out_dir=out_dir,
+                        epochs="1", d="8", negatives_per_positive="500")
+    result = _run(["train", "--config", cfg], expect_exit=1)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.output
+    assert "negatives_per_positive" in lines[0]
+    assert not (out_dir / "checkpoint.json").exists()
+
+
 def test_train_apr_writes_both_checkpoints(workspace, tmp_path):
     out_dir = tmp_path / "apr"
     cfg = _write_config(tmp_path / "apr.cfg", model="mdr",

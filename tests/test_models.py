@@ -254,3 +254,83 @@ def test_make_scorer_blend_endpoints():
     )
     with pytest.raises(ValueError):
         models.make_scorer((mdr, mass), -0.1)
+
+
+_ALL_CONFIGS = (
+    [("mdr", {"variant": var}) for var in params_mod.MDR_VARIANTS]
+    + [("mass", {"variant": var, "attention": att})
+       for var in params_mod.MASS_VARIANTS for att in params_mod.ATTENTION_KINDS]
+)
+
+
+def _oracle_score(p, user, playlist, song, members, count):
+    """One (context, candidate) score from the single-context helpers."""
+    t = p.tensors
+    bias = t["theta" if p.kind == "mdr" else "song_bias"][song] if p.use_bias else 0.0
+    if p.kind == "mdr":
+        return bias + sum(
+            float(np.sum((t[b] * (t[e][i] - t["S"][song])) ** 2))
+            for e, b, i in (("U", "B1", user), ("P", "B2", playlist)) if e in t
+        )
+
+    def query(suffix, w, b):
+        ctx = np.concatenate([t[name + suffix][i] for name, i in (("U", user), ("P", playlist))
+                              if name + suffix in t])
+        return models.build_query(ctx, t["S" + suffix][song], t[w], t[b])
+
+    real = members[:count]
+    q = query("", "W1", "b1")
+    dists = models.member_distances(q, t["S"][real], t["B3"])
+    if p.attention.startswith("mem"):
+        q_a, m_a = query("_a", "W2", "b2"), t["S_a"][real]
+    else:
+        q_a, m_a = q, t["S"][real]
+    alpha = models.attention_variant(p.attention, q_a, m_a, t.get("B4"), count)
+    return float(alpha @ dists) + bias
+
+
+@pytest.mark.parametrize(
+    "kind,kwargs", _ALL_CONFIGS,
+    ids=[f"{kind}-{'-'.join(kw.values())}" for kind, kw in _ALL_CONFIGS],
+)
+def test_candidate_major_batch_matches_per_row_scoring(kind, kwargs):
+    rng = np.random.default_rng(21)
+    if kind == "mdr":
+        p = params_mod.init_mdr(3, 4, 12, 4, rng, **kwargs)
+    else:
+        p = params_mod.init_mass(3, 4, 12, 4, 5, rng, **kwargs)
+    for t in p.tensors.values():
+        t += rng.normal(scale=0.3, size=t.shape)
+    p.zero_padding_rows()
+    ctx = _rand_batch(rng, p, n=4)  # ragged counts, 0-padded members
+    c = 5
+    batch = ScoreBatch(
+        users=ctx.users, playlists=ctx.playlists,
+        songs=rng.integers(1, p.num_songs + 1, size=(4, c)),
+        members=ctx.members, counts=ctx.counts,
+    )
+    # the same (context, candidate) pairs, one 1-D row each
+    rows = ScoreBatch(
+        users=np.repeat(ctx.users, c), playlists=np.repeat(ctx.playlists, c),
+        songs=batch.songs.ravel(),
+        members=np.repeat(ctx.members, c, axis=0), counts=np.repeat(ctx.counts, c),
+    )
+
+    scores, cache = models.forward(p, batch)
+    row_scores, row_cache = models.forward(p, rows)
+    assert scores.shape == (4, c) and row_scores.shape == (4 * c,)
+    np.testing.assert_allclose(scores.ravel(), row_scores, rtol=1e-12)
+    oracle = [
+        _oracle_score(p, rows.users[i], rows.playlists[i], rows.songs[i],
+                      rows.members[i], rows.counts[i])
+        for i in range(len(rows.songs))
+    ]
+    np.testing.assert_allclose(row_scores, oracle, rtol=1e-10)
+
+    dscores = rng.normal(size=(4, c))
+    grads, row_grads = p.zero_like(), p.zero_like()
+    models.backward(p, batch, cache, dscores, grads)
+    models.backward(p, rows, row_cache, dscores.ravel(), row_grads)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], row_grads[name], rtol=1e-10, atol=1e-12,
+                                   err_msg=name)
