@@ -1,11 +1,8 @@
 """Playlist-continuation recommenders built on learned diagonal metrics."""
 
-from .metric import grad_mahalanobis_sq, mahalanobis_sq
 from .params import ModelParams, init_mass, init_mdr, load_checkpoint, save_checkpoint
 
 __all__ = [
-    "mahalanobis_sq",
-    "grad_mahalanobis_sq",
     "ModelParams",
     "init_mdr",
     "init_mass",

@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -11,6 +12,10 @@ from . import analysis, dataset, evaluation, models, params as params_mod, train
 from .config import parse_config
 
 MASR_FORMAT = "metric-rec-masr-v1"
+
+# An index past a table's end means the checkpoint's tables are smaller than
+# the split's catalog: the model was trained on another split.
+_MISMATCH = "checkpoint does not match the split: {}"
 
 
 def _fail(message):
@@ -45,7 +50,7 @@ def _load_model(path):
         scorer = models.make_scorer((mdr, mass), alpha=doc["alpha"])
         meta = {"model": "masr", "variant": "", "attention": "", "alpha": doc["alpha"]}
         return scorer, meta
-    ckpt, _, _ = params_mod.load_checkpoint(path)
+    ckpt, _, _ = params_mod.checkpoint_from_doc(doc, path)
     scorer = models.make_scorer(ckpt)
     meta = {"model": ckpt.kind, "variant": ckpt.variant, "attention": ckpt.attention}
     return scorer, meta
@@ -123,7 +128,7 @@ def train(config_path, apr):
         )
     else:
         params = params_mod.init_mass(
-            m, n, v, hyper.d, split.max_members, rng,
+            m, n, v, hyper.d, rng,
             variant=cfg.mass_variant, attention=cfg.attention, use_bias=cfg.use_bias,
         )
 
@@ -134,7 +139,7 @@ def train(config_path, apr):
         )
         if apr:
             bpr_path = os.path.join(out_dir, "checkpoint_bpr.json")
-            params_mod.save_checkpoint(result.params, bpr_path, hyper.to_dict(), hyper.seed)
+            params_mod.save_checkpoint(result.params, bpr_path, asdict(hyper), hyper.seed)
             result = training.train(
                 result.params, split, v, hyper, mode="apr",
                 log_path=os.path.join(out_dir, "apr_log.jsonl"), rng=rng,
@@ -142,7 +147,7 @@ def train(config_path, apr):
     except (FloatingPointError, ValueError) as exc:
         _fail(exc)
     ckpt_path = os.path.join(out_dir, "checkpoint.json")
-    params_mod.save_checkpoint(result.params, ckpt_path, hyper.to_dict(), hyper.seed)
+    params_mod.save_checkpoint(result.params, ckpt_path, asdict(hyper), hyper.seed)
     click.echo(f"wrote checkpoint {ckpt_path} (best epoch {result.best_epoch})")
 
 
@@ -151,8 +156,13 @@ def _parse_n_list(spec):
     for sep in ("..", "-"):
         if sep in spec:
             lo, hi = spec.split(sep, 1)
-            return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
+            n_list = list(range(int(lo), int(hi) + 1))
+            break
+    else:
+        n_list = [int(x) for x in spec.split(",")]
+    if not n_list:
+        raise ValueError(f"--n {spec!r} gives no value of N")
+    return n_list
 
 
 @main.command()
@@ -164,12 +174,14 @@ def _parse_n_list(spec):
 def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
     """Leave-one-out test evaluation; writes a metrics JSON."""
     try:
+        n_list = _parse_n_list(n_spec)
         scorer, meta = _load_model(checkpoint)
         catalog, split = _load_split_dir(split_dir)
-        n_list = _parse_n_list(n_spec)
         metrics = evaluation.evaluate(
             scorer, split, catalog.num_songs, n_list=n_list, seed=seed
         )
+    except IndexError as exc:
+        _fail(_MISMATCH.format(exc))
     except (OSError, ValueError, KeyError) as exc:
         _fail(exc)
     doc = dict(meta)
@@ -187,17 +199,15 @@ def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
 @click.option("--split", "split_dir", required=True, type=click.Path())
 def recommend(checkpoint, playlist_id, top, split_dir):
     """Rank unseen songs for one playlist and print the top of the list."""
+    if top < 1:
+        _fail(f"--top must be at least 1, got {top}")
     try:
         scorer, _ = _load_model(checkpoint)
         catalog, split = _load_split_dir(split_dir)
         if playlist_id not in catalog.playlists:
             _fail(f"unknown playlist id: {playlist_id}")
         p = catalog.playlists[playlist_id]
-        full = split.full_set(p)
-        candidates = np.array(
-            [s for s in range(1, catalog.num_songs + 1) if s not in full],
-            dtype=np.int64,
-        )
+        candidates = dataset.songs_outside(split.full_set(p), catalog.num_songs)
         members, count = dataset.pad_members(split.train[p], split.max_members)
         batch = models.ScoreBatch(
             users=np.array([split.owner[p]]), playlists=np.array([p]),
@@ -209,6 +219,8 @@ def recommend(checkpoint, playlist_id, top, split_dir):
         _, _, inv_s = catalog.inverse()
         for idx in order:
             click.echo(f"{inv_s[int(candidates[idx])]}\t{scores[idx]:.6f}")
+    except IndexError as exc:
+        _fail(_MISMATCH.format(exc))
     except (OSError, ValueError, KeyError) as exc:
         _fail(exc)
 
@@ -229,6 +241,8 @@ def attention_report(checkpoint, split_dir, out_dir):
         rho, rows = analysis.attention_correlation(
             ckpt, split, counts, csv_path=os.path.join(out_dir, "pmi_att.csv")
         )
+    except IndexError as exc:
+        _fail(_MISMATCH.format(exc))
     except (OSError, ValueError, KeyError) as exc:
         _fail(exc)
     summary_path = os.path.join(out_dir, "attention_summary.json")

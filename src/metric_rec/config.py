@@ -5,7 +5,7 @@ Unknown keys are rejected, and every value is checked against its allowed
 set before any work starts.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .params import ATTENTION_KINDS, MASS_VARIANTS, MDR_VARIANTS
 from .training import Hyperparams
@@ -22,7 +22,9 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# key -> (parser, default)
+_HYPER_KEYS = tuple(f.name for f in fields(Hyperparams))
+
+# key -> (parser, default); each hyperparameter's type parses it
 _SCHEMA = {
     "model": (str, "mdr"),
     "mdr_variant": (str, "ups"),
@@ -34,21 +36,8 @@ _SCHEMA = {
     "out_dir": (str, "."),
     "mdr_checkpoint": (str, ""),
     "mass_checkpoint": (str, ""),
-    "learning_rate": (float, 1e-3),
-    "lambda_theta": (float, 0.0),
-    "d": (int, 16),
-    "epochs": (int, 50),
-    "batch_size": (int, 256),
-    "negatives_per_positive": (int, 4),
-    "epsilon": (float, 0.5),
-    "lambda_delta": (float, 1.0),
-    "seed": (int, 0),
+    **{f.name: (f.type, f.default) for f in fields(Hyperparams)},
 }
-
-_HYPER_KEYS = (
-    "learning_rate", "lambda_theta", "d", "epochs", "batch_size",
-    "negatives_per_positive", "epsilon", "lambda_delta", "seed",
-)
 
 
 @dataclass

@@ -168,9 +168,15 @@ def leave_one_out_split(records, seed, catalog=None):
                         max_members=max_members)
 
 
+def songs_outside(full_set, num_songs):
+    """Sorted int64 array of the songs 1..num_songs that are not in `full_set`."""
+    return np.setdiff1d(np.arange(1, num_songs + 1, dtype=np.int64),
+                        np.fromiter(full_set, dtype=np.int64))
+
+
 def sample_negatives(full_set, num_songs, count, rng):
     """Uniform draw of `count` distinct non-member songs (never the padding 0)."""
-    pool = np.setdiff1d(np.arange(1, num_songs + 1), np.fromiter(full_set, dtype=np.int64))
+    pool = songs_outside(full_set, num_songs)
     if len(pool) < count:
         raise ValueError(
             f"candidate pool has {len(pool)} songs, need {count}"

@@ -7,8 +7,6 @@ at the same seed see identical candidate lists.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,14 +47,6 @@ def ndcg_at_n(rank, n):
     return 1.0 / math.log2(rank + 1) if rank <= n else 0.0
 
 
-def _max_threads():
-    raw = os.environ.get("METRIC_REC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate(scorer, split, num_songs, n_list=None, seed=0, which="test",
              num_negatives=DEFAULT_NUM_NEGATIVES):
     """Mean hit@N and NDCG@N over all held-out songs.
@@ -69,25 +59,16 @@ def evaluate(scorer, split, num_songs, n_list=None, seed=0, which="test",
     held = split.dev if which == "dev" else split.test
     if not held:
         raise ValueError("empty evaluation set")
-    playlists = sorted(held)
-    max_members = split.max_members
-
-    def rank_one(p):
+    ranks = []
+    for p in sorted(held):
         rng = np.random.default_rng([seed, p])
-        members, count = pad_members(split.train[p], max_members)
+        members, count = pad_members(split.train[p], split.max_members)
         negatives = sample_negatives(split.full_set(p), num_songs, num_negatives, rng)
-        return rank_candidates(
+        ranks.append(rank_candidates(
             scorer, split.owner[p], p, members, count, held[p], negatives
-        )
+        ))
 
-    threads = _max_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ranks = list(pool.map(rank_one, playlists))
-    else:
-        ranks = [rank_one(p) for p in playlists]
-
-    out = {"N": {}, "num_playlists": len(playlists)}
+    out = {"N": {}, "num_playlists": len(ranks)}
     for n in n_list:
         hits = [hit_at_n(r, n) for r in ranks]
         ndcgs = [ndcg_at_n(r, n) for r in ranks]

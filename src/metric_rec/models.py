@@ -82,65 +82,6 @@ def masked_softmin(dists, counts):
 
 
 # ---------------------------------------------------------------------------
-# single-context building blocks
-# ---------------------------------------------------------------------------
-
-def build_query(u_vec, s_vec, weight, bias):
-    """ReLU affine map of the concatenated pair [u; s] down to d dims."""
-    x = np.concatenate([np.asarray(u_vec, float), np.asarray(s_vec, float)])
-    weight = np.asarray(weight, float)
-    bias = np.asarray(bias, float)
-    if weight.shape[0] != x.shape[0] or weight.shape[1] != bias.shape[0]:
-        raise ValueError(
-            f"shape mismatch: input {x.shape[0]}, weight {weight.shape}, bias {bias.shape[0]}"
-        )
-    return _relu(x @ weight + bias)
-
-
-def member_distances(q, member_vectors, b3, real_count=None):
-    """Weighted squared distance from the query to each padded member slot.
-
-    Entries beyond the real count are computed but meant to be masked by
-    the (zero) attention weights downstream.
-    """
-    q = np.asarray(q, float)
-    member_vectors = np.asarray(member_vectors, float)
-    if member_vectors.shape[-1] != q.shape[-1]:
-        raise ValueError(
-            f"shape mismatch: query dim {q.shape[-1]}, members dim {member_vectors.shape[-1]}"
-        )
-    return np.sum((np.asarray(b3, float) * (q - member_vectors)) ** 2, axis=-1)
-
-
-def attention_weights(q_a, member_a_vectors, b4, real_count):
-    """Softmin attention over distances under B4; padded slots get weight 0."""
-    d = member_distances(q_a, member_a_vectors, b4)
-    return masked_softmin(d[None, :], np.array([real_count]))[0]
-
-
-def attention_variant(kind, q, member_vectors, b=None, real_count=None):
-    """Attention weights for one context under any of the four mechanisms.
-
-    `kind` picks the score: *_metric uses softmin of distances under `b`,
-    *_dot uses softmax of inner products. The mem/nonmem distinction is in
-    which query and member vectors the caller passes.
-    """
-    if kind in ("mem_metric", "nonmem_metric"):
-        return attention_weights(q, member_vectors, b, real_count)
-    if kind in ("mem_dot", "nonmem_dot"):
-        scores = np.asarray(member_vectors, float) @ np.asarray(q, float)
-        return masked_softmax(scores[None, :], np.array([real_count]))[0]
-    raise ValueError(f"unknown attention kind: {kind}")
-
-
-def masr_score(o_mdr, o_mass, alpha=0.5):
-    """Affine blend of the two frozen component scores."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha * o_mdr + (1.0 - alpha) * o_mass
-
-
-# ---------------------------------------------------------------------------
 # batched forward / backward
 # ---------------------------------------------------------------------------
 
@@ -355,14 +296,6 @@ def score_batch(params, batch):
     return scores
 
 
-def mdr_score(params, user, playlist, song):
-    """Distance score of one candidate under an MDR parameter set."""
-    batch = ScoreBatch(
-        users=np.array([user]), playlists=np.array([playlist]), songs=np.array([song])
-    )
-    return float(score_batch(params, batch)[0])
-
-
 def make_scorer(model, alpha=None):
     """Callable (batch -> scores) for a single model or an (mdr, mass) blend.
 
@@ -378,8 +311,7 @@ def make_scorer(model, alpha=None):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
     def blended(batch):
-        return masr_score(
-            score_batch(mdr_params, batch), score_batch(mass_params, batch), alpha
-        )
+        o_mdr, o_mass = score_batch(mdr_params, batch), score_batch(mass_params, batch)
+        return alpha * o_mdr + (1.0 - alpha) * o_mass
 
     return blended

@@ -7,7 +7,7 @@ that is kept at zero and never receives gradient updates.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,24 +38,11 @@ class ModelParams:
     num_playlists: int
     num_songs: int            # real songs; song tables have num_songs + 1 rows
     attention: str = ""       # mass only
-    max_members: int = 0      # mass only: padded member-list length l
     use_bias: bool = True
     tensors: dict = field(default_factory=dict)
 
     def copy(self):
-        out = ModelParams(
-            kind=self.kind,
-            variant=self.variant,
-            dim=self.dim,
-            num_users=self.num_users,
-            num_playlists=self.num_playlists,
-            num_songs=self.num_songs,
-            attention=self.attention,
-            max_members=self.max_members,
-            use_bias=self.use_bias,
-        )
-        out.tensors = {k: v.copy() for k, v in self.tensors.items()}
-        return out
+        return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
 
     def zero_like(self):
         """Shape-matched dict of zero arrays, one per tensor."""
@@ -100,7 +87,7 @@ def init_mdr(m, n, v, d, rng, variant="ups", use_bias=True):
     return p
 
 
-def init_mass(m, n, v, d, l, rng, variant="us", attention="mem_metric", use_bias=True):
+def init_mass(m, n, v, d, rng, variant="us", attention="mem_metric", use_bias=True):
     """Fresh MASS parameter set for the given variant and attention kind."""
     if variant not in MASS_VARIANTS:
         raise ValueError(f"unknown mass variant: {variant}")
@@ -109,7 +96,7 @@ def init_mass(m, n, v, d, l, rng, variant="us", attention="mem_metric", use_bias
     p = ModelParams(
         kind="mass", variant=variant, dim=d,
         num_users=m, num_playlists=n, num_songs=v,
-        attention=attention, max_members=l, use_bias=use_bias,
+        attention=attention, use_bias=use_bias,
     )
     # query concatenates 2 embeddings (us: user+song, ps: playlist+song)
     # or 3 for ups (user+playlist+song)
@@ -151,7 +138,6 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
             "num_users": params.num_users,
             "num_playlists": params.num_playlists,
             "num_songs": params.num_songs,
-            "max_members": params.max_members,
             "use_bias": params.use_bias,
         },
         "hyperparams": dict(hyperparams or {}),
@@ -169,7 +155,15 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, hyperparams, seed)."""
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        return checkpoint_from_doc(json.load(f), path)
+
+
+def checkpoint_from_doc(doc, path):
+    """`load_checkpoint` of a document already parsed from `path`.
+
+    Model keys not read here are ignored, so checkpoints carrying keys that
+    older versions wrote still load.
+    """
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     m = doc["model"]
@@ -177,7 +171,7 @@ def load_checkpoint(path):
         kind=m["kind"], variant=m["variant"], dim=m["dim"],
         num_users=m["num_users"], num_playlists=m["num_playlists"],
         num_songs=m["num_songs"], attention=m.get("attention", ""),
-        max_members=m.get("max_members", 0), use_bias=m.get("use_bias", True),
+        use_bias=m.get("use_bias", True),
     )
     for name, spec in doc["tensors"].items():
         arr = np.array(spec["values"], dtype=np.float64).reshape(spec["shape"])

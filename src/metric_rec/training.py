@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .dataset import pad_members
+from .dataset import pad_members, songs_outside
 from .evaluation import evaluate
 from .models import ScoreBatch
 from .params import REGULARIZED
@@ -63,19 +63,6 @@ class Hyperparams:
         if self.lambda_delta < 0:
             raise ValueError("lambda_delta must be nonnegative")
 
-    def to_dict(self):
-        return {
-            "learning_rate": self.learning_rate,
-            "lambda_theta": self.lambda_theta,
-            "d": self.d,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "negatives_per_positive": self.negatives_per_positive,
-            "epsilon": self.epsilon,
-            "lambda_delta": self.lambda_delta,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class TrainBatch:
@@ -109,10 +96,8 @@ def build_train_data(split, num_songs):
     users, playlists, pos, members, counts = [], [], [], [], []
     l = split.max_members
     neg_pools = {}
-    all_songs = np.arange(1, num_songs + 1)
     for p in sorted(split.train):
-        full = split.full_set(p)
-        neg_pools[p] = np.setdiff1d(all_songs, np.fromiter(full, dtype=np.int64))
+        neg_pools[p] = songs_outside(split.full_set(p), num_songs)
         for s in split.train[p]:
             rest = [x for x in split.train[p] if x != s]
             padded, count = pad_members(rest, l)

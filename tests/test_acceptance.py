@@ -13,9 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 import synthetic
+from oracles import mahalanobis_sq
 from metric_rec import dataset, evaluation, models, params as params_mod, training
 from metric_rec.cli import main as cli_main
-from metric_rec.metric import mahalanobis_sq
 from metric_rec.models import ScoreBatch
 from metric_rec.training import Hyperparams
 
@@ -44,7 +44,7 @@ def _train_pair(seed):
     mdr = params_mod.init_mdr(m, n, v, hyper.d, np.random.default_rng(seed))
     mdr_result = training.train(mdr, split, v, hyper,
                                 rng=np.random.default_rng(seed))
-    mass = params_mod.init_mass(m, n, v, hyper.d, split.max_members,
+    mass = params_mod.init_mass(m, n, v, hyper.d,
                                 np.random.default_rng(seed))
     mass_result = training.train(mass, split, v, hyper,
                                  rng=np.random.default_rng(seed))
@@ -87,7 +87,7 @@ def _random_small_model(kind, rng, **kwargs):
     if kind == "mdr":
         p = params_mod.init_mdr(m, n, v, d, rng, **kwargs)
     else:
-        p = params_mod.init_mass(m, n, v, d, l, rng, **kwargs)
+        p = params_mod.init_mass(m, n, v, d, rng, **kwargs)
     for t in p.tensors.values():
         t += rng.normal(scale=0.1, size=t.shape)
     p.zero_padding_rows()
@@ -154,7 +154,7 @@ def test_criterion_03_attention_contract():
     rng = np.random.default_rng(3)
     ok = True
     for attention in params_mod.ATTENTION_KINDS:
-        p = params_mod.init_mass(4, 4, 10, 4, 6, rng, attention=attention)
+        p = params_mod.init_mass(4, 4, 10, 4, rng, attention=attention)
         for t in p.tensors.values():
             t += rng.normal(scale=0.3, size=t.shape)
         p.zero_padding_rows()
@@ -310,7 +310,7 @@ def test_criterion_08_linear_scaling(tmp_path):
         else:
             params = params_mod.init_mass(
                 catalog.num_users, catalog.num_playlists, v, 16,
-                split.max_members, np.random.default_rng(0),
+                np.random.default_rng(0),
             )
         log = str(tmp_path / f"{kind}_{num_playlists}.jsonl")
         result = training.train(params, split, v, hyper, eval_dev=False,

@@ -90,7 +90,7 @@ def _tiny_mass_setup():
     rng = np.random.default_rng(4)
     params = params_mod.init_mass(
         catalog.num_users, catalog.num_playlists, catalog.num_songs,
-        4, split.max_members, rng,
+        4, rng,
     )
     return catalog, split, params
 

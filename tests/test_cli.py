@@ -153,6 +153,57 @@ def test_recommend_lists_top_songs(workspace):
     assert song.startswith("s")
 
 
+def _single_error_line(result):
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.output
+    return lines[0]
+
+
+def test_evaluate_rejects_n_spec_without_values(workspace, tmp_path):
+    out = tmp_path / "m.json"
+    result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(workspace / "splits"), "--n", "5..3",
+                   "--out", str(out)], expect_exit=1)
+    assert "--n" in _single_error_line(result)
+    assert not out.exists()
+
+
+def test_recommend_rejects_top_below_one(workspace):
+    result = _run(["recommend", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(workspace / "splits"),
+                   "--playlist", "p0", "--top", "-1"], expect_exit=1)
+    assert "--top" in _single_error_line(result)
+
+
+@pytest.fixture(scope="module")
+def small_catalog_checkpoints(tmp_path_factory):
+    """Untrained MDR and MASS checkpoints over a smaller catalog than `workspace`'s."""
+    root = tmp_path_factory.mktemp("small")
+    tsv = root / "interactions.tsv"
+    synthetic.write_tsv(synthetic.planted_cluster_records(seed=0, num_playlists=20), tsv)
+    split_dir = root / "splits"
+    _run(["prepare", "--input", str(tsv), "--out", str(split_dir), "--seed", "0"])
+    for kind in ("mdr", "mass"):
+        cfg = _write_config(root / f"{kind}.cfg", model=kind, split_dir=split_dir,
+                            out_dir=root / kind, epochs="0", d="8")
+        _run(["train", "--config", cfg])
+    return root
+
+
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "attention-report"])
+def test_checkpoint_from_smaller_catalog_fails_cleanly(
+        workspace, small_catalog_checkpoints, tmp_path, command):
+    kind = "mass" if command == "attention-report" else "mdr"
+    args = [command, "--checkpoint", str(small_catalog_checkpoints / kind / "checkpoint.json"),
+            "--split", str(workspace / "splits")]
+    if command == "recommend":
+        args += ["--playlist", "p0"]
+    else:
+        args += ["--out", str(tmp_path / "out")]
+    result = _run(args, expect_exit=1)
+    assert "checkpoint does not match the split" in _single_error_line(result)
+
+
 def test_recommend_unknown_playlist(workspace):
     result = _run(["recommend", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
                    "--split", str(workspace / "splits"),

@@ -146,6 +146,13 @@ def test_split_test_item_uniform():
     assert np.all(np.abs(freqs - 0.2) < 0.02)
 
 
+def test_songs_outside_sorted_int64_complement():
+    out = dataset.songs_outside({7, 2, 5}, num_songs=8)
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, [1, 3, 4, 6, 8])
+    np.testing.assert_array_equal(dataset.songs_outside(set(), 3), [1, 2, 3])
+
+
 def test_sample_negatives_contract():
     rng = np.random.default_rng(0)
     full = {2, 5}

@@ -117,18 +117,6 @@ def test_evaluate_deterministic_and_dev_selection():
     assert dev["num_playlists"] == a["num_playlists"]
 
 
-def test_evaluate_thread_env_matches_serial(monkeypatch):
-    catalog, split = _toy_eval_split()
-    table = np.random.default_rng(6).standard_normal(catalog.num_songs + 1)
-    scorer = _fixed_scorer(table)
-    serial = evaluation.evaluate(scorer, split, catalog.num_songs, seed=1,
-                                 num_negatives=10)
-    monkeypatch.setenv("METRIC_REC_THREADS", "4")
-    threaded = evaluation.evaluate(scorer, split, catalog.num_songs, seed=1,
-                                   num_negatives=10)
-    assert serial == threaded
-
-
 def test_evaluate_empty_set_rejected():
     catalog, split = _toy_eval_split()
     split.test.clear()

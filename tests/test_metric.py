@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from metric_rec.metric import grad_mahalanobis_sq, mahalanobis_sq
+from oracles import grad_mahalanobis_sq, mahalanobis_sq
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from metric_rec import models, params as params_mod
 from metric_rec.models import ScoreBatch
 
@@ -23,52 +24,52 @@ def test_mdr_zero_params_score_zero():
     p = _mdr_hand_params()
     for t in p.tensors.values():
         t[:] = 0.0
-    assert models.mdr_score(p, 0, 0, 1) == 0.0
+    assert oracles.mdr_score(p, 0, 0, 1) == 0.0
 
 
 def test_mdr_hand_score():
     # d(u,s)=0+1, d(p,s)=1+0, theta=0.5 -> 2.5
     p = _mdr_hand_params("ups")
-    assert models.mdr_score(p, 0, 0, 1) == pytest.approx(2.5)
+    assert oracles.mdr_score(p, 0, 0, 1) == pytest.approx(2.5)
 
 
 def test_mdr_variant_term_deletion():
-    assert models.mdr_score(_mdr_hand_params("us"), 0, 0, 1) == pytest.approx(1.5)
-    assert models.mdr_score(_mdr_hand_params("ps"), 0, 0, 1) == pytest.approx(1.5)
+    assert oracles.mdr_score(_mdr_hand_params("us"), 0, 0, 1) == pytest.approx(1.5)
+    assert oracles.mdr_score(_mdr_hand_params("ps"), 0, 0, 1) == pytest.approx(1.5)
 
 
 def test_mdr_bias_additivity():
     p = _mdr_hand_params("ups")
-    base = models.mdr_score(p, 0, 0, 1)
+    base = oracles.mdr_score(p, 0, 0, 1)
     p.tensors["theta"][1] += 0.3
-    assert models.mdr_score(p, 0, 0, 1) == pytest.approx(base + 0.3)
+    assert oracles.mdr_score(p, 0, 0, 1) == pytest.approx(base + 0.3)
 
 
 def test_build_query_hand():
     # ReLU(3*1 + (-1)*2 + 0.5) = 1.5
-    q = models.build_query([3.0], [-1.0], [[1.0], [2.0]], [0.5])
+    q = oracles.build_query([3.0], [-1.0], [[1.0], [2.0]], [0.5])
     np.testing.assert_allclose(q, [1.5])
 
 
 def test_build_query_negative_preactivation_clamped():
-    q = models.build_query([1.0, 0.0], [0.0, 1.0], -np.ones((4, 2)), [0.0, 0.0])
+    q = oracles.build_query([1.0, 0.0], [0.0, 1.0], -np.ones((4, 2)), [0.0, 0.0])
     np.testing.assert_allclose(q, [0.0, 0.0])
 
 
 def test_build_query_shape_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        models.build_query([1.0], [1.0], np.ones((3, 2)), [0.0, 0.0])
+        oracles.build_query([1.0], [1.0], np.ones((3, 2)), [0.0, 0.0])
 
 
 def test_member_distances_hand():
-    d = models.member_distances([1.0, 0.0], [[0.0, 1.0]], [1.0, 2.0])
+    d = oracles.member_distances([1.0, 0.0], [[0.0, 1.0]], [1.0, 2.0])
     np.testing.assert_allclose(d, [5.0])  # 1 + (2*1)^2 = 5
 
 
 def test_member_distances_identity_and_euclidean():
     q = np.array([0.3, -0.2])
     mvecs = np.array([[0.3, -0.2], [1.0, 1.0]])
-    d = models.member_distances(q, mvecs, np.ones(2))
+    d = oracles.member_distances(q, mvecs, np.ones(2))
     assert d[0] == 0.0
     assert d[1] == pytest.approx(np.sum((q - mvecs[1]) ** 2))
 
@@ -94,14 +95,14 @@ def test_attention_variant_dot_hand():
     # softmax of (ln 3, 0) -> (0.75, 0.25)
     q = np.array([1.0])
     mvecs = np.array([[np.log(3.0)], [0.0]])
-    alpha = models.attention_variant("mem_dot", q, mvecs, real_count=2)
+    alpha = oracles.attention_variant("mem_dot", q, mvecs, real_count=2)
     np.testing.assert_allclose(alpha, [0.75, 0.25], atol=1e-12)
 
 
 def test_attention_variant_dot_uniform():
     q = np.array([0.4, -1.0])
     mvecs = np.tile([[1.0, 2.0]], (3, 1))
-    alpha = models.attention_variant("nonmem_dot", q, mvecs, real_count=3)
+    alpha = oracles.attention_variant("nonmem_dot", q, mvecs, real_count=3)
     np.testing.assert_allclose(alpha, np.full(3, 1 / 3), atol=1e-12)
 
 
@@ -110,14 +111,14 @@ def test_attention_variant_metric_matches_attention_weights():
     q = rng.normal(size=4)
     mvecs = rng.normal(size=(5, 4))
     b = rng.normal(size=4)
-    a1 = models.attention_variant("mem_metric", q, mvecs, b, real_count=3)
-    a2 = models.attention_weights(q, mvecs, b, 3)
+    a1 = oracles.attention_variant("mem_metric", q, mvecs, b, real_count=3)
+    a2 = oracles.attention_weights(q, mvecs, b, 3)
     np.testing.assert_allclose(a1, a2)
 
 
 def test_attention_variant_unknown_kind():
     with pytest.raises(ValueError):
-        models.attention_variant("other", np.zeros(2), np.zeros((1, 2)), real_count=1)
+        oracles.attention_variant("other", np.zeros(2), np.zeros((1, 2)), real_count=1)
 
 
 def test_weighted_member_score_hand():
@@ -129,7 +130,7 @@ def test_weighted_member_score_hand():
 
 def test_mass_score_convex_combination_bound():
     rng = np.random.default_rng(3)
-    p = params_mod.init_mass(2, 2, 6, 4, 3, rng)
+    p = params_mod.init_mass(2, 2, 6, 4, rng)
     members = [1, 2, 4]
     padded = members + [0] * 0
     batch = ScoreBatch(
@@ -143,15 +144,14 @@ def test_mass_score_convex_combination_bound():
 
 
 def test_masr_hand_cases():
-    assert models.masr_score(2.0, 3.0, alpha=1.0) == 2.0
-    assert models.masr_score(2.0, 3.0, alpha=0.0) == 3.0
-    assert models.masr_score(2.0, 3.0, alpha=0.5) == pytest.approx(2.5)
+    assert oracles.masr_score(2.0, 3.0, alpha=1.0) == 2.0
+    assert oracles.masr_score(2.0, 3.0, alpha=0.0) == 3.0
+    assert oracles.masr_score(2.0, 3.0, alpha=0.5) == pytest.approx(2.5)
     with pytest.raises(ValueError):
-        models.masr_score(1.0, 1.0, alpha=1.5)
+        oracles.masr_score(1.0, 1.0, alpha=1.5)
 
 
-def _rand_batch(rng, p, n=6):
-    l = p.max_members or 1
+def _rand_batch(rng, p, l, n=6):
     members = np.zeros((n, l), dtype=np.int64)
     counts = rng.integers(1, l + 1, size=n)
     for i in range(n):
@@ -169,11 +169,11 @@ def _rand_batch(rng, p, n=6):
 @pytest.mark.parametrize("attention", params_mod.ATTENTION_KINDS)
 def test_mass_attention_rows_normalized(attention):
     rng = np.random.default_rng(11)
-    p = params_mod.init_mass(3, 4, 8, 4, 5, rng, attention=attention)
+    p = params_mod.init_mass(3, 4, 8, 4, rng, attention=attention)
     for t in p.tensors.values():
         t += rng.normal(scale=0.3, size=t.shape)
     p.zero_padding_rows()
-    batch = _rand_batch(rng, p)
+    batch = _rand_batch(rng, p, 5)
     _, cache = models.forward(p, batch)
     alpha = cache["alpha"]
     np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
@@ -183,11 +183,11 @@ def test_mass_attention_rows_normalized(attention):
 
 def test_mass_ps_equals_us_with_shared_embedding():
     rng = np.random.default_rng(8)
-    us = params_mod.init_mass(3, 3, 6, 4, 3, rng, variant="us")
-    ps = params_mod.init_mass(3, 3, 6, 4, 3, np.random.default_rng(8), variant="ps")
+    us = params_mod.init_mass(3, 3, 6, 4, rng, variant="us")
+    ps = params_mod.init_mass(3, 3, 6, 4, np.random.default_rng(8), variant="ps")
     for name, t in us.tensors.items():
         ps.tensors[{"U": "P", "U_a": "P_a"}.get(name, name)] = t.copy()
-    batch = _rand_batch(np.random.default_rng(9), us)
+    batch = _rand_batch(np.random.default_rng(9), us, 3)
     # user index i scores under `us` exactly as playlist index i under `ps`
     ps_batch = ScoreBatch(
         users=batch.users, playlists=batch.users, songs=batch.songs,
@@ -201,8 +201,8 @@ def test_mass_ps_equals_us_with_shared_embedding():
 def test_mass_ups_reduces_to_us_with_zero_playlist_block():
     rng = np.random.default_rng(10)
     d = 4
-    us = params_mod.init_mass(3, 3, 6, d, 3, rng, variant="us")
-    ups = params_mod.init_mass(3, 3, 6, d, 3, np.random.default_rng(99), variant="ups")
+    us = params_mod.init_mass(3, 3, 6, d, rng, variant="us")
+    ups = params_mod.init_mass(3, 3, 6, d, np.random.default_rng(99), variant="ups")
     for name in ("U", "S", "b1", "B3", "U_a", "S_a", "b2", "B4",
                  "song_bias"):
         ups.tensors[name] = us.tensors[name].copy()
@@ -213,7 +213,7 @@ def test_mass_ups_reduces_to_us_with_zero_playlist_block():
         ups.tensors[w][2 * d:] = us.tensors[w][d:]
     ups.tensors["P"][:] = 0.0
     ups.tensors["P_a"][:] = 0.0
-    batch = _rand_batch(np.random.default_rng(12), us)
+    batch = _rand_batch(np.random.default_rng(12), us, 3)
     np.testing.assert_allclose(
         models.score_batch(us, batch), models.score_batch(ups, batch)
     )
@@ -221,7 +221,7 @@ def test_mass_ups_reduces_to_us_with_zero_playlist_block():
 
 def test_mass_requires_members():
     rng = np.random.default_rng(1)
-    p = params_mod.init_mass(2, 2, 4, 2, 2, rng)
+    p = params_mod.init_mass(2, 2, 4, 2, rng)
     batch = ScoreBatch(
         users=np.array([0]), playlists=np.array([0]), songs=np.array([1])
     )
@@ -231,8 +231,8 @@ def test_mass_requires_members():
 
 def test_backward_zeroes_padding_rows():
     rng = np.random.default_rng(13)
-    p = params_mod.init_mass(3, 3, 6, 4, 3, rng)
-    batch = _rand_batch(rng, p, n=4)
+    p = params_mod.init_mass(3, 3, 6, 4, rng)
+    batch = _rand_batch(rng, p, 3, n=4)
     scores, cache = models.forward(p, batch)
     grads = p.zero_like()
     models.backward(p, batch, cache, np.ones_like(scores), grads)
@@ -243,8 +243,8 @@ def test_backward_zeroes_padding_rows():
 def test_make_scorer_blend_endpoints():
     rng = np.random.default_rng(14)
     mdr = params_mod.init_mdr(3, 3, 6, 4, rng)
-    mass = params_mod.init_mass(3, 3, 6, 4, 3, rng)
-    batch = _rand_batch(rng, mass)
+    mass = params_mod.init_mass(3, 3, 6, 4, rng)
+    batch = _rand_batch(rng, mass, 3)
     o_mdr = models.score_batch(mdr, batch)
     o_mass = models.score_batch(mass, batch)
     np.testing.assert_array_equal(models.make_scorer((mdr, mass), 1.0)(batch), o_mdr)
@@ -265,27 +265,24 @@ _ALL_CONFIGS = (
 
 def _oracle_score(p, user, playlist, song, members, count):
     """One (context, candidate) score from the single-context helpers."""
-    t = p.tensors
-    bias = t["theta" if p.kind == "mdr" else "song_bias"][song] if p.use_bias else 0.0
     if p.kind == "mdr":
-        return bias + sum(
-            float(np.sum((t[b] * (t[e][i] - t["S"][song])) ** 2))
-            for e, b, i in (("U", "B1", user), ("P", "B2", playlist)) if e in t
-        )
+        return oracles.mdr_score(p, user, playlist, song)
+    t = p.tensors
+    bias = t["song_bias"][song] if p.use_bias else 0.0
 
     def query(suffix, w, b):
         ctx = np.concatenate([t[name + suffix][i] for name, i in (("U", user), ("P", playlist))
                               if name + suffix in t])
-        return models.build_query(ctx, t["S" + suffix][song], t[w], t[b])
+        return oracles.build_query(ctx, t["S" + suffix][song], t[w], t[b])
 
     real = members[:count]
     q = query("", "W1", "b1")
-    dists = models.member_distances(q, t["S"][real], t["B3"])
+    dists = oracles.member_distances(q, t["S"][real], t["B3"])
     if p.attention.startswith("mem"):
         q_a, m_a = query("_a", "W2", "b2"), t["S_a"][real]
     else:
         q_a, m_a = q, t["S"][real]
-    alpha = models.attention_variant(p.attention, q_a, m_a, t.get("B4"), count)
+    alpha = oracles.attention_variant(p.attention, q_a, m_a, t.get("B4"), count)
     return float(alpha @ dists) + bias
 
 
@@ -296,13 +293,13 @@ def _oracle_score(p, user, playlist, song, members, count):
 def test_candidate_major_batch_matches_per_row_scoring(kind, kwargs):
     rng = np.random.default_rng(21)
     if kind == "mdr":
-        p = params_mod.init_mdr(3, 4, 12, 4, rng, **kwargs)
+        p, l = params_mod.init_mdr(3, 4, 12, 4, rng, **kwargs), 1
     else:
-        p = params_mod.init_mass(3, 4, 12, 4, 5, rng, **kwargs)
+        p, l = params_mod.init_mass(3, 4, 12, 4, rng, **kwargs), 5
     for t in p.tensors.values():
         t += rng.normal(scale=0.3, size=t.shape)
     p.zero_padding_rows()
-    ctx = _rand_batch(rng, p, n=4)  # ragged counts, 0-padded members
+    ctx = _rand_batch(rng, p, l, n=4)  # ragged counts, 0-padded members
     c = 5
     batch = ScoreBatch(
         users=ctx.users, playlists=ctx.playlists,

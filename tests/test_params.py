@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -33,18 +35,18 @@ def test_init_mdr_metric_starts_euclidean():
 ])
 def test_init_mass_tensor_sets(attention, extra):
     rng = np.random.default_rng(1)
-    p = params_mod.init_mass(3, 4, 5, 2, 6, rng, variant="us", attention=attention)
+    p = params_mod.init_mass(3, 4, 5, 2, rng, variant="us", attention=attention)
     assert set(p.tensors) == {"S", "U", "W1", "b1", "B3", "song_bias"} | extra
     assert p.tensors["W1"].shape == (4, 2)
 
 
 def test_init_mass_ups_query_width():
     rng = np.random.default_rng(2)
-    p = params_mod.init_mass(3, 4, 5, 2, 6, rng, variant="ups")
+    p = params_mod.init_mass(3, 4, 5, 2, rng, variant="ups")
     assert p.tensors["W1"].shape == (6, 2)
     assert "P" in p.tensors and "P_a" in p.tensors
     with pytest.raises(ValueError):
-        params_mod.init_mass(3, 4, 5, 2, 6, rng, attention="softmax")
+        params_mod.init_mass(3, 4, 5, 2, rng, attention="softmax")
 
 
 def test_copy_is_deep():
@@ -69,7 +71,7 @@ def test_zero_like_and_check_finite():
 
 def test_zero_padding_rows_on_target():
     rng = np.random.default_rng(5)
-    p = params_mod.init_mass(2, 2, 3, 2, 2, rng)
+    p = params_mod.init_mass(2, 2, 3, 2, rng)
     grads = {k: np.ones_like(v) for k, v in p.tensors.items()}
     p.zero_padding_rows(grads)
     for name in ("S", "S_a", "song_bias"):
@@ -79,15 +81,30 @@ def test_zero_padding_rows_on_target():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
-    p = params_mod.init_mass(3, 4, 5, 2, 6, rng, variant="ups", attention="mem_dot")
+    p = params_mod.init_mass(3, 4, 5, 2, rng, variant="ups", attention="mem_dot")
     path = str(tmp_path / "ckpt.json")
     hyper = {"learning_rate": 1e-3, "epochs": 5}
     params_mod.save_checkpoint(p, path, hyper, seed=7)
     back, h, seed = params_mod.load_checkpoint(path)
     assert (back.kind, back.variant, back.attention) == ("mass", "ups", "mem_dot")
-    assert back.dim == p.dim and back.max_members == p.max_members
+    assert back.dim == p.dim
     assert h == hyper and seed == 7
     assert set(back.tensors) == set(p.tensors)
+    for name in p.tensors:
+        np.testing.assert_array_equal(back.tensors[name], p.tensors[name])
+
+
+def test_checkpoint_carrying_max_members_loads(tmp_path):
+    rng = np.random.default_rng(8)
+    p = params_mod.init_mass(3, 4, 5, 2, rng)
+    path = tmp_path / "ckpt.json"
+    params_mod.save_checkpoint(p, str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert "max_members" not in doc["model"]
+    doc["model"]["max_members"] = 6  # as checkpoints of earlier versions carry it
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    back, _, _ = params_mod.load_checkpoint(str(path))
+    assert (back.kind, back.variant, back.attention) == ("mass", "us", "mem_metric")
     for name in p.tensors:
         np.testing.assert_array_equal(back.tensors[name], p.tensors[name])
 

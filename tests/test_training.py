@@ -19,7 +19,7 @@ def _small_model(kind, catalog, split, seed=0, **kwargs):
     m, n, v = catalog.num_users, catalog.num_playlists, catalog.num_songs
     if kind == "mdr":
         return params_mod.init_mdr(m, n, v, 4, rng, **kwargs)
-    return params_mod.init_mass(m, n, v, 4, split.max_members, rng, **kwargs)
+    return params_mod.init_mass(m, n, v, 4, rng, **kwargs)
 
 
 def _one_batch(data, k, seed=0):
