@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .dataset import pad_members
-from .models import ScoreBatch, forward
+from .evaluation import context_batch
+from .models import forward
 
 PMI_FLOOR = -20.0
 
@@ -84,21 +84,13 @@ def attention_correlation(params, split, counts, csv_path=None):
     Pairs are collected over every test context and real member; returns
     (rho, rows) where rows are (playlist, member, pmi_att, model_att).
     """
+    playlists = sorted(split.test)
+    targets = [split.test[p] for p in playlists]
+    # one candidate per context: the attention comes back as (B, l)
+    _, cache = forward(params, context_batch(split, playlists, targets))
     rows = []
-    l = split.max_members
-    for p in sorted(split.test):
-        target = split.test[p]
+    for p, target, model_att in zip(playlists, targets, cache["alpha"]):
         members = split.train[p]
-        padded, count = pad_members(members, l)
-        batch = ScoreBatch(
-            users=np.array([split.owner[p]]),
-            playlists=np.array([p]),
-            songs=np.array([target]),
-            members=np.array([padded], dtype=np.int64),
-            counts=np.array([count]),
-        )
-        _, cache = forward(params, batch)
-        model_att = cache["alpha"][0, :count]
         pmi_att = pmi_attention_scores(members, target, counts)
         for m, pa, ma in zip(members, pmi_att, model_att):
             rows.append((p, m, float(pa), float(ma)))

@@ -13,10 +13,6 @@ from .config import parse_config
 
 MASR_FORMAT = "metric-rec-masr-v1"
 
-# An index past a table's end means the checkpoint's tables are smaller than
-# the split's catalog: the model was trained on another split.
-_MISMATCH = "checkpoint does not match the split: {}"
-
 
 def _fail(message):
     click.echo(f"error: {message}", err=True)
@@ -35,8 +31,22 @@ def _load_split_dir(split_dir):
     return catalog, split
 
 
+def _check_catalog(parts, catalog):
+    """Refuse models whose tables were sized for another catalog than the split's.
+
+    Scoring such a model either indexes past a table's end or, for a larger
+    catalog, returns a plausible answer about other users, playlists and songs.
+    """
+    want = (catalog.num_users, catalog.num_playlists, catalog.num_songs)
+    for p in parts:
+        have = (p.num_users, p.num_playlists, p.num_songs)
+        if have != want:
+            _fail(f"checkpoint does not match the split: (users, playlists, songs) "
+                  f"are {have} in the checkpoint, {want} in the split")
+
+
 def _load_model(path):
-    """Load either a model checkpoint or a fusion manifest; return a scorer."""
+    """Load a model checkpoint or a fusion manifest; return (scorer, meta, its ModelParams)."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     if doc.get("format") == MASR_FORMAT:
@@ -49,11 +59,11 @@ def _load_model(path):
         mass, _, _ = params_mod.load_checkpoint(resolve(doc["mass_checkpoint"]))
         scorer = models.make_scorer((mdr, mass), alpha=doc["alpha"])
         meta = {"model": "masr", "variant": "", "attention": "", "alpha": doc["alpha"]}
-        return scorer, meta
+        return scorer, meta, (mdr, mass)
     ckpt, _, _ = params_mod.checkpoint_from_doc(doc, path)
     scorer = models.make_scorer(ckpt)
     meta = {"model": ckpt.kind, "variant": ckpt.variant, "attention": ckpt.attention}
-    return scorer, meta
+    return scorer, meta, (ckpt,)
 
 
 @click.group()
@@ -162,6 +172,8 @@ def _parse_n_list(spec):
         n_list = [int(x) for x in spec.split(",")]
     if not n_list:
         raise ValueError(f"--n {spec!r} gives no value of N")
+    if min(n_list) < 1:
+        raise ValueError(f"--n {spec!r}: N must be >= 1, got {min(n_list)}")
     return n_list
 
 
@@ -175,13 +187,11 @@ def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
     """Leave-one-out test evaluation; writes a metrics JSON."""
     try:
         n_list = _parse_n_list(n_spec)
-        scorer, meta = _load_model(checkpoint)
+        scorer, meta, parts = _load_model(checkpoint)
         catalog, split = _load_split_dir(split_dir)
-        metrics = evaluation.evaluate(
-            scorer, split, catalog.num_songs, n_list=n_list, seed=seed
-        )
-    except IndexError as exc:
-        _fail(_MISMATCH.format(exc))
+        _check_catalog(parts, catalog)
+        held = evaluation.held_out(split, catalog.num_songs, seed=seed)
+        metrics = evaluation.evaluate(scorer, held, n_list=n_list)
     except (OSError, ValueError, KeyError) as exc:
         _fail(exc)
     doc = dict(meta)
@@ -202,25 +212,18 @@ def recommend(checkpoint, playlist_id, top, split_dir):
     if top < 1:
         _fail(f"--top must be at least 1, got {top}")
     try:
-        scorer, _ = _load_model(checkpoint)
+        scorer, _, parts = _load_model(checkpoint)
         catalog, split = _load_split_dir(split_dir)
+        _check_catalog(parts, catalog)
         if playlist_id not in catalog.playlists:
             _fail(f"unknown playlist id: {playlist_id}")
         p = catalog.playlists[playlist_id]
         candidates = dataset.songs_outside(split.full_set(p), catalog.num_songs)
-        members, count = dataset.pad_members(split.train[p], split.max_members)
-        batch = models.ScoreBatch(
-            users=np.array([split.owner[p]]), playlists=np.array([p]),
-            songs=candidates[None, :],
-            members=np.array([members], dtype=np.int64), counts=np.array([count]),
-        )
-        scores = scorer(batch)[0]
+        scores = scorer(evaluation.context_batch(split, [p], candidates[None, :]))[0]
         order = np.lexsort((candidates, scores))[:top]
         _, _, inv_s = catalog.inverse()
         for idx in order:
             click.echo(f"{inv_s[int(candidates[idx])]}\t{scores[idx]:.6f}")
-    except IndexError as exc:
-        _fail(_MISMATCH.format(exc))
     except (OSError, ValueError, KeyError) as exc:
         _fail(exc)
 
@@ -236,13 +239,12 @@ def attention_report(checkpoint, split_dir, out_dir):
         if ckpt.kind != "mass":
             _fail("attention report requires a mass-family checkpoint")
         catalog, split = _load_split_dir(split_dir)
+        _check_catalog((ckpt,), catalog)
         os.makedirs(out_dir, exist_ok=True)
         counts = analysis.count_cooccurrences(split.train.values())
         rho, rows = analysis.attention_correlation(
             ckpt, split, counts, csv_path=os.path.join(out_dir, "pmi_att.csv")
         )
-    except IndexError as exc:
-        _fail(_MISMATCH.format(exc))
     except (OSError, ValueError, KeyError) as exc:
         _fail(exc)
     summary_path = os.path.join(out_dir, "attention_summary.json")

@@ -69,8 +69,8 @@ class RunConfig:
         return self
 
 
-def parse_config(path, overrides=None):
-    """Read a config file; `overrides` (key -> raw string) wins over the file."""
+def parse_config(path):
+    """Read and validate a config file."""
     raw = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -81,8 +81,6 @@ def parse_config(path, overrides=None):
                 raise ValueError(f"{path}: malformed config line {lineno}: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             raw[key] = value
-    for key, value in (overrides or {}).items():
-        raw[key] = value
 
     values = {k: default for k, (_, default) in _SCHEMA.items()}
     for key, value in raw.items():

@@ -184,17 +184,6 @@ def sample_negatives(full_set, num_songs, count, rng):
     return rng.choice(pool, size=count, replace=False)
 
 
-def pad_members(member_songs, max_members):
-    """Zero-pad a member list to fixed length; returns (padded, real count)."""
-    member_songs = list(member_songs)
-    if len(member_songs) > max_members:
-        raise ValueError(
-            f"member list of length {len(member_songs)} exceeds maximum {max_members}"
-        )
-    padded = member_songs + [0] * (max_members - len(member_songs))
-    return padded, len(member_songs)
-
-
 # ---------------------------------------------------------------------------
 # on-disk formats shared by prepare / train / evaluate
 # ---------------------------------------------------------------------------

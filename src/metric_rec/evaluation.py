@@ -1,38 +1,80 @@
 """Leave-one-out ranking evaluation: hit@N and NDCG@N over sampled candidates.
 
 Each test playlist's held-out song is ranked against 100 sampled
-non-member songs. Negative candidate sets are derived from a per-playlist
-RNG stream seeded by (seed, playlist index), so different models evaluated
-at the same seed see identical candidate lists.
+non-member songs. `held_out` draws those candidate lists once, as one
+`ScoreBatch`; `evaluate` ranks them under a scorer. Negative candidate
+sets are derived from a per-playlist RNG stream seeded by (seed, playlist
+index), so different models evaluated at the same seed see identical
+candidate lists.
 """
 
 import math
 
 import numpy as np
 
-from .dataset import pad_members, sample_negatives
+from .dataset import sample_negatives
 from .models import ScoreBatch
 
 DEFAULT_NUM_NEGATIVES = 100
 
 
-def rank_candidates(scorer, user, playlist, members, count, test_song, negatives):
-    """Rank the test song among itself plus the negatives (1 = best).
+def context_batch(split, playlists, songs):
+    """`ScoreBatch` of the train contexts of `playlists` with candidates `songs`.
+
+    Users and counts are (B,); members are the train songs, (B, l) zero-padded
+    to the split's longest train list.
+    """
+    playlists = np.asarray(playlists, dtype=np.int64)
+    members = np.zeros((len(playlists), split.max_members), dtype=np.int64)
+    counts = np.empty(len(playlists), dtype=np.int64)
+    for i, p in enumerate(playlists):
+        row = split.train[p]
+        members[i, :len(row)] = row
+        counts[i] = len(row)
+    return ScoreBatch(
+        users=np.array([split.owner[p] for p in playlists], dtype=np.int64),
+        playlists=playlists, songs=np.asarray(songs, dtype=np.int64),
+        members=members, counts=counts,
+    )
+
+
+def held_out(split, num_songs, seed=0, which="test", num_negatives=DEFAULT_NUM_NEGATIVES):
+    """Candidate lists of every dev or test playlist, in playlist order.
+
+    Row i's `songs` are the held-out song followed by `num_negatives`
+    non-member songs drawn from the (seed, playlist) stream.
+    """
+    held = split.dev if which == "dev" else split.test
+    if not held:
+        raise ValueError("empty evaluation set")
+    playlists = sorted(held)
+    songs = np.empty((len(playlists), 1 + num_negatives), dtype=np.int64)
+    for i, p in enumerate(playlists):
+        songs[i, 0] = held[p]
+        songs[i, 1:] = sample_negatives(split.full_set(p), num_songs, num_negatives,
+                                        np.random.default_rng([seed, p]))
+    return context_batch(split, playlists, songs)
+
+
+def rank_candidates(scorer, batch):
+    """(B,) ranks (1 = best) of each row's first candidate among that row's songs.
 
     Scores ascend (lower = more relevant); ties break by ascending song index.
     """
-    negatives = np.asarray(negatives, dtype=np.int64)
-    candidates = np.concatenate([[test_song], negatives])
-    if len(np.unique(candidates)) != len(candidates):
+    songs = batch.songs
+    ordered = np.sort(songs, axis=1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
         raise ValueError("duplicate candidate song in ranking list")
-    batch = ScoreBatch(
-        users=np.array([user]), playlists=np.array([playlist]),
-        songs=candidates[None, :],
-        members=np.asarray(members, dtype=np.int64)[None, :], counts=np.array([count]),
-    )
-    scores = scorer(batch)[0]
-    order = np.lexsort((candidates, scores))
-    return int(np.nonzero(order == 0)[0][0]) + 1
+    # One context per scorer call: a row's score is then the same whatever
+    # the batch holds, and MASS's (B, C, l) attention temporaries stay one
+    # context deep; scoring many contexts per call raises peak memory.
+    scores = np.stack([
+        scorer(ScoreBatch(**{name: a[i:i + 1] for name, a in vars(batch).items()}))[0]
+        for i in range(len(songs))
+    ])
+    first = scores[:, :1]
+    ahead = (scores < first) | ((scores == first) & (songs < songs[:, :1]))
+    return 1 + ahead.sum(axis=1)
 
 
 def hit_at_n(rank, n):
@@ -47,26 +89,14 @@ def ndcg_at_n(rank, n):
     return 1.0 / math.log2(rank + 1) if rank <= n else 0.0
 
 
-def evaluate(scorer, split, num_songs, n_list=None, seed=0, which="test",
-             num_negatives=DEFAULT_NUM_NEGATIVES):
-    """Mean hit@N and NDCG@N over all held-out songs.
+def evaluate(scorer, held, n_list=None):
+    """Mean hit@N and NDCG@N over the candidate lists `held` (see `held_out`).
 
-    `which` selects the dev or test items. Returns
-    {"N": {n: {"hit": ..., "ndcg": ...}}, "num_playlists": ...}.
+    Returns {"N": {n: {"hit": ..., "ndcg": ...}}, "num_playlists": ...}.
     """
     if n_list is None:
         n_list = list(range(1, 11))
-    held = split.dev if which == "dev" else split.test
-    if not held:
-        raise ValueError("empty evaluation set")
-    ranks = []
-    for p in sorted(held):
-        rng = np.random.default_rng([seed, p])
-        members, count = pad_members(split.train[p], split.max_members)
-        negatives = sample_negatives(split.full_set(p), num_songs, num_negatives, rng)
-        ranks.append(rank_candidates(
-            scorer, split.owner[p], p, members, count, held[p], negatives
-        ))
+    ranks = rank_candidates(scorer, held)
 
     out = {"N": {}, "num_playlists": len(ranks)}
     for n in n_list:

@@ -299,15 +299,13 @@ def score_batch(params, batch):
 def make_scorer(model, alpha=None):
     """Callable (batch -> scores) for a single model or an (mdr, mass) blend.
 
-    `model` is either a ModelParams or a pair (mdr_params, mass_params) in
-    which case `alpha` weighs the MDR component.
+    `model` is either a ModelParams or a pair (mdr_params, mass_params), in
+    which case `alpha`, required, weighs the MDR component.
     """
     if isinstance(model, ModelParams):
         return lambda batch: score_batch(model, batch)
     mdr_params, mass_params = model
-    if alpha is None:
-        alpha = 0.5
-    if not 0.0 <= alpha <= 1.0:
+    if alpha is None or not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
     def blended(batch):

@@ -61,69 +61,79 @@ class ModelParams:
                 tensors[name][0] = 0.0
 
 
-def _embed(rng, rows, dim):
-    return rng.normal(0.0, EMBED_INIT_STD, size=(rows, dim))
+def _check_header(p):
+    """Reject a model kind, variant or attention kind this package does not know."""
+    if (p.kind not in ("mdr", "mass")
+            or p.variant not in (MDR_VARIANTS if p.kind == "mdr" else MASS_VARIANTS)
+            or p.kind == "mass" and p.attention not in ATTENTION_KINDS):
+        raise ValueError(f"unknown model kind, variant or attention: "
+                         f"{p.kind!r}, {p.variant!r}, {p.attention!r}")
+
+
+def tensor_shapes(p):
+    """name -> shape of every tensor a model with `p`'s header holds, in init order."""
+    d, v1 = p.dim, p.num_songs + 1
+    users, playlists = p.variant in ("us", "ups"), p.variant in ("ps", "ups")
+    shapes = {"S": (v1, d)}
+    if p.kind == "mdr":
+        if users:
+            shapes.update(U=(p.num_users, d), B1=(d,))
+        if playlists:
+            shapes.update(P=(p.num_playlists, d), B2=(d,))
+        if p.use_bias:
+            shapes["theta"] = (v1,)
+        return shapes
+    # the query concatenates the user and/or playlist embedding and the song's
+    width = (1 + users + playlists) * d
+    if users:
+        shapes["U"] = (p.num_users, d)
+    if playlists:
+        shapes["P"] = (p.num_playlists, d)
+    shapes.update(W1=(width, d), b1=(d,), B3=(d,))
+    if p.attention.startswith("mem"):
+        shapes["S_a"] = (v1, d)
+        if users:
+            shapes["U_a"] = (p.num_users, d)
+        if playlists:
+            shapes["P_a"] = (p.num_playlists, d)
+        shapes.update(W2=(width, d), b2=(d,))
+    if p.attention.endswith("metric"):
+        shapes["B4"] = (d,)
+    if p.use_bias:
+        shapes["song_bias"] = (v1,)
+    return shapes
+
+
+def _init(p, rng):
+    """Fill `p.tensors`: metric vectors at ones (Euclidean), biases at zeros,
+    embeddings and query weights drawn from N(0, EMBED_INIT_STD^2) in init order."""
+    _check_header(p)
+    for name, shape in tensor_shapes(p).items():
+        if name in ("B1", "B2", "B3", "B4"):
+            p.tensors[name] = np.ones(shape)
+        elif name in ("theta", "song_bias", "b1", "b2"):
+            p.tensors[name] = np.zeros(shape)
+        else:
+            p.tensors[name] = rng.normal(0.0, EMBED_INIT_STD, size=shape)
+    p.zero_padding_rows()
+    return p
 
 
 def init_mdr(m, n, v, d, rng, variant="ups", use_bias=True):
-    """Fresh MDR parameter set. Metric vectors start at ones (Euclidean)."""
-    if variant not in MDR_VARIANTS:
-        raise ValueError(f"unknown mdr variant: {variant}")
-    p = ModelParams(
+    """Fresh MDR parameter set."""
+    return _init(ModelParams(
         kind="mdr", variant=variant, dim=d,
         num_users=m, num_playlists=n, num_songs=v, use_bias=use_bias,
-    )
-    t = p.tensors
-    t["S"] = _embed(rng, v + 1, d)
-    if variant in ("us", "ups"):
-        t["U"] = _embed(rng, m, d)
-        t["B1"] = np.ones(d)
-    if variant in ("ps", "ups"):
-        t["P"] = _embed(rng, n, d)
-        t["B2"] = np.ones(d)
-    if use_bias:
-        t["theta"] = np.zeros(v + 1)
-    p.zero_padding_rows()
-    return p
+    ), rng)
 
 
 def init_mass(m, n, v, d, rng, variant="us", attention="mem_metric", use_bias=True):
     """Fresh MASS parameter set for the given variant and attention kind."""
-    if variant not in MASS_VARIANTS:
-        raise ValueError(f"unknown mass variant: {variant}")
-    if attention not in ATTENTION_KINDS:
-        raise ValueError(f"unknown attention kind: {attention}")
-    p = ModelParams(
+    return _init(ModelParams(
         kind="mass", variant=variant, dim=d,
         num_users=m, num_playlists=n, num_songs=v,
         attention=attention, use_bias=use_bias,
-    )
-    # query concatenates 2 embeddings (us: user+song, ps: playlist+song)
-    # or 3 for ups (user+playlist+song)
-    width = 3 * d if variant == "ups" else 2 * d
-    t = p.tensors
-    t["S"] = _embed(rng, v + 1, d)
-    if variant in ("us", "ups"):
-        t["U"] = _embed(rng, m, d)
-    if variant in ("ps", "ups"):
-        t["P"] = _embed(rng, n, d)
-    t["W1"] = _embed(rng, width, d)
-    t["b1"] = np.zeros(d)
-    t["B3"] = np.ones(d)
-    if attention.startswith("mem"):
-        t["S_a"] = _embed(rng, v + 1, d)
-        if variant in ("us", "ups"):
-            t["U_a"] = _embed(rng, m, d)
-        if variant in ("ps", "ups"):
-            t["P_a"] = _embed(rng, n, d)
-        t["W2"] = _embed(rng, width, d)
-        t["b2"] = np.zeros(d)
-    if attention.endswith("metric"):
-        t["B4"] = np.ones(d)
-    if use_bias:
-        t["song_bias"] = np.zeros(v + 1)
-    p.zero_padding_rows()
-    return p
+    ), rng)
 
 
 def save_checkpoint(params, path, hyperparams=None, seed=0):
@@ -162,7 +172,9 @@ def checkpoint_from_doc(doc, path):
     """`load_checkpoint` of a document already parsed from `path`.
 
     Model keys not read here are ignored, so checkpoints carrying keys that
-    older versions wrote still load.
+    older versions wrote still load. The tensors must be exactly those the
+    header's kind, variant, attention and bias imply, with the shapes its
+    sizes imply and finite values; otherwise this raises ValueError.
     """
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
@@ -173,7 +185,17 @@ def checkpoint_from_doc(doc, path):
         num_songs=m["num_songs"], attention=m.get("attention", ""),
         use_bias=m.get("use_bias", True),
     )
+    _check_header(params)
+    expected = tensor_shapes(params)
+    if set(doc["tensors"]) != set(expected):
+        raise ValueError(f"{path}: tensors {sorted(doc['tensors'])} do not match the "
+                         f"{sorted(expected)} its header implies")
     for name, spec in doc["tensors"].items():
-        arr = np.array(spec["values"], dtype=np.float64).reshape(spec["shape"])
-        params.tensors[name] = arr
+        arr = np.array(spec["values"], dtype=np.float64)
+        if tuple(spec["shape"]) != expected[name] or arr.size != np.prod(expected[name]):
+            raise ValueError(f"{path}: tensor {name} has shape {spec['shape']} and "
+                             f"{arr.size} values, the header implies {list(expected[name])}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: tensor {name} holds a non-finite value")
+        params.tensors[name] = arr.reshape(expected[name])
     return params, doc.get("hyperparams", {}), doc.get("seed", 0)

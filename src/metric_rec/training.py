@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .dataset import pad_members, songs_outside
-from .evaluation import evaluate
+from .dataset import songs_outside
+from .evaluation import evaluate, held_out
 from .models import ScoreBatch
 from .params import REGULARIZED
 
@@ -65,18 +65,6 @@ class Hyperparams:
 
 
 @dataclass
-class TrainBatch:
-    """Quartets grouped by positive instance: each positive owns its negatives."""
-
-    users: np.ndarray      # (B,)
-    playlists: np.ndarray  # (B,)
-    pos: np.ndarray        # (B,)
-    members: np.ndarray    # (B, l)
-    counts: np.ndarray     # (B,)
-    negs: np.ndarray       # (B, k)
-
-
-@dataclass
 class TrainData:
     """Flattened training instances plus per-playlist negative pools."""
 
@@ -93,26 +81,20 @@ class TrainData:
 
 def build_train_data(split, num_songs):
     """One instance per (playlist, train song); members exclude the positive."""
-    users, playlists, pos, members, counts = [], [], [], [], []
-    l = split.max_members
-    neg_pools = {}
-    for p in sorted(split.train):
-        neg_pools[p] = songs_outside(split.full_set(p), num_songs)
-        for s in split.train[p]:
-            rest = [x for x in split.train[p] if x != s]
-            padded, count = pad_members(rest, l)
-            users.append(split.owner[p])
-            playlists.append(p)
-            pos.append(s)
-            members.append(padded)
-            counts.append(count)
+    instances = [(p, s) for p in sorted(split.train) for s in split.train[p]]
+    members = np.zeros((len(instances), split.max_members), dtype=np.int64)
+    counts = np.empty(len(instances), dtype=np.int64)
+    for i, (p, s) in enumerate(instances):
+        rest = [x for x in split.train[p] if x != s]
+        members[i, :len(rest)] = rest
+        counts[i] = len(rest)
     return TrainData(
-        users=np.array(users, dtype=np.int64),
-        playlists=np.array(playlists, dtype=np.int64),
-        pos=np.array(pos, dtype=np.int64),
-        members=np.array(members, dtype=np.int64),
-        counts=np.array(counts, dtype=np.int64),
-        neg_pools=neg_pools,
+        users=np.array([split.owner[p] for p, _ in instances], dtype=np.int64),
+        playlists=np.array([p for p, _ in instances], dtype=np.int64),
+        pos=np.array([s for _, s in instances], dtype=np.int64),
+        members=members,
+        counts=counts,
+        neg_pools={p: songs_outside(split.full_set(p), num_songs) for p in sorted(split.train)},
     )
 
 
@@ -137,29 +119,23 @@ def bpr_loss(pos_scores, neg_scores, params=None, lambda_theta=0.0):
     return loss
 
 
-def _quartet_batch(tb):
-    """One context per positive; its candidates are [pos, neg_1..neg_k]."""
-    return ScoreBatch(
-        users=tb.users, playlists=tb.playlists,
-        songs=np.concatenate([tb.pos[:, None], tb.negs], axis=1),
-        members=tb.members, counts=tb.counts,
-    )
+def batch_loss(params, batch, lambda_theta=0.0):
+    """Minibatch loss only (used by the finite-difference oracle).
 
-
-def batch_loss(params, tb, lambda_theta=0.0):
-    """Minibatch loss only (used by the finite-difference oracle)."""
-    scores = models.score_batch(params, _quartet_batch(tb))
-    pos = np.broadcast_to(scores[:, :1], tb.negs.shape)
+    `batch.songs` is (B, 1 + k): each row's positive, then its negatives.
+    """
+    scores = models.score_batch(params, batch)
+    pos = np.broadcast_to(scores[:, :1], scores[:, 1:].shape)
     return bpr_loss(pos, scores[:, 1:], params, lambda_theta)
 
 
-def gradients(params, tb, lambda_theta=0.0, loss_scale=1.0):
+def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0):
     """Exact minibatch gradients for every trainable tensor.
 
+    `batch.songs` is (B, 1 + k): each row's positive, then its negatives.
     Returns (loss, grads) where grads matches params.tensors in shape and
     padding rows are exactly zero.
     """
-    batch = _quartet_batch(tb)
     scores, cache = models.forward(params, batch)
 
     x = scores[:, 1:] - scores[:, :1]
@@ -217,7 +193,7 @@ def _perturbed(params, delta, out):
     return out
 
 
-def adversarial_delta(params, tb, epsilon, delta=None, work=None):
+def adversarial_delta(params, batch, epsilon, delta=None, work=None):
     """Fast-gradient perturbation: per tensor, epsilon * std * unit gradient.
 
     The gradient of the pairwise loss is taken at params + delta with the
@@ -229,7 +205,7 @@ def adversarial_delta(params, tb, epsilon, delta=None, work=None):
         delta = params.zero_like()
     if work is None:
         work = params.copy()
-    _, grads = gradients(_perturbed(params, delta, work), tb, lambda_theta=0.0)
+    _, grads = gradients(_perturbed(params, delta, work), batch, lambda_theta=0.0)
     new_delta = {}
     for name, g in grads.items():
         norm = float(np.linalg.norm(g))
@@ -250,39 +226,29 @@ class TrainResult:
     history: list = field(default_factory=list)
 
 
-def _sample_negatives_for(tb_idx, data, k, rng):
-    negs = np.empty((len(tb_idx), k), dtype=np.int64)
-    for row, i in enumerate(tb_idx):
-        pool = data.neg_pools[data.playlists[i]]
-        negs[row] = rng.choice(pool, size=k, replace=False)
-    return negs
-
-
 def _make_batch(idx, data, k, rng):
-    return TrainBatch(
-        users=data.users[idx],
-        playlists=data.playlists[idx],
-        pos=data.pos[idx],
-        members=data.members[idx],
-        counts=data.counts[idx],
-        negs=_sample_negatives_for(idx, data, k, rng),
-    )
+    """Instances `idx` as contexts scoring [pos, neg_1..neg_k], negatives drawn per row."""
+    songs = np.empty((len(idx), 1 + k), dtype=np.int64)
+    songs[:, 0] = data.pos[idx]
+    for row, i in enumerate(idx):
+        songs[row, 1:] = rng.choice(data.neg_pools[data.playlists[i]], size=k, replace=False)
+    return ScoreBatch(users=data.users[idx], playlists=data.playlists[idx], songs=songs,
+                      members=data.members[idx], counts=data.counts[idx])
 
 
 def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
-          log_path=None, loss_scale=1.0, rng=None, data=None):
+          log_path=None, loss_scale=1.0, rng=None):
     """Run the optimization loop; returns the best-dev (or final) parameters.
 
     mode="bpr" minimizes the pairwise loss. mode="apr" alternates the
     fast-gradient perturbation update and the robust parameter update,
     starting from the given (pretrained) parameters. With eval_dev the
     best checkpoint by dev hit@10 is kept; otherwise the final parameters
-    are returned.
+    are returned. The dev candidate lists are drawn once per call.
     """
     if rng is None:
         rng = np.random.default_rng(hyper.seed)
-    if data is None:
-        data = build_train_data(split, num_songs)
+    data = build_train_data(split, num_songs)
     k = hyper.negatives_per_positive
     smallest = min((len(pool) for pool in data.neg_pools.values()), default=k)
     if k > smallest:
@@ -290,6 +256,7 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
             f"negatives_per_positive = {k} exceeds the smallest negative pool "
             f"({smallest} songs outside a playlist)"
         )
+    dev = held_out(split, num_songs, hyper.seed, "dev") if eval_dev and hyper.epochs else None
     state = AdamState()
     delta = params.zero_like() if mode == "apr" else None
     work = params.copy() if mode == "apr" else None
@@ -303,16 +270,16 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
             epoch_loss = 0.0
             for start in range(0, len(order), hyper.batch_size):
                 idx = order[start:start + hyper.batch_size]
-                tb = _make_batch(idx, data, k, rng)
+                batch = _make_batch(idx, data, k, rng)
                 if mode == "bpr":
                     loss, grads = gradients(
-                        params, tb, hyper.lambda_theta, loss_scale
+                        params, batch, hyper.lambda_theta, loss_scale
                     )
                 else:
-                    delta = adversarial_delta(params, tb, hyper.epsilon, delta, work)
-                    loss, grads = gradients(params, tb, hyper.lambda_theta)
+                    delta = adversarial_delta(params, batch, hyper.epsilon, delta, work)
+                    loss, grads = gradients(params, batch, hyper.lambda_theta)
                     adv_loss, adv_grads = gradients(
-                        _perturbed(params, delta, work), tb, lambda_theta=0.0
+                        _perturbed(params, delta, work), batch, lambda_theta=0.0
                     )
                     loss += hyper.lambda_delta * adv_loss
                     for name in grads:
@@ -326,10 +293,7 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
 
             record = {"epoch": epoch, "train_loss": epoch_loss, "seconds": seconds}
             if eval_dev:
-                metrics = evaluate(
-                    models.make_scorer(params), split, num_songs,
-                    n_list=[10], seed=hyper.seed, which="dev",
-                )
+                metrics = evaluate(models.make_scorer(params), dev, n_list=[10])
                 record["dev_hit10"] = metrics["N"][10]["hit"]
                 record["dev_ndcg10"] = metrics["N"][10]["ndcg"]
                 if record["dev_hit10"] > result.best_dev_hit10:

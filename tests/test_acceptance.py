@@ -55,7 +55,8 @@ def _train_pair(seed):
 def _test_hit10(params_or_scorer, split, num_songs, seed):
     scorer = (params_or_scorer if callable(params_or_scorer)
               else models.make_scorer(params_or_scorer))
-    out = evaluation.evaluate(scorer, split, num_songs, n_list=[10], seed=seed)
+    out = evaluation.evaluate(scorer, evaluation.held_out(split, num_songs, seed=seed),
+                              n_list=[10])
     return out["N"][10]["hit"]
 
 
@@ -100,14 +101,13 @@ def _random_train_batch(rng, batch=8, k=2, v=6, l=3):
     for i in range(batch):
         members[i, :counts[i]] = rng.choice(np.arange(1, v + 1), size=counts[i],
                                             replace=False)
-    return training.TrainBatch(
-        users=rng.integers(3, size=batch),
-        playlists=rng.integers(3, size=batch),
-        pos=rng.integers(1, v + 1, size=batch),
-        members=members,
-        counts=counts,
-        negs=rng.integers(1, v + 1, size=(batch, k)),
-    )
+    users = rng.integers(3, size=batch)
+    playlists = rng.integers(3, size=batch)
+    pos = rng.integers(1, v + 1, size=batch)
+    negs = rng.integers(1, v + 1, size=(batch, k))
+    return ScoreBatch(users=users, playlists=playlists,
+                      songs=np.concatenate([pos[:, None], negs], axis=1),
+                      members=members, counts=counts)
 
 
 def test_criterion_02_gradient_gate():
@@ -336,7 +336,8 @@ def test_criterion_09_fusion_endpoints():
         mdr_p, mass_p = mdr_result.params, mass_result.params
 
         def metrics(scorer):
-            return evaluation.evaluate(scorer, split, v, n_list=[10], seed=seed)
+            return evaluation.evaluate(scorer, evaluation.held_out(split, v, seed=seed),
+                                       n_list=[10])
 
         m_mdr = metrics(models.make_scorer(mdr_p))
         m_mass = metrics(models.make_scorer(mass_p))

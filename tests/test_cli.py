@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 import synthetic
 from metric_rec import params as params_mod
+from test_params import CORRUPTIONS, write_corrupt_checkpoint
 from metric_rec.cli import main
 
 runner = CliRunner()
@@ -168,6 +169,12 @@ def test_evaluate_rejects_n_spec_without_values(workspace, tmp_path):
     assert not out.exists()
 
 
+def test_evaluate_rejects_n_below_one_before_loading(tmp_path):
+    result = _run(["evaluate", "--checkpoint", str(tmp_path / "missing.json"),
+                   "--split", str(tmp_path), "--n", "0..3"], expect_exit=1)
+    assert "N must be >= 1" in _single_error_line(result)
+
+
 def test_recommend_rejects_top_below_one(workspace):
     result = _run(["recommend", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
                    "--split", str(workspace / "splits"),
@@ -202,6 +209,35 @@ def test_checkpoint_from_smaller_catalog_fails_cleanly(
         args += ["--out", str(tmp_path / "out")]
     result = _run(args, expect_exit=1)
     assert "checkpoint does not match the split" in _single_error_line(result)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "attention-report", "masr"])
+def test_checkpoint_from_larger_catalog_fails_cleanly(
+        workspace, small_catalog_checkpoints, tmp_path, command):
+    checkpoint = workspace / ("mass" if command == "attention-report" else "mdr") / "checkpoint.json"
+    if command == "masr":
+        cfg = _write_config(tmp_path / "masr.cfg", model="masr", out_dir=tmp_path, alpha="0.5",
+                            mdr_checkpoint=small_catalog_checkpoints / "mdr" / "checkpoint.json",
+                            mass_checkpoint=workspace / "mass" / "checkpoint.json")
+        _run(["train", "--config", cfg])
+        command, checkpoint = "evaluate", tmp_path / "masr.json"
+    args = [command, "--checkpoint", str(checkpoint),
+            "--split", str(small_catalog_checkpoints / "splits")]
+    if command == "recommend":
+        args += ["--playlist", "p0"]
+    else:
+        args += ["--out", str(tmp_path / "out")]
+    result = _run(args, expect_exit=1)
+    assert "checkpoint does not match the split" in _single_error_line(result)
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_malformed_checkpoint_fails_cleanly(workspace, tmp_path, case):
+    path = tmp_path / "ckpt.json"
+    write_corrupt_checkpoint(path, case)
+    result = _run(["evaluate", "--checkpoint", str(path), "--split", str(workspace / "splits"),
+                   "--out", str(tmp_path / "m.json")], expect_exit=1)
+    assert CORRUPTIONS[case][1] in _single_error_line(result)
 
 
 def test_recommend_unknown_playlist(workspace):

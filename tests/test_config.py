@@ -49,9 +49,3 @@ def test_bad_values_rejected(tmp_path):
         parse_config(_write(tmp_path, "epochs = 200\n"))
     with pytest.raises(ValueError, match="use_bias"):
         parse_config(_write(tmp_path, "use_bias = maybe\n"))
-
-
-def test_overrides_win(tmp_path):
-    path = _write(tmp_path, "model = mdr\nepochs = 10\n")
-    cfg = parse_config(path, overrides={"epochs": "3", "seed": "9"})
-    assert cfg.epochs == 3 and cfg.seed == 9

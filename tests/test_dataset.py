@@ -185,13 +185,6 @@ def test_sample_negatives_uniform():
         assert abs(c - expected) < 3 * sigma
 
 
-def test_pad_members():
-    assert dataset.pad_members([7, 9], 4) == ([7, 9, 0, 0], 2)
-    assert dataset.pad_members([1, 2, 3], 3) == ([1, 2, 3], 3)
-    with pytest.raises(ValueError):
-        dataset.pad_members([1, 2, 3], 2)
-
-
 def test_catalog_roundtrip(tmp_path):
     records = [
         InteractionRecord("u1", "p1", f"s{i}") for i in range(5)

@@ -5,6 +5,7 @@ import pytest
 
 from metric_rec import dataset, evaluation
 from metric_rec.dataset import InteractionRecord
+from metric_rec.models import ScoreBatch
 
 
 def _fixed_scorer(score_by_song):
@@ -17,9 +18,10 @@ def _fixed_scorer(score_by_song):
 
 
 def _rank(scores_by_song, test_song, negatives):
-    return evaluation.rank_candidates(
-        _fixed_scorer(scores_by_song), 0, 0, [1], 1, test_song, negatives
-    )
+    batch = ScoreBatch(users=np.array([0]), playlists=np.array([0]),
+                       songs=np.array([[test_song, *negatives]]),
+                       members=np.array([[1]]), counts=np.array([1]))
+    return evaluation.rank_candidates(_fixed_scorer(scores_by_song), batch)[0]
 
 
 def test_rank_best_and_worst():
@@ -41,6 +43,21 @@ def test_rank_tie_breaks_by_song_index():
     scores2[5] = scores2[4] = -1.0
     scores2[[1, 2, 3]] = 1.0
     assert _rank(scores2, 5, [4, 1, 2, 3]) == 2
+
+
+def test_rank_rows_match_lexsort_reference():
+    # scores with many exact ties; each row ranked as a per-row lexsort would
+    rng = np.random.default_rng(11)
+    table = rng.integers(0, 5, size=300).astype(np.float64)
+    songs = np.stack([rng.choice(np.arange(1, 300), size=21, replace=False)
+                      for _ in range(40)])
+    batch = ScoreBatch(users=np.zeros(40, dtype=np.int64), playlists=np.zeros(40, dtype=np.int64),
+                       songs=songs, members=np.ones((40, 1), dtype=np.int64),
+                       counts=np.ones(40, dtype=np.int64))
+    ranks = evaluation.rank_candidates(_fixed_scorer(table), batch)
+    for row, rank in zip(songs, ranks):
+        order = np.lexsort((row, table[row]))
+        assert rank == int(np.nonzero(order == 0)[0][0]) + 1
 
 
 def test_rank_rejects_duplicate_candidates():
@@ -67,13 +84,7 @@ def test_random_scores_hit_rate_near_uniform():
     trials = 3000
     hits = 0
     for _ in range(trials):
-        scores = rng.standard_normal(200)
-
-        def scorer(batch, scores=scores):
-            return scores[batch.songs]
-
-        negatives = np.arange(2, 102)
-        rank = evaluation.rank_candidates(scorer, 0, 0, [1], 1, 1, negatives)
+        rank = _rank(rng.standard_normal(200), 1, np.arange(2, 102))
         hits += evaluation.hit_at_n(rank, 10)
     assert abs(hits / trials - 10 / 101) < 0.02
 
@@ -97,8 +108,8 @@ def test_evaluate_perfect_model():
     def scorer(batch):
         return np.where(batch.songs == target[batch.playlists], 0.0, 1.0)
 
-    out = evaluation.evaluate(scorer, split, catalog.num_songs, n_list=[1, 10],
-                              num_negatives=10)
+    held = evaluation.held_out(split, catalog.num_songs, num_negatives=10)
+    out = evaluation.evaluate(scorer, held, n_list=[1, 10])
     assert out["num_playlists"] == catalog.num_playlists
     assert out["N"][1] == {"hit": 1.0, "ndcg": 1.0}
     assert out["N"][10] == {"hit": 1.0, "ndcg": 1.0}
@@ -109,11 +120,13 @@ def test_evaluate_deterministic_and_dev_selection():
     rng = np.random.default_rng(5)
     table = rng.standard_normal(catalog.num_songs + 1)
     scorer = _fixed_scorer(table)
-    a = evaluation.evaluate(scorer, split, catalog.num_songs, seed=3, num_negatives=10)
-    b = evaluation.evaluate(scorer, split, catalog.num_songs, seed=3, num_negatives=10)
+    a = evaluation.evaluate(scorer, evaluation.held_out(
+        split, catalog.num_songs, seed=3, num_negatives=10))
+    b = evaluation.evaluate(scorer, evaluation.held_out(
+        split, catalog.num_songs, seed=3, num_negatives=10))
     assert a == b
-    dev = evaluation.evaluate(scorer, split, catalog.num_songs, seed=3,
-                              which="dev", num_negatives=10)
+    dev = evaluation.evaluate(scorer, evaluation.held_out(
+        split, catalog.num_songs, seed=3, which="dev", num_negatives=10))
     assert dev["num_playlists"] == a["num_playlists"]
 
 
@@ -121,5 +134,16 @@ def test_evaluate_empty_set_rejected():
     catalog, split = _toy_eval_split()
     split.test.clear()
     with pytest.raises(ValueError, match="empty"):
-        evaluation.evaluate(_fixed_scorer(np.zeros(catalog.num_songs + 1)),
-                            split, catalog.num_songs)
+        evaluation.held_out(split, catalog.num_songs)
+
+
+def test_context_batch_pads_members():
+    catalog, split = _toy_eval_split()
+    split.train[1] = split.train[1][:2]
+    batch = evaluation.context_batch(split, [1, 0], [[5], [6]])
+    assert split.max_members == 6
+    np.testing.assert_array_equal(batch.members, [split.train[1] + [0] * 4, split.train[0]])
+    np.testing.assert_array_equal(batch.counts, [2, 6])
+    np.testing.assert_array_equal(batch.users, [split.owner[1], split.owner[0]])
+    np.testing.assert_array_equal(batch.playlists, [1, 0])
+    np.testing.assert_array_equal(batch.songs, [[5], [6]])

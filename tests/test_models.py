@@ -254,6 +254,8 @@ def test_make_scorer_blend_endpoints():
     )
     with pytest.raises(ValueError):
         models.make_scorer((mdr, mass), -0.1)
+    with pytest.raises(ValueError):
+        models.make_scorer((mdr, mass))
 
 
 _ALL_CONFIGS = (

@@ -114,3 +114,45 @@ def test_load_checkpoint_rejects_foreign_json(tmp_path):
     path.write_text('{"format": "something-else"}', encoding="utf-8")
     with pytest.raises(ValueError, match="not a model checkpoint"):
         params_mod.load_checkpoint(str(path))
+
+
+def _corrupt_missing(tensors):
+    del tensors["B3"]
+
+
+def _corrupt_extra(tensors):
+    tensors["B4"] = {"shape": [2], "values": [1.0, 1.0]}
+
+
+def _corrupt_shape(tensors):
+    tensors["U"]["shape"] = [4, 2]  # the header says 3 users
+    tensors["U"]["values"] += [0.0, 0.0]
+
+
+def _corrupt_nonfinite(tensors):
+    tensors["W1"]["values"][3] = float("nan")
+
+
+CORRUPTIONS = {
+    "missing": (_corrupt_missing, "do not match"),
+    "extra": (_corrupt_extra, "do not match"),
+    "shape": (_corrupt_shape, "tensor U has shape"),
+    "nonfinite": (_corrupt_nonfinite, "tensor W1 holds a non-finite value"),
+}
+
+
+def write_corrupt_checkpoint(path, case):
+    """A mass us mem_dot checkpoint (3 users, 5 songs, d = 2) damaged as `case` says."""
+    p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(9), attention="mem_dot")
+    params_mod.save_checkpoint(p, str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    CORRUPTIONS[case][0](doc["tensors"])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_load_checkpoint_rejects_tensors_that_disagree_with_header(tmp_path, case):
+    path = tmp_path / "ckpt.json"
+    write_corrupt_checkpoint(path, case)
+    with pytest.raises(ValueError, match=CORRUPTIONS[case][1]):
+        params_mod.load_checkpoint(str(path))

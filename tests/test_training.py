@@ -253,9 +253,10 @@ def test_best_checkpoint_contract(tmp_path):
     log = str(tmp_path / "log.jsonl")
     result = training.train(p, split, catalog.num_songs, hyper, log_path=log)
     assert 0 <= result.best_epoch < hyper.epochs
-    from metric_rec.evaluation import evaluate
-    metrics = evaluate(models.make_scorer(result.params), split, catalog.num_songs,
-                       n_list=[10], seed=hyper.seed, which="dev")
+    from metric_rec.evaluation import evaluate, held_out
+    metrics = evaluate(models.make_scorer(result.params),
+                       held_out(split, catalog.num_songs, seed=hyper.seed, which="dev"),
+                       n_list=[10])
     assert metrics["N"][10]["hit"] == result.best_dev_hit10
     with open(log, encoding="utf-8") as f:
         lines = f.read().strip().splitlines()
