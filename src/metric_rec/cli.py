@@ -1,6 +1,5 @@
 """Command-line entry point: prepare, train, evaluate, recommend, attention-report."""
 
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -19,12 +18,6 @@ def _fail(message):
     sys.exit(1)
 
 
-def _write_json(doc, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
-
-
 def _load_split_dir(split_dir):
     catalog = dataset.load_catalog(os.path.join(split_dir, "catalog.json"))
     split = dataset.load_split(os.path.join(split_dir, "split.json"), catalog)
@@ -32,23 +25,27 @@ def _load_split_dir(split_dir):
 
 
 def _check_catalog(parts, catalog):
-    """Refuse models whose tables were sized for another catalog than the split's.
+    """Refuse models whose tables index another catalog than the split's.
 
-    Scoring such a model either indexes past a table's end or, for a larger
-    catalog, returns a plausible answer about other users, playlists and songs.
+    Scoring such a model either indexes past a table's end or returns a
+    plausible answer about other users, playlists and songs. Sizes are
+    compared first; the catalog fingerprint too, when the checkpoint has one.
     """
     want = (catalog.num_users, catalog.num_playlists, catalog.num_songs)
+    fingerprint = catalog.fingerprint()
     for p in parts:
         have = (p.num_users, p.num_playlists, p.num_songs)
         if have != want:
             _fail(f"checkpoint does not match the split: (users, playlists, songs) "
                   f"are {have} in the checkpoint, {want} in the split")
+        if p.catalog_sha256 and p.catalog_sha256 != fingerprint:
+            _fail(f"checkpoint does not match the split: its catalog fingerprint is "
+                  f"{p.catalog_sha256[:12]}..., the split's is {fingerprint[:12]}...")
 
 
 def _load_model(path):
     """Load a model checkpoint or a fusion manifest; return (scorer, meta, its ModelParams)."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = dataset.read_json(path)
     if doc.get("format") == MASR_FORMAT:
         base = os.path.dirname(os.path.abspath(path))
 
@@ -121,7 +118,7 @@ def train(config_path, apr):
             "mass_checkpoint": os.path.abspath(cfg.mass_checkpoint),
         }
         path = os.path.join(out_dir, "masr.json")
-        _write_json(manifest, path)
+        dataset.write_json(manifest, path)
         click.echo(f"wrote fusion manifest {path}")
         return
 
@@ -141,6 +138,7 @@ def train(config_path, apr):
             m, n, v, hyper.d, rng,
             variant=cfg.mass_variant, attention=cfg.attention, use_bias=cfg.use_bias,
         )
+    params.catalog_sha256 = catalog.fingerprint()
 
     try:
         result = training.train(
@@ -198,7 +196,7 @@ def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
     doc["N"] = {str(n): metrics["N"][n] for n in n_list}
     doc["num_playlists"] = metrics["num_playlists"]
     doc["seed"] = seed
-    _write_json(doc, out_path)
+    dataset.write_json(doc, out_path)
     click.echo(f"wrote metrics {out_path}")
 
 
@@ -248,7 +246,7 @@ def attention_report(checkpoint, split_dir, out_dir):
     except (OSError, ValueError, KeyError) as exc:
         _fail(exc)
     summary_path = os.path.join(out_dir, "attention_summary.json")
-    _write_json({"pearson_rho": rho, "num_pairs": len(rows)}, summary_path)
+    dataset.write_json({"pearson_rho": rho, "num_pairs": len(rows)}, summary_path)
     click.echo(f"wrote {summary_path} (rho={rho:.4f})")
 
 

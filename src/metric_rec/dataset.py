@@ -8,11 +8,13 @@ songs per playlist: the first draw becomes the test item, the second the
 dev item. Everything is deterministic given the seed.
 """
 
+import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 DEFAULT_K_CORE = 5
 DEFAULT_MAX_PLAYLISTS_PER_USER = 100
@@ -54,6 +56,12 @@ class Catalog:
         inv_p = {v: k for k, v in self.playlists.items()}
         inv_s = {v: k for k, v in self.songs.items()}
         return inv_u, inv_p, inv_s
+
+    def fingerprint(self):
+        """SHA-256 hex digest of the user, playlist and song id -> index maps,
+        taken over their compact sorted-key JSON."""
+        maps = {"users": self.users, "playlists": self.playlists, "songs": self.songs}
+        return hashlib.sha256(orjson.dumps(maps, option=orjson.OPT_SORT_KEYS)).hexdigest()
 
 
 @dataclass
@@ -170,8 +178,10 @@ def leave_one_out_split(records, seed, catalog=None):
 
 def songs_outside(full_set, num_songs):
     """Sorted int64 array of the songs 1..num_songs that are not in `full_set`."""
-    return np.setdiff1d(np.arange(1, num_songs + 1, dtype=np.int64),
-                        np.fromiter(full_set, dtype=np.int64))
+    keep = np.ones(num_songs + 1, dtype=bool)
+    keep[0] = False
+    keep[np.fromiter(full_set, dtype=np.int64, count=len(full_set))] = False
+    return np.flatnonzero(keep)
 
 
 def sample_negatives(full_set, num_songs, count, rng):
@@ -188,6 +198,27 @@ def sample_negatives(full_set, num_songs, count, rng):
 # on-disk formats shared by prepare / train / evaluate
 # ---------------------------------------------------------------------------
 
+def read_json(path):
+    """Parse the JSON document in `path`."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        # Python's json writes NaN and Infinity tokens, which orjson rejects.
+        return json.loads(data)
+
+
+def write_json(doc, path):
+    """Write `doc` as compact UTF-8 JSON with sorted keys and a final newline.
+
+    numpy arrays are written as (nested) lists of their values.
+    """
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    with open(path, "wb") as f:
+        f.write(orjson.dumps(doc, option=option))
+
+
 def save_catalog(catalog, path):
     doc = {
         "users": catalog.users,
@@ -197,14 +228,11 @@ def save_catalog(catalog, path):
         "num_playlists": catalog.num_playlists,
         "num_songs": catalog.num_songs,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+    write_json(doc, path)
 
 
 def load_catalog(path):
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path)
     return Catalog(users=doc["users"], playlists=doc["playlists"], songs=doc["songs"])
 
 
@@ -219,14 +247,11 @@ def save_split(split, catalog, path):
             "dev": inv_s[split.dev[p]],
             "test": inv_s[split.test[p]],
         }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+    write_json(doc, path)
 
 
 def load_split(path, catalog):
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path)
     train, dev, test, owner = {}, {}, {}, {}
     for pid, entry in doc.items():
         p = catalog.playlists[pid]

@@ -50,8 +50,15 @@ def held_out(split, num_songs, seed=0, which="test", num_negatives=DEFAULT_NUM_N
     playlists = sorted(held)
     songs = np.empty((len(playlists), 1 + num_negatives), dtype=np.int64)
     for i, p in enumerate(playlists):
+        full = split.full_set(p)
+        outside = num_songs - len(full)
+        if outside < num_negatives:
+            raise ValueError(
+                f"the {which} evaluation needs {num_negatives} sampled negative songs per "
+                f"playlist, but playlist index {p} has only {outside} songs outside it"
+            )
         songs[i, 0] = held[p]
-        songs[i, 1:] = sample_negatives(split.full_set(p), num_songs, num_negatives,
+        songs[i, 1:] = sample_negatives(full, num_songs, num_negatives,
                                         np.random.default_rng([seed, p]))
     return context_batch(split, playlists, songs)
 

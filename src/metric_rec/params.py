@@ -6,10 +6,11 @@ tables (S, S_a, theta, song_bias) carry a reserved padding row at index 0
 that is kept at zero and never receives gradient updates.
 """
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .dataset import read_json, write_json
 
 # Tensors subject to L2 regularization: embedding tables and metric vectors.
 # Song-bias tables and the query affine maps are left unregularized.
@@ -39,6 +40,7 @@ class ModelParams:
     num_songs: int            # real songs; song tables have num_songs + 1 rows
     attention: str = ""       # mass only
     use_bias: bool = True
+    catalog_sha256: str = ""  # `Catalog.fingerprint()` of the tables' catalog; "" if unknown
     tensors: dict = field(default_factory=dict)
 
     def copy(self):
@@ -149,23 +151,21 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
             "num_playlists": params.num_playlists,
             "num_songs": params.num_songs,
             "use_bias": params.use_bias,
+            "catalog_sha256": params.catalog_sha256,
         },
         "hyperparams": dict(hyperparams or {}),
         "seed": int(seed),
         "tensors": {
-            name: {"shape": list(t.shape), "values": t.ravel().tolist()}
+            name: {"shape": list(t.shape), "values": t.ravel()}
             for name, t in params.tensors.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+    write_json(doc, path)
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, hyperparams, seed)."""
-    with open(path, encoding="utf-8") as f:
-        return checkpoint_from_doc(json.load(f), path)
+    return checkpoint_from_doc(read_json(path), path)
 
 
 def checkpoint_from_doc(doc, path):
@@ -183,7 +183,7 @@ def checkpoint_from_doc(doc, path):
         kind=m["kind"], variant=m["variant"], dim=m["dim"],
         num_users=m["num_users"], num_playlists=m["num_playlists"],
         num_songs=m["num_songs"], attention=m.get("attention", ""),
-        use_bias=m.get("use_bias", True),
+        use_bias=m.get("use_bias", True), catalog_sha256=m.get("catalog_sha256", ""),
     )
     _check_header(params)
     expected = tensor_shapes(params)

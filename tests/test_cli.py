@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import synthetic
-from metric_rec import params as params_mod
+from metric_rec import dataset, params as params_mod
 from test_params import CORRUPTIONS, write_corrupt_checkpoint
 from metric_rec.cli import main
 
@@ -229,6 +229,58 @@ def test_checkpoint_from_larger_catalog_fails_cleanly(
         args += ["--out", str(tmp_path / "out")]
     result = _run(args, expect_exit=1)
     assert "checkpoint does not match the split" in _single_error_line(result)
+
+
+@pytest.fixture(scope="module")
+def renamed_split(workspace, tmp_path_factory):
+    """`workspace`'s split with every song id renamed: the same sizes, another catalog."""
+    split_dir = tmp_path_factory.mktemp("renamed")
+    catalog = dataset.load_catalog(str(workspace / "splits" / "catalog.json"))
+    split = dataset.load_split(str(workspace / "splits" / "split.json"), catalog)
+    catalog.songs = {f"x{s}": idx for s, idx in catalog.songs.items()}
+    dataset.save_catalog(catalog, str(split_dir / "catalog.json"))
+    dataset.save_split(split, catalog, str(split_dir / "split.json"))
+    return split_dir
+
+
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "attention-report", "masr"])
+def test_checkpoint_from_same_size_catalog_with_other_ids_fails_cleanly(
+        workspace, renamed_split, tmp_path, command):
+    checkpoint = workspace / ("mass" if command == "attention-report" else "mdr") / "checkpoint.json"
+    if command == "masr":
+        cfg = _write_config(tmp_path / "masr.cfg", model="masr", out_dir=tmp_path, alpha="0.5",
+                            mdr_checkpoint=workspace / "mdr" / "checkpoint.json",
+                            mass_checkpoint=workspace / "mass" / "checkpoint.json")
+        _run(["train", "--config", cfg])
+        command, checkpoint = "evaluate", tmp_path / "masr.json"
+    args = [command, "--checkpoint", str(checkpoint), "--split", str(renamed_split)]
+    if command == "recommend":
+        args += ["--playlist", "p0"]
+    else:
+        args += ["--out", str(tmp_path / "out")]
+    result = _run(args, expect_exit=1)
+    assert "catalog fingerprint" in _single_error_line(result)
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_without_fingerprint_gets_size_check_only(workspace, renamed_split, tmp_path):
+    doc = json.loads((workspace / "mdr" / "checkpoint.json").read_text(encoding="utf-8"))
+    del doc["model"]["catalog_sha256"]  # as checkpoints of earlier versions lack it
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = _run(["recommend", "--checkpoint", str(path), "--split", str(renamed_split),
+                   "--playlist", "p0", "--top", "3"])
+    assert all(line.startswith("xs") for line in result.output.strip().splitlines())
+
+
+def test_train_names_the_dev_evaluation_when_its_pool_is_too_small(
+        small_catalog_checkpoints, tmp_path):
+    cfg = _write_config(tmp_path / "mdr.cfg", model="mdr", out_dir=tmp_path / "out", d="8",
+                        split_dir=small_catalog_checkpoints / "splits", epochs="1")
+    line = _single_error_line(_run(["train", "--config", cfg], expect_exit=1))
+    assert "dev evaluation needs 100 sampled negative songs" in line
+    assert "playlist index" in line
+    assert not (tmp_path / "out" / "checkpoint.json").exists()
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))

@@ -153,6 +153,22 @@ def test_songs_outside_sorted_int64_complement():
     np.testing.assert_array_equal(dataset.songs_outside(set(), 3), [1, 2, 3])
 
 
+def test_songs_outside_matches_setdiff1d_reference():
+    rng = np.random.default_rng(3)
+    for num_songs in (1, 2, 7, 50, 2000):
+        everything = set(range(1, num_songs + 1))
+        sets = [set(), everything] + [
+            set(rng.choice(np.arange(1, num_songs + 1), size=size, replace=False).tolist())
+            for size in rng.integers(0, num_songs + 1, size=20)
+        ]
+        for full in sets:
+            want = np.setdiff1d(np.arange(1, num_songs + 1, dtype=np.int64),
+                                np.fromiter(full, dtype=np.int64))
+            got = dataset.songs_outside(full, num_songs)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+
 def test_sample_negatives_contract():
     rng = np.random.default_rng(0)
     full = {2, 5}
@@ -196,6 +212,42 @@ def test_catalog_roundtrip(tmp_path):
     assert back.users == cat.users
     assert back.playlists == cat.playlists
     assert back.songs == cat.songs
+
+
+def test_catalog_fingerprint_covers_ids_not_order(tmp_path):
+    records = [InteractionRecord("u1", "p1", f"s{i}") for i in range(5)]
+    cat = dataset.build_catalog(records)
+    path = str(tmp_path / "catalog.json")
+    dataset.save_catalog(cat, path)
+    assert dataset.load_catalog(path).fingerprint() == cat.fingerprint()
+    reordered = dataset.Catalog(users=cat.users, playlists=cat.playlists,
+                                songs=dict(reversed(list(cat.songs.items()))))
+    assert reordered.fingerprint() == cat.fingerprint()
+    renamed = dataset.Catalog(users=cat.users, playlists=cat.playlists,
+                              songs={f"x{k}": v for k, v in cat.songs.items()})
+    swapped = dataset.Catalog(users=cat.users, playlists=cat.playlists,
+                              songs={**cat.songs, "s0": 2, "s1": 1})
+    assert len({cat.fingerprint(), renamed.fingerprint(), swapped.fingerprint()}) == 3
+
+
+def test_read_json_reads_stdlib_output_with_nonfinite_tokens(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {"a": [1.5, -0.0, float("inf")], "b": {"c": "d"}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    back = dataset.read_json(str(path))
+    assert back["b"] == {"c": "d"} and back["a"][2] == float("inf")
+    assert np.array(back["a"]).tobytes() == np.array(doc["a"]).tobytes()
+
+
+def test_write_json_is_sorted_compact_and_stdlib_readable(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {"b": np.array([1e-05, -0.0, 5e-324]), "a": {"z": 1, "y": [True, None]}}
+    dataset.write_json(doc, str(path))
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith('{"a":{"y":[true,null],"z":1},"b":[') and text.endswith("]}\n")
+    back = json.loads(text)
+    assert back["a"] == {"z": 1, "y": [True, None]}
+    assert np.array(back["b"]).tobytes() == doc["b"].tobytes()
 
 
 def test_split_roundtrip(tmp_path):

@@ -109,6 +109,56 @@ def test_checkpoint_carrying_max_members_loads(tmp_path):
         np.testing.assert_array_equal(back.tensors[name], p.tensors[name])
 
 
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               2.2250738585072014e-308, 1e-05, 0.1, 1.0 / 3.0]
+
+
+def _checkpoint_with_edge_values():
+    p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(10), attention="mem_dot")
+    p.tensors["W1"].ravel()[:len(EDGE_VALUES)] = EDGE_VALUES
+    p.catalog_sha256 = "ab" * 32
+    return p
+
+
+def test_checkpoint_reads_back_bit_identical_with_stdlib_json(tmp_path):
+    p = _checkpoint_with_edge_values()
+    path = tmp_path / "ckpt.json"
+    params_mod.save_checkpoint(p, str(path))
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)  # as a reader without this package would
+    assert doc["model"]["catalog_sha256"] == "ab" * 32
+    for name, t in p.tensors.items():
+        back = np.array(doc["tensors"][name]["values"], dtype=np.float64)
+        assert back.reshape(doc["tensors"][name]["shape"]).tobytes() == t.tobytes(), name
+    ours, _, _ = params_mod.load_checkpoint(str(path))
+    assert ours.catalog_sha256 == "ab" * 32
+    for name, t in p.tensors.items():
+        assert ours.tensors[name].tobytes() == t.tobytes(), name
+
+
+def test_checkpoint_written_by_stdlib_json_loads_bit_identical(tmp_path):
+    p = _checkpoint_with_edge_values()
+    doc = {
+        "format": params_mod.CHECKPOINT_FORMAT,
+        "model": {"kind": p.kind, "variant": p.variant, "attention": p.attention,
+                  "dim": p.dim, "num_users": p.num_users, "num_playlists": p.num_playlists,
+                  "num_songs": p.num_songs, "use_bias": p.use_bias},
+        "hyperparams": {"learning_rate": 1e-05},
+        "seed": 3,
+        "tensors": {name: {"shape": list(t.shape), "values": t.ravel().tolist()}
+                    for name, t in p.tensors.items()},
+    }
+    path = tmp_path / "ckpt.json"
+    with open(path, "w", encoding="utf-8") as f:  # the writer of earlier versions
+        json.dump(doc, f, sort_keys=True)
+        f.write("\n")
+    back, hyper, seed = params_mod.load_checkpoint(str(path))
+    assert hyper == {"learning_rate": 1e-05} and seed == 3
+    assert back.catalog_sha256 == ""
+    for name, t in p.tensors.items():
+        assert back.tensors[name].tobytes() == t.tobytes(), name
+
+
 def test_load_checkpoint_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}', encoding="utf-8")
