@@ -237,18 +237,21 @@ def _make_batch(idx, data, k, rng):
 
 
 def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
-          log_path=None, loss_scale=1.0, rng=None):
+          log_path=None, loss_scale=1.0, rng=None, data=None, dev=None):
     """Run the optimization loop; returns the best-dev (or final) parameters.
 
     mode="bpr" minimizes the pairwise loss. mode="apr" alternates the
     fast-gradient perturbation update and the robust parameter update,
     starting from the given (pretrained) parameters. With eval_dev the
     best checkpoint by dev hit@10 is kept; otherwise the final parameters
-    are returned. The dev candidate lists are drawn once per call.
+    are returned. `data` (from `build_train_data`) and `dev` (the dev
+    `held_out` batch) are built here when not given, so that phases over
+    the same split can share one build of each.
     """
     if rng is None:
         rng = np.random.default_rng(hyper.seed)
-    data = build_train_data(split, num_songs)
+    if data is None:
+        data = build_train_data(split, num_songs)
     k = hyper.negatives_per_positive
     smallest = min((len(pool) for pool in data.neg_pools.values()), default=k)
     if k > smallest:
@@ -256,7 +259,8 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
             f"negatives_per_positive = {k} exceeds the smallest negative pool "
             f"({smallest} songs outside a playlist)"
         )
-    dev = held_out(split, num_songs, hyper.seed, "dev") if eval_dev and hyper.epochs else None
+    if dev is None and eval_dev and hyper.epochs:
+        dev = held_out(split, num_songs, hyper.seed, "dev")
     state = AdamState()
     delta = params.zero_like() if mode == "apr" else None
     work = params.copy() if mode == "apr" else None

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import synthetic
-from metric_rec import dataset, params as params_mod
+from metric_rec import dataset, evaluation, params as params_mod, training
 from test_params import CORRUPTIONS, write_corrupt_checkpoint
 from metric_rec.cli import main
 
@@ -118,6 +118,29 @@ def test_train_apr_writes_both_checkpoints(workspace, tmp_path):
     assert (out_dir / "checkpoint_bpr.json").exists()
     assert (out_dir / "checkpoint.json").exists()
     assert (out_dir / "apr_log.jsonl").exists()
+
+
+def test_train_apr_builds_training_data_and_dev_lists_once(workspace, tmp_path, monkeypatch):
+    calls = {"build_train_data": 0, "sample_negatives": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(training, "build_train_data")
+    counted(evaluation, "sample_negatives")
+    cfg = _write_config(tmp_path / "apr.cfg", model="mdr",
+                        split_dir=workspace / "splits", out_dir=tmp_path / "apr",
+                        epochs="2", batch_size="64", d="8")
+    _run(["train", "--config", cfg, "--apr"])
+    catalog = dataset.load_catalog(str(workspace / "splits" / "catalog.json"))
+    split = dataset.load_split(str(workspace / "splits" / "split.json"), catalog)
+    assert calls == {"build_train_data": 1, "sample_negatives": len(split.dev)}
 
 
 def test_evaluate_deterministic(workspace, tmp_path):
