@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .dataset import songs_outside
 from .evaluation import evaluate, held_out
 from .models import ScoreBatch
 from .params import REGULARIZED
@@ -66,14 +65,21 @@ class Hyperparams:
 
 @dataclass
 class TrainData:
-    """Flattened training instances plus per-playlist negative pools."""
+    """Flattened training instances plus each playlist's negative pool.
+
+    Playlist p's pool is the songs 1..V outside its full set e_0 < e_1 < ...;
+    row p of `gaps` holds g_i = e_i - i - 1, the number of pool songs below
+    e_i, padded with V. Pool rank r (0-based) is then song
+    r + 1 + #{i : g_i <= r}.
+    """
 
     users: np.ndarray
     playlists: np.ndarray
     pos: np.ndarray
     members: np.ndarray
     counts: np.ndarray
-    neg_pools: dict  # playlist idx -> np.ndarray of non-member songs
+    pool_sizes: np.ndarray  # (num_playlists,) songs outside each playlist's full set
+    gaps: np.ndarray        # (num_playlists, longest full set) int64
 
     def __len__(self):
         return len(self.pos)
@@ -88,13 +94,22 @@ def build_train_data(split, num_songs):
         rest = [x for x in split.train[p] if x != s]
         members[i, :len(rest)] = rest
         counts[i] = len(rest)
+    full = {p: np.sort(list(split.full_set(p))) for p in split.train}
+    num_rows = max(split.train, default=-1) + 1
+    pool_sizes = np.zeros(num_rows, dtype=np.int64)
+    gaps = np.full((num_rows, max(map(len, full.values()), default=0)), num_songs,
+                   dtype=np.int64)
+    for p, e in full.items():
+        pool_sizes[p] = num_songs - len(e)
+        gaps[p, :len(e)] = e - np.arange(len(e)) - 1
     return TrainData(
         users=np.array([split.owner[p] for p, _ in instances], dtype=np.int64),
         playlists=np.array([p for p, _ in instances], dtype=np.int64),
         pos=np.array([s for _, s in instances], dtype=np.int64),
         members=members,
         counts=counts,
-        neg_pools={p: songs_outside(split.full_set(p), num_songs) for p in sorted(split.train)},
+        pool_sizes=pool_sizes,
+        gaps=gaps,
     )
 
 
@@ -226,13 +241,30 @@ class TrainResult:
     history: list = field(default_factory=list)
 
 
+def draw_negatives(pool_sizes, gaps, k, rng):
+    """(B, k) negatives: row i is a uniform ordered draw of k distinct songs from
+    the pool that `pool_sizes[i]` and `gaps[i]` describe (see `TrainData`).
+
+    It samples what `rng.choice(pool, k, replace=False)` samples, in k vectorised
+    steps: draw j takes a uniform rank among the n - j ranks not yet drawn and
+    steps it past each drawn rank at or below it, taken in ascending order.
+    """
+    ranks = np.empty((len(pool_sizes), k), dtype=np.int64)
+    for j in range(k):
+        r = rng.integers(0, pool_sizes - j)
+        for e in np.sort(ranks[:, :j], axis=1).T:
+            r += r >= e
+        ranks[:, j] = r
+    return ranks + 1 + np.sum(gaps[:, None, :] <= ranks[:, :, None], axis=2)
+
+
 def _make_batch(idx, data, k, rng):
-    """Instances `idx` as contexts scoring [pos, neg_1..neg_k], negatives drawn per row."""
+    """Instances `idx` as contexts scoring [pos, neg_1..neg_k], with k negatives per row."""
+    playlists = data.playlists[idx]
     songs = np.empty((len(idx), 1 + k), dtype=np.int64)
     songs[:, 0] = data.pos[idx]
-    for row, i in enumerate(idx):
-        songs[row, 1:] = rng.choice(data.neg_pools[data.playlists[i]], size=k, replace=False)
-    return ScoreBatch(users=data.users[idx], playlists=data.playlists[idx], songs=songs,
+    songs[:, 1:] = draw_negatives(data.pool_sizes[playlists], data.gaps[playlists], k, rng)
+    return ScoreBatch(users=data.users[idx], playlists=playlists, songs=songs,
                       members=data.members[idx], counts=data.counts[idx])
 
 
@@ -253,7 +285,7 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
     if data is None:
         data = build_train_data(split, num_songs)
     k = hyper.negatives_per_positive
-    smallest = min((len(pool) for pool in data.neg_pools.values()), default=k)
+    smallest = int(data.pool_sizes[data.playlists].min()) if len(data) else k
     if k > smallest:
         raise ValueError(
             f"negatives_per_positive = {k} exceeds the smallest negative pool "

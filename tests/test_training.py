@@ -67,8 +67,60 @@ def test_build_train_data_members_exclude_positive():
         row = data.members[i][:data.counts[i]]
         assert data.pos[i] not in row
         assert 0 not in row
-    for p, pool in data.neg_pools.items():
-        assert not (set(pool.tolist()) & split.full_set(p))
+    k = int(data.pool_sizes[data.playlists].min())
+    negatives = training._make_batch(np.arange(len(data)), data, k,
+                                     np.random.default_rng(0)).songs[:, 1:]
+    for p, row in zip(data.playlists, negatives):
+        assert not (set(row.tolist()) & (split.full_set(p) | {0}))
+
+
+def _two_pool_data(pool_a=9, pool_b=8):
+    """Playlists p0 and p1 over disjoint songs: p0's pool holds p1's `pool_a` songs
+    and p1's pool holds p0's `pool_b` songs."""
+    records = [InteractionRecord("u0", "p0", f"s{i}") for i in range(pool_b)]
+    records += [InteractionRecord("u1", "p1", f"t{i}") for i in range(pool_a)]
+    catalog = dataset.build_catalog(records)
+    split = dataset.leave_one_out_split(records, 0, catalog)
+    return catalog, split, training.build_train_data(split, catalog.num_songs)
+
+
+def test_sampled_negatives_avoid_the_full_set_and_never_repeat():
+    catalog, split, data = _two_pool_data()
+    rng = np.random.default_rng(3)
+    for k in (1, 4, 8):
+        idx = np.tile(np.arange(len(data)), 200)
+        batch = training._make_batch(idx, data, k, rng)
+        for p, row in zip(batch.playlists, batch.songs[:, 1:]):
+            assert len(set(row.tolist())) == k
+            assert not (set(row.tolist()) & (split.full_set(p) | {0}))
+            assert np.all((row >= 1) & (row <= catalog.num_songs))
+
+
+def test_negatives_with_k_equal_to_the_pool_size_permute_the_pool():
+    catalog, split, data = _two_pool_data(pool_a=8, pool_b=8)
+    idx = np.tile(np.arange(len(data)), 50)
+    batch = training._make_batch(idx, data, 8, np.random.default_rng(4))
+    for p, row in zip(batch.playlists, batch.songs[:, 1:]):
+        pool = dataset.songs_outside(split.full_set(p), catalog.num_songs)
+        np.testing.assert_array_equal(np.sort(row), pool)
+    assert len({tuple(row) for row in batch.songs[:, 1:].tolist()}) > 2
+
+
+def test_negatives_are_uniform_over_ordered_tuples():
+    catalog, split, data = _two_pool_data(pool_a=9)
+    rows = np.flatnonzero(data.playlists == catalog.playlists["p0"])
+    pool = dataset.songs_outside(split.full_set(catalog.playlists["p0"]), catalog.num_songs)
+    assert len(pool) == 9
+    trials = 504 * 200
+    batch = training._make_batch(np.resize(rows, trials), data, 3, np.random.default_rng(5))
+    tuples, counts = np.unique(batch.songs[:, 1:], axis=0, return_counts=True)
+    assert len(tuples) == 9 * 8 * 7  # every ordered triple of distinct pool songs
+    assert set(tuples.ravel().tolist()) == set(pool.tolist())
+    expected = trials / 504
+    sigma = np.sqrt(trials * (1 / 504) * (1 - 1 / 504))
+    # 504 cells: a 4.5-sigma band per cell leaves the whole test a false-alarm
+    # chance below 504 * 7e-6
+    assert np.all(np.abs(counts - expected) < 4.5 * sigma)
 
 
 @pytest.mark.parametrize("kind,kwargs", [
