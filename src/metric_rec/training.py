@@ -69,8 +69,8 @@ class TrainData:
 
     Playlist p's pool is the songs 1..V outside its full set e_0 < e_1 < ...;
     row p of `gaps` holds g_i = e_i - i - 1, the number of pool songs below
-    e_i, padded with V. Pool rank r (0-based) is then song
-    r + 1 + #{i : g_i <= r}.
+    e_i, in any order, with V in the unused slots. Pool rank r (0-based) is
+    then song r + 1 + #{i : g_i <= r}.
     """
 
     users: np.ndarray
@@ -87,27 +87,34 @@ class TrainData:
 
 def build_train_data(split, num_songs):
     """One instance per (playlist, train song); members exclude the positive."""
-    instances = [(p, s) for p in sorted(split.train) for s in split.train[p]]
-    members = np.zeros((len(instances), split.max_members), dtype=np.int64)
-    counts = np.empty(len(instances), dtype=np.int64)
-    for i, (p, s) in enumerate(instances):
-        rest = [x for x in split.train[p] if x != s]
-        members[i, :len(rest)] = rest
-        counts[i] = len(rest)
-    full = {p: np.sort(list(split.full_set(p))) for p in split.train}
-    num_rows = max(split.train, default=-1) + 1
+    playlists = np.array(sorted(split.train), dtype=np.int64)
+    lengths = np.array([len(split.train[p]) for p in playlists], dtype=np.int64)
+    pos = np.array([s for p in playlists for s in split.train[p]], dtype=np.int64)
+    row = np.repeat(np.arange(len(playlists)), lengths)  # instance -> playlist row
+    train = np.zeros((len(playlists), split.max_members), dtype=np.int64)
+    train[row, np.arange(len(pos)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = pos
+    # instance i keeps its playlist's songs other than song i, in list order
+    rest = train[row]
+    keep = (rest != 0) & (rest != pos[:, None])
+    r, c = np.nonzero(keep)
+    members = np.zeros_like(rest)
+    members[r, np.cumsum(keep, axis=1)[r, c] - 1] = rest[r, c]
+    # each playlist's full set, sorted, with 0 at padding and repeated songs
+    held = [[split.dev.get(p, 0), split.test.get(p, 0)] for p in playlists]
+    full = np.sort(np.hstack([train, np.array(held, dtype=np.int64).reshape(-1, 2)]), axis=1)
+    distinct = full > 0
+    distinct[:, 1:] &= full[:, 1:] != full[:, :-1]
+    num_rows = int(playlists.max(initial=-1)) + 1
     pool_sizes = np.zeros(num_rows, dtype=np.int64)
-    gaps = np.full((num_rows, max(map(len, full.values()), default=0)), num_songs,
-                   dtype=np.int64)
-    for p, e in full.items():
-        pool_sizes[p] = num_songs - len(e)
-        gaps[p, :len(e)] = e - np.arange(len(e)) - 1
+    pool_sizes[playlists] = num_songs - distinct.sum(axis=1)
+    gaps = np.full((num_rows, full.shape[1]), num_songs, dtype=np.int64)
+    gaps[playlists] = np.where(distinct, full - np.cumsum(distinct, axis=1), num_songs)
     return TrainData(
-        users=np.array([split.owner[p] for p, _ in instances], dtype=np.int64),
-        playlists=np.array([p for p, _ in instances], dtype=np.int64),
-        pos=np.array([s for _, s in instances], dtype=np.int64),
+        users=np.array([split.owner[p] for p in playlists], dtype=np.int64)[row],
+        playlists=playlists[row],
+        pos=pos,
         members=members,
-        counts=counts,
+        counts=keep.sum(axis=1),
         pool_sizes=pool_sizes,
         gaps=gaps,
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import synthetic
 from metric_rec import dataset, models, params as params_mod, training
 from metric_rec.dataset import InteractionRecord
 from metric_rec.training import Hyperparams
@@ -72,6 +73,44 @@ def test_build_train_data_members_exclude_positive():
                                      np.random.default_rng(0)).songs[:, 1:]
     for p, row in zip(data.playlists, negatives):
         assert not (set(row.tolist()) & (split.full_set(p) | {0}))
+
+
+def _reference_instances(split):
+    """`build_train_data`'s instance arrays, built one instance at a time."""
+    instances = [(p, s) for p in sorted(split.train) for s in split.train[p]]
+    members = np.zeros((len(instances), split.max_members), dtype=np.int64)
+    counts = np.empty(len(instances), dtype=np.int64)
+    for i, (p, s) in enumerate(instances):
+        rest = [x for x in split.train[p] if x != s]
+        members[i, :len(rest)] = rest
+        counts[i] = len(rest)
+    return {
+        "users": np.array([split.owner[p] for p, _ in instances], dtype=np.int64),
+        "playlists": np.array([p for p, _ in instances], dtype=np.int64),
+        "pos": np.array([s for _, s in instances], dtype=np.int64),
+        "members": members,
+        "counts": counts,
+    }
+
+
+def test_build_train_data_matches_per_instance_reference():
+    splits = [_toy_split()[::-1], _toy_split(num_songs=3)[::-1]]
+    for seed in range(3):
+        records = synthetic.planted_cluster_records(seed=seed, playlist_size=5 + 3 * seed)
+        records += [InteractionRecord(r.user_id, f"q{r.playlist_id}", r.song_id)
+                    for r in synthetic.planted_cluster_records(seed=seed, playlist_size=11)]
+        catalog = dataset.build_catalog(records)
+        splits.append((dataset.leave_one_out_split(records, seed, catalog), catalog))
+    # a train list that repeats a song: its instances drop every copy of their positive
+    splits.append((dataset.SplitDataset(train={0: [3, 1, 3, 2], 2: [5]}, dev={0: 4, 2: 6},
+                                        test={0: 7, 2: 8}, owner={0: 1, 2: 0}, max_members=4),
+                   dataset.build_catalog([InteractionRecord("u", "p", f"s{i}") for i in range(9)])))
+    for split, catalog in splits:
+        data = training.build_train_data(split, catalog.num_songs)
+        for name, want in _reference_instances(split).items():
+            got = getattr(data, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def _two_pool_data(pool_a=9, pool_b=8):
