@@ -43,20 +43,37 @@ def _check_catalog(parts, catalog):
                   f"{p.catalog_sha256[:12]}..., the split's is {fingerprint[:12]}...")
 
 
+def _load_masr(doc, path):
+    """The (mdr, mass) components and alpha of the fusion manifest `doc`, read from `path`.
+
+    Raises ValueError naming `path` unless the manifest holds an MDR and a
+    MASS checkpoint, in that order, and a number alpha in [0, 1].
+    """
+    alpha = doc.get("alpha")
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha <= 1:
+        raise ValueError(f"{path}: alpha: must be a number in [0, 1], got {alpha!r}")
+    base = os.path.dirname(os.path.abspath(path))
+    parts = []
+    for kind in ("mdr", "mass"):
+        key = f"{kind}_checkpoint"
+        if not isinstance(doc.get(key), str):
+            raise ValueError(f"{path}: {key}: missing, or not a path")
+        part, _, _ = params_mod.load_checkpoint(os.path.join(base, doc[key]))
+        if part.kind != kind:
+            raise ValueError(f"{path}: {key}: {doc[key]} is a {part.kind!r} checkpoint, "
+                             f"{kind!r} expected")
+        parts.append(part)
+    return tuple(parts), alpha
+
+
 def _load_model(path):
     """Load a model checkpoint or a fusion manifest; return (scorer, meta, its ModelParams)."""
     doc = dataset.read_json(path)
-    if doc.get("format") == MASR_FORMAT:
-        base = os.path.dirname(os.path.abspath(path))
-
-        def resolve(p):
-            return p if os.path.isabs(p) else os.path.join(base, p)
-
-        mdr, _, _ = params_mod.load_checkpoint(resolve(doc["mdr_checkpoint"]))
-        mass, _, _ = params_mod.load_checkpoint(resolve(doc["mass_checkpoint"]))
-        scorer = models.make_scorer((mdr, mass), alpha=doc["alpha"])
-        meta = {"model": "masr", "variant": "", "attention": "", "alpha": doc["alpha"]}
-        return scorer, meta, (mdr, mass)
+    if isinstance(doc, dict) and doc.get("format") == MASR_FORMAT:
+        parts, alpha = _load_masr(doc, path)
+        scorer = models.make_scorer(parts, alpha=alpha)
+        meta = {"model": "masr", "variant": "", "attention": "", "alpha": alpha}
+        return scorer, meta, parts
     ckpt, _, _ = params_mod.checkpoint_from_doc(doc, path)
     scorer = models.make_scorer(ckpt)
     meta = {"model": ckpt.kind, "variant": ckpt.variant, "attention": ckpt.attention}

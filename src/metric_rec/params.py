@@ -176,9 +176,19 @@ def checkpoint_from_doc(doc, path):
     header's kind, variant, attention and bias imply, with the shapes its
     sizes imply and finite values; otherwise this raises ValueError.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level: a checkpoint is a JSON object, "
+                         f"this file holds a {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
-    m = doc["model"]
+    m = doc.get("model")
+    if not isinstance(m, dict):
+        raise ValueError(f"{path}: model: missing, or not a JSON object")
+    for key in ("kind", "variant", "dim", "num_users", "num_playlists", "num_songs"):
+        if key not in m:
+            raise ValueError(f"{path}: model.{key}: missing from the header")
+    if not isinstance(doc.get("tensors"), dict):
+        raise ValueError(f"{path}: tensors: missing, or not a JSON object")
     params = ModelParams(
         kind=m["kind"], variant=m["variant"], dim=m["dim"],
         num_users=m["num_users"], num_playlists=m["num_playlists"],

@@ -315,6 +315,48 @@ def test_malformed_checkpoint_fails_cleanly(workspace, tmp_path, case):
     assert CORRUPTIONS[case][1] in _single_error_line(result)
 
 
+@pytest.mark.parametrize("case,doc,field", [
+    ("list", [1, 2], "top level"),
+    ("no_variant", {"format": params_mod.CHECKPOINT_FORMAT, "model": {"kind": "mdr"},
+                    "tensors": {}}, "model.variant"),
+])
+def test_checkpoint_document_without_a_field_fails_cleanly(workspace, tmp_path, case, doc, field):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = _run(["evaluate", "--checkpoint", str(path), "--split", str(workspace / "splits"),
+                   "--out", str(tmp_path / "m.json")], expect_exit=1)
+    assert f"{path}: {field}: " in _single_error_line(result)
+    with pytest.raises(ValueError, match=f"{field}: "):
+        params_mod.load_checkpoint(str(path))
+
+
+def _masr_manifest(workspace, path, **changes):
+    doc = {"format": "metric-rec-masr-v1", "model": "masr", "alpha": 0.5,
+           "mdr_checkpoint": str(workspace / "mdr" / "checkpoint.json"),
+           "mass_checkpoint": str(workspace / "mass" / "checkpoint.json")}
+    doc.update(changes)
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("changes,field", [
+    ({"mass_checkpoint": "mdr/checkpoint.json"}, "mass_checkpoint"),
+    ({"mdr_checkpoint": "mass/checkpoint.json"}, "mdr_checkpoint"),
+    ({"alpha": "0.5"}, "alpha"),
+    ({"alpha": None}, "alpha"),
+    ({"alpha": 1.5}, "alpha"),
+], ids=["mass-is-mdr", "mdr-is-mass", "alpha-string", "alpha-missing", "alpha-above-one"])
+@pytest.mark.parametrize("command", ["evaluate", "recommend"])
+def test_masr_manifest_with_wrong_components_or_alpha_fails_cleanly(
+        workspace, tmp_path, changes, field, command):
+    manifest = _masr_manifest(workspace, workspace / f"bad-{tmp_path.name}.json", **changes)
+    args = [command, "--checkpoint", str(manifest), "--split", str(workspace / "splits")]
+    args += ["--playlist", "p0"] if command == "recommend" else ["--out", str(tmp_path / "m")]
+    line = _single_error_line(_run(args, expect_exit=1))
+    assert f"{manifest}: {field}: " in line
+    assert not (tmp_path / "m").exists()
+
+
 def test_recommend_unknown_playlist(workspace):
     result = _run(["recommend", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
                    "--split", str(workspace / "splits"),
