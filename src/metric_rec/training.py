@@ -69,8 +69,8 @@ class TrainData:
 
     Playlist p's pool is the songs 1..V outside its full set e_0 < e_1 < ...;
     row p of `gaps` holds g_i = e_i - i - 1, the number of pool songs below
-    e_i, in any order, with V in the unused slots. Pool rank r (0-based) is
-    then song r + 1 + #{i : g_i <= r}.
+    e_i, padded with V. Pool rank r (0-based) is then song
+    r + 1 + #{i : g_i <= r}.
     """
 
     users: np.ndarray
@@ -85,30 +85,34 @@ class TrainData:
         return len(self.pos)
 
 
+def _padded(rows, width):
+    """(len(rows), width) int64 table of the int lists `rows`, left-aligned and
+    zero-padded, and the boolean mask of its filled slots."""
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    filled = np.arange(width) < lengths[:, None]
+    table = np.zeros(filled.shape, dtype=np.int64)
+    table[filled] = [s for r in rows for s in r]
+    return table, filled
+
+
 def build_train_data(split, num_songs):
     """One instance per (playlist, train song); members exclude the positive."""
     playlists = np.array(sorted(split.train), dtype=np.int64)
-    lengths = np.array([len(split.train[p]) for p in playlists], dtype=np.int64)
-    pos = np.array([s for p in playlists for s in split.train[p]], dtype=np.int64)
-    row = np.repeat(np.arange(len(playlists)), lengths)  # instance -> playlist row
-    train = np.zeros((len(playlists), split.max_members), dtype=np.int64)
-    train[row, np.arange(len(pos)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = pos
+    train, filled = _padded([split.train[p] for p in playlists], split.max_members)
+    row = np.repeat(np.arange(len(playlists)), filled.sum(axis=1))  # instance -> its playlist
+    pos = train[filled]
     # instance i keeps its playlist's songs other than song i, in list order
     rest = train[row]
-    keep = (rest != 0) & (rest != pos[:, None])
+    keep = filled[row] & (rest != pos[:, None])
     r, c = np.nonzero(keep)
     members = np.zeros_like(rest)
     members[r, np.cumsum(keep, axis=1)[r, c] - 1] = rest[r, c]
-    # each playlist's full set, sorted, with 0 at padding and repeated songs
-    held = [[split.dev.get(p, 0), split.test.get(p, 0)] for p in playlists]
-    full = np.sort(np.hstack([train, np.array(held, dtype=np.int64).reshape(-1, 2)]), axis=1)
-    distinct = full > 0
-    distinct[:, 1:] &= full[:, 1:] != full[:, :-1]
+    full, in_full = _padded([sorted(split.full_set(p)) for p in playlists], split.max_members + 2)
     num_rows = int(playlists.max(initial=-1)) + 1
     pool_sizes = np.zeros(num_rows, dtype=np.int64)
-    pool_sizes[playlists] = num_songs - distinct.sum(axis=1)
+    pool_sizes[playlists] = num_songs - in_full.sum(axis=1)
     gaps = np.full((num_rows, full.shape[1]), num_songs, dtype=np.int64)
-    gaps[playlists] = np.where(distinct, full - np.cumsum(distinct, axis=1), num_songs)
+    gaps[playlists] = np.where(in_full, full - np.arange(full.shape[1]) - 1, num_songs)
     return TrainData(
         users=np.array([split.owner[p] for p in playlists], dtype=np.int64)[row],
         playlists=playlists[row],
