@@ -85,40 +85,34 @@ class TrainData:
         return len(self.pos)
 
 
-def _padded(rows, width):
-    """(len(rows), width) int64 table of the int lists `rows`, left-aligned and
-    zero-padded, and the boolean mask of its filled slots."""
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    filled = np.arange(width) < lengths[:, None]
-    table = np.zeros(filled.shape, dtype=np.int64)
-    table[filled] = [s for r in rows for s in r]
-    return table, filled
-
-
 def build_train_data(split, num_songs):
     """One instance per (playlist, train song); members exclude the positive."""
     playlists = np.array(sorted(split.train), dtype=np.int64)
-    train, filled = _padded([split.train[p] for p in playlists], split.max_members)
-    row = np.repeat(np.arange(len(playlists)), filled.sum(axis=1))  # instance -> its playlist
-    pos = train[filled]
-    # instance i keeps its playlist's songs other than song i, in list order
-    rest = train[row]
-    keep = filled[row] & (rest != pos[:, None])
-    r, c = np.nonzero(keep)
-    members = np.zeros_like(rest)
-    members[r, np.cumsum(keep, axis=1)[r, c] - 1] = rest[r, c]
-    full, in_full = _padded([sorted(split.full_set(p)) for p in playlists], split.max_members + 2)
+    lengths = np.array([len(split.train[p]) for p in playlists], dtype=np.int64)
+    pos = np.array([s for p in playlists for s in split.train[p]], dtype=np.int64)
+    members = np.zeros((len(pos), split.max_members), dtype=np.int64)
+    counts = np.empty(len(pos), dtype=np.int64)
+    for start, n in zip(np.cumsum(lengths) - lengths, lengths):
+        # instance i keeps its playlist's songs other than song i, in list order
+        row = pos[start:start + n]
+        keep = row != row[:, None]
+        r, c = np.nonzero(keep)
+        members[start + r, np.cumsum(keep, axis=1)[r, c] - 1] = row[c]
+        counts[start:start + n] = keep.sum(axis=1)
+    full = [sorted(split.full_set(p)) for p in playlists]
+    full_sizes = np.array([len(f) for f in full], dtype=np.int64)
     num_rows = int(playlists.max(initial=-1)) + 1
     pool_sizes = np.zeros(num_rows, dtype=np.int64)
-    pool_sizes[playlists] = num_songs - in_full.sum(axis=1)
-    gaps = np.full((num_rows, full.shape[1]), num_songs, dtype=np.int64)
-    gaps[playlists] = np.where(in_full, full - np.arange(full.shape[1]) - 1, num_songs)
+    pool_sizes[playlists] = num_songs - full_sizes
+    gaps = np.full((num_rows, full_sizes.max(initial=0)), num_songs, dtype=np.int64)
+    r, c = np.nonzero(np.arange(gaps.shape[1]) < full_sizes[:, None])
+    gaps[playlists[r], c] = [e - i - 1 for f in full for i, e in enumerate(f)]
     return TrainData(
-        users=np.array([split.owner[p] for p in playlists], dtype=np.int64)[row],
-        playlists=playlists[row],
+        users=np.repeat(np.array([split.owner[p] for p in playlists], dtype=np.int64), lengths),
+        playlists=np.repeat(playlists, lengths),
         pos=pos,
         members=members,
-        counts=keep.sum(axis=1),
+        counts=counts,
         pool_sizes=pool_sizes,
         gaps=gaps,
     )
