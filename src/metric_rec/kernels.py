@@ -1,19 +1,24 @@
 """Hot numeric kernels for candidate-major scoring.
 
 Shapes follow the scoring batch: B contexts, C candidates per context, l
-(padded) members per context, d embedding dims. Candidate-side inputs are
-`(B, C, d)`, member-side inputs `(B, l, d)`, and context-side inputs
-`(B, d)`. Every candidate of a context shares that context's members, so
-member tensors are passed once per context, never once per candidate.
+(padded) members per context, K anchors per context, d embedding dims.
+Candidate-side inputs are `(B, C, d)`, member-side inputs `(B, l, d)`, and
+context-side inputs `(B, K, d)` anchors, each measured under its own metric
+row of the `(K, d)` metric rows. Every candidate of a context shares that
+context's members and anchors, so they are passed once per context, never
+once per candidate.
 
-Member distances use the expansion
-    ||b * (q - m)||^2 = q.(b^2 q) + m.(b^2 m) - 2 q.(b^2 m),
-whose cross term is one batched matmul `(B, C, d) @ (B, d, l)`; no
-`(B, C, l, d)` difference tensor is ever built. Near q == m the three terms
-cancel, and rounding can leave a tiny negative value where the exact
-distance is 0 (sklearn's `euclidean_distances` documents the same effect),
-so the result is clamped at 0. The backward passes return the gradient of
-the exact distance, written as matmuls as well.
+Row and member distances both use the expansion
+    ||b * (q - m)||^2 = q.(b^2 q) + m.(b^2 m) - 2 q.(b^2 m).
+For members, the cross term is one batched matmul `(B, C, d) @ (B, d, l)`;
+no `(B, C, l, d)` difference tensor is ever built. For rows, the K anchor
+terms fold into per-context sums before any candidate is touched, so the
+cross term is one `(B, C, d) @ (B, d, 1)` product whatever K is. Near q == m
+the three terms cancel, and rounding can leave a tiny negative value where
+the exact distance is 0 (sklearn's `euclidean_distances` documents the same
+effect), so both results are clamped at 0. The backward passes return the
+gradient of the exact distance, written as matmuls and einsums, and
+recompute what they need from the forward inputs.
 """
 
 import numpy as np
@@ -33,18 +38,42 @@ def _weighted_sum(weights, rows):
     return weights.ravel() @ rows.reshape(-1, rows.shape[-1])
 
 
+def _row_sums(b, x):
+    """Anchor sums of the row expansion (y.y)W - 2 y.a + c: W = sum_k b_k^2 (d,),
+    a = sum_k b_k^2 x_k (B, d) and c = sum_k x_k.(b_k^2 x_k) (B,)."""
+    w = b * b
+    wx = w * x
+    return w.sum(axis=0), wx.sum(axis=1), np.sum(x * wx, axis=(1, 2))
+
+
 def sqdist_rows(b, x, y):
-    """||b * (x_i - y_ic)||^2 for context rows x (B, d), candidates y (B, C, d)."""
-    diff = x[:, None, :] - y
-    return np.sum((b * diff) ** 2, axis=-1)
+    """sum_k ||b_k * (x_ik - y_ic)||^2 (B, C) for metric rows b (K, d),
+    anchors x (B, K, d) and candidates y (B, C, d)."""
+    w, a, c = _row_sums(b, x)
+    out = y @ a[:, :, None]
+    out = out.reshape(out.shape[:2])
+    out *= -2.0
+    out += (y * y) @ w
+    out += c[:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 def sqdist_rows_backward(b, x, y, dout):
-    """Gradients (dx (B, d), dy (B, C, d), db (d,)) of sum(dout * sqdist_rows)."""
-    diff = x[:, None, :] - y
-    dy = dout[:, :, None] * (-2.0 * b * b) * diff
-    db = 2.0 * b * _weighted_sum(dout, diff * diff)
-    return -dy.sum(axis=1), dy, db
+    """Gradients (dx (B, K, d), dy (B, C, d), db (K, d)) of sum(dout * sqdist_rows)."""
+    w, a, _ = _row_sums(b, x)
+    r = dout.sum(axis=1)               # (B,): total weight of each context
+    s = (dout[:, None, :] @ y)[:, 0]   # (B, d): weighted sum of its candidates
+    dx = r[:, None, None] * x
+    dx -= s[:, None, :]
+    dx *= 2.0 * b * b
+    # sum(dout * (x_k - y)^2) per anchor and dim, expanded like the forward pass;
+    # the einsums build no (B, C, d) temporary
+    sq = (np.einsum("bc,bcd,bcd->d", dout, y, y) - 2.0 * np.einsum("bkd,bd->kd", x, s)
+          + np.einsum("b,bkd->kd", r, x * x))
+    dy = y * w
+    dy -= a[:, None, :]
+    dy *= 2.0 * dout[:, :, None]
+    return dx, dy, 2.0 * b * sq
 
 
 def sqdist_members(b, q, m):
