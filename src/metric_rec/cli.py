@@ -135,6 +135,10 @@ def train(config_path, apr):
             "mass_checkpoint": os.path.abspath(cfg.mass_checkpoint),
         }
         path = os.path.join(out_dir, "masr.json")
+        try:
+            _load_masr(manifest, path)
+        except (OSError, ValueError) as exc:
+            _fail(exc)
         dataset.write_json(manifest, path)
         click.echo(f"wrote fusion manifest {path}")
         return

@@ -199,14 +199,18 @@ def sample_negatives(full_set, num_songs, count, rng):
 # ---------------------------------------------------------------------------
 
 def read_json(path):
-    """Parse the JSON document in `path`."""
+    """Parse the JSON document in `path`; a parse error names the file."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError:
+        pass
+    try:
         # Python's json writes NaN and Infinity tokens, which orjson rejects.
         return json.loads(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_json(doc, path):
@@ -251,17 +255,43 @@ def save_split(split, catalog, path):
 
 
 def load_split(path, catalog):
+    """Read a split manifest against its catalog.
+
+    Raises ValueError("<path>: <playlist id>.<field>: <problem>") for a
+    playlist, user or song id the catalog lacks, and for a held-out (dev
+    or test) song that is also in the playlist's train list.
+    """
     doc = read_json(path)
     train, dev, test, owner = {}, {}, {}, {}
     for pid, entry in doc.items():
-        p = catalog.playlists[pid]
-        owner[p] = catalog.users[entry["user"]]
-        train[p] = [catalog.songs[s] for s in entry["train"]]
-        dev[p] = catalog.songs[entry["dev"]]
-        test[p] = catalog.songs[entry["test"]]
+        try:
+            p = catalog.playlists[pid]
+            owner[p] = catalog.users[entry["user"]]
+            train[p] = [catalog.songs[s] for s in entry["train"]]
+            dev[p] = catalog.songs[entry["dev"]]
+            test[p] = catalog.songs[entry["test"]]
+        except (KeyError, TypeError):
+            _name_unknown_id(path, pid, entry, catalog)
+            raise
+        for key, song in (("dev", dev[p]), ("test", test[p])):
+            if song in train[p]:
+                raise ValueError(f"{path}: {pid}.{key}: held-out song {entry[key]!r} "
+                                 f"is also in the train list")
     max_members = max(len(v) for v in train.values())
     return SplitDataset(train=train, dev=dev, test=test, owner=owner,
                         max_members=max_members)
+
+
+def _name_unknown_id(path, pid, entry, catalog):
+    """Raise the `load_split` error for the first id of `entry` the catalog lacks."""
+    fields = [("id", catalog.playlists, pid), ("user", catalog.users, entry["user"])]
+    fields += [("train", catalog.songs, s) for s in entry["train"]]
+    fields += [(key, catalog.songs, entry[key]) for key in ("dev", "test")]
+    for key, table, ext_id in fields:
+        try:
+            table[ext_id]
+        except (KeyError, TypeError):
+            raise ValueError(f"{path}: {pid}.{key}: {ext_id!r} is not in the catalog") from None
 
 
 def prepare(input_path, out_dir, k=DEFAULT_K_CORE, seed=0,

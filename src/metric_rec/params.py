@@ -187,6 +187,9 @@ def checkpoint_from_doc(doc, path):
     for key in ("kind", "variant", "dim", "num_users", "num_playlists", "num_songs"):
         if key not in m:
             raise ValueError(f"{path}: model.{key}: missing from the header")
+    for key in ("dim", "num_users", "num_playlists", "num_songs"):
+        if isinstance(m[key], bool) or not isinstance(m[key], int) or m[key] < 1:
+            raise ValueError(f"{path}: model.{key}: must be a positive integer, got {m[key]!r}")
     if not isinstance(doc.get("tensors"), dict):
         raise ValueError(f"{path}: tensors: missing, or not a JSON object")
     params = ModelParams(

@@ -319,6 +319,10 @@ def test_malformed_checkpoint_fails_cleanly(workspace, tmp_path, case):
     ("list", [1, 2], "top level"),
     ("no_variant", {"format": params_mod.CHECKPOINT_FORMAT, "model": {"kind": "mdr"},
                     "tensors": {}}, "model.variant"),
+    ("dim_string", {"format": params_mod.CHECKPOINT_FORMAT,
+                    "model": {"kind": "mdr", "variant": "ups", "dim": "8", "num_users": 1,
+                              "num_playlists": 1, "num_songs": 1},
+                    "tensors": {}}, "model.dim"),
 ])
 def test_checkpoint_document_without_a_field_fails_cleanly(workspace, tmp_path, case, doc, field):
     path = tmp_path / f"{case}.json"
@@ -405,3 +409,49 @@ def test_masr_requires_both_checkpoints(workspace, tmp_path):
                         mdr_checkpoint=workspace / "mdr" / "checkpoint.json")
     result = _run(["train", "--config", cfg], expect_exit=1)
     assert "mass_checkpoint" in result.output
+
+
+@pytest.mark.parametrize("swap", [True, False], ids=["swapped", "both-mdr"])
+def test_train_masr_checks_the_manifest_components_before_writing_it(workspace, tmp_path, swap):
+    mdr = workspace / "mdr" / "checkpoint.json"
+    mass = workspace / "mass" / "checkpoint.json"
+    cfg = _write_config(tmp_path / "masr.cfg", model="masr", out_dir=tmp_path / "out", alpha="0.5",
+                        mdr_checkpoint=mass if swap else mdr, mass_checkpoint=mdr)
+    line = _single_error_line(_run(["train", "--config", cfg], expect_exit=1))
+    field = "mdr_checkpoint" if swap else "mass_checkpoint"
+    assert f"{tmp_path / 'out' / 'masr.json'}: {field}: " in line
+    assert not (tmp_path / "out" / "masr.json").exists()
+
+
+def _edited_split(workspace, split_dir, edit):
+    """A copy of `workspace`'s split directory whose split.json went through `edit`."""
+    split_dir.mkdir()
+    src = workspace / "splits"
+    (split_dir / "catalog.json").write_bytes((src / "catalog.json").read_bytes())
+    doc = json.loads((src / "split.json").read_text(encoding="utf-8"))
+    edit(doc["p0"])
+    (split_dir / "split.json").write_text(json.dumps(doc), encoding="utf-8")
+    return split_dir
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda entry: entry["train"].append(entry["dev"]), "p0.dev"),
+    (lambda entry: entry["train"].append("nosuchsong"), "p0.train"),
+], ids=["dev-song-in-train", "unknown-train-song"])
+def test_split_that_contradicts_itself_or_the_catalog_fails_cleanly(
+        workspace, tmp_path, edit, field):
+    split_dir = _edited_split(workspace, tmp_path / "splits", edit)
+    out = tmp_path / "m.json"
+    result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(split_dir), "--out", str(out)], expect_exit=1)
+    assert f"{split_dir / 'split.json'}: {field}: " in _single_error_line(result)
+    assert not out.exists()
+
+
+def test_truncated_catalog_names_the_file(workspace, tmp_path):
+    split_dir = _edited_split(workspace, tmp_path / "splits", lambda entry: None)
+    catalog = split_dir / "catalog.json"
+    catalog.write_bytes(catalog.read_bytes()[:200])
+    result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(split_dir), "--out", str(tmp_path / "m.json")], expect_exit=1)
+    assert f"{catalog}: " in _single_error_line(result)
