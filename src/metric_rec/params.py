@@ -1,11 +1,15 @@
 """Parameter containers, initialization, and checkpoint I/O.
 
-All trainable state lives in a flat name -> float64 ndarray mapping so the
-optimizer, perturbation machinery, and checkpointing stay generic. Song
-tables (S, S_a, theta, song_bias) carry a reserved padding row at index 0
-that is kept at zero and never receives gradient updates.
+All trainable state lives in an `Arena`: a name -> float64 ndarray mapping
+whose arrays are views into one contiguous buffer. Code that reads one
+tensor indexes it by name; the optimizer, the perturbation machinery and
+copies work on the whole buffer at once. Gradients, Adam's moments and the
+adversarial perturbation use the same layout. Song tables (S, S_a, theta,
+song_bias) carry a reserved padding row at index 0 that is kept at zero and
+never receives gradient updates.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +32,51 @@ ATTENTION_KINDS = ("mem_metric", "mem_dot", "nonmem_metric", "nonmem_dot")
 CHECKPOINT_FORMAT = "metric-rec-checkpoint-v1"
 
 
+class Arena(dict):
+    """Tensor name -> float64 array, each array a view into `flat`, one
+    contiguous buffer holding the tensors in insertion order.
+
+    Assigning an array of a tensor's shape writes it into that tensor's
+    view, so the buffer stays whole. Assigning a new name or another shape
+    stores the array as given and sets `flat` to None: the arena is then a
+    plain mapping until `pack` gathers it into a new buffer. Other dict
+    mutators (`update`, `pop`, ...) bypass this bookkeeping; do not use them.
+    """
+
+    def __init__(self, shapes, flat=None):
+        super().__init__()
+        self.layout = tuple((name, tuple(shape)) for name, shape in shapes.items())
+        sizes = [math.prod(shape) for _, shape in self.layout]
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        offset = 0
+        for (name, shape), size in zip(self.layout, sizes):
+            super().__setitem__(name, self.flat[offset:offset + size].reshape(shape))
+            offset += size
+
+    @classmethod
+    def pack(cls, tensors):
+        """A new arena holding copies of the arrays of the mapping `tensors`."""
+        arena = cls({name: np.shape(t) for name, t in tensors.items()})
+        for name, t in tensors.items():
+            arena[name] = t
+        return arena
+
+    def __setitem__(self, name, value):
+        view = self.get(name)
+        if self.flat is not None and view is not None and np.shape(value) == view.shape:
+            view[...] = value
+        else:
+            super().__setitem__(name, value)
+            self.flat = None
+
+    def like(self, flat=None):
+        """An arena of the same layout over `flat` (default: zeros)."""
+        return Arena(dict(self.layout), flat)
+
+    def copy(self):
+        return self.like(self.flat.copy()) if self.flat is not None else Arena.pack(self)
+
+
 @dataclass
 class ModelParams:
     """Named parameter set of one model variant."""
@@ -41,19 +90,28 @@ class ModelParams:
     attention: str = ""       # mass only
     use_bias: bool = True
     catalog_sha256: str = ""  # `Catalog.fingerprint()` of the tables' catalog; "" if unknown
-    tensors: dict = field(default_factory=dict)
+    tensors: dict = field(default_factory=dict)  # an `Arena` once initialized or loaded
+
+    def flat(self):
+        """The one buffer every tensor views, gathered anew when an assignment
+        into `tensors` left it broken (see `Arena`)."""
+        if getattr(self.tensors, "flat", None) is None:
+            self.tensors = Arena.pack(self.tensors)
+        return self.tensors.flat
 
     def copy(self):
-        return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
+        self.flat()
+        return replace(self, tensors=self.tensors.copy())
 
     def zero_like(self):
-        """Shape-matched dict of zero arrays, one per tensor."""
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
+        """An arena of zeros in the tensors' layout."""
+        self.flat()
+        return self.tensors.like()
 
     def check_finite(self):
-        for name, t in self.tensors.items():
-            if not np.all(np.isfinite(t)):
-                raise FloatingPointError(f"non-finite values in tensor {name}")
+        if not np.isfinite(self.flat()).all():
+            name = next(n for n, t in self.tensors.items() if not np.isfinite(t).all())
+            raise FloatingPointError(f"non-finite values in tensor {name}")
 
     def zero_padding_rows(self, target=None):
         """Zero the frozen padding rows, in-place, on `target` (default: own tensors)."""
@@ -110,13 +168,12 @@ def _init(p, rng):
     """Fill `p.tensors`: metric vectors at ones (Euclidean), biases at zeros,
     embeddings and query weights drawn from N(0, EMBED_INIT_STD^2) in init order."""
     _check_header(p)
-    for name, shape in tensor_shapes(p).items():
+    p.tensors = Arena(tensor_shapes(p))
+    for name, t in p.tensors.items():
         if name in ("B1", "B2", "B3", "B4"):
-            p.tensors[name] = np.ones(shape)
-        elif name in ("theta", "song_bias", "b1", "b2"):
-            p.tensors[name] = np.zeros(shape)
-        else:
-            p.tensors[name] = rng.normal(0.0, EMBED_INIT_STD, size=shape)
+            t.fill(1.0)
+        elif name not in ("theta", "song_bias", "b1", "b2"):
+            t[...] = rng.normal(0.0, EMBED_INIT_STD, size=t.shape)
     p.zero_padding_rows()
     return p
 
@@ -203,6 +260,7 @@ def checkpoint_from_doc(doc, path):
     if set(doc["tensors"]) != set(expected):
         raise ValueError(f"{path}: tensors {sorted(doc['tensors'])} do not match the "
                          f"{sorted(expected)} its header implies")
+    params.tensors = Arena(expected)
     for name, spec in doc["tensors"].items():
         arr = np.array(spec["values"], dtype=np.float64)
         if tuple(spec["shape"]) != expected[name] or arr.size != np.prod(expected[name]):
@@ -210,5 +268,5 @@ def checkpoint_from_doc(doc, path):
                              f"{arr.size} values, the header implies {list(expected[name])}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: tensor {name} holds a non-finite value")
-        params.tensors[name] = arr.reshape(expected[name])
+        params.tensors[name][...] = arr.reshape(expected[name])
     return params, doc.get("hyperparams", {}), doc.get("seed", 0)

@@ -149,12 +149,13 @@ def batch_loss(params, batch, lambda_theta=0.0):
     return bpr_loss(pos, scores[:, 1:], params, lambda_theta)
 
 
-def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0):
+def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0, out=None):
     """Exact minibatch gradients for every trainable tensor.
 
     `batch.songs` is (B, 1 + k): each row's positive, then its negatives.
     Returns (loss, grads) where grads matches params.tensors in shape and
-    padding rows are exactly zero.
+    padding rows are exactly zero. `out`, an arena from `params.zero_like()`,
+    is zeroed and receives the gradients in place of a new one.
     """
     scores, cache = models.forward(params, batch)
 
@@ -166,7 +167,11 @@ def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0):
     dscores[:, 1:] = loss_scale * dx
     dscores[:, 0] = -loss_scale * dx.sum(axis=1)
 
-    grads = params.zero_like()
+    if out is None:
+        grads = params.zero_like()
+    else:
+        grads = out
+        grads.flat.fill(0.0)
     models.backward(params, batch, cache, dscores, grads)
 
     if lambda_theta:
@@ -180,37 +185,70 @@ def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0):
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Step count and moment estimates, flat in the layout of the parameters'
+    arena, plus two buffers of that size for the step's intermediates."""
+
+    m: np.ndarray = None
+    v: np.ndarray = None
+    scratch: tuple = None  # allocated by the first step when not given
     t: int = 0
 
 
+def _flat_gradients(params, grads):
+    """`grads` as one buffer in the layout of `params.flat()`.
+
+    An arena of that layout is read in place; any other mapping of the same
+    tensor names and shapes is gathered into a new buffer.
+    """
+    layout = params.tensors.layout
+    if getattr(grads, "flat", None) is not None and grads.layout == layout:
+        return grads.flat
+    if set(grads) != {name for name, _ in layout}:
+        raise ValueError(f"gradients for tensors {sorted(grads)} do not match the "
+                         f"parameters {sorted(name for name, _ in layout)}")
+    for name, shape in layout:
+        if np.shape(grads[name]) != shape:
+            raise ValueError(f"gradient shape mismatch for tensor {name}")
+    return np.concatenate([np.ravel(grads[name]) for name, _ in layout])
+
+
 def adam_update(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Standard bias-corrected Adam step over the tensor dict."""
-    if not state.m:
-        state.m = params.zero_like()
-        state.v = params.zero_like()
+    """Standard bias-corrected Adam step, in place over the whole parameter arena.
+
+    Each element follows the per-tensor formula, in the same order of
+    operations: m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g,
+    theta -= lr (m / c1) / (sqrt(v / c2) + eps).
+    """
+    theta = params.flat()
+    g = _flat_gradients(params, grads)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
+    if state.scratch is None:
+        state.scratch = np.empty((2,) + theta.shape)
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    for name, g in grads.items():
-        if g.shape != params.tensors[name].shape:
-            raise ValueError(f"gradient shape mismatch for tensor {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        params.tensors[name] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v, (step, denom) = state.m, state.v, state.scratch
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=step)
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=step)
+    step *= g
+    v += step
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, c1, out=step)
+    step *= lr
+    step /= denom
+    theta -= step
     params.zero_padding_rows()
 
 
-def _perturbed(params, delta, out):
-    """Fill `out` (a copy of `params`) with params + delta, tensor by tensor."""
-    for name, t in params.tensors.items():
-        np.add(t, delta[name], out=out.tensors[name])
-    return out
+def _perturbed(params, delta, work):
+    """Fill `work` (a copy of `params`) with params + delta, as one add."""
+    np.add(params.flat(), delta.flat, out=work.flat())
+    return work
 
 
 def adversarial_delta(params, batch, epsilon, delta=None, work=None):
@@ -218,23 +256,25 @@ def adversarial_delta(params, batch, epsilon, delta=None, work=None):
 
     The gradient of the pairwise loss is taken at params + delta with the
     parameters treated as constants. Tensors with zero gradient (or zero
-    spread) keep a zero perturbation. `work` is a scratch copy of `params`
-    that receives params + delta; one is allocated when it is not given.
+    spread) keep a zero perturbation. `delta`, an arena from
+    `params.zero_like()` holding the current perturbation (zeros when not
+    given), is overwritten with the new one and returned. `work` is a
+    scratch copy of `params` that receives params + delta; one is
+    allocated when it is not given.
     """
     if delta is None:
         delta = params.zero_like()
     if work is None:
         work = params.copy()
-    _, grads = gradients(_perturbed(params, delta, work), batch, lambda_theta=0.0)
-    new_delta = {}
-    for name, g in grads.items():
+    gradients(_perturbed(params, delta, work), batch, lambda_theta=0.0, out=delta)
+    for name, g in delta.items():
         norm = float(np.linalg.norm(g))
         std = float(np.std(params.tensors[name]))
         if norm == 0.0 or std == 0.0:
-            new_delta[name] = np.zeros_like(g)
+            g.fill(0.0)
         else:
-            new_delta[name] = (epsilon * std / norm) * g
-    return new_delta
+            g *= epsilon * std / norm
+    return delta
 
 
 @dataclass
@@ -299,8 +339,13 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
     if dev is None and eval_dev and hyper.epochs:
         dev = held_out(split, num_songs, hyper.seed, "dev")
     state = AdamState()
-    delta = params.zero_like() if mode == "apr" else None
-    work = params.copy() if mode == "apr" else None
+    # gradient, perturbation and scratch buffers, reused by every minibatch
+    grads = params.zero_like()
+    if mode == "apr":
+        adv_grads, delta, work = params.zero_like(), params.zero_like(), params.copy()
+        # Adam runs after the adversarial gradients are summed in; until the next
+        # minibatch overwrites them, they and `work` can hold its intermediates.
+        state.scratch = (adv_grads.flat, work.flat())
     result = TrainResult(params=params.copy())
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
 
@@ -313,18 +358,16 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
                 idx = order[start:start + hyper.batch_size]
                 batch = _make_batch(idx, data, k, rng)
                 if mode == "bpr":
-                    loss, grads = gradients(
-                        params, batch, hyper.lambda_theta, loss_scale
-                    )
+                    loss, _ = gradients(params, batch, hyper.lambda_theta, loss_scale,
+                                        out=grads)
                 else:
-                    delta = adversarial_delta(params, batch, hyper.epsilon, delta, work)
-                    loss, grads = gradients(params, batch, hyper.lambda_theta)
-                    adv_loss, adv_grads = gradients(
-                        _perturbed(params, delta, work), batch, lambda_theta=0.0
-                    )
+                    adversarial_delta(params, batch, hyper.epsilon, delta, work)
+                    loss, _ = gradients(params, batch, hyper.lambda_theta, out=grads)
+                    adv_loss, _ = gradients(_perturbed(params, delta, work), batch,
+                                            lambda_theta=0.0, out=adv_grads)
                     loss += hyper.lambda_delta * adv_loss
-                    for name in grads:
-                        grads[name] += hyper.lambda_delta * adv_grads[name]
+                    adv_grads.flat *= hyper.lambda_delta
+                    grads.flat += adv_grads.flat
                 if not np.isfinite(loss):
                     raise FloatingPointError("non-finite training loss")
                 adam_update(params, grads, state, hyper.learning_rate)

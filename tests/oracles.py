@@ -5,6 +5,10 @@ The package ships one scoring path, the candidate-major `models.forward` /
 and one candidate at a time, straight from their definitions, and share no
 code with that path: they read parameter tensors, nothing else.
 
+`adam_step` is the optimizer's reference: the bias-corrected Adam update
+applied tensor by tensor to plain dicts, against which the package's
+one-buffer step is checked bit for bit.
+
 The distance between x and y under a learned diagonal weight vector b is
 ``sum_t (b_t * (x_t - y_t))**2`` -- the squared form of a per-dimension
 weighted Euclidean distance. All-ones b reduces it to plain squared
@@ -123,3 +127,19 @@ def masr_score(o_mdr, o_mass, alpha=0.5):
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     return alpha * o_mdr + (1.0 - alpha) * o_mass
+
+
+def adam_step(tensors, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam step number `t` (from 1), tensor by tensor, in place.
+
+    `tensors`, `grads`, `m` and `v` are dicts of same-shaped arrays; `m` and
+    `v` hold the moment estimates and are updated too.
+    """
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, g in grads.items():
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        tensors[name] -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)

@@ -57,6 +57,32 @@ def test_copy_is_deep():
     assert p.tensors["S"][1, 0] != 99.0
 
 
+def test_tensors_are_views_of_one_buffer():
+    p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(3), variant="ups")
+    flat = p.flat()
+    assert flat.size == sum(t.size for t in p.tensors.values())
+    assert all(np.shares_memory(t, flat) for t in p.tensors.values())
+    flat[:] = np.arange(flat.size)
+    assert [float(t.ravel()[0]) for t in p.tensors.values()] == list(
+        np.cumsum([0] + [t.size for t in p.tensors.values()])[:-1])
+    z = p.zero_like()
+    assert z.layout == p.tensors.layout and not np.any(z.flat)
+    assert not np.shares_memory(z.flat, flat)
+
+
+def test_copy_is_independent_of_its_source():
+    p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(3), attention="mem_dot")
+    q = p.copy()
+    assert q.flat().tobytes() == p.flat().tobytes()
+    assert not np.shares_memory(q.flat(), p.flat())
+    before = q.flat().copy()
+    p.flat()[:] += 1.0
+    p.tensors["S_a"][2] = 7.0
+    assert q.flat().tobytes() == before.tobytes()
+    q.tensors["W1"][0, 0] = 99.0
+    assert p.tensors["W1"][0, 0] != 99.0
+
+
 def test_zero_like_and_check_finite():
     rng = np.random.default_rng(4)
     p = params_mod.init_mdr(2, 2, 3, 2, rng)
@@ -92,6 +118,20 @@ def test_checkpoint_roundtrip(tmp_path):
     assert set(back.tensors) == set(p.tensors)
     for name in p.tensors:
         np.testing.assert_array_equal(back.tensors[name], p.tensors[name])
+
+
+def test_checkpoint_roundtrip_is_bit_identical(tmp_path):
+    rng = np.random.default_rng(9)
+    p = params_mod.init_mass(3, 4, 5, 2, rng, variant="ups", attention="mem_metric")
+    p.flat()[:] += rng.normal(scale=1e3, size=p.flat().size)
+    p.zero_padding_rows()
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    params_mod.save_checkpoint(p, first)
+    back, _, _ = params_mod.load_checkpoint(first)
+    assert back.tensors.layout == p.tensors.layout
+    assert back.flat().tobytes() == p.flat().tobytes()
+    params_mod.save_checkpoint(back, second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_checkpoint_carrying_max_members_loads(tmp_path):

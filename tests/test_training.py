@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import synthetic
 from metric_rec import dataset, models, params as params_mod, training
 from metric_rec.dataset import InteractionRecord
@@ -247,6 +248,111 @@ def test_adam_shape_mismatch_rejected():
     grads["B1"] = np.zeros(2)
     with pytest.raises(ValueError):
         training.adam_update(p, grads, training.AdamState(), lr=0.1)
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("mdr", {"variant": "ups"}),
+    ("mass", {"variant": "us", "attention": "mem_metric"}),
+])
+def test_arena_adam_matches_per_tensor_reference(kind, kwargs):
+    """30 one-buffer Adam steps leave every tensor and moment bit-identical to
+    the per-tensor reference step fed the same gradients."""
+    catalog, split = synthetic.planted_cluster_split(seed=0)
+    p = _small_model(kind, catalog, split, **kwargs)
+    ref = {name: t.copy() for name, t in p.tensors.items()}
+    ref_m = {name: np.zeros_like(t) for name, t in ref.items()}
+    ref_v = {name: np.zeros_like(t) for name, t in ref.items()}
+    data = training.build_train_data(split, catalog.num_songs)
+    rng = np.random.default_rng(3)
+    state = training.AdamState()
+    grads = p.zero_like()
+    for step in range(1, 31):
+        batch = training._make_batch(rng.choice(len(data), 16, replace=False), data, 4, rng)
+        training.gradients(p, batch, lambda_theta=1e-2, out=grads)
+        training.adam_update(p, grads, state, lr=1e-3)
+        oracles.adam_step(ref, grads, ref_m, ref_v, step, lr=1e-3)
+        p.zero_padding_rows(ref)
+        for name, t in p.tensors.items():
+            assert t.tobytes() == ref[name].tobytes(), (step, name)
+    assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m.values()]).tobytes()
+    assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v.values()]).tobytes()
+
+
+def test_adam_takes_plain_dict_gradients():
+    catalog, split = _toy_split()
+    p, q = (_small_model("mass", catalog, split) for _ in range(2))
+    rng = np.random.default_rng(4)
+    grads = p.zero_like()
+    grads.flat[:] = rng.normal(size=grads.flat.size)
+    p.zero_padding_rows(grads)
+    plain = {name: g.copy() for name, g in grads.items()}
+    state_p, state_q = training.AdamState(), training.AdamState()
+    for _ in range(3):
+        training.adam_update(p, grads, state_p, lr=1e-3)
+        training.adam_update(q, plain, state_q, lr=1e-3)
+    assert p.flat().tobytes() == q.flat().tobytes()
+    # a dict that lacks a tensor is refused before any tensor moves
+    del plain["B3"]
+    before = q.flat().copy()
+    with pytest.raises(ValueError, match="B3"):
+        training.adam_update(q, plain, state_q, lr=1e-3)
+    assert q.flat().tobytes() == before.tobytes()
+
+
+def test_assigned_tensor_still_trains():
+    """An array assigned into `tensors` is written into the arena, so the
+    one-buffer step updates it; an array of another shape detaches the
+    arena, and the next whole-buffer operation gathers a new one."""
+    catalog, split = _toy_split()
+    p = _small_model("mdr", catalog, split)
+    ref = {name: t.copy() for name, t in p.tensors.items()}
+    ref_m = {name: np.zeros_like(t) for name, t in ref.items()}
+    ref_v = {name: np.zeros_like(t) for name, t in ref.items()}
+    new_u = np.full_like(p.tensors["U"], 0.25)
+    p.tensors["U"] = new_u
+    ref["U"] = new_u.copy()
+    assert np.shares_memory(p.tensors["U"], p.flat()) and not np.shares_memory(new_u, p.flat())
+    state = training.AdamState()
+    data = training.build_train_data(split, catalog.num_songs)
+    batch = _one_batch(data, 2)
+    for step in (1, 2):
+        _, grads = training.gradients(p, batch)
+        training.adam_update(p, grads, state, lr=1e-2)
+        oracles.adam_step(ref, grads, ref_m, ref_v, step, lr=1e-2)
+        p.zero_padding_rows(ref)
+    for name, t in p.tensors.items():
+        assert t.tobytes() == ref[name].tobytes(), name
+    assert not np.all(p.tensors["U"] == 0.25)
+
+    p.tensors["extra"] = np.ones(3)
+    assert p.tensors.flat is None
+    q = p.copy()
+    assert q.tensors.flat is not None and p.tensors.flat is not None
+    assert np.shares_memory(p.tensors["extra"], p.flat())
+    for name, t in q.tensors.items():
+        assert t.tobytes() == p.tensors[name].tobytes()
+        assert not np.shares_memory(t, p.flat())
+
+
+@pytest.mark.parametrize("mode, passes", [("bpr", 1), ("apr", 3)])
+def test_train_calls_the_hooked_entry_points_once_per_minibatch(monkeypatch, mode, passes):
+    """`train` reaches `adam_update`, `gradients` and `adversarial_delta`
+    through the module's attributes, once per minibatch (`gradients` once
+    per pass), so that wrappers installed there see every call."""
+    catalog, split = synthetic.planted_cluster_split(seed=0)
+    p = _small_model("mass", catalog, split)
+    calls = {"adam_update": 0, "gradients": 0, "adversarial_delta": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(training, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(training, name, counted)
+    hyper = Hyperparams(epochs=2, batch_size=64, seed=0)
+    data = training.build_train_data(split, catalog.num_songs)
+    training.train(p, split, catalog.num_songs, hyper, mode=mode, eval_dev=False, data=data)
+    minibatches = 2 * -(-len(data) // 64)
+    assert calls == {"adam_update": minibatches, "gradients": passes * minibatches,
+                     "adversarial_delta": minibatches if mode == "apr" else 0}
 
 
 def test_adversarial_delta_norm_invariant():
