@@ -76,8 +76,7 @@ def rank_candidates(scorer, batch):
     # the batch holds, and MASS's (B, C, l) attention temporaries stay one
     # context deep; scoring many contexts per call raises peak memory.
     scores = np.stack([
-        scorer(ScoreBatch(**{name: a[i:i + 1] for name, a in vars(batch).items()}))[0]
-        for i in range(len(songs))
+        scorer(batch.context(i))[0] for i in range(len(songs))
     ])
     first = scores[:, :1]
     ahead = (scores < first) | ((scores == first) & (songs < songs[:, :1]))

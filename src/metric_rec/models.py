@@ -30,7 +30,7 @@ scatters row gradients into the tables with `np.bincount`, and member
 gradients over the B * l member slots, not once per candidate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class ScoreBatch:
     member list is held once per context, not once per candidate. A 1-D
     `songs` of shape (B,) is read as C = 1, and scores then come back with
     shape (B,). MDR reads neither `members` nor `counts`.
+
+    `plan` caches what scoring derives from these arrays (the scatter slots
+    and the member mask), so the passes over one batch build each once; the
+    arrays must not change after the batch is first scored.
     """
 
     users: np.ndarray
@@ -56,10 +60,24 @@ class ScoreBatch:
     songs: np.ndarray
     members: np.ndarray = None
     counts: np.ndarray = None
+    plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def context(self, i):
+        """Context i alone, as a batch of one."""
+        return ScoreBatch(*(None if a is None else a[i:i + 1] for a in (
+            self.users, self.playlists, self.songs, self.members, self.counts)))
 
 
 def _relu(x):
     return np.maximum(x, 0.0)
+
+
+def _real_slots(counts, l, ndim):
+    """Mask of context i's first counts[i] of l slots, broadcastable to `ndim`-D scores."""
+    counts = np.asarray(counts)
+    if np.any(counts < 1):
+        raise ValueError("every context must have at least one real member")
+    return np.arange(l) < counts.reshape(counts.shape + (1,) * (ndim - 1))
 
 
 def masked_softmax(scores, counts):
@@ -67,11 +85,11 @@ def masked_softmax(scores, counts):
 
     `scores` is (B, l) or (B, C, l) and `counts` is (B,); padded slots get 0.
     """
-    counts = np.asarray(counts)
-    if np.any(counts < 1):
-        raise ValueError("every context must have at least one real member")
-    l = scores.shape[-1]
-    mask = np.arange(l) < counts.reshape(counts.shape + (1,) * (scores.ndim - 1))
+    return _softmax_where(scores, _real_slots(counts, scores.shape[-1], scores.ndim))
+
+
+def _softmax_where(scores, mask):
+    """Softmax over the last axis of the entries where `mask` holds; 0 elsewhere."""
     s = np.where(mask, scores, -np.inf)
     s = s - s.max(axis=-1, keepdims=True)
     w = np.exp(s)
@@ -92,28 +110,47 @@ def _candidates(batch):
     return batch.songs.reshape(len(batch.users), -1)
 
 
-def _scatter_add(target, idx, rows):
-    """target[idx] += rows, duplicate indices summed, as one np.bincount.
+def _member_mask(batch):
+    """(B, 1, l) mask of each context's real member slots, built once per batch."""
+    mask = batch.plan.get("mask")
+    if mask is None:
+        mask = batch.plan["mask"] = _real_slots(batch.counts, batch.members.shape[1], 3)
+    return mask
 
-    Entry j of row r of a 2-D table is flat slot r * width + j, so the
-    whole table is one bincount over its flat slots.
+
+def _slots(batch, field_name, width):
+    """Flat slots of the rows that batch.<field_name> indexes in a table
+    `width` wide: entry j of row r is slot r * width + j.
+
+    They depend only on the indices and the width, so each batch builds
+    them once per (field, width), and tables of one width, like S and S_a,
+    share them.
     """
-    idx = np.ravel(idx)
-    if target.ndim == 2:
-        width = target.shape[1]
-        idx = (idx[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(idx, weights=np.ravel(rows), minlength=target.size)
+    slots = batch.plan.get((field_name, width))
+    if slots is None:
+        idx = np.ravel(getattr(batch, field_name))
+        slots = idx if width == 1 else (idx[:, None] * width + np.arange(width)).ravel()
+        batch.plan[field_name, width] = slots
+    return slots
+
+
+def _scatter_add(target, batch, field_name, rows):
+    """target[batch.<field_name>] += rows, duplicate indices summed, as one
+    np.bincount over the table's flat slots."""
+    width = target.shape[1] if target.ndim == 2 else 1
+    sums = np.bincount(_slots(batch, field_name, width), weights=np.ravel(rows),
+                       minlength=target.size)
     target += sums.reshape(target.shape)
 
 
-def _context_rows(params, batch):
-    """(table, row indices) of the context embeddings: the MASS query's inputs
-    in order, and MDR's anchors."""
+def _context_rows(params):
+    """(table, batch field of its row indices) of the context embeddings: the
+    MASS query's inputs in order, and MDR's anchors."""
     rows = []
     if params.variant in ("us", "ups"):
-        rows.append(("U", batch.users))
+        rows.append(("U", "users"))
     if params.variant in ("ps", "ups"):
-        rows.append(("P", batch.playlists))
+        rows.append(("P", "playlists"))
     return rows
 
 
@@ -125,11 +162,11 @@ def _mdr_forward(params, batch):
     t = params.tensors
     songs = _candidates(batch)
     sk = t["S"][songs]
-    anchors = _context_rows(params, batch)
+    anchors = _context_rows(params)
     # np.array and a concatenate along the dims cost a few us less per call
     # than np.stack, which matters for one-context dev rankings
     b = np.array([t[_MDR_METRICS[name]] for name, _ in anchors])
-    x = np.concatenate([t[name][idx] for name, idx in anchors], axis=1)
+    x = np.concatenate([t[name][getattr(batch, key)] for name, key in anchors], axis=1)
     x = x.reshape(len(x), len(anchors), params.dim)
     scores = kernels.sqdist_rows(b, x, sk)
     if params.use_bias:
@@ -142,12 +179,12 @@ def _mdr_backward(params, batch, cache, dscores, grads):
     songs = cache["songs"]
     dscores = dscores.reshape(songs.shape)
     dx, dsk, db = kernels.sqdist_rows_backward(cache["b"], cache["x"], cache["sk"], dscores)
-    for k, (name, idx) in enumerate(_context_rows(params, batch)):
-        _scatter_add(grads[name], idx, dx[:, k])
+    for k, (name, key) in enumerate(_context_rows(params)):
+        _scatter_add(grads[name], batch, key, dx[:, k])
         grads[_MDR_METRICS[name]] += db[k]
-    _scatter_add(grads["S"], songs, dsk)
+    _scatter_add(grads["S"], batch, "songs", dsk)
     if params.use_bias:
-        _scatter_add(grads["theta"], songs, dscores)
+        _scatter_add(grads["theta"], batch, "songs", dscores)
 
 
 def _query_names(mem):
@@ -165,7 +202,7 @@ def _query(params, batch, songs, mem):
     t = params.tensors
     suffix, w, b = _query_names(mem)
     d = params.dim
-    ctx = [t[name + suffix][idx] for name, idx in _context_rows(params, batch)]
+    ctx = [t[name + suffix][getattr(batch, key)] for name, key in _context_rows(params)]
     pre_ctx = t[b] + sum(x @ t[w][i * d:(i + 1) * d] for i, x in enumerate(ctx))
     sk = t["S" + suffix][songs]
     pre = sk @ t[w][-d:]
@@ -185,10 +222,10 @@ def _query_backward(params, batch, qcache, dq, grads, mem):
     dpre = dq * (qcache["pre"] > 0)
     dctx = dpre.sum(axis=1)
     grads[b] += dctx.sum(axis=0)
-    for i, ((name, idx), x) in enumerate(zip(_context_rows(params, batch), qcache["ctx"])):
+    for i, ((name, key), x) in enumerate(zip(_context_rows(params), qcache["ctx"])):
         block = slice(i * d, (i + 1) * d)
         grads[w][block] += x.T @ dctx
-        _scatter_add(grads[name + suffix], idx, dctx @ t[w][block].T)
+        _scatter_add(grads[name + suffix], batch, key, dctx @ t[w][block].T)
     grads[w][-d:] += qcache["sk"].reshape(-1, d).T @ dpre.reshape(-1, d)
     return dpre @ t[w][-d:].T
 
@@ -210,9 +247,9 @@ def _mass_forward(params, batch):
         q_a, qcache_a, m_a = q, None, m
 
     if metric:
-        alpha = masked_softmin(kernels.sqdist_members(t["B4"], q_a, m_a), batch.counts)
+        alpha = _softmax_where(-kernels.sqdist_members(t["B4"], q_a, m_a), _member_mask(batch))
     else:
-        alpha = masked_softmax(kernels.dot_members(q_a, m_a), batch.counts)
+        alpha = _softmax_where(kernels.dot_members(q_a, m_a), _member_mask(batch))
 
     wsum = np.sum(alpha * dists, axis=-1)
     scores = wsum
@@ -239,7 +276,7 @@ def _mass_backward(params, batch, cache, dscores, grads):
     wsum = cache["wsum"][:, :, None]
 
     if params.use_bias:
-        _scatter_add(grads["song_bias"], songs, g)
+        _scatter_add(grads["song_bias"], batch, "songs", g)
 
     # distance branch (padded slots carry alpha == 0, so they contribute nothing)
     ddists = g[:, :, None] * alpha
@@ -259,15 +296,15 @@ def _mass_backward(params, batch, cache, dscores, grads):
 
     if mem:
         dsk_a = _query_backward(params, batch, cache["qcache_a"], dq_a, grads, mem=True)
-        _scatter_add(grads["S_a"], batch.members, dm_a)
-        _scatter_add(grads["S_a"], songs, dsk_a)
+        _scatter_add(grads["S_a"], batch, "members", dm_a)
+        _scatter_add(grads["S_a"], batch, "songs", dsk_a)
     else:
         dq = dq + dq_a
         dm = dm + dm_a
 
     dsk = _query_backward(params, batch, cache["qcache"], dq, grads, mem=False)
-    _scatter_add(grads["S"], batch.members, dm)
-    _scatter_add(grads["S"], songs, dsk)
+    _scatter_add(grads["S"], batch, "members", dm)
+    _scatter_add(grads["S"], batch, "songs", dsk)
 
 
 def forward(params, batch):

@@ -333,3 +333,40 @@ def test_candidate_major_batch_matches_per_row_scoring(kind, kwargs):
     for name in grads:
         np.testing.assert_allclose(grads[name], row_grads[name], rtol=1e-10, atol=1e-12,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["mdr", "mass"])
+def test_passes_over_one_batch_share_one_index_plan(kind):
+    """Repeated passes over one batch reuse its scatter slots and member mask,
+    tables of one width (S and S_a) share theirs, and the gradients equal
+    those of a fresh batch with the same arrays, bit for bit."""
+    rng = np.random.default_rng(15)
+    if kind == "mdr":
+        p = params_mod.init_mdr(3, 3, 9, 4, rng)
+    else:
+        p = params_mod.init_mass(3, 3, 9, 4, rng, variant="ups", attention="mem_metric")
+    ctx = _rand_batch(rng, p, 5)
+    batch = ScoreBatch(users=ctx.users, playlists=ctx.playlists,
+                       songs=rng.integers(1, p.num_songs + 1, size=(6, 3)),
+                       members=ctx.members, counts=ctx.counts)
+    dscores = rng.normal(size=(6, 3))
+
+    def grads_of(b):
+        scores, cache = models.forward(p, b)
+        grads = p.zero_like()
+        models.backward(p, b, cache, dscores, grads)
+        return grads
+
+    first = grads_of(batch)
+    plan = dict(batch.plan)
+    expected = {("songs", 4), ("songs", 1), ("users", 4), ("playlists", 4)}
+    if kind == "mass":
+        expected |= {("members", 4), "mask"}
+    assert set(plan) == expected
+    second = grads_of(batch)
+    assert all(batch.plan[key] is value for key, value in plan.items())
+    assert set(batch.plan) == expected
+    fresh = grads_of(ScoreBatch(users=batch.users, playlists=batch.playlists, songs=batch.songs,
+                                members=batch.members, counts=batch.counts))
+    for name in first:
+        assert first[name].tobytes() == second[name].tobytes() == fresh[name].tobytes(), name
