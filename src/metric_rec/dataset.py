@@ -236,8 +236,25 @@ def save_catalog(catalog, path):
 
 
 def load_catalog(path):
+    """Read a catalog manifest.
+
+    Raises ValueError("<path>: <field>: <problem>") for a document that is
+    not a JSON object, and for a missing or non-object `users`, `playlists`
+    or `songs` map.
+    """
     doc = read_json(path)
+    _require_object(path, "top level", doc, "a catalog")
+    for key in ("users", "playlists", "songs"):
+        if key not in doc:
+            raise ValueError(f"{path}: {key}: missing")
+        _require_object(path, key, doc[key], "an id -> index map")
     return Catalog(users=doc["users"], playlists=doc["playlists"], songs=doc["songs"])
+
+
+def _require_object(path, field_name, value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {field_name}: {what} is a JSON object, "
+                         f"this one is a {type(value).__name__}")
 
 
 def save_split(split, catalog, path):
@@ -257,11 +274,13 @@ def save_split(split, catalog, path):
 def load_split(path, catalog):
     """Read a split manifest against its catalog.
 
-    Raises ValueError("<path>: <playlist id>.<field>: <problem>") for a
-    playlist, user or song id the catalog lacks, and for a held-out (dev
-    or test) song that is also in the playlist's train list.
+    Raises ValueError("<path>: <playlist id>.<field>: <problem>") for an
+    entry that is not a JSON object or lacks `user`, `train`, `dev` or
+    `test`, for a playlist, user or song id the catalog lacks, and for a
+    held-out (dev or test) song that is also in the playlist's train list.
     """
     doc = read_json(path)
+    _require_object(path, "top level", doc, "a split")
     train, dev, test, owner = {}, {}, {}, {}
     for pid, entry in doc.items():
         try:
@@ -271,6 +290,10 @@ def load_split(path, catalog):
             dev[p] = catalog.songs[entry["dev"]]
             test[p] = catalog.songs[entry["test"]]
         except (KeyError, TypeError):
+            _require_object(path, pid, entry, "a split entry")
+            for key in ("user", "train", "dev", "test"):
+                if key not in entry:
+                    raise ValueError(f"{path}: {pid}.{key}: missing") from None
             _name_unknown_id(path, pid, entry, catalog)
             raise
         for key, song in (("dev", dev[p]), ("test", test[p])):

@@ -424,12 +424,15 @@ def test_train_masr_checks_the_manifest_components_before_writing_it(workspace, 
 
 
 def _edited_split(workspace, split_dir, edit):
-    """A copy of `workspace`'s split directory whose split.json went through `edit`."""
+    """A copy of `workspace`'s split directory whose split.json went through
+    `edit`, which changes p0's entry in place or returns its replacement."""
     split_dir.mkdir()
     src = workspace / "splits"
     (split_dir / "catalog.json").write_bytes((src / "catalog.json").read_bytes())
     doc = json.loads((src / "split.json").read_text(encoding="utf-8"))
-    edit(doc["p0"])
+    replacement = edit(doc["p0"])
+    if replacement is not None:
+        doc["p0"] = replacement
     (split_dir / "split.json").write_text(json.dumps(doc), encoding="utf-8")
     return split_dir
 
@@ -446,6 +449,38 @@ def test_split_that_contradicts_itself_or_the_catalog_fails_cleanly(
                    "--split", str(split_dir), "--out", str(out)], expect_exit=1)
     assert f"{split_dir / 'split.json'}: {field}: " in _single_error_line(result)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["user", "train", "dev", "test", None],
+                         ids=["no-user", "no-train", "no-dev", "no-test", "list"])
+@pytest.mark.parametrize("command", ["evaluate", "recommend"])
+def test_split_entry_without_a_field_fails_cleanly(workspace, tmp_path, key, command):
+    """p0's entry lacks `key`, or (None) is a list instead of an object."""
+    def edit(entry):
+        return [1, 2] if key is None else {k: v for k, v in entry.items() if k != key}
+
+    field = "p0: " if key is None else f"p0.{key}: missing"
+    split_dir = _edited_split(workspace, tmp_path / "splits", edit)
+    args = {"evaluate": ["--out", str(tmp_path / "m.json")], "recommend": ["--playlist", "p1"]}
+    result = _run([command, "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(split_dir)] + args[command], expect_exit=1)
+    assert f"{split_dir / 'split.json'}: {field}" in _single_error_line(result)
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda doc: [1, 2], "top level"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "users"}, "users"),
+    (lambda doc: dict(doc, playlists=None), "playlists"),
+    (lambda doc: dict(doc, songs=list(doc["songs"])), "songs"),
+], ids=["list", "no-users", "null-playlists", "list-songs"])
+def test_catalog_without_a_map_fails_cleanly(workspace, tmp_path, edit, field):
+    split_dir = _edited_split(workspace, tmp_path / "splits", lambda entry: None)
+    catalog = split_dir / "catalog.json"
+    doc = edit(json.loads(catalog.read_text(encoding="utf-8")))
+    catalog.write_text(json.dumps(doc), encoding="utf-8")
+    result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(split_dir), "--out", str(tmp_path / "m.json")], expect_exit=1)
+    assert f"{catalog}: {field}: " in _single_error_line(result)
 
 
 def test_truncated_catalog_names_the_file(workspace, tmp_path):
