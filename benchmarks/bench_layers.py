@@ -7,8 +7,15 @@ with `mem_metric` and with `nonmem_dot` attention, `training.adam_update`
 on each of those parameter sets, and `training.draw_negatives`. Shapes: a
 minibatch of B = 256 contexts, k = 4 negatives (C = 1 + k candidates),
 l = 61 members per context, d in {8, 16, 32, 64} and V in {2,000; 20,000}
-songs, with V / 4 users and V / 4 playlists. Each row is the median of
-repeated calls after a warm-up, in microseconds.
+songs, with V / 4 users and V / 4 playlists.
+
+Rows that share a parameter set (its forward, backward and Adam rows), and
+the sampler rows, are timed interleaved: after a warm-up, each round calls
+each of them once, over a fixed number of rounds, so that drift in the
+host's speed reaches all of them alike. Each row records the median and
+the quartiles of its calls, in microseconds. Forward and backward score a
+fresh copy of the batch on every call, so they time a pass that builds the
+batch's index plan (see `models.ScoreBatch`), not one that reuses it.
 
 `metric_rec` is imported from `<root>/src` (default: this checkout), so
 the same script times another checkout through entry points both share.
@@ -38,22 +45,31 @@ MODELS = (
     ("mass", "us", "mem_metric"),
     ("mass", "us", "nonmem_dot"),
 )
-WARMUP = 3
-MIN_REPS, MAX_REPS, BUDGET_S = 5, 30, 0.4
+WARMUP, ROUNDS = 3, 20
 
 
-def _median_us(fn):
-    """Median wall time of fn() in us, after WARMUP calls."""
-    for _ in range(WARMUP):
-        fn()
-    times = []
-    start = time.perf_counter()
-    while len(times) < MIN_REPS or (len(times) < MAX_REPS
-                                    and time.perf_counter() - start < BUDGET_S):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e6, len(times)
+def _interleaved_us(calls):
+    """[q1, median, q3] wall time in us of each fn of `calls`, a list of
+    (row, fn), timed once per round over ROUNDS rounds after WARMUP calls."""
+    for _, fn in calls:
+        for _ in range(WARMUP):
+            fn()
+    times = [[] for _ in calls]
+    for _ in range(ROUNDS):
+        for (_, fn), row_times in zip(calls, times):
+            t0 = time.perf_counter()
+            fn()
+            row_times.append(time.perf_counter() - t0)
+    return [statistics.quantiles(t, n=4, method="inclusive") for t in times]
+
+
+def _timed_rows(calls):
+    """`calls`' rows, each with its quartile timings added."""
+    rows = []
+    for (row, _), quartiles in zip(calls, _interleaved_us(calls)):
+        q1, median, q3 = (round(q * 1e6, 1) for q in quartiles)
+        rows.append(dict(row, median_us=median, q1_us=q1, q3_us=q3, reps=ROUNDS))
+    return rows
 
 
 def _environment(root):
@@ -83,6 +99,12 @@ def _batch(models, rng, v, num_users, num_playlists):
     )
 
 
+def _fresh(models, batch):
+    """A copy of `batch` that has not been scored yet."""
+    return models.ScoreBatch(batch.users, batch.playlists, batch.songs, batch.members,
+                             batch.counts)
+
+
 def _model_rows(metric_rec, rng):
     models, params_mod, training = metric_rec.models, metric_rec.params, metric_rec.training
     rows = []
@@ -100,34 +122,33 @@ def _model_rows(metric_rec, rng):
                 dscores = rng.normal(size=scores.shape)
                 grads = params.zero_like()
                 state = training.AdamState()
-                calls = (
-                    ("models.forward", lambda: models.forward(params, batch)),
-                    ("models.backward",
-                     lambda: models.backward(params, batch, cache, dscores, grads)),
-                    ("training.adam_update",
+                shape = {"model": f"{kind} {variant} {attention}".strip(),
+                         "B": B, "C": 1 + K_NEG, "l": L, "d": d, "V": v}
+                rows += _timed_rows([
+                    (dict(shape, layer="models.forward"),
+                     lambda: models.forward(params, _fresh(models, batch))),
+                    (dict(shape, layer="models.backward"),
+                     lambda: models.backward(params, _fresh(models, batch), cache, dscores,
+                                             grads)),
+                    (dict(shape, layer="training.adam_update"),
                      lambda: training.adam_update(params, grads, state, 1e-3)),
-                )
-                for layer, fn in calls:
-                    us, reps = _median_us(fn)
-                    rows.append({"layer": layer, "model": f"{kind} {variant} {attention}".strip(),
-                                 "B": B, "C": 1 + K_NEG, "l": L, "d": d, "V": v,
-                                 "median_us": round(us, 1), "reps": reps})
+                ])
     return rows
 
 
 def _sampler_rows(metric_rec, rng):
-    rows = []
+    calls = []
     for v in SONGS:
         # every context's playlist holds 63 songs, the playlist-length cap
         full = np.sort(np.stack([rng.choice(np.arange(1, v + 1), 63, replace=False)
                                  for _ in range(B)]), axis=1)
         gaps = full - np.arange(63) - 1
         pool_sizes = np.full(B, v - 63)
-        us, reps = _median_us(
-            lambda: metric_rec.training.draw_negatives(pool_sizes, gaps, K_NEG, rng))
-        rows.append({"layer": "training.draw_negatives", "model": "", "B": B, "k": K_NEG,
-                     "V": v, "median_us": round(us, 1), "reps": reps})
-    return rows
+        calls.append(({"layer": "training.draw_negatives", "model": "", "B": B, "k": K_NEG,
+                       "V": v},
+                      lambda g=gaps, n=pool_sizes:
+                      metric_rec.training.draw_negatives(n, g, K_NEG, rng)))
+    return _timed_rows(calls)
 
 
 def main():
