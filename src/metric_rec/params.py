@@ -262,11 +262,14 @@ def checkpoint_from_doc(doc, path):
                          f"{sorted(expected)} its header implies")
     params.tensors = Arena(expected)
     for name, spec in doc["tensors"].items():
-        arr = np.array(spec["values"], dtype=np.float64)
-        if tuple(spec["shape"]) != expected[name] or arr.size != np.prod(expected[name]):
+        values, view = spec["values"], params.tensors[name]
+        if (tuple(spec["shape"]) != expected[name] or not isinstance(values, list)
+                or len(values) != view.size):
             raise ValueError(f"{path}: tensor {name} has shape {spec['shape']} and "
-                             f"{arr.size} values, the header implies {list(expected[name])}")
-        if not np.all(np.isfinite(arr)):
+                             f"{np.size(values)} values, the header implies "
+                             f"{list(expected[name])}")
+        # the flat list is converted straight into the arena, with no copy between
+        view.reshape(-1)[...] = values
+        if not np.isfinite(view).all():
             raise ValueError(f"{path}: tensor {name} holds a non-finite value")
-        params.tensors[name][...] = arr.reshape(expected[name])
     return params, doc.get("hyperparams", {}), doc.get("seed", 0)
