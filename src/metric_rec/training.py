@@ -30,6 +30,12 @@ EMBED_SIZES = (8, 16, 32, 64)
 EPSILONS = (0.5, 1.0)
 MAX_EPOCHS = 50
 
+# Adam's step makes about a dozen passes over its buffers. On blocks of 32K
+# float64 (256 KB) they stay in cache; over a whole arena of several MB each
+# pass streams from memory again (at V = 20,000, d = 32 on a 2-vCPU x86-64
+# host: 12 ms per step in blocks, 20 ms in one piece, 18 ms per tensor).
+ADAM_BLOCK = 1 << 15
+
 
 @dataclass
 class Hyperparams:
@@ -186,7 +192,7 @@ def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0, out=None):
 @dataclass
 class AdamState:
     """Step count and moment estimates, flat in the layout of the parameters'
-    arena, plus two buffers of that size for the step's intermediates."""
+    arena, plus two buffers of at least one block for the step's intermediates."""
 
     m: np.ndarray = None
     v: np.ndarray = None
@@ -213,7 +219,8 @@ def _flat_gradients(params, grads):
 
 
 def adam_update(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Standard bias-corrected Adam step, in place over the whole parameter arena.
+    """Standard bias-corrected Adam step, in place over the parameter arena,
+    one ADAM_BLOCK of it at a time.
 
     Each element follows the per-tensor formula, in the same order of
     operations: m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g,
@@ -224,24 +231,27 @@ def adam_update(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     if state.m is None:
         state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     if state.scratch is None:
-        state.scratch = np.empty((2,) + theta.shape)
+        state.scratch = np.empty((2, min(ADAM_BLOCK, theta.size)))
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    m, v, (step, denom) = state.m, state.v, state.scratch
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=step)
-    v *= beta2
-    np.multiply(g, 1.0 - beta2, out=step)
-    step *= g
-    v += step
-    np.divide(v, c2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    np.divide(m, c1, out=step)
-    step *= lr
-    step /= denom
-    theta -= step
+    for start in range(0, theta.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        m, v, gb = state.m[block], state.v[block], g[block]
+        step, denom = (s[:m.size] for s in state.scratch)
+        m *= beta1
+        m += np.multiply(gb, 1.0 - beta1, out=step)
+        v *= beta2
+        np.multiply(gb, 1.0 - beta2, out=step)
+        step *= gb
+        v += step
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, c1, out=step)
+        step *= lr
+        step /= denom
+        theta[block] -= step
     params.zero_padding_rows()
 
 

@@ -250,13 +250,16 @@ def test_adam_shape_mismatch_rejected():
         training.adam_update(p, grads, training.AdamState(), lr=0.1)
 
 
+@pytest.mark.parametrize("block", [training.ADAM_BLOCK, 1000], ids=["block", "small-blocks"])
 @pytest.mark.parametrize("kind, kwargs", [
     ("mdr", {"variant": "ups"}),
     ("mass", {"variant": "us", "attention": "mem_metric"}),
 ])
-def test_arena_adam_matches_per_tensor_reference(kind, kwargs):
+def test_arena_adam_matches_per_tensor_reference(monkeypatch, kind, kwargs, block):
     """30 one-buffer Adam steps leave every tensor and moment bit-identical to
-    the per-tensor reference step fed the same gradients."""
+    the per-tensor reference step fed the same gradients, whether the arena
+    fits one block or spans several and ends in a partial one."""
+    monkeypatch.setattr(training, "ADAM_BLOCK", block)
     catalog, split = synthetic.planted_cluster_split(seed=0)
     p = _small_model(kind, catalog, split, **kwargs)
     ref = {name: t.copy() for name, t in p.tensors.items()}
@@ -274,6 +277,8 @@ def test_arena_adam_matches_per_tensor_reference(kind, kwargs):
         p.zero_padding_rows(ref)
         for name, t in p.tensors.items():
             assert t.tobytes() == ref[name].tobytes(), (step, name)
+    if block == 1000:  # several blocks, the last one partial
+        assert p.flat().size > 1000 and p.flat().size % 1000
     assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m.values()]).tobytes()
     assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v.values()]).tobytes()
 
