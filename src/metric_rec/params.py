@@ -3,7 +3,7 @@
 All trainable state lives in an `Arena`: a name -> float64 ndarray mapping
 whose arrays are views into one contiguous buffer. Code that reads one
 tensor indexes it by name; the optimizer, the perturbation machinery and
-copies work on the whole buffer at once. Gradients, Adam's moments and the
+copies work on the whole buffer. Gradients, Adam's moments and the
 adversarial perturbation use the same layout. Song tables (S, S_a, theta,
 song_bias) carry a reserved padding row at index 0 that is kept at zero and
 never receives gradient updates.
