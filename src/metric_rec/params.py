@@ -36,11 +36,10 @@ class Arena(dict):
     """Tensor name -> float64 array, each array a view into `flat`, one
     contiguous buffer holding the tensors in insertion order.
 
-    Assigning an array of a tensor's shape writes it into that tensor's
-    view, so the buffer stays whole. Assigning a new name or another shape
-    stores the array as given and sets `flat` to None: the arena is then a
-    plain mapping until `pack` gathers it into a new buffer. Other dict
-    mutators (`update`, `pop`, ...) bypass this bookkeeping; do not use them.
+    Assigning an array to a tensor writes it into that tensor's view, so the
+    buffer stays whole; a name the arena does not hold raises KeyError and
+    an array of another shape raises ValueError. Other dict mutators
+    (`update`, `pop`, ...) bypass the buffer; do not use them.
     """
 
     def __init__(self, shapes, flat=None):
@@ -53,28 +52,19 @@ class Arena(dict):
             super().__setitem__(name, self.flat[offset:offset + size].reshape(shape))
             offset += size
 
-    @classmethod
-    def pack(cls, tensors):
-        """A new arena holding copies of the arrays of the mapping `tensors`."""
-        arena = cls({name: np.shape(t) for name, t in tensors.items()})
-        for name, t in tensors.items():
-            arena[name] = t
-        return arena
-
     def __setitem__(self, name, value):
-        view = self.get(name)
-        if self.flat is not None and view is not None and np.shape(value) == view.shape:
-            view[...] = value
-        else:
-            super().__setitem__(name, value)
-            self.flat = None
+        view = self[name]
+        if np.shape(value) != view.shape:
+            raise ValueError(f"tensor {name} has shape {view.shape}, "
+                             f"cannot assign an array of shape {np.shape(value)}")
+        view[...] = value
 
     def like(self, flat=None):
         """An arena of the same layout over `flat` (default: zeros)."""
         return Arena(dict(self.layout), flat)
 
     def copy(self):
-        return self.like(self.flat.copy()) if self.flat is not None else Arena.pack(self)
+        return self.like(self.flat.copy())
 
 
 @dataclass
@@ -92,24 +82,15 @@ class ModelParams:
     catalog_sha256: str = ""  # `Catalog.fingerprint()` of the tables' catalog; "" if unknown
     tensors: dict = field(default_factory=dict)  # an `Arena` once initialized or loaded
 
-    def flat(self):
-        """The one buffer every tensor views, gathered anew when an assignment
-        into `tensors` left it broken (see `Arena`)."""
-        if getattr(self.tensors, "flat", None) is None:
-            self.tensors = Arena.pack(self.tensors)
-        return self.tensors.flat
-
     def copy(self):
-        self.flat()
         return replace(self, tensors=self.tensors.copy())
 
     def zero_like(self):
         """An arena of zeros in the tensors' layout."""
-        self.flat()
         return self.tensors.like()
 
     def check_finite(self):
-        if not np.isfinite(self.flat()).all():
+        if not np.isfinite(self.tensors.flat).all():
             name = next(n for n, t in self.tensors.items() if not np.isfinite(t).all())
             raise FloatingPointError(f"non-finite values in tensor {name}")
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import models
 from .evaluation import evaluate, held_out
 from .models import ScoreBatch
-from .params import REGULARIZED
+from .params import REGULARIZED, Arena
 
 LEARNING_RATES = (1e-3, 1e-4)
 LAMBDA_THETAS = (0.0, 1e-1, 1e-2, 1e-3, 1e-4)
@@ -201,13 +201,13 @@ class AdamState:
 
 
 def _flat_gradients(params, grads):
-    """`grads` as one buffer in the layout of `params.flat()`.
+    """`grads` as one buffer in the layout of `params.tensors.flat`.
 
     An arena of that layout is read in place; any other mapping of the same
     tensor names and shapes is gathered into a new buffer.
     """
     layout = params.tensors.layout
-    if getattr(grads, "flat", None) is not None and grads.layout == layout:
+    if isinstance(grads, Arena) and grads.layout == layout:
         return grads.flat
     if set(grads) != {name for name, _ in layout}:
         raise ValueError(f"gradients for tensors {sorted(grads)} do not match the "
@@ -226,7 +226,7 @@ def adam_update(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     operations: m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g,
     theta -= lr (m / c1) / (sqrt(v / c2) + eps).
     """
-    theta = params.flat()
+    theta = params.tensors.flat
     g = _flat_gradients(params, grads)
     if state.m is None:
         state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
@@ -257,7 +257,7 @@ def adam_update(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def _perturbed(params, delta, work):
     """Fill `work` (a copy of `params`) with params + delta, as one add."""
-    np.add(params.flat(), delta.flat, out=work.flat())
+    np.add(params.tensors.flat, delta.flat, out=work.tensors.flat)
     return work
 
 
@@ -355,7 +355,7 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
         adv_grads, delta, work = params.zero_like(), params.zero_like(), params.copy()
         # Adam runs after the adversarial gradients are summed in; until the next
         # minibatch overwrites them, they and `work` can hold its intermediates.
-        state.scratch = (adv_grads.flat, work.flat())
+        state.scratch = (adv_grads.flat, work.tensors.flat)
     result = TrainResult(params=params.copy())
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
 

@@ -59,7 +59,7 @@ def test_copy_is_deep():
 
 def test_tensors_are_views_of_one_buffer():
     p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(3), variant="ups")
-    flat = p.flat()
+    flat = p.tensors.flat
     assert flat.size == sum(t.size for t in p.tensors.values())
     assert all(np.shares_memory(t, flat) for t in p.tensors.values())
     flat[:] = np.arange(flat.size)
@@ -70,15 +70,26 @@ def test_tensors_are_views_of_one_buffer():
     assert not np.shares_memory(z.flat, flat)
 
 
+def test_arena_refuses_a_new_name_or_shape():
+    p = params_mod.init_mdr(2, 2, 3, 2, np.random.default_rng(3))
+    before = p.tensors.flat.copy()
+    with pytest.raises(KeyError, match="extra"):
+        p.tensors["extra"] = np.ones(3)
+    with pytest.raises(ValueError, match="U"):
+        p.tensors["U"] = np.ones((3, 2))
+    assert set(p.tensors) == {name for name, _ in p.tensors.layout}
+    assert p.tensors.flat.tobytes() == before.tobytes()
+
+
 def test_copy_is_independent_of_its_source():
     p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(3), attention="mem_dot")
     q = p.copy()
-    assert q.flat().tobytes() == p.flat().tobytes()
-    assert not np.shares_memory(q.flat(), p.flat())
-    before = q.flat().copy()
-    p.flat()[:] += 1.0
+    assert q.tensors.flat.tobytes() == p.tensors.flat.tobytes()
+    assert not np.shares_memory(q.tensors.flat, p.tensors.flat)
+    before = q.tensors.flat.copy()
+    p.tensors.flat[:] += 1.0
     p.tensors["S_a"][2] = 7.0
-    assert q.flat().tobytes() == before.tobytes()
+    assert q.tensors.flat.tobytes() == before.tobytes()
     q.tensors["W1"][0, 0] = 99.0
     assert p.tensors["W1"][0, 0] != 99.0
 
@@ -123,13 +134,13 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_roundtrip_is_bit_identical(tmp_path):
     rng = np.random.default_rng(9)
     p = params_mod.init_mass(3, 4, 5, 2, rng, variant="ups", attention="mem_metric")
-    p.flat()[:] += rng.normal(scale=1e3, size=p.flat().size)
+    p.tensors.flat[:] += rng.normal(scale=1e3, size=p.tensors.flat.size)
     p.zero_padding_rows()
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     params_mod.save_checkpoint(p, first)
     back, _, _ = params_mod.load_checkpoint(first)
     assert back.tensors.layout == p.tensors.layout
-    assert back.flat().tobytes() == p.flat().tobytes()
+    assert back.tensors.flat.tobytes() == p.tensors.flat.tobytes()
     params_mod.save_checkpoint(back, second)
     assert first.read_bytes() == second.read_bytes()
 
