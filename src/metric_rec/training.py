@@ -192,11 +192,11 @@ def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0, out=None):
 @dataclass
 class AdamState:
     """Step count and moment estimates, flat in the layout of the parameters'
-    arena, plus two buffers of at least one block for the step's intermediates."""
+    arena, plus two buffers of one block for the step's intermediates."""
 
     m: np.ndarray = None
     v: np.ndarray = None
-    scratch: tuple = None  # allocated by the first step when not given
+    scratch: np.ndarray = None  # allocated by the first step
     t: int = 0
 
 
@@ -353,9 +353,6 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
     grads = params.zero_like()
     if mode == "apr":
         adv_grads, delta, work = params.zero_like(), params.zero_like(), params.copy()
-        # Adam runs after the adversarial gradients are summed in; until the next
-        # minibatch overwrites them, they and `work` can hold its intermediates.
-        state.scratch = (adv_grads.flat, work.tensors.flat)
     result = TrainResult(params=params.copy())
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
 
