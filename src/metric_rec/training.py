@@ -33,7 +33,8 @@ MAX_EPOCHS = 50
 # Adam's step makes about a dozen passes over its buffers. On blocks of 32K
 # float64 (256 KB) they stay in cache; over a whole arena of several MB each
 # pass streams from memory again (at V = 20,000, d = 32 on a 2-vCPU x86-64
-# host: 12 ms per step in blocks, 20 ms in one piece, 18 ms per tensor).
+# host: 12 ms per step in blocks, 20 ms in one piece, 18 ms per tensor; a
+# `train --apr` there spent 7.1 s in its epochs in blocks, 9.2 s in one piece).
 ADAM_BLOCK = 1 << 15
 
 
@@ -192,7 +193,7 @@ def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0, out=None):
 @dataclass
 class AdamState:
     """Step count and moment estimates, flat in the layout of the parameters'
-    arena, plus two buffers of one block for the step's intermediates."""
+    arena, plus two buffers of up to one block for the step's intermediates."""
 
     m: np.ndarray = None
     v: np.ndarray = None

@@ -76,7 +76,7 @@ def test_arena_refuses_a_new_name_or_shape():
     with pytest.raises(KeyError, match="extra"):
         p.tensors["extra"] = np.ones(3)
     with pytest.raises(ValueError, match="U"):
-        p.tensors["U"] = np.ones((3, 2))
+        p.tensors["U"] = np.ones(2)  # would broadcast into (2, 2)
     assert set(p.tensors) == {name for name, _ in p.tensors.layout}
     assert p.tensors.flat.tobytes() == before.tobytes()
 
