@@ -4,18 +4,23 @@
 
 Times `models.forward` and `models.backward` for MDR `ups` and for MASS `us`
 with `mem_metric` and with `nonmem_dot` attention, `training.adam_update`
-on each of those parameter sets, and `training.draw_negatives`. Shapes: a
-minibatch of B = 256 contexts, k = 4 negatives (C = 1 + k candidates),
-l = 61 members per context, d in {8, 16, 32, 64} and V in {2,000; 20,000}
-songs, with V / 4 users and V / 4 playlists.
+on each of those parameter sets, one whole `step` on each (forward, loss
+and backward into a zeroed gradient arena by `training.gradients`, then
+`training.adam_update`), and `training._make_batch` (a minibatch's
+negatives and index gathers). Shapes: a minibatch of B = 256 contexts,
+k = 4 negatives (C = 1 + k candidates), l = 61 members per context, d in
+{8, 16, 32, 64} and V in {2,000; 20,000} songs, with V / 4 users and V / 4
+playlists.
 
 Rows that share a parameter set (its forward, backward and Adam rows), and
 the sampler rows, are timed interleaved: after a warm-up, each round calls
 each of them once, over a fixed number of rounds, so that drift in the
 host's speed reaches all of them alike. Each row records the median and
-the quartiles of its calls, in microseconds. Forward and backward score a
-fresh copy of the batch on every call, so they time a pass that builds the
-batch's index plan (see `models.ScoreBatch`), not one that reuses it.
+the quartiles of its calls, in microseconds. Forward, backward and step
+score a fresh copy of the batch on every call, so they time a pass that
+builds the batch's index plan (see `models.ScoreBatch`), not one that
+reuses it. At V = 20,000 single rows can trade page faults and cache state
+with their neighbours; compare the step rows there.
 
 `metric_rec` is imported from `<root>/src` (default: this checkout), so
 the same script times another checkout through entry points both share.
@@ -105,6 +110,11 @@ def _fresh(models, batch):
                              batch.counts)
 
 
+def _step(training, params, batch, grads, state):
+    training.gradients(params, batch, out=grads)
+    training.adam_update(params, grads, state, 1e-3)
+
+
 def _model_rows(metric_rec, rng):
     models, params_mod, training = metric_rec.models, metric_rec.params, metric_rec.training
     rows = []
@@ -132,6 +142,8 @@ def _model_rows(metric_rec, rng):
                                              grads)),
                     (dict(shape, layer="training.adam_update"),
                      lambda: training.adam_update(params, grads, state, 1e-3)),
+                    (dict(shape, layer="step"),
+                     lambda: _step(training, params, _fresh(models, batch), grads, state)),
                 ])
     return rows
 
@@ -139,15 +151,19 @@ def _model_rows(metric_rec, rng):
 def _sampler_rows(metric_rec, rng):
     calls = []
     for v in SONGS:
-        # every context's playlist holds 63 songs, the playlist-length cap
-        full = np.sort(np.stack([rng.choice(np.arange(1, v + 1), 63, replace=False)
-                                 for _ in range(B)]), axis=1)
-        gaps = full - np.arange(63) - 1
-        pool_sizes = np.full(B, v - 63)
-        calls.append(({"layer": "training.draw_negatives", "model": "", "B": B, "k": K_NEG,
+        # B playlists of 63 songs, the playlist-length cap: 61 train songs,
+        # then a dev and a test song; one instance of each is a context
+        train, dev, test = {}, {}, {}
+        for p in range(B):
+            songs = rng.choice(np.arange(1, v + 1), L + 2, replace=False).tolist()
+            train[p], dev[p], test[p] = songs[:L], songs[L], songs[L + 1]
+        split = metric_rec.dataset.SplitDataset(train=train, dev=dev, test=test,
+                                                owner={p: p for p in range(B)}, max_members=L)
+        data = metric_rec.training.build_train_data(split, v)
+        idx = np.arange(B) * L
+        calls.append(({"layer": "training._make_batch", "model": "", "B": B, "k": K_NEG,
                        "V": v},
-                      lambda g=gaps, n=pool_sizes:
-                      metric_rec.training.draw_negatives(n, g, K_NEG, rng)))
+                      lambda d=data: metric_rec.training._make_batch(idx, d, K_NEG, rng)))
     return _timed_rows(calls)
 
 
@@ -161,6 +177,7 @@ def main():
     args = parser.parse_args()
     root = os.path.abspath(args.root)
     sys.path.insert(0, os.path.join(root, "src"))
+    import metric_rec.dataset
     import metric_rec.models
     import metric_rec.params
     import metric_rec.training

@@ -145,7 +145,7 @@ def train(config_path, apr):
 
     try:
         catalog, split = _load_split_dir(cfg.split_dir)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(f"cannot load split from {cfg.split_dir!r}: {exc}")
     hyper = cfg.hyperparams()
     rng = np.random.default_rng(hyper.seed)
@@ -214,7 +214,7 @@ def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
         _check_catalog(parts, catalog)
         held = evaluation.held_out(split, catalog.num_songs, seed=seed)
         metrics = evaluation.evaluate(scorer, held, n_list=n_list)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(exc)
     doc = dict(meta)
     doc["N"] = {str(n): metrics["N"][n] for n in n_list}
@@ -240,13 +240,15 @@ def recommend(checkpoint, playlist_id, top, split_dir):
         if playlist_id not in catalog.playlists:
             _fail(f"unknown playlist id: {playlist_id}")
         p = catalog.playlists[playlist_id]
+        if p not in split.train:
+            _fail(f"playlist {playlist_id} has no entry in the split under {split_dir}")
         candidates = dataset.songs_outside(split.full_set(p), catalog.num_songs)
         scores = scorer(evaluation.context_batch(split, [p], candidates[None, :]))[0]
         order = np.lexsort((candidates, scores))[:top]
         _, _, inv_s = catalog.inverse()
         for idx in order:
             click.echo(f"{inv_s[int(candidates[idx])]}\t{scores[idx]:.6f}")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(exc)
 
 
@@ -267,7 +269,7 @@ def attention_report(checkpoint, split_dir, out_dir):
         rho, rows = analysis.attention_correlation(
             ckpt, split, counts, csv_path=os.path.join(out_dir, "pmi_att.csv")
         )
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(exc)
     summary_path = os.path.join(out_dir, "attention_summary.json")
     dataset.write_json({"pearson_rho": rho, "num_pairs": len(rows)}, summary_path)

@@ -239,16 +239,28 @@ def load_catalog(path):
     """Read a catalog manifest.
 
     Raises ValueError("<path>: <field>: <problem>") for a document that is
-    not a JSON object, and for a missing or non-object `users`, `playlists`
-    or `songs` map.
+    not a JSON object, for a missing or non-object `users`, `playlists` or
+    `songs` map, and for a map whose indices are not each of 0..n-1 (users,
+    playlists) or 1..n (songs) once.
     """
     doc = read_json(path)
     _require_object(path, "top level", doc, "a catalog")
-    for key in ("users", "playlists", "songs"):
+    for key, first in (("users", 0), ("playlists", 0), ("songs", 1)):
         if key not in doc:
             raise ValueError(f"{path}: {key}: missing")
         _require_object(path, key, doc[key], "an id -> index map")
+        _require_dense(path, key, doc[key], first)
     return Catalog(users=doc["users"], playlists=doc["playlists"], songs=doc["songs"])
+
+
+def _require_dense(path, field_name, ids, first):
+    try:
+        dense = sorted(ids.values()) == list(range(first, first + len(ids)))
+    except TypeError:  # indices of types that do not compare
+        dense = False
+    if not dense:
+        raise ValueError(f"{path}: {field_name}: the indices must be {first}.."
+                         f"{first + len(ids) - 1}, each once")
 
 
 def _require_object(path, field_name, value, what):

@@ -17,8 +17,9 @@ cross term is one `(B, C, d) @ (B, d, 1)` product whatever K is. Near q == m
 the three terms cancel, and rounding can leave a tiny negative value where
 the exact distance is 0 (sklearn's `euclidean_distances` documents the same
 effect), so both results are clamped at 0. The backward passes return the
-gradient of the exact distance, written as matmuls and einsums, and
-recompute what they need from the forward inputs.
+gradient of the exact distance, written as matmuls and einsums. The row
+backward takes the anchor sums its forward computed (`row_sums`); the
+member backward recomputes what it needs from the forward inputs.
 """
 
 import numpy as np
@@ -38,18 +39,26 @@ def _weighted_sum(weights, rows):
     return weights.ravel() @ rows.reshape(-1, rows.shape[-1])
 
 
-def _row_sums(b, x):
+def row_sums(b, x):
     """Anchor sums of the row expansion (y.y)W - 2 y.a + c: W = sum_k b_k^2 (d,),
-    a = sum_k b_k^2 x_k (B, d) and c = sum_k x_k.(b_k^2 x_k) (B,)."""
+    a = sum_k b_k^2 x_k (B, d) and c = sum_k x_k.(b_k^2 x_k) (B,).
+
+    The sums over the K anchors are explicit adds, in the order of
+    `.sum(axis=...)` and with its bits, but without its strided reduction."""
     w = b * b
     wx = w * x
-    return w.sum(axis=0), wx.sum(axis=1), np.sum(x * wx, axis=(1, 2))
+    w_sum, a = w[0], wx[:, 0]
+    for k in range(1, len(b)):
+        w_sum = w_sum + w[k]
+        a = a + wx[:, k]
+    return w_sum, a, np.sum(x * wx, axis=(1, 2))
 
 
-def sqdist_rows(b, x, y):
+def sqdist_rows(b, x, y, sums=None):
     """sum_k ||b_k * (x_ik - y_ic)||^2 (B, C) for metric rows b (K, d),
-    anchors x (B, K, d) and candidates y (B, C, d)."""
-    w, a, c = _row_sums(b, x)
+    anchors x (B, K, d) and candidates y (B, C, d). `sums`, when given, is
+    `row_sums(b, x)`, computed once for a forward and its backward."""
+    w, a, c = row_sums(b, x) if sums is None else sums
     out = y @ a[:, :, None]
     out = out.reshape(out.shape[:2])
     out *= -2.0
@@ -58,9 +67,10 @@ def sqdist_rows(b, x, y):
     return np.maximum(out, 0.0, out=out)
 
 
-def sqdist_rows_backward(b, x, y, dout):
-    """Gradients (dx (B, K, d), dy (B, C, d), db (K, d)) of sum(dout * sqdist_rows)."""
-    w, a, _ = _row_sums(b, x)
+def sqdist_rows_backward(b, x, y, dout, sums=None):
+    """Gradients (dx (B, K, d), dy (B, C, d), db (K, d)) of sum(dout * sqdist_rows);
+    `sums` as in `sqdist_rows`."""
+    w, a, _ = row_sums(b, x) if sums is None else sums
     r = dout.sum(axis=1)               # (B,): total weight of each context
     s = (dout[:, None, :] @ y)[:, 0]   # (B, d): weighted sum of its candidates
     dx = r[:, None, None] * x

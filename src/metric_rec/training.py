@@ -75,9 +75,11 @@ class TrainData:
     """Flattened training instances plus each playlist's negative pool.
 
     Playlist p's pool is the songs 1..V outside its full set e_0 < e_1 < ...;
-    row p of `gaps` holds g_i = e_i - i - 1, the number of pool songs below
-    e_i, padded with V. Pool rank r (0-based) is then song
-    r + 1 + #{i : g_i <= r}.
+    g_i = e_i - i - 1 is the number of pool songs below e_i, and pool rank r
+    (0-based) is song r + 1 + #{i : g_i <= r}. Row p of `gaps` holds p's
+    g_i, padded with V to the longest full set n and raised by p (V + 1).
+    The raised table ascends as one flat array, so for rank r of playlist p
+    the count is one `np.searchsorted` of r + p (V + 1) in it, less p n.
     """
 
     users: np.ndarray
@@ -86,7 +88,8 @@ class TrainData:
     members: np.ndarray
     counts: np.ndarray
     pool_sizes: np.ndarray  # (num_playlists,) songs outside each playlist's full set
-    gaps: np.ndarray        # (num_playlists, longest full set) int64
+    gaps: np.ndarray        # (num_playlists, longest full set) int64, raised rows
+    num_songs: int          # V
 
     def __len__(self):
         return len(self.pos)
@@ -114,6 +117,7 @@ def build_train_data(split, num_songs):
     gaps = np.full((num_rows, full_sizes.max(initial=0)), num_songs, dtype=np.int64)
     r, c = np.nonzero(np.arange(gaps.shape[1]) < full_sizes[:, None])
     gaps[playlists[r], c] = [e - i - 1 for f in full for i, e in enumerate(f)]
+    gaps += (np.arange(num_rows) * (num_songs + 1))[:, None]
     return TrainData(
         users=np.repeat(np.array([split.owner[p] for p in playlists], dtype=np.int64), lengths),
         playlists=np.repeat(playlists, lengths),
@@ -122,6 +126,7 @@ def build_train_data(split, num_songs):
         counts=counts,
         pool_sizes=pool_sizes,
         gaps=gaps,
+        num_songs=num_songs,
     )
 
 
@@ -297,21 +302,26 @@ class TrainResult:
     history: list = field(default_factory=list)
 
 
-def draw_negatives(pool_sizes, gaps, k, rng):
+def draw_negatives(data, playlists, k, rng):
     """(B, k) negatives: row i is a uniform ordered draw of k distinct songs from
-    the pool that `pool_sizes[i]` and `gaps[i]` describe (see `TrainData`).
+    the pool of playlist `playlists[i]` of `data`, a `TrainData`.
 
     It samples what `rng.choice(pool, k, replace=False)` samples, in k vectorised
     steps: draw j takes a uniform rank among the n - j ranks not yet drawn and
-    steps it past each drawn rank at or below it, taken in ascending order.
+    steps it past each drawn rank at or below it, taken in ascending order. One
+    `rng.integers` call draws all k raw ranks, draw j's B ranks after draw
+    j - 1's, which reads the stream as k calls of B draws each would.
     """
-    ranks = np.empty((len(pool_sizes), k), dtype=np.int64)
-    for j in range(k):
-        r = rng.integers(0, pool_sizes - j)
+    raw = rng.integers(0, data.pool_sizes[playlists] - np.arange(k)[:, None])
+    ranks = np.empty((len(playlists), k), dtype=np.int64)
+    for j, r in enumerate(raw):
         for e in np.sort(ranks[:, :j], axis=1).T:
             r += r >= e
         ranks[:, j] = r
-    return ranks + 1 + np.sum(gaps[:, None, :] <= ranks[:, :, None], axis=2)
+    raised = playlists * (data.num_songs + 1)
+    below = np.searchsorted(data.gaps.ravel(), ranks + raised[:, None], side="right")
+    below -= (playlists * data.gaps.shape[1])[:, None]
+    return ranks + 1 + below
 
 
 def _make_batch(idx, data, k, rng):
@@ -319,7 +329,7 @@ def _make_batch(idx, data, k, rng):
     playlists = data.playlists[idx]
     songs = np.empty((len(idx), 1 + k), dtype=np.int64)
     songs[:, 0] = data.pos[idx]
-    songs[:, 1:] = draw_negatives(data.pool_sizes[playlists], data.gaps[playlists], k, rng)
+    songs[:, 1:] = draw_negatives(data, playlists, k, rng)
     return ScoreBatch(users=data.users[idx], playlists=playlists, songs=songs,
                       members=data.members[idx], counts=data.counts[idx])
 
@@ -374,7 +384,8 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
                     adv_loss, _ = gradients(_perturbed(params, delta, work), batch,
                                             lambda_theta=0.0, out=adv_grads)
                     loss += hyper.lambda_delta * adv_loss
-                    adv_grads.flat *= hyper.lambda_delta
+                    if hyper.lambda_delta != 1.0:  # a product with 1.0 changes no value
+                        adv_grads.flat *= hyper.lambda_delta
                     grads.flat += adv_grads.flat
                 if not np.isfinite(loss):
                     raise FloatingPointError("non-finite training loss")

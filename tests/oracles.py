@@ -7,7 +7,10 @@ code with that path: they read parameter tensors, nothing else.
 
 `adam_step` is the optimizer's reference: the bias-corrected Adam update
 applied tensor by tensor to plain dicts, against which the package's
-one-buffer step is checked bit for bit.
+one-buffer step is checked bit for bit. `row_sums`, `scatter_add` and
+`draw_negatives` are the references of the training step's row-kernel
+sums, gradient scatter and negative sampler, in forms that reduce, sum
+and draw in the order the package's faster forms must keep, bit for bit.
 
 The distance between x and y under a learned diagonal weight vector b is
 ``sum_t (b_t * (x_t - y_t))**2`` -- the squared form of a per-dimension
@@ -143,3 +146,49 @@ def adam_step(tensors, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v[name] *= beta2
         v[name] += (1.0 - beta2) * g * g
         tensors[name] -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
+def row_sums(b, x):
+    """`kernels.row_sums` as axis reductions: W = sum_k b_k^2, a = sum_k b_k^2 x_k
+    and c = sum_k x_k.(b_k^2 x_k)."""
+    w = b * b
+    wx = w * x
+    return w.sum(axis=0), wx.sum(axis=1), np.sum(x * wx, axis=(1, 2))
+
+
+def scatter_add(target, idx, rows):
+    """target[idx] += rows for a 1-D or 2-D table: each slot's terms are summed
+    from 0.0 in batch order, by one np.bincount over the table's flat slots,
+    and the sums are then added to the table."""
+    width = target.shape[1] if target.ndim == 2 else 1
+    idx = np.ravel(idx)
+    slots = idx if width == 1 else (idx[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(slots, weights=np.ravel(rows), minlength=target.size)
+    target += sums.reshape(target.shape)
+
+
+def negative_pools(split, num_songs):
+    """(pool_sizes, gaps) of every playlist row: the number of songs outside its
+    full set e_0 < e_1 < ..., and g_i = e_i - i - 1 padded with num_songs."""
+    rows = max(split.train) + 1
+    full = {p: sorted(split.full_set(p)) for p in split.train}
+    pool_sizes = np.zeros(rows, dtype=np.int64)
+    gaps = np.full((rows, max(len(f) for f in full.values())), num_songs, dtype=np.int64)
+    for p, f in full.items():
+        pool_sizes[p] = num_songs - len(f)
+        gaps[p, :len(f)] = [e - i - 1 for i, e in enumerate(f)]
+    return pool_sizes, gaps
+
+
+def draw_negatives(pool_sizes, gaps, k, rng):
+    """(B, k) distinct negatives per row, drawn with one `rng.integers` call
+    per draw j: a uniform rank among the n - j ranks not yet drawn, stepped
+    past each drawn rank at or below it in ascending order, then mapped to
+    its song by counting the gaps at or below it."""
+    ranks = np.empty((len(pool_sizes), k), dtype=np.int64)
+    for j in range(k):
+        r = rng.integers(0, pool_sizes - j)
+        for e in np.sort(ranks[:, :j], axis=1).T:
+            r += r >= e
+        ranks[:, j] = r
+    return ranks + 1 + np.sum(gaps[:, None, :] <= ranks[:, :, None], axis=2)

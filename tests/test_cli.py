@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import oracles
 import synthetic
-from metric_rec import dataset, evaluation, params as params_mod, training
+from metric_rec import dataset, evaluation, kernels, models, params as params_mod, training
 from test_params import CORRUPTIONS, write_corrupt_checkpoint
-from metric_rec.cli import main
+from metric_rec.cli import _load_split_dir, main
 
 runner = CliRunner()
 
@@ -118,6 +119,50 @@ def test_train_apr_writes_both_checkpoints(workspace, tmp_path):
     assert (out_dir / "checkpoint_bpr.json").exists()
     assert (out_dir / "checkpoint.json").exists()
     assert (out_dir / "apr_log.jsonl").exists()
+
+
+_STEP_MODELS = ([{"model": "mdr", "mdr_variant": var} for var in params_mod.MDR_VARIANTS]
+                + [{"model": "mass", "mass_variant": "ups", "attention": att}
+                   for att in params_mod.ATTENTION_KINDS])
+
+
+@pytest.mark.parametrize("model", _STEP_MODELS, ids=lambda m: "-".join(m.values()))
+def test_train_apr_writes_the_bytes_of_the_reference_step(workspace, tmp_path, monkeypatch,
+                                                          model):
+    """`train --apr` writes the same checkpoints and losses when the training
+    step's row sums, scatters and sampler are replaced by their references."""
+    split_dir = workspace / "splits"
+    catalog, split = _load_split_dir(str(split_dir))
+    pool_sizes, gaps = oracles.negative_pools(split, catalog.num_songs)
+
+    def train_grid(tag):
+        outputs = []
+        for lambda_theta in ("0.0", "0.01"):
+            for lambda_delta in ("1.0", "0.5"):
+                out = tmp_path / f"{tag}-{lambda_theta}-{lambda_delta}"
+                cfg = _write_config(tmp_path / "step.cfg", split_dir=split_dir, out_dir=out,
+                                    epochs="1", batch_size="64", d="8",
+                                    lambda_theta=lambda_theta, lambda_delta=lambda_delta,
+                                    **model)
+                _run(["train", "--config", cfg, "--apr"])
+                logs = [[{k: v for k, v in json.loads(line).items() if k != "seconds"}
+                         for line in (out / log).read_text().splitlines()]
+                        for log in ("train_log.jsonl", "apr_log.jsonl")]
+                outputs.append(((out / "checkpoint_bpr.json").read_bytes(),
+                                (out / "checkpoint.json").read_bytes(), logs))
+        return outputs
+
+    fast = train_grid("fast")
+
+    def scatter(target, batch, field_name, rows):
+        oracles.scatter_add(target, getattr(batch, field_name), rows)
+
+    monkeypatch.setattr(kernels, "row_sums", oracles.row_sums)
+    monkeypatch.setattr(models, "_scatter_add", scatter)
+    monkeypatch.setattr(models, "_scatter_add_sum", scatter)
+    monkeypatch.setattr(training, "draw_negatives", lambda data, playlists, k, rng:
+                        oracles.draw_negatives(pool_sizes[playlists], gaps[playlists], k, rng))
+    assert train_grid("reference") == fast
 
 
 def test_train_apr_builds_training_data_and_dev_lists_once(workspace, tmp_path, monkeypatch):
@@ -490,3 +535,61 @@ def test_truncated_catalog_names_the_file(workspace, tmp_path):
     result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
                    "--split", str(split_dir), "--out", str(tmp_path / "m.json")], expect_exit=1)
     assert f"{catalog}: " in _single_error_line(result)
+
+
+def _edited_checkpoint(workspace, path, edit):
+    """A copy of `workspace`'s MDR checkpoint whose document went through `edit`."""
+    doc = json.loads((workspace / "mdr" / "checkpoint.json").read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda doc: doc["tensors"].update(U=[1, 2]), "tensors.U"),
+    (lambda doc: doc["tensors"]["U"].update(shape=5), "tensors.U.shape"),
+    (lambda doc: doc["tensors"]["U"].pop("values"), "tensors.U.values"),
+    (lambda doc: doc["tensors"]["U"].pop("shape"), "tensors.U.shape"),
+    (lambda doc: doc["tensors"]["U"]["values"].__setitem__(3, "x"), "tensors.U.values"),
+    (lambda doc: doc["model"].update(catalog_sha256=5), "model.catalog_sha256"),
+    (lambda doc: doc["model"].update(use_bias="no"), "model.use_bias"),
+], ids=["spec-list", "shape-int", "no-values", "no-shape", "value-string", "sha-int",
+        "use-bias-string"])
+def test_checkpoint_with_a_malformed_field_fails_cleanly(workspace, tmp_path, edit, field):
+    path = _edited_checkpoint(workspace, tmp_path / "ckpt.json", edit)
+    result = _run(["recommend", "--checkpoint", str(path), "--split", str(workspace / "splits"),
+                   "--playlist", "p0"], expect_exit=1)
+    assert f"{path}: {field}: " in _single_error_line(result)
+    with pytest.raises(ValueError, match=f"{field}: "):
+        params_mod.load_checkpoint(str(path))
+
+
+def _renumber(ids, old, new):
+    return {k: new if v == old else v for k, v in ids.items()}
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda doc: doc["songs"].update(_renumber(doc["songs"], 2, 1)), "songs"),
+    (lambda doc: doc["songs"].update(_renumber(doc["songs"], 1, 0)), "songs"),
+    (lambda doc: doc["users"].update(_renumber(doc["users"], 0, "0")), "users"),
+    (lambda doc: doc["playlists"].update(_renumber(doc["playlists"], 0, 10_000)), "playlists"),
+], ids=["song-twice", "song-zero", "user-string", "playlist-past-the-end"])
+def test_catalog_whose_indices_are_not_dense_fails_cleanly(workspace, tmp_path, edit, field):
+    split_dir = _edited_split(workspace, tmp_path / "splits", lambda entry: None)
+    catalog = split_dir / "catalog.json"
+    doc = json.loads(catalog.read_text(encoding="utf-8"))
+    edit(doc)
+    catalog.write_text(json.dumps(doc), encoding="utf-8")
+    result = _run(["recommend", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(split_dir), "--playlist", "p0"], expect_exit=1)
+    assert f"{catalog}: {field}: " in _single_error_line(result)
+
+
+def test_recommend_for_a_playlist_the_split_lacks_fails_cleanly(workspace, tmp_path):
+    split_dir = _edited_split(workspace, tmp_path / "splits", lambda entry: None)
+    doc = json.loads((split_dir / "split.json").read_text(encoding="utf-8"))
+    del doc["p0"]
+    (split_dir / "split.json").write_text(json.dumps(doc), encoding="utf-8")
+    result = _run(["recommend", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(split_dir), "--playlist", "p0"], expect_exit=1)
+    assert "playlist p0 has no entry in the split" in _single_error_line(result)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from metric_rec import kernels
 
 
@@ -97,6 +98,21 @@ def test_sqdist_rows_backward_matches_fd():
         b, x, y, dout = _random_rows(rng, k=k)
         dx, dy, db = kernels.sqdist_rows_backward(b, x, y, dout)
         _check_fd(kernels.sqdist_rows, [b, x, y], dout, ((1, dx), (2, dy), (0, db)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_row_sums_and_their_reuse_are_bitwise(k):
+    """The explicit anchor adds give the bits of the axis reductions, and both
+    row kernels return the same bits with precomputed sums as without."""
+    rng = np.random.default_rng(10 + k)
+    b, x, y, dout = _random_rows(rng, n=256, c=5, k=k, d=32)
+    sums = kernels.row_sums(b, x)
+    for got, want in zip(sums, oracles.row_sums(b, x)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert kernels.sqdist_rows(b, x, y, sums).tobytes() == kernels.sqdist_rows(b, x, y).tobytes()
+    for got, want in zip(kernels.sqdist_rows_backward(b, x, y, dout, sums),
+                         kernels.sqdist_rows_backward(b, x, y, dout)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_dot_members_backward_matches_fd():

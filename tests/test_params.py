@@ -106,6 +106,19 @@ def test_zero_like_and_check_finite():
         p.check_finite()
 
 
+def test_check_finite_names_the_tensor_and_passes_squares_that_overflow():
+    p = params_mod.init_mdr(2, 2, 3, 2, np.random.default_rng(4))
+    p.tensors["S"][1:] = 1e200  # every value finite, their squares are not
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(p.tensors.flat @ p.tensors.flat)
+    p.check_finite()
+    for name, value in (("B2", np.inf), ("theta", -np.inf), ("P", np.nan)):
+        q = p.copy()
+        q.tensors[name].flat[-1] = value
+        with pytest.raises(FloatingPointError, match=f"non-finite values in tensor {name}$"):
+            q.check_finite()
+
+
 def test_zero_padding_rows_on_target():
     rng = np.random.default_rng(5)
     p = params_mod.init_mass(2, 2, 3, 2, rng)

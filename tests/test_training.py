@@ -163,6 +163,88 @@ def test_negatives_are_uniform_over_ordered_tuples():
     assert np.all(np.abs(counts - expected) < 4.5 * sigma)
 
 
+@pytest.mark.parametrize("size", [1, 3, 16, 17, 41, 256])
+def test_sampler_matches_the_k_call_reference_draw_for_draw(size):
+    """One `rng.integers` call for all k draws gives the negatives of one call
+    per draw, and leaves the generator in the same state."""
+    catalog, split = synthetic.planted_cluster_split(seed=0)
+    data = training.build_train_data(split, catalog.num_songs)
+    pool_sizes, gaps = oracles.negative_pools(split, catalog.num_songs)
+    np.testing.assert_array_equal(data.pool_sizes, pool_sizes)
+    for seed in range(20):
+        playlists = np.random.default_rng([size, seed]).choice(data.playlists, size)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = training.draw_negatives(data, playlists, 4, rng)
+        want = oracles.draw_negatives(pool_sizes[playlists], gaps[playlists], 4, ref_rng)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), seed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.integers(0, 1 << 40, 3).tolist() == ref_rng.integers(0, 1 << 40, 3).tolist()
+
+
+def test_sampler_with_k_equal_to_the_pool_size_matches_the_reference():
+    catalog, split, data = _two_pool_data(pool_a=8, pool_b=8)
+    pool_sizes, gaps = oracles.negative_pools(split, catalog.num_songs)
+    for size in (1, 7):
+        playlists = np.resize(data.playlists, size)
+        rng, ref_rng = np.random.default_rng(size), np.random.default_rng(size)
+        got = training.draw_negatives(data, playlists, 8, rng)
+        want = oracles.draw_negatives(pool_sizes[playlists], gaps[playlists], 8, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+_STEP_CONFIGS = (
+    [("mdr", {"variant": var}) for var in params_mod.MDR_VARIANTS]
+    + [("mdr", {"variant": "ups", "use_bias": False})]
+    + [("mass", {"variant": "ups", "attention": att}) for att in params_mod.ATTENTION_KINDS]
+    + [("mass", {"variant": "us", "attention": "mem_metric", "use_bias": False})]
+)
+
+
+@pytest.mark.parametrize("kind,kwargs", _STEP_CONFIGS,
+                         ids=[f"{kind}-{'-'.join(map(str, kw.values()))}"
+                              for kind, kw in _STEP_CONFIGS])
+def test_scatters_equal_the_bincount_reference_bit_for_bit(monkeypatch, kind, kwargs):
+    """The in-place scatter only ever writes a table that is still zero in its
+    pass, and leaves it with the bits of the bincount reference; the gradients
+    equal those computed with the reference in place of both scatters."""
+    catalog, split = synthetic.planted_cluster_split(seed=0)
+    p = _small_model(kind, catalog, split, **kwargs)
+    rng = np.random.default_rng(8)
+    for t in p.tensors.values():
+        t += rng.normal(scale=0.1, size=t.shape)
+    p.zero_padding_rows()
+    data = training.build_train_data(split, catalog.num_songs)
+    # 64 instances of a few playlists: every table gets repeated rows
+    batch = training._make_batch(np.resize(np.arange(12), 64), data, 4, rng)
+    scatter = models._scatter_add
+    written = []
+
+    def checked(target, batch, field_name, rows):
+        assert target.tobytes() == bytes(target.nbytes), field_name
+        want = target.copy()
+        oracles.scatter_add(want, getattr(batch, field_name), rows)
+        scatter(target, batch, field_name, rows)
+        assert target.tobytes() == want.tobytes(), field_name
+        written.append(field_name)
+
+    monkeypatch.setattr(models, "_scatter_add", checked)
+    grads = p.zero_like()
+    for _ in range(2):  # the second pass reuses the gradient arena
+        written.clear()
+        training.gradients(p, batch, lambda_theta=1e-2, out=grads)
+    tables = {"U", "P", "U_a", "P_a", "S", "S_a", "theta", "song_bias"}
+    assert len(written) == len(tables & set(p.tensors))
+
+    def reference(target, batch, field_name, rows):
+        oracles.scatter_add(target, getattr(batch, field_name), rows)
+
+    monkeypatch.setattr(models, "_scatter_add", reference)
+    monkeypatch.setattr(models, "_scatter_add_sum", reference)
+    _, want = training.gradients(p, batch, lambda_theta=1e-2)
+    assert grads.flat.tobytes() == want.flat.tobytes()
+
+
 @pytest.mark.parametrize("kind,kwargs", [
     ("mdr", {"variant": "ups"}),
     ("mdr", {"variant": "us", "use_bias": False}),
