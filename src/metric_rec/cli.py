@@ -165,17 +165,13 @@ def train(config_path, apr):
         # Both phases train on the same instances and rank the same dev lists.
         data = training.build_train_data(split, v)
         dev = evaluation.held_out(split, v, hyper.seed, "dev") if hyper.epochs else None
-        result = training.train(
-            params, split, v, hyper, mode="bpr",
-            log_path=os.path.join(out_dir, "train_log.jsonl"), rng=rng, data=data, dev=dev,
-        )
+        result = training.train(params, data, dev, hyper, mode="bpr", rng=rng,
+                                log_path=os.path.join(out_dir, "train_log.jsonl"))
         if apr:
             bpr_path = os.path.join(out_dir, "checkpoint_bpr.json")
             params_mod.save_checkpoint(result.params, bpr_path, asdict(hyper), hyper.seed)
-            result = training.train(
-                result.params, split, v, hyper, mode="apr",
-                log_path=os.path.join(out_dir, "apr_log.jsonl"), rng=rng, data=data, dev=dev,
-            )
+            result = training.train(result.params, data, dev, hyper, mode="apr", rng=rng,
+                                    log_path=os.path.join(out_dir, "apr_log.jsonl"))
     except (FloatingPointError, ValueError) as exc:
         _fail(exc)
     ckpt_path = os.path.join(out_dir, "checkpoint.json")

@@ -216,11 +216,13 @@ def read_json(path):
 def write_json(doc, path):
     """Write `doc` as compact UTF-8 JSON with sorted keys and a final newline.
 
-    numpy arrays are written as (nested) lists of their values.
+    numpy arrays are written as (nested) lists of their values. A document
+    that cannot be serialized leaves the file as it was.
     """
     option = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    data = orjson.dumps(doc, option=option)
     with open(path, "wb") as f:
-        f.write(orjson.dumps(doc, option=option))
+        f.write(data)
 
 
 def save_catalog(catalog, path):
@@ -254,13 +256,12 @@ def load_catalog(path):
 
 
 def _require_dense(path, field_name, ids, first):
-    try:
-        dense = sorted(ids.values()) == list(range(first, first + len(ids)))
-    except TypeError:  # indices of types that do not compare
-        dense = False
-    if not dense:
-        raise ValueError(f"{path}: {field_name}: the indices must be {first}.."
-                         f"{first + len(ids) - 1}, each once")
+    indices = list(ids.values())
+    # `type(...) is int` also refuses true and false, which compare as 1 and 0
+    if (not all(type(i) is int for i in indices)
+            or sorted(indices) != list(range(first, first + len(indices)))):
+        raise ValueError(f"{path}: {field_name}: the indices must be the integers "
+                         f"{first}..{first + len(indices) - 1}, each once")
 
 
 def _require_object(path, field_name, value, what):
@@ -288,8 +289,9 @@ def load_split(path, catalog):
 
     Raises ValueError("<path>: <playlist id>.<field>: <problem>") for an
     entry that is not a JSON object or lacks `user`, `train`, `dev` or
-    `test`, for a playlist, user or song id the catalog lacks, and for a
-    held-out (dev or test) song that is also in the playlist's train list.
+    `test`, for a `train` that is not a JSON array, for a playlist, user or
+    song id the catalog lacks, and for a held-out (dev or test) song that is
+    also in the playlist's train list.
     """
     doc = read_json(path)
     _require_object(path, "top level", doc, "a split")
@@ -298,6 +300,9 @@ def load_split(path, catalog):
         try:
             p = catalog.playlists[pid]
             owner[p] = catalog.users[entry["user"]]
+            if not isinstance(entry["train"], list):
+                raise ValueError(f"{path}: {pid}.train: must be a JSON array, "
+                                 f"got {type(entry['train']).__name__}")
             train[p] = [catalog.songs[s] for s in entry["train"]]
             dev[p] = catalog.songs[entry["dev"]]
             test[p] = catalog.songs[entry["test"]]

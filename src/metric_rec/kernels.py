@@ -17,9 +17,9 @@ cross term is one `(B, C, d) @ (B, d, 1)` product whatever K is. Near q == m
 the three terms cancel, and rounding can leave a tiny negative value where
 the exact distance is 0 (sklearn's `euclidean_distances` documents the same
 effect), so both results are clamped at 0. The backward passes return the
-gradient of the exact distance, written as matmuls and einsums. The row
-backward takes the anchor sums its forward computed (`row_sums`); the
-member backward recomputes what it needs from the forward inputs.
+gradient of the exact distance, written as matmuls and einsums. The caller
+computes the row kernels' anchor sums (`row_sums`) once per pass and hands
+them to both; the member backward recomputes what it needs from its inputs.
 """
 
 import numpy as np
@@ -54,11 +54,10 @@ def row_sums(b, x):
     return w_sum, a, np.sum(x * wx, axis=(1, 2))
 
 
-def sqdist_rows(b, x, y, sums=None):
-    """sum_k ||b_k * (x_ik - y_ic)||^2 (B, C) for metric rows b (K, d),
-    anchors x (B, K, d) and candidates y (B, C, d). `sums`, when given, is
-    `row_sums(b, x)`, computed once for a forward and its backward."""
-    w, a, c = row_sums(b, x) if sums is None else sums
+def sqdist_rows(sums, y):
+    """sum_k ||b_k * (x_ik - y_ic)||^2 (B, C) for candidates y (B, C, d), from
+    `sums` = row_sums(b, x) of metric rows b (K, d) and anchors x (B, K, d)."""
+    w, a, c = sums
     out = y @ a[:, :, None]
     out = out.reshape(out.shape[:2])
     out *= -2.0
@@ -67,10 +66,10 @@ def sqdist_rows(b, x, y, sums=None):
     return np.maximum(out, 0.0, out=out)
 
 
-def sqdist_rows_backward(b, x, y, dout, sums=None):
-    """Gradients (dx (B, K, d), dy (B, C, d), db (K, d)) of sum(dout * sqdist_rows);
-    `sums` as in `sqdist_rows`."""
-    w, a, _ = row_sums(b, x) if sums is None else sums
+def sqdist_rows_backward(b, x, y, dout, sums):
+    """Gradients (dx (B, K, d), dy (B, C, d), db (K, d)) of sum(dout * sqdist_rows)
+    at `sums` = row_sums(b, x), the sums its forward read."""
+    w, a, _ = sums
     r = dout.sum(axis=1)               # (B,): total weight of each context
     s = (dout[:, None, :] @ y)[:, 0]   # (B, d): weighted sum of its candidates
     dx = r[:, None, None] * x

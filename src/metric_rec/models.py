@@ -199,7 +199,7 @@ def _mdr_forward(params, batch):
                        axis=1)
     x = x.reshape(len(x), len(anchors), params.dim)
     sums = kernels.row_sums(b, x)
-    scores = kernels.sqdist_rows(b, x, sk, sums)
+    scores = kernels.sqdist_rows(sums, sk)
     if params.use_bias:
         scores += t["theta"].take(songs)
     cache = {"songs": songs, "sk": sk, "b": b, "x": x, "sums": sums}

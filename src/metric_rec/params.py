@@ -111,12 +111,13 @@ class ModelParams:
                 tensors[name][0] = 0.0
 
 
-def _check_header(p):
-    """Reject a model kind, variant or attention kind this package does not know."""
+def _check_header(p, where=""):
+    """Reject a model kind, variant or attention kind this package does not know;
+    `where` prefixes the message."""
     if (p.kind not in ("mdr", "mass")
             or p.variant not in (MDR_VARIANTS if p.kind == "mdr" else MASS_VARIANTS)
             or p.kind == "mass" and p.attention not in ATTENTION_KINDS):
-        raise ValueError(f"unknown model kind, variant or attention: "
+        raise ValueError(f"{where}unknown model kind, variant or attention: "
                          f"{p.kind!r}, {p.variant!r}, {p.attention!r}")
 
 
@@ -265,7 +266,7 @@ def checkpoint_from_doc(doc, path):
         num_songs=m["num_songs"], attention=m.get("attention", ""),
         use_bias=m.get("use_bias", True), catalog_sha256=m.get("catalog_sha256", ""),
     )
-    _check_header(params)
+    _check_header(params, f"{path}: model: ")
     expected = tensor_shapes(params)
     if set(doc["tensors"]) != set(expected):
         raise ValueError(f"{path}: tensors {sorted(doc['tensors'])} do not match the "

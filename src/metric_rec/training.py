@@ -11,6 +11,10 @@ parameters frozen, and a parameter step that minimizes the plain loss plus
 the perturbed loss. The perturbation bound per tensor is epsilon times
 that tensor's elementwise standard deviation, and perturbations are never
 applied at evaluation time.
+
+Whoever holds a piece of state passes it down: the CLI builds the training
+instances and dev lists once for both phases, and `train` allocates once
+per call the gradient, perturbation and scratch arenas every step writes.
 """
 
 import json
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .evaluation import evaluate, held_out
+from .evaluation import evaluate
 from .models import ScoreBatch
 from .params import REGULARIZED, Arena
 
@@ -66,8 +70,10 @@ class Hyperparams:
             raise ValueError("negatives_per_positive must be positive")
         if self.epsilon not in EPSILONS:
             raise ValueError(f"epsilon must be one of {EPSILONS}")
-        if self.lambda_delta < 0:
-            raise ValueError("lambda_delta must be nonnegative")
+        if not 0 <= self.lambda_delta < float("inf"):  # refuses nan too
+            raise ValueError("lambda_delta must be finite and nonnegative")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be in [0, 2**64 - 1]")
 
 
 @dataclass
@@ -161,13 +167,13 @@ def batch_loss(params, batch, lambda_theta=0.0):
     return bpr_loss(pos, scores[:, 1:], params, lambda_theta)
 
 
-def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0, out=None):
+def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0, *, out):
     """Exact minibatch gradients for every trainable tensor.
 
     `batch.songs` is (B, 1 + k): each row's positive, then its negatives.
-    Returns (loss, grads) where grads matches params.tensors in shape and
-    padding rows are exactly zero. `out`, an arena from `params.zero_like()`,
-    is zeroed and receives the gradients in place of a new one.
+    `out`, the caller's arena from `params.zero_like()`, is zeroed and
+    receives the gradients; padding rows are exactly zero. Returns
+    (loss, out).
     """
     scores, cache = models.forward(params, batch)
 
@@ -179,20 +185,16 @@ def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0, out=None):
     dscores[:, 1:] = loss_scale * dx
     dscores[:, 0] = -loss_scale * dx.sum(axis=1)
 
-    if out is None:
-        grads = params.zero_like()
-    else:
-        grads = out
-        grads.flat.fill(0.0)
-    models.backward(params, batch, cache, dscores, grads)
+    out.flat.fill(0.0)
+    models.backward(params, batch, cache, dscores, out)
 
     if lambda_theta:
         for name, t in params.tensors.items():
             if name in REGULARIZED:
                 loss += lambda_theta * float(np.sum(t * t))
-                grads[name] += loss_scale * 2.0 * lambda_theta * t
-        params.zero_padding_rows(grads)
-    return loss_scale * loss, grads
+                out[name] += loss_scale * 2.0 * lambda_theta * t
+        params.zero_padding_rows(out)
+    return loss_scale * loss, out
 
 
 @dataclass
@@ -200,28 +202,10 @@ class AdamState:
     """Step count and moment estimates, flat in the layout of the parameters'
     arena, plus two buffers of up to one block for the step's intermediates."""
 
-    m: np.ndarray = None
+    m: np.ndarray = None  # m, v and scratch: allocated by the first step
     v: np.ndarray = None
-    scratch: np.ndarray = None  # allocated by the first step
+    scratch: np.ndarray = None
     t: int = 0
-
-
-def _flat_gradients(params, grads):
-    """`grads` as one buffer in the layout of `params.tensors.flat`.
-
-    An arena of that layout is read in place; any other mapping of the same
-    tensor names and shapes is gathered into a new buffer.
-    """
-    layout = params.tensors.layout
-    if isinstance(grads, Arena) and grads.layout == layout:
-        return grads.flat
-    if set(grads) != {name for name, _ in layout}:
-        raise ValueError(f"gradients for tensors {sorted(grads)} do not match the "
-                         f"parameters {sorted(name for name, _ in layout)}")
-    for name, shape in layout:
-        if np.shape(grads[name]) != shape:
-            raise ValueError(f"gradient shape mismatch for tensor {name}")
-    return np.concatenate([np.ravel(grads[name]) for name, _ in layout])
 
 
 def adam_update(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -232,15 +216,14 @@ def adam_update(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     operations: m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g,
     theta -= lr (m / c1) / (sqrt(v / c2) + eps).
     """
-    theta = params.tensors.flat
-    g = _flat_gradients(params, grads)
+    if not isinstance(grads, Arena) or grads.layout != params.tensors.layout:
+        raise ValueError("gradients must be an arena in the layout of the parameters")
+    theta, g = params.tensors.flat, grads.flat
     if state.m is None:
         state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
-    if state.scratch is None:
         state.scratch = np.empty((2, min(ADAM_BLOCK, theta.size)))
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1, c2 = 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t
     for start in range(0, theta.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         m, v, gb = state.m[block], state.v[block], g[block]
@@ -267,21 +250,16 @@ def _perturbed(params, delta, work):
     return work
 
 
-def adversarial_delta(params, batch, epsilon, delta=None, work=None):
+def adversarial_delta(params, batch, epsilon, delta, work):
     """Fast-gradient perturbation: per tensor, epsilon * std * unit gradient.
 
     The gradient of the pairwise loss is taken at params + delta with the
     parameters treated as constants. Tensors with zero gradient (or zero
-    spread) keep a zero perturbation. `delta`, an arena from
-    `params.zero_like()` holding the current perturbation (zeros when not
-    given), is overwritten with the new one and returned. `work` is a
-    scratch copy of `params` that receives params + delta; one is
-    allocated when it is not given.
+    spread) keep a zero perturbation. The caller owns both buffers: `delta`,
+    an arena from `params.zero_like()` holding the current perturbation, is
+    overwritten with the new one and returned; `work`, a copy of `params`,
+    receives params + delta.
     """
-    if delta is None:
-        delta = params.zero_like()
-    if work is None:
-        work = params.copy()
     gradients(_perturbed(params, delta, work), batch, lambda_theta=0.0, out=delta)
     for name, g in delta.items():
         norm = float(np.linalg.norm(g))
@@ -298,7 +276,6 @@ class TrainResult:
     params: object
     best_epoch: int = -1
     best_dev_hit10: float = -1.0
-    best_dev_ndcg10: float = 0.0
     history: list = field(default_factory=list)
 
 
@@ -334,22 +311,17 @@ def _make_batch(idx, data, k, rng):
                       members=data.members[idx], counts=data.counts[idx])
 
 
-def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
-          log_path=None, loss_scale=1.0, rng=None, data=None, dev=None):
-    """Run the optimization loop; returns the best-dev (or final) parameters.
+def train(params, data, dev, hyper, mode="bpr", log_path=None, loss_scale=1.0, rng=None):
+    """Train `params` in place on `data` (from `build_train_data`).
 
     mode="bpr" minimizes the pairwise loss. mode="apr" alternates the
     fast-gradient perturbation update and the robust parameter update,
-    starting from the given (pretrained) parameters. With eval_dev the
-    best checkpoint by dev hit@10 is kept; otherwise the final parameters
-    are returned. `data` (from `build_train_data`) and `dev` (the dev
-    `held_out` batch) are built here when not given, so that phases over
-    the same split can share one build of each.
+    starting from the given (pretrained) parameters. With `dev`, the
+    `held_out` dev lists, the result keeps a copy of the parameters of the
+    best epoch by dev hit@10; with `dev=None` it holds `params` itself.
     """
     if rng is None:
         rng = np.random.default_rng(hyper.seed)
-    if data is None:
-        data = build_train_data(split, num_songs)
     k = hyper.negatives_per_positive
     smallest = int(data.pool_sizes[data.playlists].min()) if len(data) else k
     if k > smallest:
@@ -357,14 +329,12 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
             f"negatives_per_positive = {k} exceeds the smallest negative pool "
             f"({smallest} songs outside a playlist)"
         )
-    if dev is None and eval_dev and hyper.epochs:
-        dev = held_out(split, num_songs, hyper.seed, "dev")
     state = AdamState()
     # gradient, perturbation and scratch buffers, reused by every minibatch
     grads = params.zero_like()
     if mode == "apr":
         adv_grads, delta, work = params.zero_like(), params.zero_like(), params.copy()
-    result = TrainResult(params=params.copy())
+    result = TrainResult(params=params)
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
 
     try:
@@ -395,7 +365,7 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
             seconds = time.perf_counter() - t0
 
             record = {"epoch": epoch, "train_loss": epoch_loss, "seconds": seconds}
-            if eval_dev:
+            if dev is not None:
                 metrics = evaluate(models.make_scorer(params), dev, n_list=[10])
                 record["dev_hit10"] = metrics["N"][10]["hit"]
                 record["dev_ndcg10"] = metrics["N"][10]["ndcg"]
@@ -403,7 +373,6 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
                     result.params = params.copy()
                     result.best_epoch = epoch
                     result.best_dev_hit10 = record["dev_hit10"]
-                    result.best_dev_ndcg10 = record["dev_ndcg10"]
             result.history.append(record)
             if log_file:
                 json.dump(record, log_file, sort_keys=True)
@@ -412,7 +381,4 @@ def train(params, split, num_songs, hyper, mode="bpr", eval_dev=True,
     finally:
         if log_file:
             log_file.close()
-
-    if not eval_dev or result.best_epoch < 0:
-        result.params = params.copy()
     return result

@@ -41,12 +41,14 @@ def _train_pair(seed):
     catalog, split = synthetic.planted_cluster_split(seed=seed)
     hyper = Hyperparams(learning_rate=1e-3, d=16, epochs=50, batch_size=16, seed=seed)
     m, n, v = catalog.num_users, catalog.num_playlists, catalog.num_songs
+    data = training.build_train_data(split, v)
+    dev = evaluation.held_out(split, v, hyper.seed, "dev")
     mdr = params_mod.init_mdr(m, n, v, hyper.d, np.random.default_rng(seed))
-    mdr_result = training.train(mdr, split, v, hyper,
+    mdr_result = training.train(mdr, data, dev, hyper,
                                 rng=np.random.default_rng(seed))
     mass = params_mod.init_mass(m, n, v, hyper.d,
                                 np.random.default_rng(seed))
-    mass_result = training.train(mass, split, v, hyper,
+    mass_result = training.train(mass, data, dev, hyper,
                                  rng=np.random.default_rng(seed))
     _PAIRS[seed] = (catalog, split, mdr_result, mass_result)
     return _PAIRS[seed]
@@ -129,7 +131,7 @@ def test_criterion_02_gradient_gate():
             p = _random_small_model(kind, rng, **kwargs)
             tb = _random_train_batch(rng)
             lam = 0.01
-            _, grads = training.gradients(p, tb, lambda_theta=lam)
+            _, grads = training.gradients(p, tb, lambda_theta=lam, out=p.zero_like())
             for name, t in p.tensors.items():
                 flat = t.ravel()
                 for i in range(flat.size):
@@ -186,6 +188,7 @@ def test_criterion_04_toy_pattern_fixture():
     catalog, split = synthetic.figure1_split()
     hyper = Hyperparams(learning_rate=1e-3, d=8, epochs=500, batch_size=16)
     wins = 0
+    data = training.build_train_data(split, catalog.num_songs)
     p1 = catalog.playlists["p1"]
     s3 = catalog.songs["s3"]
     candidates = np.array(
@@ -197,8 +200,8 @@ def test_criterion_04_toy_pattern_fixture():
             catalog.num_users, catalog.num_playlists, catalog.num_songs,
             2, np.random.default_rng(seed), variant="ps", use_bias=False,
         )
-        result = training.train(params, split, catalog.num_songs, hyper,
-                                eval_dev=False, rng=np.random.default_rng(seed))
+        result = training.train(params, data, None, hyper,
+                                rng=np.random.default_rng(seed))
         n = len(candidates)
         batch = ScoreBatch(
             users=np.full(n, split.owner[p1]), playlists=np.full(n, p1),
@@ -237,7 +240,7 @@ def test_criterion_06_adversarial_mechanics():
     p = _random_small_model("mass", rng)
     tb = _random_train_batch(rng)
     eps = 0.5
-    delta = training.adversarial_delta(p, tb, eps)
+    delta = training.adversarial_delta(p, tb, eps, p.zero_like(), p.copy())
     norm_ok = all(
         abs(float(np.linalg.norm(d)) - eps * float(np.std(p.tensors[name]))) < 1e-9
         for name, d in delta.items() if np.linalg.norm(d) > 0
@@ -246,6 +249,7 @@ def test_criterion_06_adversarial_mechanics():
     # (b) epsilon=0 reduces to the plain objective scaled by 1 + lambda_delta
     catalog, split = synthetic.planted_cluster_split(seed=0)
     v = catalog.num_songs
+    data = training.build_train_data(split, v)
 
     def short_run(mode):
         params = params_mod.init_mdr(
@@ -255,7 +259,7 @@ def test_criterion_06_adversarial_mechanics():
         hyper = Hyperparams(d=8, epochs=2, batch_size=64, seed=1,
                             epsilon=0.0, lambda_delta=1.0)
         scale = 2.0 if mode == "bpr" else 1.0
-        return training.train(params, split, v, hyper, mode=mode, eval_dev=False,
+        return training.train(params, data, None, hyper, mode=mode,
                               loss_scale=scale, rng=np.random.default_rng(1))
 
     bpr, apr = short_run("bpr"), short_run("apr")
@@ -271,7 +275,8 @@ def test_criterion_06_adversarial_mechanics():
         hyper = Hyperparams(learning_rate=1e-3, d=16, epochs=10, batch_size=16,
                             seed=seed, epsilon=0.5, lambda_delta=1.0)
         apr_result = training.train(
-            mdr_result.params.copy(), split, catalog.num_songs, hyper,
+            mdr_result.params.copy(), training.build_train_data(split, catalog.num_songs),
+            evaluation.held_out(split, catalog.num_songs, hyper.seed, "dev"), hyper,
             mode="apr", rng=np.random.default_rng(seed + 100),
         )
         deltas.append(apr_result.best_dev_hit10 - mdr_result.best_dev_hit10)
@@ -313,7 +318,7 @@ def test_criterion_08_linear_scaling(tmp_path):
                 np.random.default_rng(0),
             )
         log = str(tmp_path / f"{kind}_{num_playlists}.jsonl")
-        result = training.train(params, split, v, hyper, eval_dev=False,
+        result = training.train(params, training.build_train_data(split, v), None, hyper,
                                 log_path=log, rng=np.random.default_rng(0))
         return min(r["seconds"] for r in result.history)
 

@@ -1,9 +1,13 @@
+import copy
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import synthetic
@@ -108,6 +112,21 @@ def test_train_rejects_k_beyond_negative_pool(workspace, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:"), result.output
     assert "negatives_per_positive" in lines[0]
     assert not (out_dir / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", "-1"),
+    ("seed", "99999999999999999999999"),
+    ("lambda_delta", "nan"),
+], ids=["negative-seed", "seed-beyond-64-bits", "nan-lambda-delta"])
+def test_train_refuses_a_bad_seed_or_lambda_delta_before_training(workspace, tmp_path,
+                                                                   key, value):
+    out_dir = tmp_path / "out"
+    cfg = _write_config(tmp_path / "bad.cfg", model="mdr", split_dir=workspace / "splits",
+                        out_dir=out_dir, epochs="1", batch_size="64", d="8", **{key: value})
+    line = _single_error_line(_run(["train", "--config", cfg, "--apr"], expect_exit=1))
+    assert key in line
+    assert not out_dir.exists()
 
 
 def test_train_apr_writes_both_checkpoints(workspace, tmp_path):
@@ -368,6 +387,10 @@ def test_malformed_checkpoint_fails_cleanly(workspace, tmp_path, case):
                     "model": {"kind": "mdr", "variant": "ups", "dim": "8", "num_users": 1,
                               "num_playlists": 1, "num_songs": 1},
                     "tensors": {}}, "model.dim"),
+    ("kind_unknown", {"format": params_mod.CHECKPOINT_FORMAT,
+                      "model": {"kind": None, "variant": "ups", "dim": 8, "num_users": 1,
+                                "num_playlists": 1, "num_songs": 1},
+                      "tensors": {}}, "model"),
 ])
 def test_checkpoint_document_without_a_field_fails_cleanly(workspace, tmp_path, case, doc, field):
     path = tmp_path / f"{case}.json"
@@ -485,7 +508,9 @@ def _edited_split(workspace, split_dir, edit):
 @pytest.mark.parametrize("edit,field", [
     (lambda entry: entry["train"].append(entry["dev"]), "p0.dev"),
     (lambda entry: entry["train"].append("nosuchsong"), "p0.train"),
-], ids=["dev-song-in-train", "unknown-train-song"])
+    (lambda entry: entry.update(train=None), "p0.train"),
+    (lambda entry: entry.update(train={s: 0 for s in entry["train"]}), "p0.train"),
+], ids=["dev-song-in-train", "unknown-train-song", "train-null", "train-object"])
 def test_split_that_contradicts_itself_or_the_catalog_fails_cleanly(
         workspace, tmp_path, edit, field):
     split_dir = _edited_split(workspace, tmp_path / "splits", edit)
@@ -573,7 +598,8 @@ def _renumber(ids, old, new):
     (lambda doc: doc["songs"].update(_renumber(doc["songs"], 1, 0)), "songs"),
     (lambda doc: doc["users"].update(_renumber(doc["users"], 0, "0")), "users"),
     (lambda doc: doc["playlists"].update(_renumber(doc["playlists"], 0, 10_000)), "playlists"),
-], ids=["song-twice", "song-zero", "user-string", "playlist-past-the-end"])
+    (lambda doc: doc["users"].update(_renumber(doc["users"], 1, True)), "users"),
+], ids=["song-twice", "song-zero", "user-string", "playlist-past-the-end", "user-true"])
 def test_catalog_whose_indices_are_not_dense_fails_cleanly(workspace, tmp_path, edit, field):
     split_dir = _edited_split(workspace, tmp_path / "splits", lambda entry: None)
     catalog = split_dir / "catalog.json"
@@ -593,3 +619,125 @@ def test_recommend_for_a_playlist_the_split_lacks_fails_cleanly(workspace, tmp_p
     result = _run(["recommend", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
                    "--split", str(split_dir), "--playlist", "p0"], expect_exit=1)
     assert "playlist p0 has no entry in the split" in _single_error_line(result)
+
+
+def _json_kind(value):
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+_JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers(-2, 2) | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=3),
+    "array": st.lists(st.integers(-2, 2), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+}
+
+
+def _corruption_sites(kind, doc):
+    """(paths whose key a loader requires, paths whose value it checks) in a
+    valid `kind` document. Keys that are optional or that no scoring command
+    reads (a checkpoint's `hyperparams` and `seed`, a manifest's `model`, a
+    catalog's sizes, a split's playlist set) are left out: a document
+    without them is valid."""
+    if kind == "catalog":
+        maps = [(key,) for key in ("users", "playlists", "songs")]
+        entries = [(key, ext_id) for key in ("users", "playlists", "songs")
+                   for ext_id in sorted(doc[key])[:2]]
+        return maps, [()] + maps + entries
+    if kind == "split":
+        entries = [(pid,) for pid in sorted(doc)[:2]]
+        fields = [entry + (key,) for entry in entries for key in ("user", "train", "dev", "test")]
+        return fields, [()] + entries + fields
+    if kind == "checkpoint":
+        header = [("model", key) for key in ("kind", "variant", "dim", "num_users",
+                                             "num_playlists", "num_songs")]
+        tensors = [("tensors", name) for name in doc["tensors"]]
+        specs = [t + (key,) for t in tensors for key in ("shape", "values")]
+        required = [("format",), ("model",), ("tensors",)] + header + tensors + specs
+        optional = [("model", key) for key in ("attention", "use_bias", "catalog_sha256")]
+        return required, [()] + required + optional
+    required = [("format",), ("alpha",), ("mdr_checkpoint",), ("mass_checkpoint",)]
+    return required, [()] + required
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _corrupted(draw, kind, doc):
+    """`doc` with one required key dropped, one checked value replaced by a
+    value of another JSON type, or one object turned into an array of its
+    values (an array into an object keyed by position)."""
+    doc = copy.deepcopy(doc)
+    required, checked = _corruption_sites(kind, doc)
+    op = draw(st.sampled_from(["drop", "type", "container"]))
+    if op == "drop":
+        path = draw(st.sampled_from(required))
+        del _get(doc, path[:-1])[path[-1]]
+        return doc
+    if op == "type":
+        path = draw(st.sampled_from(checked))
+        other = [k for k in _JSON_VALUES if k != _json_kind(_get(doc, path))]
+        value = draw(st.sampled_from(other).flatmap(_JSON_VALUES.__getitem__))
+    else:
+        path = draw(st.sampled_from([p for p in checked
+                                     if isinstance(_get(doc, p), (dict, list))]))
+        old = _get(doc, path)
+        value = (list(old.values()) if isinstance(old, dict)
+                 else {str(i): v for i, v in enumerate(old)})
+    if not path:
+        return value
+    _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def corruption_dir(workspace, tmp_path_factory):
+    """A split directory and a manifest to corrupt, one file at a time."""
+    root = tmp_path_factory.mktemp("corrupt")
+    shutil.copytree(workspace / "splits", root / "splits")
+    _masr_manifest(workspace, root / "masr.json")
+    return root
+
+
+_CORRUPTED_FILES = {
+    "catalog": lambda ws, root: (ws / "splits" / "catalog.json", root / "splits" / "catalog.json"),
+    "split": lambda ws, root: (ws / "splits" / "split.json", root / "splits" / "split.json"),
+    "checkpoint": lambda ws, root: (ws / "mdr" / "checkpoint.json", root / "checkpoint.json"),
+    "manifest": lambda ws, root: (root / "masr.json", root / "bad-masr.json"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "recommend"])
+@pytest.mark.parametrize("kind", sorted(_CORRUPTED_FILES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_corrupted_artifact_fails_cleanly_naming_the_file(workspace, corruption_dir, kind,
+                                                          command, data):
+    source, path = _CORRUPTED_FILES[kind](workspace, corruption_dir)
+    valid = json.loads(source.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(data.draw(_corrupted(kind, valid))), encoding="utf-8")
+    model = {"checkpoint": path, "manifest": path}.get(kind, workspace / "mdr" / "checkpoint.json")
+    out = corruption_dir / "metrics.json"
+    out.unlink(missing_ok=True)
+    args = [command, "--checkpoint", str(model), "--split", str(corruption_dir / "splits")]
+    args += ["--out", str(out)] if command == "evaluate" else ["--playlist", "p0"]
+    try:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, (result.exit_code, result.output, result.exception)
+        assert str(path) in _single_error_line(result)
+        assert not out.exists()
+    finally:
+        if kind in ("catalog", "split"):  # the split directory is shared
+            path.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")

@@ -250,6 +250,15 @@ def test_write_json_is_sorted_compact_and_stdlib_readable(tmp_path):
     assert np.array(back["b"]).tobytes() == doc["b"].tobytes()
 
 
+def test_failed_write_json_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "doc.json"
+    dataset.write_json({"a": 1}, str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        dataset.write_json({"seed": 10 ** 23}, str(path))  # beyond orjson's 64-bit range
+    assert path.read_bytes() == before
+
+
 def test_split_roundtrip(tmp_path):
     records = [
         InteractionRecord("u1", "p1", f"s{i}") for i in range(5)

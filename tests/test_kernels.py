@@ -27,11 +27,13 @@ def test_numpy_forward_values():
     b = np.array([1.0, 2.0])
     x = np.array([[[3.0, 1.0]]])
     y = np.array([[[0.0, 0.0], [3.0, 0.0]]])
-    np.testing.assert_allclose(kernels.sqdist_rows(b[None, :], x, y), [[13.0, 4.0]])
+    np.testing.assert_allclose(kernels.sqdist_rows(kernels.row_sums(b[None, :], x), y),
+                               [[13.0, 4.0]])
     # a second anchor under its own metric row adds its own distance
     x2 = np.array([[[3.0, 1.0], [0.0, 1.0]]])
     b2 = np.array([[1.0, 2.0], [3.0, 1.0]])
-    np.testing.assert_allclose(kernels.sqdist_rows(b2, x2, y), [[14.0, 86.0]])
+    np.testing.assert_allclose(kernels.sqdist_rows(kernels.row_sums(b2, x2), y),
+                               [[14.0, 86.0]])
     q = np.array([[[1.0, 0.0], [0.0, 1.0]]])
     m = np.array([[[0.0, 1.0], [1.0, 0.0]]])
     np.testing.assert_allclose(kernels.sqdist_members(b, q, m), [[[5.0, 0.0], [0.0, 5.0]]])
@@ -48,7 +50,7 @@ def test_sqdist_rows_matches_direct_difference(k):
     hit = np.arange(n) % c
     x[:] = y[np.arange(n), hit][:, None, :]
     direct = np.sum((b * (x[:, None, :, :] - y[:, :, None, :])) ** 2, axis=(-2, -1))
-    out = kernels.sqdist_rows(b, x, y)
+    out = kernels.sqdist_rows(kernels.row_sums(b, x), y)
     assert out.shape == (n, c)
     assert np.all(direct[np.arange(n), hit] == 0.0)
     assert np.all(out >= 0.0)
@@ -92,26 +94,31 @@ def test_sqdist_members_backward_matches_fd():
     _check_fd(kernels.sqdist_members, [b, q, m], dout, ((1, dq), (2, dm), (0, db)))
 
 
+def _sqdist_rows(b, x, y):
+    """The row forward as a function of b, x and y, through `row_sums`."""
+    return kernels.sqdist_rows(kernels.row_sums(b, x), y)
+
+
 def test_sqdist_rows_backward_matches_fd():
     rng = np.random.default_rng(4)
     for k in (1, 2):  # one anchor per context (MDR us, ps) and two (ups)
         b, x, y, dout = _random_rows(rng, k=k)
-        dx, dy, db = kernels.sqdist_rows_backward(b, x, y, dout)
-        _check_fd(kernels.sqdist_rows, [b, x, y], dout, ((1, dx), (2, dy), (0, db)))
+        dx, dy, db = kernels.sqdist_rows_backward(b, x, y, dout, kernels.row_sums(b, x))
+        _check_fd(_sqdist_rows, [b, x, y], dout, ((1, dx), (2, dy), (0, db)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_row_sums_and_their_reuse_are_bitwise(k):
     """The explicit anchor adds give the bits of the axis reductions, and both
-    row kernels return the same bits with precomputed sums as without."""
+    row kernels return the same bits from them as from the reference sums."""
     rng = np.random.default_rng(10 + k)
     b, x, y, dout = _random_rows(rng, n=256, c=5, k=k, d=32)
-    sums = kernels.row_sums(b, x)
-    for got, want in zip(sums, oracles.row_sums(b, x)):
+    sums, ref = kernels.row_sums(b, x), oracles.row_sums(b, x)
+    for got, want in zip(sums, ref):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert kernels.sqdist_rows(b, x, y, sums).tobytes() == kernels.sqdist_rows(b, x, y).tobytes()
+    assert kernels.sqdist_rows(sums, y).tobytes() == kernels.sqdist_rows(ref, y).tobytes()
     for got, want in zip(kernels.sqdist_rows_backward(b, x, y, dout, sums),
-                         kernels.sqdist_rows_backward(b, x, y, dout)):
+                         kernels.sqdist_rows_backward(b, x, y, dout, ref)):
         assert got.tobytes() == want.tobytes()
 
 

@@ -241,7 +241,7 @@ def test_scatters_equal_the_bincount_reference_bit_for_bit(monkeypatch, kind, kw
 
     monkeypatch.setattr(models, "_scatter_add", reference)
     monkeypatch.setattr(models, "_scatter_add_sum", reference)
-    _, want = training.gradients(p, batch, lambda_theta=1e-2)
+    _, want = training.gradients(p, batch, lambda_theta=1e-2, out=p.zero_like())
     assert grads.flat.tobytes() == want.flat.tobytes()
 
 
@@ -261,7 +261,7 @@ def test_gradients_match_finite_differences(kind, kwargs):
     data = training.build_train_data(split, catalog.num_songs)
     tb = _one_batch(data, k=2)
     lam = 0.01
-    _, grads = training.gradients(p, tb, lambda_theta=lam)
+    _, grads = training.gradients(p, tb, lambda_theta=lam, out=p.zero_like())
     h = 1e-5
     for name, t in p.tensors.items():
         flat = t.ravel()
@@ -281,7 +281,7 @@ def test_gradients_padding_rows_zero():
     catalog, split = _toy_split()
     p = _small_model("mass", catalog, split)
     data = training.build_train_data(split, catalog.num_songs)
-    _, grads = training.gradients(p, _one_batch(data, 2))
+    _, grads = training.gradients(p, _one_batch(data, 2), out=p.zero_like())
     for name in ("S", "S_a", "song_bias"):
         assert np.all(grads[name][0] == 0.0)
 
@@ -291,9 +291,9 @@ def test_gradients_regularization_linearity():
     p = _small_model("mdr", catalog, split)
     data = training.build_train_data(split, catalog.num_songs)
     tb = _one_batch(data, 2)
-    _, g0 = training.gradients(p, tb, lambda_theta=0.0)
-    _, g1 = training.gradients(p, tb, lambda_theta=0.01)
-    _, g2 = training.gradients(p, tb, lambda_theta=0.02)
+    _, g0 = training.gradients(p, tb, lambda_theta=0.0, out=p.zero_like())
+    _, g1 = training.gradients(p, tb, lambda_theta=0.01, out=p.zero_like())
+    _, g2 = training.gradients(p, tb, lambda_theta=0.02, out=p.zero_like())
     for name in g0:
         reg1 = g1[name] - g0[name]
         reg2 = g2[name] - g0[name]
@@ -315,7 +315,8 @@ def test_adam_first_step_is_signed_lr():
     catalog, split = _toy_split()
     p = _small_model("mdr", catalog, split)
     before = {k: v.copy() for k, v in p.tensors.items()}
-    grads = {k: np.full_like(v, 0.7) for k, v in p.tensors.items()}
+    grads = p.zero_like()
+    grads.flat.fill(0.7)
     p.zero_padding_rows(grads)
     state = training.AdamState()
     training.adam_update(p, grads, state, lr=1e-3)
@@ -330,6 +331,20 @@ def test_adam_shape_mismatch_rejected():
     grads["B1"] = np.zeros(2)
     with pytest.raises(ValueError):
         training.adam_update(p, grads, training.AdamState(), lr=0.1)
+
+
+def test_adam_refuses_gradients_of_another_layout_before_moving():
+    """Gradients are an arena in the parameters' layout; a plain dict of the
+    same tensors, or another model's arena, is refused before a value moves."""
+    catalog, split = _toy_split()
+    p = _small_model("mass", catalog, split)
+    before = p.tensors.flat.copy()
+    state = training.AdamState()
+    for grads in (dict(p.zero_like()), _small_model("mdr", catalog, split).zero_like()):
+        with pytest.raises(ValueError, match="layout"):
+            training.adam_update(p, grads, state, lr=1e-3)
+    assert p.tensors.flat.tobytes() == before.tobytes()
+    assert state.t == 0 and state.m is None
 
 
 @pytest.mark.parametrize("block", [training.ADAM_BLOCK, 1000], ids=["block", "small-blocks"])
@@ -365,27 +380,6 @@ def test_arena_adam_matches_per_tensor_reference(monkeypatch, kind, kwargs, bloc
     assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v.values()]).tobytes()
 
 
-def test_adam_takes_plain_dict_gradients():
-    catalog, split = _toy_split()
-    p, q = (_small_model("mass", catalog, split) for _ in range(2))
-    rng = np.random.default_rng(4)
-    grads = p.zero_like()
-    grads.flat[:] = rng.normal(size=grads.flat.size)
-    p.zero_padding_rows(grads)
-    plain = {name: g.copy() for name, g in grads.items()}
-    state_p, state_q = training.AdamState(), training.AdamState()
-    for _ in range(3):
-        training.adam_update(p, grads, state_p, lr=1e-3)
-        training.adam_update(q, plain, state_q, lr=1e-3)
-    assert p.tensors.flat.tobytes() == q.tensors.flat.tobytes()
-    # a dict that lacks a tensor is refused before any tensor moves
-    del plain["B3"]
-    before = q.tensors.flat.copy()
-    with pytest.raises(ValueError, match="B3"):
-        training.adam_update(q, plain, state_q, lr=1e-3)
-    assert q.tensors.flat.tobytes() == before.tobytes()
-
-
 def test_assigned_tensor_still_trains():
     """An array assigned into `tensors` is written into the arena, so the
     one-buffer step updates it."""
@@ -402,8 +396,9 @@ def test_assigned_tensor_still_trains():
     state = training.AdamState()
     data = training.build_train_data(split, catalog.num_songs)
     batch = _one_batch(data, 2)
+    grads = p.zero_like()
     for step in (1, 2):
-        _, grads = training.gradients(p, batch)
+        training.gradients(p, batch, out=grads)
         training.adam_update(p, grads, state, lr=1e-2)
         oracles.adam_step(ref, grads, ref_m, ref_v, step, lr=1e-2)
         p.zero_padding_rows(ref)
@@ -427,7 +422,7 @@ def test_train_calls_the_hooked_entry_points_once_per_minibatch(monkeypatch, mod
         monkeypatch.setattr(training, name, counted)
     hyper = Hyperparams(epochs=2, batch_size=64, seed=0)
     data = training.build_train_data(split, catalog.num_songs)
-    training.train(p, split, catalog.num_songs, hyper, mode=mode, eval_dev=False, data=data)
+    training.train(p, data, None, hyper, mode=mode)
     minibatches = 2 * -(-len(data) // 64)
     assert calls == {"adam_update": minibatches, "gradients": passes * minibatches,
                      "adversarial_delta": minibatches if mode == "apr" else 0}
@@ -443,7 +438,7 @@ def test_adversarial_delta_norm_invariant():
     data = training.build_train_data(split, catalog.num_songs)
     tb = _one_batch(data, 2)
     eps = 0.5
-    delta = training.adversarial_delta(p, tb, eps)
+    delta = training.adversarial_delta(p, tb, eps, p.zero_like(), p.copy())
     for name, d in delta.items():
         std = float(np.std(p.tensors[name]))
         norm = float(np.linalg.norm(d))
@@ -451,7 +446,7 @@ def test_adversarial_delta_norm_invariant():
             assert abs(norm - eps * std) < 1e-9
     # a constant tensor has zero spread, so it receives no perturbation
     p.tensors["B3"] = np.full_like(p.tensors["B3"], 2.0)
-    delta = training.adversarial_delta(p, tb, eps)
+    delta = training.adversarial_delta(p, tb, eps, p.zero_like(), p.copy())
     assert np.all(delta["B3"] == 0.0)
 
 
@@ -464,7 +459,7 @@ def test_adversarial_delta_direction_matches_fd():
     p.zero_padding_rows()
     data = training.build_train_data(split, catalog.num_songs)
     tb = _one_batch(data, 2)
-    delta = training.adversarial_delta(p, tb, epsilon=0.5)
+    delta = training.adversarial_delta(p, tb, 0.5, p.zero_like(), p.copy())
     h = 1e-5
     for name in ("U", "B1"):
         t = p.tensors[name]
@@ -488,7 +483,7 @@ def test_zero_learning_rate_keeps_parameters():
     p = _small_model("mdr", catalog, split)
     before = {k: v.copy() for k, v in p.tensors.items()}
     hyper = Hyperparams(learning_rate=0.0, epochs=1, batch_size=4, seed=0)
-    result = training.train(p, split, catalog.num_songs, hyper, eval_dev=False)
+    result = training.train(p, training.build_train_data(split, catalog.num_songs), None, hyper)
     for name, t in result.params.tensors.items():
         np.testing.assert_array_equal(t, before[name])
 
@@ -500,7 +495,7 @@ def test_training_descends_on_toy_corpus():
     tb = _one_batch(data, 4, seed=1)
     initial = training.batch_loss(p, tb)
     hyper = Hyperparams(epochs=5, batch_size=8, seed=0)
-    result = training.train(p, split, catalog.num_songs, hyper, eval_dev=False)
+    result = training.train(p, data, None, hyper)
     assert training.batch_loss(result.params, tb) < initial
 
 
@@ -510,7 +505,8 @@ def test_training_deterministic():
     for _ in range(2):
         p = _small_model("mdr", catalog, split, seed=3)
         hyper = Hyperparams(epochs=2, batch_size=4, seed=3)
-        result = training.train(p, split, catalog.num_songs, hyper, eval_dev=False)
+        result = training.train(p, training.build_train_data(split, catalog.num_songs), None,
+                                hyper)
         outs.append(result.params.tensors)
     for name in outs[0]:
         np.testing.assert_array_equal(outs[0][name], outs[1][name])
@@ -526,12 +522,12 @@ def test_best_checkpoint_contract(tmp_path):
     p = _small_model("mdr", catalog, split)
     hyper = Hyperparams(epochs=4, batch_size=8, seed=0)
     log = str(tmp_path / "log.jsonl")
-    result = training.train(p, split, catalog.num_songs, hyper, log_path=log)
-    assert 0 <= result.best_epoch < hyper.epochs
     from metric_rec.evaluation import evaluate, held_out
-    metrics = evaluate(models.make_scorer(result.params),
-                       held_out(split, catalog.num_songs, seed=hyper.seed, which="dev"),
-                       n_list=[10])
+    dev = held_out(split, catalog.num_songs, seed=hyper.seed, which="dev")
+    result = training.train(p, training.build_train_data(split, catalog.num_songs), dev,
+                            hyper, log_path=log)
+    assert 0 <= result.best_epoch < hyper.epochs
+    metrics = evaluate(models.make_scorer(result.params), dev, n_list=[10])
     assert metrics["N"][10]["hit"] == result.best_dev_hit10
     with open(log, encoding="utf-8") as f:
         lines = f.read().strip().splitlines()
@@ -547,8 +543,8 @@ def test_epsilon_zero_apr_matches_scaled_bpr():
         hyper = Hyperparams(epochs=2, batch_size=4, seed=2, lambda_theta=0.0,
                             epsilon=0.0, lambda_delta=lam_delta)
         scale = 1.0 + lam_delta if mode == "bpr" else 1.0
-        return training.train(p, split, catalog.num_songs, hyper, mode=mode,
-                              eval_dev=False, loss_scale=scale)
+        return training.train(p, training.build_train_data(split, catalog.num_songs), None,
+                              hyper, mode=mode, loss_scale=scale)
 
     bpr = run("bpr")
     apr = run("apr")
@@ -572,3 +568,15 @@ def test_hyperparams_grid_validation():
         Hyperparams(lambda_theta=0.5).validate()
     with pytest.raises(ValueError):
         Hyperparams(batch_size=0).validate()
+
+
+def test_hyperparams_seed_and_lambda_delta_bounds():
+    """Seeds are what `np.random.default_rng` takes and a checkpoint header
+    can hold (0..2**64 - 1); lambda_delta must be a finite weight."""
+    for seed in (0, 2 ** 64 - 1):
+        Hyperparams(seed=seed).validate()
+    Hyperparams(lambda_delta=0.0).validate()
+    for bad in ({"seed": -1}, {"seed": 2 ** 64}, {"lambda_delta": float("nan")},
+                {"lambda_delta": float("inf")}, {"lambda_delta": -0.5}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            Hyperparams(**bad).validate()
