@@ -6,11 +6,13 @@ Times `models.forward` and `models.backward` for MDR `ups` and for MASS `us`
 with `mem_metric` and with `nonmem_dot` attention, `training.adam_update`
 on each of those parameter sets, one whole `step` on each (forward, loss
 and backward into a zeroed gradient arena by `training.gradients`, then
-`training.adam_update`), and `training._make_batch` (a minibatch's
-negatives and index gathers). Shapes: a minibatch of B = 256 contexts,
-k = 4 negatives (C = 1 + k candidates), l = 61 members per context, d in
-{8, 16, 32, 64} and V in {2,000; 20,000} songs, with V / 4 users and V / 4
-playlists.
+`training.adam_update`), `evaluation.rank_candidates` on each (one dev or
+test ranking), and `training._make_batch` (a minibatch's negatives and
+index gathers). Shapes: a minibatch of B = 256 contexts, k = 4 negatives
+(C = 1 + k candidates), l = 61 members per context, d in {8, 16, 32, 64}
+and V in {2,000; 20,000} songs, with V / 4 users and V / 4 playlists. A
+ranking scores B = 300 contexts of l = 61 members, C = 101 distinct
+candidates each.
 
 Rows that share a parameter set (its forward, backward and Adam rows), and
 the sampler rows, are timed interleaved: after a warm-up, each round calls
@@ -43,6 +45,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the thread pinning)
 
 B, K_NEG, L = 256, 4, 61
+# a dev or test ranking: 300 playlists, each ranking 1 held-out song + 100 negatives
+RANK_B, RANK_C = 300, 101
 DIMS = (8, 16, 32, 64)
 SONGS = (2_000, 20_000)
 MODELS = (
@@ -110,6 +114,16 @@ def _fresh(models, batch):
                              batch.counts)
 
 
+def _held_out(models, rng, v, num_users, num_playlists):
+    """RANK_B contexts of L members, each ranking RANK_C distinct candidates."""
+    songs = np.array([rng.choice(v, RANK_C, replace=False) + 1 for _ in range(RANK_B)])
+    return models.ScoreBatch(
+        users=rng.integers(0, num_users, RANK_B),
+        playlists=rng.integers(0, num_playlists, RANK_B), songs=songs,
+        members=rng.integers(1, v + 1, size=(RANK_B, L)), counts=np.full(RANK_B, L),
+    )
+
+
 def _step(training, params, batch, grads, state):
     training.gradients(params, batch, out=grads)
     training.adam_update(params, grads, state, 1e-3)
@@ -117,6 +131,7 @@ def _step(training, params, batch, grads, state):
 
 def _model_rows(metric_rec, rng):
     models, params_mod, training = metric_rec.models, metric_rec.params, metric_rec.training
+    evaluation = metric_rec.evaluation
     rows = []
     for v in SONGS:
         m = n = v // 4
@@ -128,6 +143,8 @@ def _model_rows(metric_rec, rng):
                     params = params_mod.init_mass(m, n, v, d, rng, variant=variant,
                                                   attention=attention)
                 batch = _batch(models, rng, v, m, n)
+                held = _held_out(models, rng, v, m, n)
+                scorer = models.make_scorer(params)
                 scores, cache = models.forward(params, batch)
                 dscores = rng.normal(size=scores.shape)
                 grads = params.zero_like()
@@ -144,6 +161,8 @@ def _model_rows(metric_rec, rng):
                      lambda: training.adam_update(params, grads, state, 1e-3)),
                     (dict(shape, layer="step"),
                      lambda: _step(training, params, _fresh(models, batch), grads, state)),
+                    (dict(shape, layer="evaluation.rank_candidates", B=RANK_B, C=RANK_C),
+                     lambda: evaluation.rank_candidates(scorer, held)),
                 ])
     return rows
 
@@ -178,6 +197,7 @@ def main():
     root = os.path.abspath(args.root)
     sys.path.insert(0, os.path.join(root, "src"))
     import metric_rec.dataset
+    import metric_rec.evaluation
     import metric_rec.models
     import metric_rec.params
     import metric_rec.training

@@ -289,7 +289,7 @@ def load_split(path, catalog):
 
     Raises ValueError("<path>: <playlist id>.<field>: <problem>") for an
     entry that is not a JSON object or lacks `user`, `train`, `dev` or
-    `test`, for a `train` that is not a JSON array, for a playlist, user or
+    `test`, for a `train` that is not a non-empty JSON array, for a playlist, user or
     song id the catalog lacks, and for a held-out (dev or test) song that is
     also in the playlist's train list.
     """
@@ -303,6 +303,8 @@ def load_split(path, catalog):
             if not isinstance(entry["train"], list):
                 raise ValueError(f"{path}: {pid}.train: must be a JSON array, "
                                  f"got {type(entry['train']).__name__}")
+            if not entry["train"]:
+                raise ValueError(f"{path}: {pid}.train: must hold at least one song")
             train[p] = [catalog.songs[s] for s in entry["train"]]
             dev[p] = catalog.songs[entry["dev"]]
             test[p] = catalog.songs[entry["test"]]

@@ -25,7 +25,11 @@ and C candidates per context, `(B, C)`. C is 1 + k in training, 101 in
 evaluation and the catalog size in `recommend`. Member embeddings are
 gathered once per context and the member distances of all C candidates
 come from one batched matmul (see `kernels`); the user and playlist part of
-the MASS query is likewise computed once per context. Table rows are
+the MASS query is likewise computed once per context. Every product that a
+score comes from is stacked per context, the MASS query's context block
+included, so a context's scores have the same bits whatever other contexts
+share its batch: training, the chunked rankings of `evaluation` and
+`recommend` score through this one path. Table rows are
 gathered with `ndarray.take`. MDR's backward reuses the anchor sums its
 forward computed (`kernels.row_sums`). The backward pass scatters row
 gradients into the tables in place with `np.add.at` over the flat slots
@@ -54,7 +58,9 @@ class ScoreBatch:
     Every candidate in a row is scored against that row's members, so the
     member list is held once per context, not once per candidate. A 1-D
     `songs` of shape (B,) is read as C = 1, and scores then come back with
-    shape (B,). MDR reads neither `members` nor `counts`.
+    shape (B,). MDR reads neither `members` nor `counts`. Row i's scores
+    depend only on row i, bit for bit, so any run of rows can be scored as a
+    batch of its own.
 
     `plan` caches what scoring derives from these arrays (the scatter slots
     and the member mask), so the passes over one batch build each once; the
@@ -67,11 +73,6 @@ class ScoreBatch:
     members: np.ndarray = None
     counts: np.ndarray = None
     plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def context(self, i):
-        """Context i alone, as a batch of one."""
-        return ScoreBatch(*(None if a is None else a[i:i + 1] for a in (
-            self.users, self.playlists, self.songs, self.members, self.counts)))
 
 
 def _relu(x):
@@ -95,11 +96,16 @@ def masked_softmax(scores, counts):
 
 
 def _softmax_where(scores, mask):
-    """Softmax over the last axis of the entries where `mask` holds; 0 elsewhere."""
+    """Softmax over the last axis of the entries where `mask` holds; 0 elsewhere.
+
+    After the masked copy every step runs in place, so a (B, C, l) call
+    holds two arrays of that size at a time, `scores` and the result.
+    """
     s = np.where(mask, scores, -np.inf)
-    s = s - s.max(axis=-1, keepdims=True)
-    w = np.exp(s)
-    return w / w.sum(axis=-1, keepdims=True)
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def masked_softmin(dists, counts):
@@ -236,7 +242,11 @@ def _query(params, batch, songs, mem):
     d = params.dim
     ctx = [t[name + suffix].take(getattr(batch, key), axis=0)
            for name, key in _context_rows(params)]
-    pre_ctx = t[b] + sum(x @ t[w][i * d:(i + 1) * d] for i, x in enumerate(ctx))
+    # a stacked (B, 1, d) @ (d, d) product, not a 2-D (B, d) one: BLAS gives
+    # the 2-D product's rows other bits at B = 1 than at B = 16 or 256, while
+    # the stacked form gives each row its B = 1 bits whatever B is
+    pre_ctx = t[b] + sum((x[:, None, :] @ t[w][i * d:(i + 1) * d])[:, 0]
+                         for i, x in enumerate(ctx))
     sk = t["S" + suffix].take(songs, axis=0)
     pre = sk @ t[w][-d:]
     pre += pre_ctx[:, None, :]
@@ -280,7 +290,8 @@ def _mass_forward(params, batch):
         q_a, qcache_a, m_a = q, None, m
 
     if metric:
-        alpha = _softmax_where(-kernels.sqdist_members(t["B4"], q_a, m_a), _member_mask(batch))
+        dists_a = kernels.sqdist_members(t["B4"], q_a, m_a)
+        alpha = _softmax_where(np.negative(dists_a, out=dists_a), _member_mask(batch))
     else:
         alpha = _softmax_where(kernels.dot_members(q_a, m_a), _member_mask(batch))
 

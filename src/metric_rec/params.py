@@ -236,8 +236,8 @@ def checkpoint_from_doc(doc, path):
     Model keys not read here are ignored, so checkpoints carrying keys that
     older versions wrote still load. The tensors must be exactly those the
     header's kind, variant, attention and bias imply, each an object with a
-    `shape` list and a flat `values` list, with the shapes its sizes imply
-    and finite values; otherwise this raises ValueError naming the file and
+    `shape` list of integers and a flat `values` list of numbers (not
+    booleans), with the shapes its sizes imply and finite values; otherwise this raises ValueError naming the file and
     the field.
     """
     if not isinstance(doc, dict):
@@ -275,15 +275,25 @@ def checkpoint_from_doc(doc, path):
     for name, spec in doc["tensors"].items():
         _check_tensor_spec(path, name, spec)
         values, view = spec["values"], params.tensors[name]
+        if not all(type(n) is int for n in spec["shape"]):
+            raise ValueError(f"{path}: tensors.{name}.shape: must be integers only, "
+                             f"got {spec['shape']!r}")
         if tuple(spec["shape"]) != expected[name] or len(values) != view.size:
             raise ValueError(f"{path}: tensor {name} has shape {spec['shape']} and "
                              f"{len(values)} values, the header implies "
                              f"{list(expected[name])}")
         # the flat list is converted straight into the arena, with no copy between
+        flat = view.reshape(-1)
         try:
-            view.reshape(-1)[...] = values
+            flat[...] = values
         except (TypeError, ValueError):
             raise ValueError(f"{path}: tensors.{name}.values: must be numbers only") from None
+        # JSON true and false convert to 1.0 and 0.0, so only the positions
+        # holding those values are looked up in the list, not every value
+        for i in np.flatnonzero((flat == 0) | (flat == 1)):
+            if type(values[i]) is bool:
+                raise ValueError(f"{path}: tensors.{name}.values: must be numbers only, "
+                                 f"got {values[i]!r} at position {i}")
         if not np.isfinite(view).all():
             raise ValueError(f"{path}: tensor {name} holds a non-finite value")
     return params, doc.get("hyperparams", {}), doc.get("seed", 0)

@@ -140,33 +140,6 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def bpr_loss(pos_scores, neg_scores, params=None, lambda_theta=0.0):
-    """Pairwise logistic loss -sum log sigmoid(o_neg - o_pos) plus L2 term."""
-    pos_scores = np.asarray(pos_scores, dtype=np.float64)
-    neg_scores = np.asarray(neg_scores, dtype=np.float64)
-    if pos_scores.shape != neg_scores.shape:
-        raise ValueError("pos_scores and neg_scores must have equal shapes")
-    x = neg_scores - pos_scores
-    loss = float(np.sum(np.logaddexp(0.0, -x)))
-    if params is not None and lambda_theta:
-        loss += lambda_theta * sum(
-            float(np.sum(t * t))
-            for name, t in params.tensors.items()
-            if name in REGULARIZED
-        )
-    return loss
-
-
-def batch_loss(params, batch, lambda_theta=0.0):
-    """Minibatch loss only (used by the finite-difference oracle).
-
-    `batch.songs` is (B, 1 + k): each row's positive, then its negatives.
-    """
-    scores = models.score_batch(params, batch)
-    pos = np.broadcast_to(scores[:, :1], scores[:, 1:].shape)
-    return bpr_loss(pos, scores[:, 1:], params, lambda_theta)
-
-
 def gradients(params, batch, lambda_theta=0.0, loss_scale=1.0, *, out):
     """Exact minibatch gradients for every trainable tensor.
 

@@ -5,6 +5,13 @@ The package ships one scoring path, the candidate-major `models.forward` /
 and one candidate at a time, straight from their definitions, and share no
 code with that path: they read parameter tensors, nothing else.
 
+`rank_per_context` is the reference of `evaluation.rank_candidates`: it
+scores each held-out list in a batch of its context alone, as the package
+did before it scored them in chunks of contexts. `bpr_loss` and
+`batch_loss` are the pairwise loss that the finite-difference gate
+differentiates numerically; `batch_loss` reads the scores from the
+package's forward pass, whose gradient the gate checks.
+
 `adam_step` is the optimizer's reference: the bias-corrected Adam update
 applied tensor by tensor to plain dicts, against which the package's
 one-buffer step is checked bit for bit. `row_sums`, `scatter_add` and
@@ -19,6 +26,9 @@ Euclidean distance.
 """
 
 import numpy as np
+
+from metric_rec.models import ScoreBatch, score_batch
+from metric_rec.params import REGULARIZED
 
 
 def _check_lengths(b, x, y):
@@ -132,6 +142,18 @@ def masr_score(o_mdr, o_mass, alpha=0.5):
     return alpha * o_mdr + (1.0 - alpha) * o_mass
 
 
+def rank_per_context(scorer, batch):
+    """(scores (B, C), ranks (B,)) of each row's first candidate among its
+    songs, scoring one context per scorer call; ties rank by song index."""
+    rows = [ScoreBatch(*(None if a is None else a[i:i + 1] for a in (
+        batch.users, batch.playlists, batch.songs, batch.members, batch.counts)))
+        for i in range(len(batch.songs))]
+    scores = np.stack([scorer(row)[0] for row in rows])
+    ranks = np.array([1 + np.flatnonzero(np.lexsort((songs, row)) == 0)[0]
+                      for songs, row in zip(batch.songs, scores)])
+    return scores, ranks
+
+
 def adam_step(tensors, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Bias-corrected Adam step number `t` (from 1), tensor by tensor, in place.
 
@@ -192,3 +214,31 @@ def draw_negatives(pool_sizes, gaps, k, rng):
             r += r >= e
         ranks[:, j] = r
     return ranks + 1 + np.sum(gaps[:, None, :] <= ranks[:, :, None], axis=2)
+
+
+def bpr_loss(pos_scores, neg_scores, params=None, lambda_theta=0.0):
+    """Pairwise logistic loss -sum log sigmoid(o_neg - o_pos) plus L2 term."""
+    pos_scores = np.asarray(pos_scores, dtype=np.float64)
+    neg_scores = np.asarray(neg_scores, dtype=np.float64)
+    if pos_scores.shape != neg_scores.shape:
+        raise ValueError("pos_scores and neg_scores must have equal shapes")
+    x = neg_scores - pos_scores
+    loss = float(np.sum(np.logaddexp(0.0, -x)))
+    if params is not None and lambda_theta:
+        loss += lambda_theta * sum(
+            float(np.sum(t * t))
+            for name, t in params.tensors.items()
+            if name in REGULARIZED
+        )
+    return loss
+
+
+def batch_loss(params, batch, lambda_theta=0.0):
+    """Minibatch loss only, through the package's forward pass: the function
+    the finite-difference gate differentiates numerically.
+
+    `batch.songs` is (B, 1 + k): each row's positive, then its negatives.
+    """
+    scores = score_batch(params, batch)
+    pos = np.broadcast_to(scores[:, :1], scores[:, 1:].shape)
+    return bpr_loss(pos, scores[:, 1:], params, lambda_theta)

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import synthetic
-from oracles import mahalanobis_sq
+from oracles import batch_loss, mahalanobis_sq
 from metric_rec import dataset, evaluation, models, params as params_mod, training
 from metric_rec.cli import main as cli_main
 from metric_rec.models import ScoreBatch
@@ -137,9 +137,9 @@ def test_criterion_02_gradient_gate():
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + h
-                    fp = training.batch_loss(p, tb, lam)
+                    fp = batch_loss(p, tb, lam)
                     flat[i] = orig - h
-                    fm = training.batch_loss(p, tb, lam)
+                    fm = batch_loss(p, tb, lam)
                     flat[i] = orig
                     fd = (fp - fm) / (2 * h)
                     g = grads[name].ravel()[i]
@@ -300,13 +300,12 @@ def test_criterion_07_ranking_metric_table():
 
 
 def test_criterion_08_linear_scaling(tmp_path):
-    def min_epoch_seconds(kind, num_playlists):
+    def setup(kind, num_playlists):
         catalog, split = synthetic.planted_cluster_split(
             seed=0, num_playlists=num_playlists, songs_per_cluster=300,
             users_per_cluster=30,
         )
         v = catalog.num_songs
-        hyper = Hyperparams(d=16, epochs=3, batch_size=256, seed=0)
         if kind == "mdr":
             params = params_mod.init_mdr(
                 catalog.num_users, catalog.num_playlists, v, 16,
@@ -317,16 +316,25 @@ def test_criterion_08_linear_scaling(tmp_path):
                 catalog.num_users, catalog.num_playlists, v, 16,
                 np.random.default_rng(0),
             )
-        log = str(tmp_path / f"{kind}_{num_playlists}.jsonl")
-        result = training.train(params, training.build_train_data(split, v), None, hyper,
-                                log_path=log, rng=np.random.default_rng(0))
-        return min(r["seconds"] for r in result.history)
+        return params, training.build_train_data(split, v)
 
+    def epoch_seconds(kind, num_playlists, params, data):
+        hyper = Hyperparams(d=16, epochs=3, batch_size=256, seed=0)
+        log = str(tmp_path / f"{kind}_{num_playlists}.jsonl")
+        result = training.train(params.copy(), data, None, hyper,
+                                log_path=log, rng=np.random.default_rng(0))
+        return [r["seconds"] for r in result.history]
+
+    # The sizes take turns (small, large, small, large, ...), so that a slow
+    # stretch of the host reaches both rather than one size's whole run.
     ratios = {}
     for kind in ("mdr", "mass"):
-        t_small = min_epoch_seconds(kind, 400)
-        t_large = min_epoch_seconds(kind, 800)
-        ratios[kind] = t_large / t_small
+        runs = {n: setup(kind, n) for n in (400, 800)}
+        seconds = {n: [] for n in runs}
+        for _ in range(3):
+            for n, (params, data) in runs.items():
+                seconds[n] += epoch_seconds(kind, n, params, data)
+        ratios[kind] = min(seconds[800]) / min(seconds[400])
     ok = all(1.5 <= r <= 2.8 for r in ratios.values())
     _report(8, "epoch-time linear scaling", ok,
             f"mdr ratio {ratios['mdr']:.2f}, mass ratio {ratios['mass']:.2f}")

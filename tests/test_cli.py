@@ -521,6 +521,25 @@ def test_split_that_contradicts_itself_or_the_catalog_fails_cleanly(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "train"])
+def test_split_entry_with_an_empty_train_list_fails_cleanly(workspace, tmp_path, command):
+    """p0 has no train song: each command names the split file and p0.train."""
+    split_dir = _edited_split(workspace, tmp_path / "splits",
+                              lambda entry: entry.update(train=[]))
+    checkpoint = str(workspace / "mdr" / "checkpoint.json")
+    args = {
+        "evaluate": ["evaluate", "--checkpoint", checkpoint, "--split", str(split_dir),
+                     "--out", str(tmp_path / "m.json")],
+        "recommend": ["recommend", "--checkpoint", checkpoint, "--split", str(split_dir),
+                      "--playlist", "p0"],
+        "train": ["train", "--config", _write_config(
+            tmp_path / "mass.cfg", model="mass", split_dir=split_dir,
+            out_dir=tmp_path / "mass", epochs="1", batch_size="64", d="8")],
+    }[command]
+    result = _run(args, expect_exit=1)
+    assert f"{split_dir / 'split.json'}: p0.train: " in _single_error_line(result)
+
+
 @pytest.mark.parametrize("key", ["user", "train", "dev", "test", None],
                          ids=["no-user", "no-train", "no-dev", "no-test", "list"])
 @pytest.mark.parametrize("command", ["evaluate", "recommend"])
@@ -578,8 +597,13 @@ def _edited_checkpoint(workspace, path, edit):
     (lambda doc: doc["tensors"]["U"]["values"].__setitem__(3, "x"), "tensors.U.values"),
     (lambda doc: doc["model"].update(catalog_sha256=5), "model.catalog_sha256"),
     (lambda doc: doc["model"].update(use_bias="no"), "model.use_bias"),
+    (lambda doc: doc["tensors"]["U"]["values"].__setitem__(3, True), "tensors.U.values"),
+    (lambda doc: doc["tensors"]["theta"]["values"].__setitem__(0, False),
+     "tensors.theta.values"),
+    (lambda doc: doc["tensors"]["U"]["shape"].__setitem__(1, 8.0), "tensors.U.shape"),
+    (lambda doc: doc["tensors"]["U"]["shape"].__setitem__(0, True), "tensors.U.shape"),
 ], ids=["spec-list", "shape-int", "no-values", "no-shape", "value-string", "sha-int",
-        "use-bias-string"])
+        "use-bias-string", "value-true", "value-false", "shape-float", "shape-true"])
 def test_checkpoint_with_a_malformed_field_fails_cleanly(workspace, tmp_path, edit, field):
     path = _edited_checkpoint(workspace, tmp_path / "ckpt.json", edit)
     result = _run(["recommend", "--checkpoint", str(path), "--split", str(workspace / "splits"),

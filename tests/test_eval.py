@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from metric_rec import dataset, evaluation
+import oracles
+from metric_rec import dataset, evaluation, models, params as params_mod
 from metric_rec.dataset import InteractionRecord
 from metric_rec.models import ScoreBatch
 
@@ -60,6 +61,45 @@ def test_rank_rows_match_lexsort_reference():
         assert rank == int(np.nonzero(order == 0)[0][0]) + 1
 
 
+RANK_MODELS = ([("mdr", variant, "") for variant in params_mod.MDR_VARIANTS]
+               + [("mass", "ups", att) for att in params_mod.ATTENTION_KINDS])
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+@pytest.mark.parametrize("kind,variant,attention", RANK_MODELS,
+                         ids=[" ".join(m).strip() for m in RANK_MODELS])
+def test_rank_candidates_is_bitwise_the_per_context_loop(
+        monkeypatch, chunk, kind, variant, attention):
+    """Chunks of contexts give every row the scores, bit for bit, and the rank
+    that it gets scored alone, for ragged counts and 0-padded members."""
+    rng = np.random.default_rng(23)
+    v, m, n, d, b, c, l = 120, 5, 6, 32, 23, 21, 7
+    if kind == "mdr":
+        p = params_mod.init_mdr(m, n, v, d, rng, variant=variant)
+    else:
+        p = params_mod.init_mass(m, n, v, d, rng, variant=variant, attention=attention)
+    p.tensors.flat[...] += rng.normal(scale=0.3, size=p.tensors.flat.size)
+    p.zero_padding_rows()
+    counts = rng.integers(1, l + 1, size=b)
+    members = rng.integers(1, v + 1, size=(b, l)) * (np.arange(l) < counts[:, None])
+    batch = ScoreBatch(users=rng.integers(m, size=b), playlists=rng.integers(n, size=b),
+                       songs=np.array([rng.choice(v, c, replace=False) + 1 for _ in range(b)]),
+                       members=members, counts=counts)
+    scorer = models.make_scorer(p)
+    chunks = []
+
+    def recording(chunk_batch):
+        chunks.append(scorer(chunk_batch))
+        return chunks[-1]
+
+    monkeypatch.setattr(evaluation, "RANK_CHUNK", chunk)
+    ranks = evaluation.rank_candidates(recording, batch)
+    ref_scores, ref_ranks = oracles.rank_per_context(scorer, batch)
+    assert len(chunks) == -(-b // chunk)
+    assert np.concatenate(chunks).tobytes() == ref_scores.tobytes()
+    assert ranks.tolist() == ref_ranks.tolist()
+
+
 def test_rank_rejects_duplicate_candidates():
     with pytest.raises(ValueError, match="duplicate"):
         _rank(np.zeros(11), 5, [5, 1, 2])
@@ -106,7 +146,7 @@ def test_evaluate_perfect_model():
         target[p] = s
 
     def scorer(batch):
-        return np.where(batch.songs == target[batch.playlists], 0.0, 1.0)
+        return np.where(batch.songs == target[batch.playlists][:, None], 0.0, 1.0)
 
     held = evaluation.held_out(split, catalog.num_songs, num_negatives=10)
     out = evaluation.evaluate(scorer, held, n_list=[1, 10])

@@ -335,6 +335,26 @@ def test_candidate_major_batch_matches_per_row_scoring(kind, kwargs):
                                    err_msg=name)
 
 
+@pytest.mark.parametrize("mem", [False, True], ids=["main", "attention"])
+def test_query_gives_each_context_its_bits_at_batch_of_one(mem):
+    """The context block of the MASS query is a per-context product: row i of
+    a batch of 64 has the bits of context i scored alone."""
+    rng = np.random.default_rng(31)
+    p = params_mod.init_mass(6, 7, 40, 32, rng, variant="ups", attention="mem_metric")
+    p.tensors.flat[...] += rng.normal(scale=0.3, size=p.tensors.flat.size)
+    p.zero_padding_rows()
+    b = 64
+    batch = ScoreBatch(users=rng.integers(6, size=b), playlists=rng.integers(7, size=b),
+                       songs=rng.integers(1, 41, size=(b, 5)),
+                       members=rng.integers(1, 41, size=(b, 3)), counts=np.full(b, 3))
+    q, _ = models._query(p, batch, batch.songs, mem)
+    for i in range(b):
+        one = ScoreBatch(*(a[i:i + 1] for a in (batch.users, batch.playlists, batch.songs,
+                                                 batch.members, batch.counts)))
+        q_one, _ = models._query(p, one, one.songs, mem)
+        assert q_one.tobytes() == q[i:i + 1].tobytes(), i
+
+
 @pytest.mark.parametrize("kind", ["mdr", "mass"])
 def test_passes_over_one_batch_share_one_index_plan(kind):
     """Repeated passes over one batch reuse its scatter slots and member mask,

@@ -32,28 +32,28 @@ def _one_batch(data, k, seed=0):
 
 def test_bpr_loss_zero_margin():
     n = 7
-    loss = training.bpr_loss(np.zeros(n), np.zeros(n))
+    loss = oracles.bpr_loss(np.zeros(n), np.zeros(n))
     assert loss == pytest.approx(n * np.log(2.0))
 
 
 def test_bpr_loss_saturation():
-    assert training.bpr_loss([0.0], [1e4]) == pytest.approx(0.0, abs=1e-12)
+    assert oracles.bpr_loss([0.0], [1e4]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bpr_loss_unit_margin():
-    assert training.bpr_loss([0.0], [1.0]) == pytest.approx(0.31326168751822286)
+    assert oracles.bpr_loss([0.0], [1.0]) == pytest.approx(0.31326168751822286)
 
 
 def test_bpr_loss_shape_mismatch():
     with pytest.raises(ValueError):
-        training.bpr_loss(np.zeros(2), np.zeros(3))
+        oracles.bpr_loss(np.zeros(2), np.zeros(3))
 
 
 def test_bpr_loss_regularization_term():
     catalog, split = _toy_split()
     p = _small_model("mdr", catalog, split)
-    base = training.bpr_loss([0.0], [0.0], p, 0.0)
-    reg = training.bpr_loss([0.0], [0.0], p, 0.1) - base
+    base = oracles.bpr_loss([0.0], [0.0], p, 0.0)
+    reg = oracles.bpr_loss([0.0], [0.0], p, 0.1) - base
     expected = 0.1 * sum(
         float(np.sum(t * t))
         for name, t in p.tensors.items() if name in params_mod.REGULARIZED
@@ -268,9 +268,9 @@ def test_gradients_match_finite_differences(kind, kwargs):
         for i in range(0, flat.size, max(1, flat.size // 10)):
             orig = flat[i]
             flat[i] = orig + h
-            fp = training.batch_loss(p, tb, lam)
+            fp = oracles.batch_loss(p, tb, lam)
             flat[i] = orig - h
-            fm = training.batch_loss(p, tb, lam)
+            fm = oracles.batch_loss(p, tb, lam)
             flat[i] = orig
             fd = (fp - fm) / (2 * h)
             g = grads[name].ravel()[i]
@@ -468,9 +468,9 @@ def test_adversarial_delta_direction_matches_fd():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            fp = training.batch_loss(p, tb)
+            fp = oracles.batch_loss(p, tb)
             flat[i] = orig - h
-            fm = training.batch_loss(p, tb)
+            fm = oracles.batch_loss(p, tb)
             flat[i] = orig
             fd_flat[i] = (fp - fm) / (2 * h)
         d = delta[name].ravel()
@@ -493,10 +493,10 @@ def test_training_descends_on_toy_corpus():
     p = _small_model("mdr", catalog, split)
     data = training.build_train_data(split, catalog.num_songs)
     tb = _one_batch(data, 4, seed=1)
-    initial = training.batch_loss(p, tb)
+    initial = oracles.batch_loss(p, tb)
     hyper = Hyperparams(epochs=5, batch_size=8, seed=0)
     result = training.train(p, data, None, hyper)
-    assert training.batch_loss(result.params, tb) < initial
+    assert oracles.batch_loss(result.params, tb) < initial
 
 
 def test_training_deterministic():
