@@ -2,11 +2,11 @@
 
 Each test playlist's held-out song is ranked against 100 sampled
 non-member songs. `held_out` draws those candidate lists once, as one
-`ScoreBatch`; `evaluate` ranks them under a scorer, which scores the
-lists RANK_CHUNK contexts per call. Negative candidate sets are derived
-from a per-playlist RNG stream seeded by (seed, playlist index), so
-different models evaluated at the same seed see identical candidate lists,
-and a list's scores have the bits of scoring its context alone.
+`ScoreBatch`; `evaluate` ranks them under a scorer, RANK_CHUNK contexts
+per call, each with the bits of its context scored alone. Negative
+candidate sets are derived from a per-playlist RNG stream seeded by (seed,
+playlist index), so different models evaluated at the same seed see
+identical candidate lists.
 """
 
 import math
@@ -18,12 +18,10 @@ from .models import ScoreBatch
 
 DEFAULT_NUM_NEGATIVES = 100
 
-# Contexts per scorer call when ranking held-out lists. A MASS forward holds
-# about 8 arrays of (B, C, l) at its peak, 3 MB at B = 8, C = 101, l = 61.
-# On a 2-vCPU x86-64 host, chunks of 8, 16 and 32 gave `train --apr` and
-# `evaluate` about the same speed-up over one context per call, but 16 and
-# 32 raised the peak memory of a MASS `train` at l = 61 by 8% and 22%; 8
-# raised it by 1%.
+# Contexts per scorer call when ranking held-out lists: a MASS forward peaks
+# at about 8 arrays of (B, C, l), 3 MB at B = 8, C = 101, l = 61. Chunks of
+# 16 and 32 were no faster end to end (2 vCPUs) and raised a MASS `train`'s
+# peak memory at l = 61 by 8% and 22%, against 1% at 8.
 RANK_CHUNK = 8
 
 

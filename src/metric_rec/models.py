@@ -25,13 +25,11 @@ and C candidates per context, `(B, C)`. C is 1 + k in training, 101 in
 evaluation and the catalog size in `recommend`. Member embeddings are
 gathered once per context and the member distances of all C candidates
 come from one batched matmul (see `kernels`); the user and playlist part of
-the MASS query is likewise computed once per context. Every product that a
-score comes from is stacked per context, the MASS query's context block
-included, so a context's scores have the same bits whatever other contexts
-share its batch: training, the chunked rankings of `evaluation` and
-`recommend` score through this one path. Table rows are
-gathered with `ndarray.take`. MDR's backward reuses the anchor sums its
-forward computed (`kernels.row_sums`). The backward pass scatters row
+the MASS query is likewise computed once per context. Every product a
+score comes from is stacked per context, so a context's scores have the
+same bits in any batch and evaluation can rank chunks of contexts. Table
+rows are gathered with `ndarray.take`. MDR's backward reuses the anchor
+sums its forward computed (`kernels.row_sums`). The backward pass scatters row
 gradients into the tables in place with `np.add.at` over the flat slots
 that the batch's plan caches, member gradients over the B * l member
 slots, not once per candidate. Into a zeroed gradient arena this gives the
@@ -59,8 +57,7 @@ class ScoreBatch:
     member list is held once per context, not once per candidate. A 1-D
     `songs` of shape (B,) is read as C = 1, and scores then come back with
     shape (B,). MDR reads neither `members` nor `counts`. Row i's scores
-    depend only on row i, bit for bit, so any run of rows can be scored as a
-    batch of its own.
+    depend only on row i, bit for bit.
 
     `plan` caches what scoring derives from these arrays (the scatter slots
     and the member mask), so the passes over one batch build each once; the
@@ -73,10 +70,6 @@ class ScoreBatch:
     members: np.ndarray = None
     counts: np.ndarray = None
     plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def _relu(x):
-    return np.maximum(x, 0.0)
 
 
 def _real_slots(counts, l, ndim):
@@ -92,20 +85,18 @@ def masked_softmax(scores, counts):
 
     `scores` is (B, l) or (B, C, l) and `counts` is (B,); padded slots get 0.
     """
-    return _softmax_where(scores, _real_slots(counts, scores.shape[-1], scores.ndim))
+    s = np.array(scores, dtype=np.float64)
+    return _softmax_where(s, _real_slots(counts, s.shape[-1], s.ndim))
 
 
 def _softmax_where(scores, mask):
-    """Softmax over the last axis of the entries where `mask` holds; 0 elsewhere.
-
-    After the masked copy every step runs in place, so a (B, C, l) call
-    holds two arrays of that size at a time, `scores` and the result.
-    """
-    s = np.where(mask, scores, -np.inf)
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
+    """Softmax over the last axis of the entries where `mask` holds, 0 elsewhere,
+    computed in place in `scores` (float64), which it returns."""
+    np.copyto(scores, -np.inf, where=~mask)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def masked_softmin(dists, counts):
@@ -242,15 +233,15 @@ def _query(params, batch, songs, mem):
     d = params.dim
     ctx = [t[name + suffix].take(getattr(batch, key), axis=0)
            for name, key in _context_rows(params)]
-    # a stacked (B, 1, d) @ (d, d) product, not a 2-D (B, d) one: BLAS gives
-    # the 2-D product's rows other bits at B = 1 than at B = 16 or 256, while
-    # the stacked form gives each row its B = 1 bits whatever B is
+    # stacked (B, 1, d) @ (d, d): each row gets its B = 1 bits; BLAS rounds a
+    # 2-D (B, d) @ (d, d) product's rows differently at B = 1 and B = 16
     pre_ctx = t[b] + sum((x[:, None, :] @ t[w][i * d:(i + 1) * d])[:, 0]
                          for i, x in enumerate(ctx))
     sk = t["S" + suffix].take(songs, axis=0)
-    pre = sk @ t[w][-d:]
-    pre += pre_ctx[:, None, :]
-    return _relu(pre), {"ctx": ctx, "sk": sk, "pre": pre}
+    q = sk @ t[w][-d:]
+    q += pre_ctx[:, None, :]
+    np.maximum(q, 0.0, out=q)  # ReLU in place: q > 0 exactly where its input was
+    return q, {"ctx": ctx, "sk": sk, "q": q}
 
 
 def _query_backward(params, batch, qcache, dq, grads, mem):
@@ -262,7 +253,7 @@ def _query_backward(params, batch, qcache, dq, grads, mem):
     t = params.tensors
     suffix, w, b = _query_names(mem)
     d = params.dim
-    dpre = dq * (qcache["pre"] > 0)
+    dpre = dq * (qcache["q"] > 0)
     dctx = dpre.sum(axis=1)
     grads[b] += dctx.sum(axis=0)
     for i, ((name, key), x) in enumerate(zip(_context_rows(params), qcache["ctx"])):
@@ -290,10 +281,11 @@ def _mass_forward(params, batch):
         q_a, qcache_a, m_a = q, None, m
 
     if metric:
-        dists_a = kernels.sqdist_members(t["B4"], q_a, m_a)
-        alpha = _softmax_where(np.negative(dists_a, out=dists_a), _member_mask(batch))
+        logits = kernels.sqdist_members(t["B4"], q_a, m_a)
+        np.negative(logits, out=logits)
     else:
-        alpha = _softmax_where(kernels.dot_members(q_a, m_a), _member_mask(batch))
+        logits = kernels.dot_members(q_a, m_a)
+    alpha = _softmax_where(logits, _member_mask(batch))  # in place: alpha is logits
 
     wsum = np.sum(alpha * dists, axis=-1)
     scores = wsum

@@ -237,8 +237,8 @@ def checkpoint_from_doc(doc, path):
     older versions wrote still load. The tensors must be exactly those the
     header's kind, variant, attention and bias imply, each an object with a
     `shape` list of integers and a flat `values` list of numbers (not
-    booleans), with the shapes its sizes imply and finite values; otherwise this raises ValueError naming the file and
-    the field.
+    booleans), with the shapes its sizes imply and finite values; otherwise
+    this raises ValueError naming the file and the field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level: a checkpoint is a JSON object, "
