@@ -7,12 +7,13 @@ with `mem_metric` and with `nonmem_dot` attention, `training.adam_update`
 on each of those parameter sets, one whole `step` on each (forward, loss
 and backward into a zeroed gradient arena by `training.gradients`, then
 `training.adam_update`), `evaluation.rank_candidates` on each (one dev or
-test ranking), and `training._make_batch` (a minibatch's negatives and
-index gathers). Shapes: a minibatch of B = 256 contexts, k = 4 negatives
-(C = 1 + k candidates), l = 61 members per context, d in {8, 16, 32, 64}
-and V in {2,000; 20,000} songs, with V / 4 users and V / 4 playlists. A
-ranking scores B = 300 contexts of l = 61 members, C = 101 distinct
-candidates each.
+test ranking), `params.load_checkpoint` on each (a checkpoint that the
+timed checkout's own `save_checkpoint` wrote), and `training._make_batch`
+(a minibatch's negatives and index gathers). Shapes: a minibatch of
+B = 256 contexts, k = 4 negatives (C = 1 + k candidates), l = 61 members
+per context, d in {8, 16, 32, 64} and V in {2,000; 20,000} songs, with
+V / 4 users and V / 4 playlists. A ranking scores B = 300 contexts of
+l = 61 members, C = 101 distinct candidates each.
 
 Rows that share a parameter set (its forward, backward and Adam rows), and
 the sampler rows, are timed interleaved: after a warm-up, each round calls
@@ -22,7 +23,9 @@ the quartiles of its calls, in microseconds. Forward, backward and step
 score a fresh copy of the batch on every call, so they time a pass that
 builds the batch's index plan (see `models.ScoreBatch`), not one that
 reuses it. At V = 20,000 single rows can trade page faults and cache state
-with their neighbours; compare the step rows there.
+with their neighbours; compare the step rows there. A checkpoint load
+allocates and frees several times the parameter set, so its row is timed
+alone, after the rows it shares a parameter set with.
 
 `metric_rec` is imported from `<root>/src` (default: this checkout), so
 the same script times another checkout through entry points both share.
@@ -36,6 +39,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 THREADS = "1"
@@ -129,7 +133,7 @@ def _step(training, params, batch, grads, state):
     training.adam_update(params, grads, state, 1e-3)
 
 
-def _model_rows(metric_rec, rng):
+def _model_rows(metric_rec, rng, tmp):
     models, params_mod, training = metric_rec.models, metric_rec.params, metric_rec.training
     evaluation = metric_rec.evaluation
     rows = []
@@ -164,6 +168,13 @@ def _model_rows(metric_rec, rng):
                     (dict(shape, layer="evaluation.rank_candidates", B=RANK_B, C=RANK_C),
                      lambda: evaluation.rank_candidates(scorer, held)),
                 ])
+                path = os.path.join(tmp, f"{kind}-{attention}-{v}-{d}.json")
+                params_mod.save_checkpoint(params, path)
+                rows += _timed_rows([({"layer": "params.load_checkpoint", "model": shape["model"],
+                                       "d": d, "V": v},
+                                      lambda: params_mod.load_checkpoint(path))])
+                for name in os.listdir(tmp):
+                    os.remove(os.path.join(tmp, name))
     return rows
 
 
@@ -204,7 +215,8 @@ def main():
 
     rng = np.random.default_rng(0)
     t0 = time.perf_counter()
-    rows = _model_rows(metric_rec, rng) + _sampler_rows(metric_rec, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = _model_rows(metric_rec, rng, tmp) + _sampler_rows(metric_rec, rng)
     doc = {"tag": args.tag, "environment": _environment(root),
            "seconds": round(time.perf_counter() - t0, 1), "rows": rows}
     path = os.path.join(args.out, f"BENCH_{args.tag}.json")

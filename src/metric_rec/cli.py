@@ -68,13 +68,13 @@ def _load_masr(doc, path):
 
 def _load_model(path):
     """Load a model checkpoint or a fusion manifest; return (scorer, meta, its ModelParams)."""
-    doc = dataset.read_json(path)
+    loaded, doc = params_mod.read_checkpoint(path)
     if isinstance(doc, dict) and doc.get("format") == MASR_FORMAT:
         parts, alpha = _load_masr(doc, path)
         scorer = models.make_scorer(parts, alpha=alpha)
         meta = {"model": "masr", "variant": "", "attention": "", "alpha": alpha}
         return scorer, meta, parts
-    ckpt, _, _ = params_mod.checkpoint_from_doc(doc, path)
+    ckpt, _, _ = loaded or params_mod.checkpoint_from_doc(doc, path)
     scorer = models.make_scorer(ckpt)
     meta = {"model": ckpt.kind, "variant": ckpt.variant, "attention": ckpt.attention}
     return scorer, meta, (ckpt,)

@@ -201,7 +201,11 @@ def sample_negatives(full_set, num_songs, count, rng):
 def read_json(path):
     """Parse the JSON document in `path`; a parse error names the file."""
     with open(path, "rb") as f:
-        data = f.read()
+        return parse_json(f.read(), path)
+
+
+def parse_json(data, path):
+    """Parse the JSON bytes `data` read from `path`; a parse error names the file."""
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError:
@@ -217,12 +221,14 @@ def write_json(doc, path):
     """Write `doc` as compact UTF-8 JSON with sorted keys and a final newline.
 
     numpy arrays are written as (nested) lists of their values. A document
-    that cannot be serialized leaves the file as it was.
+    that cannot be serialized leaves the file as it was. Returns the bytes
+    written.
     """
     option = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
     data = orjson.dumps(doc, option=option)
     with open(path, "wb") as f:
         f.write(data)
+    return data
 
 
 def save_catalog(catalog, path):

@@ -9,12 +9,16 @@ song_bias) carry a reserved padding row at index 0 that is kept at zero and
 never receives gradient updates.
 """
 
+import hashlib
 import math
+import os
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import orjson
 
-from .dataset import read_json, write_json
+from .dataset import parse_json, write_json
 
 # Tensors subject to L2 regularization: embedding tables and metric vectors.
 # Song-bias tables and the query affine maps are left unregularized.
@@ -187,7 +191,14 @@ def init_mass(m, n, v, d, rng, variant="us", attention="mem_metric", use_bias=Tr
 
 
 def save_checkpoint(params, path, hyperparams=None, seed=0):
-    """Write a self-describing JSON checkpoint (sorted keys, UTF-8)."""
+    """Write a self-describing JSON checkpoint (sorted keys, UTF-8) and its companion.
+
+    The companion, `<path>.npz`, is derived data for `load_checkpoint`: a
+    `header` entry holding the document without its tensor values, plus
+    `json_sha256`, the SHA-256 of the JSON's bytes, as uint8 JSON; and each
+    tensor as a flat float64 array. It is written through a temporary file,
+    with fixed entry timestamps, so equal checkpoints give equal bytes.
+    """
     doc = {
         "format": CHECKPOINT_FORMAT,
         "model": {
@@ -208,24 +219,84 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
             for name, t in params.tensors.items()
         },
     }
-    write_json(doc, path)
+    digest = hashlib.sha256(write_json(doc, path)).hexdigest()
+    header = dict(doc, json_sha256=digest,
+                  tensors={name: {"shape": spec["shape"]} for name, spec in doc["tensors"].items()})
+    entries = {"header": np.frombuffer(orjson.dumps(header, option=orjson.OPT_SORT_KEYS), np.uint8)}
+    entries.update((name, spec["values"]) for name, spec in doc["tensors"].items())
+    companion = os.fspath(path) + ".npz"
+    tmp = companion + ".tmp"
+    try:
+        with zipfile.ZipFile(tmp, "w") as zf:
+            for name, array in entries.items():
+                with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as f:
+                    np.lib.format.write_array(f, array, allow_pickle=False)
+        os.replace(tmp, companion)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, hyperparams, seed)."""
-    return checkpoint_from_doc(read_json(path), path)
+    loaded, doc = read_checkpoint(path)
+    return loaded or checkpoint_from_doc(doc, path)
+
+
+def read_checkpoint(path):
+    """(loaded, doc) for the JSON file at `path`, exactly one of them None.
+
+    When `path` has a companion (see `save_checkpoint`) whose `json_sha256`
+    is the SHA-256 of the file's bytes and which passes every check of
+    `checkpoint_from_doc`, `loaded` is that function's result, taken from
+    the companion's arrays without parsing the JSON. In every other case
+    (no companion, a stale or damaged one) `doc` is the parsed JSON, which
+    may hold something other than a checkpoint. The JSON is the one source
+    of truth; the companion only saves its parse. Nothing is written.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    doc = _companion_doc(os.fspath(path) + ".npz", data)
+    if doc is not None:
+        try:
+            return checkpoint_from_doc(doc, path), None
+        except ValueError:
+            pass  # the JSON decides, with its own message if it fails too
+    return None, parse_json(data, path)
+
+
+def _companion_doc(companion, data):
+    """The checkpoint document held by the .npz `companion`, its values as
+    float64 arrays, if it was written for the JSON bytes `data`; else None."""
+    try:
+        with np.load(companion, allow_pickle=False) as z:
+            doc = orjson.loads(z["header"].tobytes())
+            if doc.pop("json_sha256") != hashlib.sha256(data).hexdigest():
+                return None
+            for name, spec in doc["tensors"].items():
+                spec["values"] = z[name]
+            return doc
+    except Exception:
+        # Derived data that cannot be read, whatever the error (a missing file,
+        # a truncated or altered archive, a header of another layout), is not
+        # used: the caller parses the JSON instead.
+        return None
 
 
 def _check_tensor_spec(path, name, spec):
     """Refuse a tensor entry that is not an object holding a `shape` list and a
-    `values` list."""
+    `values` list or flat float64 array."""
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: tensors.{name}: a tensor is a JSON object, "
                          f"this one is a {type(spec).__name__}")
     for key in ("shape", "values"):
         if key not in spec:
             raise ValueError(f"{path}: tensors.{name}.{key}: missing")
-        if not isinstance(spec[key], list):
+        if key == "values" and isinstance(spec[key], np.ndarray):
+            if spec[key].dtype != np.float64 or spec[key].ndim != 1:
+                raise ValueError(f"{path}: tensors.{name}.values: must be a flat float64 "
+                                 f"array, got {spec[key].dtype} of shape {spec[key].shape}")
+        elif not isinstance(spec[key], list):
             raise ValueError(f"{path}: tensors.{name}.{key}: must be a JSON array, "
                              f"got {type(spec[key]).__name__}")
 
@@ -237,8 +308,9 @@ def checkpoint_from_doc(doc, path):
     older versions wrote still load. The tensors must be exactly those the
     header's kind, variant, attention and bias imply, each an object with a
     `shape` list of integers and a flat `values` list of numbers (not
-    booleans), with the shapes its sizes imply and finite values; otherwise
-    this raises ValueError naming the file and the field.
+    booleans) or flat float64 array, with the shapes its sizes imply and
+    finite values; otherwise this raises ValueError naming the file and the
+    field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level: a checkpoint is a JSON object, "
@@ -288,9 +360,13 @@ def checkpoint_from_doc(doc, path):
             flat[...] = values
         except (TypeError, ValueError):
             raise ValueError(f"{path}: tensors.{name}.values: must be numbers only") from None
+        except OverflowError:  # an integer beyond the float64 range
+            raise ValueError(f"{path}: tensors.{name}.values: holds a number beyond "
+                             f"the float64 range") from None
         # JSON true and false convert to 1.0 and 0.0, so only the positions
         # holding those values are looked up in the list, not every value
-        for i in np.flatnonzero((flat == 0) | (flat == 1)):
+        bools = np.flatnonzero((flat == 0) | (flat == 1)) if isinstance(values, list) else ()
+        for i in bools:
             if type(values[i]) is bool:
                 raise ValueError(f"{path}: tensors.{name}.values: must be numbers only, "
                                  f"got {values[i]!r} at position {i}")

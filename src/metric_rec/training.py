@@ -18,6 +18,7 @@ per call the gradient, perturbation and scratch arenas every step writes.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -231,12 +232,21 @@ def adversarial_delta(params, batch, epsilon, delta, work):
     spread) keep a zero perturbation. The caller owns both buffers: `delta`,
     an arena from `params.zero_like()` holding the current perturbation, is
     overwritten with the new one and returned; `work`, a copy of `params`,
-    receives params + delta.
+    is scratch: it receives params + delta, then the deviations from each
+    tensor's mean.
+
+    The norm and the standard deviation are `np.linalg.norm`'s and `np.std`'s
+    own reductions, with their bits, taken on each tensor's flat view: one
+    dot for the norm; a sum, a subtract and a square, and a sum for the
+    spread. The wrappers cost more than the arithmetic at these sizes.
     """
     gradients(_perturbed(params, delta, work), batch, lambda_theta=0.0, out=delta)
     for name, g in delta.items():
-        norm = float(np.linalg.norm(g))
-        std = float(np.std(params.tensors[name]))
+        g, t, dev = (a.reshape(-1) for a in (g, params.tensors[name], work.tensors[name]))
+        norm = math.sqrt(g @ g)
+        np.subtract(t, np.add.reduce(t) / t.size, out=dev)
+        np.multiply(dev, dev, out=dev)
+        std = math.sqrt(np.add.reduce(dev) / t.size)
         if norm == 0.0 or std == 0.0:
             g.fill(0.0)
         else:

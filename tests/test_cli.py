@@ -1,7 +1,9 @@
 import copy
+import hashlib
 import json
 import os
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import oracles
 import synthetic
 from metric_rec import dataset, evaluation, kernels, models, params as params_mod, training
 from test_params import CORRUPTIONS, write_corrupt_checkpoint
-from metric_rec.cli import _load_split_dir, main
+from metric_rec.cli import _load_model, _load_split_dir, main
 
 runner = CliRunner()
 
@@ -71,7 +73,9 @@ def test_prepare_missing_input_fails(tmp_path):
 
 
 def test_train_writes_artifacts(workspace):
-    assert (workspace / "mdr" / "checkpoint.json").exists()
+    for kind in ("mdr", "mass"):
+        assert (workspace / kind / "checkpoint.json").exists()
+        assert (workspace / kind / "checkpoint.json.npz").exists()
     log = workspace / "mdr" / "train_log.jsonl"
     records = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(records) == 2
@@ -135,9 +139,13 @@ def test_train_apr_writes_both_checkpoints(workspace, tmp_path):
                         split_dir=workspace / "splits", out_dir=out_dir,
                         epochs="1", batch_size="64", d="8")
     _run(["train", "--config", cfg, "--apr"])
-    assert (out_dir / "checkpoint_bpr.json").exists()
-    assert (out_dir / "checkpoint.json").exists()
-    assert (out_dir / "apr_log.jsonl").exists()
+    assert sorted(os.listdir(out_dir)) == [
+        "apr_log.jsonl", "checkpoint.json", "checkpoint.json.npz", "checkpoint_bpr.json",
+        "checkpoint_bpr.json.npz", "train_log.jsonl"]
+    for name in ("checkpoint_bpr.json", "checkpoint.json"):
+        with np.load(out_dir / f"{name}.npz", allow_pickle=False) as z:
+            header = json.loads(z["header"].tobytes())
+        assert header["json_sha256"] == hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
 
 
 _STEP_MODELS = ([{"model": "mdr", "mdr_variant": var} for var in params_mod.MDR_VARIANTS]
@@ -402,6 +410,58 @@ def test_checkpoint_document_without_a_field_fails_cleanly(workspace, tmp_path, 
         params_mod.load_checkpoint(str(path))
 
 
+def test_load_model_takes_a_matching_companion_without_parsing_the_json(
+        workspace, tmp_path, monkeypatch):
+    parses = []
+    parse = params_mod.parse_json
+    monkeypatch.setattr(params_mod, "parse_json",
+                        lambda data, path: parses.append(path) or parse(data, path))
+    for kind in ("mdr", "mass"):
+        path = workspace / kind / "checkpoint.json"
+        _, meta, (ckpt,) = _load_model(str(path))
+        assert parses == [] and meta["model"] == kind
+        shutil.copy(path, tmp_path / f"{kind}.json")  # no companion beside it
+        _, _, (ref,) = _load_model(str(tmp_path / f"{kind}.json"))
+        assert parses == [str(tmp_path / f"{kind}.json")]
+        assert ckpt.tensors.flat.tobytes() == ref.tensors.flat.tobytes()
+        parses.clear()
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("companion", ["matching", "stale", "missing"])
+def test_reading_commands_write_nothing_beside_a_read_only_model(workspace, tmp_path,
+                                                                 companion):
+    models_dir = tmp_path / "models"
+    models_dir.mkdir()
+    for kind in ("mdr", "mass"):
+        shutil.copy(workspace / kind / "checkpoint.json", models_dir / f"{kind}.json")
+        if companion != "missing":
+            shutil.copy(workspace / kind / "checkpoint.json.npz", models_dir / f"{kind}.json.npz")
+        if companion == "stale":
+            with open(models_dir / f"{kind}.json", "ab") as f:
+                f.write(b" ")
+    _masr_manifest(workspace, models_dir / "masr.json",
+                   mdr_checkpoint="mdr.json", mass_checkpoint="mass.json")
+    before = _files(models_dir)
+    for p in [models_dir, *models_dir.iterdir()]:
+        p.chmod(0o555 if p.is_dir() else 0o444)
+    try:
+        split = str(workspace / "splits")
+        for model in ("mdr.json", "masr.json"):
+            _run(["evaluate", "--checkpoint", str(models_dir / model), "--split", split,
+                  "--out", str(tmp_path / "metrics.json")])
+            _run(["recommend", "--checkpoint", str(models_dir / model), "--split", split,
+                  "--playlist", "p0"])
+        _run(["attention-report", "--checkpoint", str(models_dir / "mass.json"),
+              "--split", split, "--out", str(tmp_path / "report")])
+    finally:
+        models_dir.chmod(0o755)
+    assert _files(models_dir) == before
+
+
 def _masr_manifest(workspace, path, **changes):
     doc = {"format": "metric-rec-masr-v1", "model": "masr", "alpha": 0.5,
            "mdr_checkpoint": str(workspace / "mdr" / "checkpoint.json"),
@@ -602,8 +662,10 @@ def _edited_checkpoint(workspace, path, edit):
      "tensors.theta.values"),
     (lambda doc: doc["tensors"]["U"]["shape"].__setitem__(1, 8.0), "tensors.U.shape"),
     (lambda doc: doc["tensors"]["U"]["shape"].__setitem__(0, True), "tensors.U.shape"),
+    (lambda doc: doc["tensors"]["U"]["values"].__setitem__(3, -10 ** 400), "tensors.U.values"),
 ], ids=["spec-list", "shape-int", "no-values", "no-shape", "value-string", "sha-int",
-        "use-bias-string", "value-true", "value-false", "shape-float", "shape-true"])
+        "use-bias-string", "value-true", "value-false", "shape-float", "shape-true",
+        "value-beyond-float64"])
 def test_checkpoint_with_a_malformed_field_fails_cleanly(workspace, tmp_path, edit, field):
     path = _edited_checkpoint(workspace, tmp_path / "ckpt.json", edit)
     result = _run(["recommend", "--checkpoint", str(path), "--split", str(workspace / "splits"),
@@ -732,6 +794,8 @@ def corruption_dir(workspace, tmp_path_factory):
     root = tmp_path_factory.mktemp("corrupt")
     shutil.copytree(workspace / "splits", root / "splits")
     _masr_manifest(workspace, root / "masr.json")
+    # the valid checkpoint's companion, left stale beside each corrupted copy
+    shutil.copy(workspace / "mdr" / "checkpoint.json.npz", root / "checkpoint.json.npz")
     return root
 
 
@@ -765,3 +829,83 @@ def test_corrupted_artifact_fails_cleanly_naming_the_file(workspace, corruption_
     finally:
         if kind in ("catalog", "split"):  # the split directory is shared
             path.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
+
+
+def _rewritten_companion(source, target, edit):
+    """Copy the .npz `source` to `target`, each array passed through `edit(name, array)`."""
+    with np.load(source, allow_pickle=False) as z:
+        entries = {name: edit(name, z[name]) for name in z.files}
+    with zipfile.ZipFile(target, "w") as zf:
+        for name, array in entries.items():
+            with zf.open(f"{name}.npy", "w") as f:
+                np.lib.format.write_array(f, array, allow_pickle=False)
+
+
+@st.composite
+def _damaged_checkpoint(draw, workspace, path):
+    """Write beside `path` the `workspace` MDR checkpoint with one tensor value or
+    `shape` entry changed (its valid companion left stale beside it), or the valid
+    JSON beside a truncated, flipped, swapped or re-typed companion."""
+    source = workspace / "mdr" / "checkpoint.json"
+    companion = path.with_name(path.name + ".npz")
+    shutil.copy(source.with_name(source.name + ".npz"), companion)
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    name = draw(st.sampled_from(sorted(doc["tensors"])))
+    spec = doc["tensors"][name]
+    op = draw(st.sampled_from(["value", "shape", "truncate", "flip", "swap", "dtype",
+                               "reshape"]))
+    if op in ("value", "shape"):
+        field = spec["values"] if op == "value" else spec["shape"]
+        i = draw(st.integers(0, len(field) - 1))
+        field[i] = draw(st.floats() | st.integers(-10 ** 400, 10 ** 400)
+                        if op == "value" else st.integers(-2, 2 ** 40))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return op
+    shutil.copy(source, path)
+    data = companion.read_bytes()
+    if op == "truncate":
+        companion.write_bytes(data[:draw(st.integers(0, len(data) - 1))])
+    elif op == "flip":
+        damaged = bytearray(data)
+        for i in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=3)):
+            damaged[i] ^= draw(st.integers(1, 255))
+        companion.write_bytes(bytes(damaged))
+    elif op == "swap":
+        shutil.copy(workspace / "mass" / "checkpoint.json.npz", companion)
+    elif op == "dtype":
+        dtype = draw(st.sampled_from(["<f4", ">f8", "<i8", "<f2", "<c16"]))
+        _rewritten_companion(companion, companion,
+                             lambda n, a: a.astype(dtype) if n == name else a)
+    else:  # the header's shape in place of a flat array, or one value fewer or more
+        change = draw(st.sampled_from([lambda a: a.reshape(spec["shape"]), lambda a: a[:-1],
+                                       lambda a: np.append(a, a[:1])]))
+        _rewritten_companion(companion, companion, lambda n, a: change(a) if n == name else a)
+    return op
+
+
+def _outcome(path, split_dir):
+    """What `recommend` prints and `load_checkpoint` returns for the checkpoint at `path`."""
+    result = runner.invoke(main, ["recommend", "--checkpoint", str(path),
+                                  "--split", str(split_dir), "--playlist", "p0"])
+    assert result.exit_code in (0, 1), (result.output, result.exception)
+    if result.exit_code:
+        assert str(path) in _single_error_line(result)
+    try:
+        ckpt, hyper, seed = params_mod.load_checkpoint(path)
+        loaded = (ckpt.tensors.layout, ckpt.tensors.flat.tobytes(), hyper, seed)
+    except ValueError as exc:
+        loaded = str(exc)
+    return result.exit_code, result.output, loaded
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_damaged_checkpoint_or_companion_gives_what_the_json_alone_gives(
+        workspace, corruption_dir, data):
+    """A changed value or shape entry, or a damaged companion, either loads the
+    JSON's tensors bit-identically or fails with the JSON's own one-line error."""
+    path = corruption_dir / "damaged.json"
+    op = data.draw(_damaged_checkpoint(workspace, path))
+    with_companion = _outcome(path, corruption_dir / "splits")
+    path.with_name(path.name + ".npz").unlink()
+    assert _outcome(path, corruption_dir / "splits") == with_companion, op

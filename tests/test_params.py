@@ -1,4 +1,6 @@
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -270,3 +272,74 @@ def test_load_checkpoint_rejects_tensors_that_disagree_with_header(tmp_path, cas
     write_corrupt_checkpoint(path, case)
     with pytest.raises(ValueError, match=CORRUPTIONS[case][1]):
         params_mod.load_checkpoint(str(path))
+
+
+_COMPANION_MODELS = (
+    [("mdr", {"variant": v, "use_bias": b}) for v in params_mod.MDR_VARIANTS
+     for b in (True, False)]
+    + [("mass", {"variant": "ups", "attention": a, "use_bias": b})
+       for a in params_mod.ATTENTION_KINDS for b in (True, False)])
+
+
+def _count_json_parses(monkeypatch):
+    calls = []
+
+    def counted(data, path):
+        calls.append(path)
+        return parse(data, path)
+
+    parse = params_mod.parse_json
+    monkeypatch.setattr(params_mod, "parse_json", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind,kwargs", _COMPANION_MODELS,
+                         ids=lambda x: x if isinstance(x, str) else
+                         "-".join(str(v) for v in x.values()))
+def test_companion_loads_the_tensors_of_the_json_bit_identically(tmp_path, monkeypatch,
+                                                                 kind, kwargs):
+    rng = np.random.default_rng(11)
+    init = params_mod.init_mdr if kind == "mdr" else params_mod.init_mass
+    p = init(3, 4, 5, 2, rng, **kwargs)
+    p.tensors.flat[:] += rng.normal(scale=1e3, size=p.tensors.flat.size)
+    p.tensors.flat[:len(EDGE_VALUES)] = EDGE_VALUES
+    p.zero_padding_rows()
+    p.catalog_sha256 = "cd" * 32
+    path = tmp_path / "ckpt.json"
+    params_mod.save_checkpoint(p, path, {"epochs": 3}, seed=4)
+    assert (tmp_path / "ckpt.json.npz").exists()
+    parses = _count_json_parses(monkeypatch)
+    back, hyper, seed = params_mod.load_checkpoint(path)
+    assert parses == []
+    ref, ref_hyper, ref_seed = params_mod.checkpoint_from_doc(
+        json.loads(path.read_text(encoding="utf-8")), path)
+    assert (hyper, seed) == (ref_hyper, ref_seed) == ({"epochs": 3}, 4)
+    assert {k: v for k, v in vars(back).items() if k != "tensors"} == \
+        {k: v for k, v in vars(ref).items() if k != "tensors"}
+    assert back.tensors.layout == ref.tensors.layout == p.tensors.layout
+    assert back.tensors.flat.tobytes() == ref.tensors.flat.tobytes() == p.tensors.flat.tobytes()
+
+
+def test_companion_bytes_do_not_depend_on_the_time_or_the_file_name(tmp_path, monkeypatch):
+    p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(12), attention="mem_metric")
+    params_mod.save_checkpoint(p, tmp_path / "a.json")
+    later = time.time() + 86_400 * 400
+    monkeypatch.setattr(time, "time", lambda: later)
+    params_mod.save_checkpoint(p, str(tmp_path / "b.json"))
+    assert (tmp_path / "a.json.npz").read_bytes() == (tmp_path / "b.json.npz").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "a.json.npz", "b.json", "b.json.npz"]
+
+
+def test_json_edited_after_the_companion_loads_the_edited_values(tmp_path, monkeypatch):
+    p = params_mod.init_mdr(3, 4, 5, 2, np.random.default_rng(13))
+    path = tmp_path / "ckpt.json"
+    params_mod.save_checkpoint(p, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["tensors"]["U"]["values"][0] = 0.125
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    parses = _count_json_parses(monkeypatch)
+    back, _, _ = params_mod.load_checkpoint(path)
+    assert parses == [path]
+    assert back.tensors["U"][0, 0] == 0.125
+    back.tensors["U"][0, 0] = p.tensors["U"][0, 0]
+    assert back.tensors.flat.tobytes() == p.tensors.flat.tobytes()

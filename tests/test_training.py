@@ -450,6 +450,43 @@ def test_adversarial_delta_norm_invariant():
     assert np.all(delta["B3"] == 0.0)
 
 
+@pytest.mark.parametrize("kind, kwargs", [("mdr", {"variant": "ups"}),
+                                           ("mass", {"variant": "us", "attention": "mem_metric"}),
+                                           ("mass", {"variant": "ups", "attention": "nonmem_dot"})])
+def test_adversarial_delta_has_the_bits_of_np_std_and_np_linalg_norm(kind, kwargs):
+    catalog, split = synthetic.planted_cluster_split(seed=0)
+    rng = np.random.default_rng(8)
+    m, n, v = catalog.num_users, catalog.num_playlists, catalog.num_songs
+    init = params_mod.init_mdr if kind == "mdr" else params_mod.init_mass
+    p = init(m, n, v, 16, rng, **kwargs)
+    # spreads and means of several magnitudes, over tables long enough for
+    # numpy's pairwise summation to block its sums
+    p.tensors.flat[:] += rng.normal(size=p.tensors.flat.size) * 10.0 ** rng.integers(-3, 3)
+    p.tensors.flat[:] += 10.0 ** rng.integers(-2, 4)
+    p.zero_padding_rows()
+    name = "B1" if kind == "mdr" else "B3"
+    p.tensors[name] = np.full_like(p.tensors[name], 2.0)  # zero spread
+    data = training.build_train_data(split, v)
+    batch = training._make_batch(np.arange(64), data, 4, rng)
+    current = p.zero_like()
+    current.flat[:] = rng.normal(scale=1e-3, size=current.flat.size)
+    expected = p.zero_like()
+    perturbed = p.copy()
+    perturbed.tensors.flat[:] = p.tensors.flat + current.flat
+    training.gradients(perturbed, batch, lambda_theta=0.0, out=expected)
+    for t, g in ((p.tensors[k], expected[k]) for k in expected):
+        norm, std = float(np.linalg.norm(g)), float(np.std(t))
+        if norm == 0.0 or std == 0.0:
+            g.fill(0.0)
+        else:
+            g *= 0.5 * std / norm
+    delta = training.adversarial_delta(p, batch, 0.5, current, p.copy())
+    assert delta is current
+    assert np.all(delta[name] == 0.0)
+    for k in expected:
+        assert delta[k].tobytes() == expected[k].tobytes(), k
+
+
 def test_adversarial_delta_direction_matches_fd():
     catalog, split = _toy_split()
     p = _small_model("mdr", catalog, split, variant="us")
