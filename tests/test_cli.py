@@ -176,7 +176,9 @@ def test_train_apr_writes_the_bytes_of_the_reference_step(workspace, tmp_path, m
                          for line in (out / log).read_text().splitlines()]
                         for log in ("train_log.jsonl", "apr_log.jsonl")]
                 outputs.append(((out / "checkpoint_bpr.json").read_bytes(),
-                                (out / "checkpoint.json").read_bytes(), logs))
+                                (out / "checkpoint.json").read_bytes(),
+                                (out / "checkpoint_bpr.json.npz").read_bytes(),
+                                (out / "checkpoint.json.npz").read_bytes(), logs))
         return outputs
 
     fast = train_grid("fast")
@@ -831,11 +833,11 @@ def test_corrupted_artifact_fails_cleanly_naming_the_file(workspace, corruption_
             path.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
 
 
-def _rewritten_companion(source, target, edit):
-    """Copy the .npz `source` to `target`, each array passed through `edit(name, array)`."""
-    with np.load(source, allow_pickle=False) as z:
+def _rewrite_companion(path, edit):
+    """Rewrite the .npz at `path`, each array passed through `edit(name, array)`."""
+    with np.load(path, allow_pickle=False) as z:
         entries = {name: edit(name, z[name]) for name in z.files}
-    with zipfile.ZipFile(target, "w") as zf:
+    with zipfile.ZipFile(path, "w") as zf:
         for name, array in entries.items():
             with zf.open(f"{name}.npy", "w") as f:
                 np.lib.format.write_array(f, array, allow_pickle=False)
@@ -874,12 +876,11 @@ def _damaged_checkpoint(draw, workspace, path):
         shutil.copy(workspace / "mass" / "checkpoint.json.npz", companion)
     elif op == "dtype":
         dtype = draw(st.sampled_from(["<f4", ">f8", "<i8", "<f2", "<c16"]))
-        _rewritten_companion(companion, companion,
-                             lambda n, a: a.astype(dtype) if n == name else a)
+        _rewrite_companion(companion, lambda n, a: a.astype(dtype) if n == name else a)
     else:  # the header's shape in place of a flat array, or one value fewer or more
         change = draw(st.sampled_from([lambda a: a.reshape(spec["shape"]), lambda a: a[:-1],
                                        lambda a: np.append(a, a[:1])]))
-        _rewritten_companion(companion, companion, lambda n, a: change(a) if n == name else a)
+        _rewrite_companion(companion, lambda n, a: change(a) if n == name else a)
     return op
 
 
