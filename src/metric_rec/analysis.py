@@ -1,4 +1,4 @@
-"""Attention diagnostics via song co-occurrence PMI, plus runtime reporting.
+"""Attention diagnostics via song co-occurrence PMI.
 
 Co-occurrence is counted once per unordered song pair per training
 playlist. PMI(k, t) = log(P(k, t) / (P(k) P(t))) with P(k, t) estimated
@@ -9,7 +9,6 @@ compared with the model's attention weights by Pearson correlation.
 """
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -102,22 +101,3 @@ def attention_correlation(params, split, counts, csv_path=None):
             w.writerows(rows)
     return rho, rows
 
-
-def read_training_log(path):
-    with open(path, encoding="utf-8") as f:
-        records = [json.loads(line) for line in f if line.strip()]
-    if not records:
-        raise ValueError(f"empty training log: {path}")
-    return records
-
-
-def runtime_report(*log_paths):
-    """Mean seconds per epoch for each log, plus consecutive-size ratios."""
-    means = []
-    for path in log_paths:
-        records = read_training_log(path)
-        means.append(float(np.mean([r["seconds"] for r in records])))
-    report = {"mean_seconds": means}
-    if len(means) > 1:
-        report["ratios"] = [means[i + 1] / means[i] for i in range(len(means) - 1)]
-    return report

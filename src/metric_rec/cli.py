@@ -241,9 +241,11 @@ def recommend(checkpoint, playlist_id, top, split_dir):
         candidates = dataset.songs_outside(split.full_set(p), catalog.num_songs)
         scores = scorer(evaluation.context_batch(split, [p], candidates[None, :]))[0]
         order = np.lexsort((candidates, scores))[:top]
-        _, _, inv_s = catalog.inverse()
-        for idx in order:
-            click.echo(f"{inv_s[int(candidates[idx])]}\t{scores[idx]:.6f}")
+        top_songs = candidates[order].tolist()
+        wanted = set(top_songs)
+        ids = {i: song_id for song_id, i in catalog.songs.items() if i in wanted}
+        for song, score in zip(top_songs, scores[order]):
+            click.echo(f"{ids[song]}\t{score:.6f}")
     except (OSError, ValueError) as exc:
         _fail(exc)
 

@@ -12,7 +12,8 @@ never receives gradient updates.
 import hashlib
 import math
 import os
-import zipfile
+import struct
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +35,8 @@ MASS_VARIANTS = ("us", "ps", "ups")
 ATTENTION_KINDS = ("mem_metric", "mem_dot", "nonmem_metric", "nonmem_dot")
 
 CHECKPOINT_FORMAT = "metric-rec-checkpoint-v1"
+# the first 8 bytes of a checkpoint's arena file: its layout and version
+ARENA_MAGIC = b"MRARENA1"
 
 
 class Arena(dict):
@@ -191,13 +194,18 @@ def init_mass(m, n, v, d, rng, variant="us", attention="mem_metric", use_bias=Tr
 
 
 def save_checkpoint(params, path, hyperparams=None, seed=0):
-    """Write a self-describing JSON checkpoint (sorted keys, UTF-8) and its companion.
+    """Write a self-describing JSON checkpoint (sorted keys, UTF-8) and its arena file.
 
-    The companion, `<path>.npz`, is derived data for `load_checkpoint`: a
-    `header` entry holding the document without its tensor values, plus
-    `json_sha256`, the SHA-256 of the JSON's bytes, as uint8 JSON; and each
-    tensor as a flat float64 array. It is written through a temporary file,
-    with fixed entry timestamps, so equal checkpoints give equal bytes.
+    The arena file, `<path>.arena`, is derived data for `load_checkpoint`:
+    `ARENA_MAGIC`; the header's length as a little-endian uint64; the header,
+    sorted-key JSON holding the document without its tensor values, plus
+    `json_sha256`, the SHA-256 of the JSON's bytes, and `crc32`, the CRC-32
+    of the header's JSON without that key followed by the payload; zeros up
+    to an 8-byte boundary; and the payload, every tensor's values as
+    little-endian float64 in the `tensor_shapes` order, which is the
+    arena's. It is written through a temporary file and holds no time
+    stamp, so equal checkpoints give equal bytes. A `<path>.npz`, the zip
+    companion of earlier versions, is removed.
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -222,19 +230,27 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
     digest = hashlib.sha256(write_json(doc, path)).hexdigest()
     header = dict(doc, json_sha256=digest,
                   tensors={name: {"shape": spec["shape"]} for name, spec in doc["tensors"].items()})
-    entries = {"header": np.frombuffer(orjson.dumps(header, option=orjson.OPT_SORT_KEYS), np.uint8)}
-    entries.update((name, spec["values"]) for name, spec in doc["tensors"].items())
-    companion = os.fspath(path) + ".npz"
-    tmp = companion + ".tmp"
+    payload = np.concatenate([params.tensors[name].ravel() for name in tensor_shapes(params)],
+                             dtype="<f8")
+    head = _header_json(dict(header, crc32=zlib.crc32(payload, zlib.crc32(_header_json(header)))))
+    arena = os.fspath(path) + ".arena"
+    tmp = arena + ".tmp"
     try:
-        with zipfile.ZipFile(tmp, "w") as zf:
-            for name, array in entries.items():
-                with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as f:
-                    np.lib.format.write_array(f, array, allow_pickle=False)
-        os.replace(tmp, companion)
+        with open(tmp, "wb") as f:
+            f.write(ARENA_MAGIC + struct.pack("<Q", len(head)) + head + bytes(-len(head) % 8))
+            f.write(payload)
+        os.replace(tmp, arena)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    try:
+        os.remove(os.fspath(path) + ".npz")
+    except FileNotFoundError:
+        pass
+
+
+def _header_json(header):
+    return orjson.dumps(header, option=orjson.OPT_SORT_KEYS)
 
 
 def load_checkpoint(path):
@@ -246,17 +262,19 @@ def load_checkpoint(path):
 def read_checkpoint(path):
     """(loaded, doc) for the JSON file at `path`, exactly one of them None.
 
-    When `path` has a companion (see `save_checkpoint`) whose `json_sha256`
-    is the SHA-256 of the file's bytes and which passes every check of
-    `checkpoint_from_doc`, `loaded` is that function's result, taken from
-    the companion's arrays without parsing the JSON. In every other case
-    (no companion, a stale or damaged one) `doc` is the parsed JSON, which
-    may hold something other than a checkpoint. The JSON is the one source
-    of truth; the companion only saves its parse. Nothing is written.
+    When `path` has an arena file (see `save_checkpoint`) whose magic, header
+    and CRC-32 are intact, whose `json_sha256` is the SHA-256 of the file's
+    bytes, whose payload holds as many values as the header's model implies,
+    and which passes every check of `checkpoint_from_doc`, `loaded` is that
+    function's result, taken from the payload without parsing the JSON. In
+    every other case (no arena file, a stale or damaged one) `doc` is the
+    parsed JSON, which may hold something other than a checkpoint. The JSON
+    is the one source of truth; the arena file only saves its parse.
+    Nothing is written.
     """
     with open(path, "rb") as f:
         data = f.read()
-    doc = _companion_doc(os.fspath(path) + ".npz", data)
+    doc = _arena_doc(os.fspath(path) + ".arena", data)
     if doc is not None:
         try:
             return checkpoint_from_doc(doc, path), None
@@ -265,21 +283,34 @@ def read_checkpoint(path):
     return None, parse_json(data, path)
 
 
-def _companion_doc(companion, data):
-    """The checkpoint document held by the .npz `companion`, its values as
-    float64 arrays, if it was written for the JSON bytes `data`; else None."""
+def _arena_doc(arena, data):
+    """The checkpoint document held by the file `arena`, its values as float64
+    arrays, if it was written for the JSON bytes `data`; else None."""
     try:
-        with np.load(companion, allow_pickle=False) as z:
-            doc = orjson.loads(z["header"].tobytes())
-            if doc.pop("json_sha256") != hashlib.sha256(data).hexdigest():
-                return None
-            for name, spec in doc["tensors"].items():
-                spec["values"] = z[name]
-            return doc
-    except Exception:
-        # Derived data that cannot be read, whatever the error (a missing file,
-        # a truncated or altered archive, a header of another layout), is not
-        # used: the caller parses the JSON instead.
+        with open(arena, "rb") as f:
+            buf = f.read()
+        if buf[:8] != ARENA_MAGIC:
+            return None
+        size, = struct.unpack_from("<Q", buf, 8)
+        doc = orjson.loads(buf[16:16 + size])
+        crc = doc.pop("crc32")
+        payload = memoryview(buf)[16 + size + -size % 8:]
+        if (doc["json_sha256"] != hashlib.sha256(data).hexdigest()
+                or crc != zlib.crc32(payload, zlib.crc32(_header_json(doc)))):
+            return None
+        del doc["json_sha256"]
+        values = np.frombuffer(payload, "<f8")
+        offset = 0
+        # the header's keys are sorted; the payload is in the arena's order
+        for name, shape in tensor_shapes(ModelParams(**doc["model"])).items():
+            n = math.prod(shape)
+            doc["tensors"][name]["values"] = values[offset:offset + n]
+            offset += n
+        return doc if offset == values.size else None
+    except (OSError, struct.error, ValueError, LookupError, TypeError, AttributeError):
+        # Derived data that cannot be read (a missing file, a truncated or
+        # altered one, a header of another layout) is not used: the caller
+        # parses the JSON instead.
         return None
 
 

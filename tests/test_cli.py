@@ -3,7 +3,6 @@ import hashlib
 import json
 import os
 import shutil
-import zipfile
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ from hypothesis import strategies as st
 import oracles
 import synthetic
 from metric_rec import dataset, evaluation, kernels, models, params as params_mod, training
-from test_params import CORRUPTIONS, write_corrupt_checkpoint
+from test_params import (CORRUPTIONS, read_arena, write_arena, write_corrupt_checkpoint,
+                         write_zip_companion)
 from metric_rec.cli import _load_model, _load_split_dir, main
 
 runner = CliRunner()
@@ -75,7 +75,8 @@ def test_prepare_missing_input_fails(tmp_path):
 def test_train_writes_artifacts(workspace):
     for kind in ("mdr", "mass"):
         assert (workspace / kind / "checkpoint.json").exists()
-        assert (workspace / kind / "checkpoint.json.npz").exists()
+        assert (workspace / kind / "checkpoint.json.arena").exists()
+        assert not (workspace / kind / "checkpoint.json.npz").exists()
     log = workspace / "mdr" / "train_log.jsonl"
     records = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(records) == 2
@@ -140,11 +141,10 @@ def test_train_apr_writes_both_checkpoints(workspace, tmp_path):
                         epochs="1", batch_size="64", d="8")
     _run(["train", "--config", cfg, "--apr"])
     assert sorted(os.listdir(out_dir)) == [
-        "apr_log.jsonl", "checkpoint.json", "checkpoint.json.npz", "checkpoint_bpr.json",
-        "checkpoint_bpr.json.npz", "train_log.jsonl"]
+        "apr_log.jsonl", "checkpoint.json", "checkpoint.json.arena", "checkpoint_bpr.json",
+        "checkpoint_bpr.json.arena", "train_log.jsonl"]
     for name in ("checkpoint_bpr.json", "checkpoint.json"):
-        with np.load(out_dir / f"{name}.npz", allow_pickle=False) as z:
-            header = json.loads(z["header"].tobytes())
+        header, _ = read_arena(out_dir / f"{name}.arena")
         assert header["json_sha256"] == hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
 
 
@@ -177,8 +177,8 @@ def test_train_apr_writes_the_bytes_of_the_reference_step(workspace, tmp_path, m
                         for log in ("train_log.jsonl", "apr_log.jsonl")]
                 outputs.append(((out / "checkpoint_bpr.json").read_bytes(),
                                 (out / "checkpoint.json").read_bytes(),
-                                (out / "checkpoint_bpr.json.npz").read_bytes(),
-                                (out / "checkpoint.json.npz").read_bytes(), logs))
+                                (out / "checkpoint_bpr.json.arena").read_bytes(),
+                                (out / "checkpoint.json.arena").read_bytes(), logs))
         return outputs
 
     fast = train_grid("fast")
@@ -433,15 +433,18 @@ def _files(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-@pytest.mark.parametrize("companion", ["matching", "stale", "missing"])
+@pytest.mark.parametrize("companion", ["matching", "stale", "missing", "zip"])
 def test_reading_commands_write_nothing_beside_a_read_only_model(workspace, tmp_path,
                                                                  companion):
     models_dir = tmp_path / "models"
     models_dir.mkdir()
     for kind in ("mdr", "mass"):
         shutil.copy(workspace / kind / "checkpoint.json", models_dir / f"{kind}.json")
-        if companion != "missing":
-            shutil.copy(workspace / kind / "checkpoint.json.npz", models_dir / f"{kind}.json.npz")
+        if companion in ("matching", "stale"):
+            shutil.copy(workspace / kind / "checkpoint.json.arena",
+                        models_dir / f"{kind}.json.arena")
+        elif companion == "zip":  # what earlier versions wrote: no longer read
+            write_zip_companion(models_dir / f"{kind}.json")
         if companion == "stale":
             with open(models_dir / f"{kind}.json", "ab") as f:
                 f.write(b" ")
@@ -797,7 +800,7 @@ def corruption_dir(workspace, tmp_path_factory):
     shutil.copytree(workspace / "splits", root / "splits")
     _masr_manifest(workspace, root / "masr.json")
     # the valid checkpoint's companion, left stale beside each corrupted copy
-    shutil.copy(workspace / "mdr" / "checkpoint.json.npz", root / "checkpoint.json.npz")
+    shutil.copy(workspace / "mdr" / "checkpoint.json.arena", root / "checkpoint.json.arena")
     return root
 
 
@@ -833,29 +836,27 @@ def test_corrupted_artifact_fails_cleanly_naming_the_file(workspace, corruption_
             path.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
 
 
-def _rewrite_companion(path, edit):
-    """Rewrite the .npz at `path`, each array passed through `edit(name, array)`."""
-    with np.load(path, allow_pickle=False) as z:
-        entries = {name: edit(name, z[name]) for name in z.files}
-    with zipfile.ZipFile(path, "w") as zf:
-        for name, array in entries.items():
-            with zf.open(f"{name}.npy", "w") as f:
-                np.lib.format.write_array(f, array, allow_pickle=False)
+def _rewrite_companion(path, edit, crc):
+    """Rewrite the arena file at `path`, its header and payload passed through
+    `edit(header, payload)`; with `crc`, its CRC-32 is recomputed for them."""
+    header, payload = read_arena(path)
+    write_arena(path, *edit(header, payload), crc=crc)
 
 
 @st.composite
 def _damaged_checkpoint(draw, workspace, path):
     """Write beside `path` the `workspace` MDR checkpoint with one tensor value or
-    `shape` entry changed (its valid companion left stale beside it), or the valid
-    JSON beside a truncated, flipped, swapped or re-typed companion."""
+    `shape` entry changed (its valid arena file left stale beside it), or the
+    valid JSON beside a truncated, flipped, swapped, re-encoded, resized or
+    re-shaped arena file."""
     source = workspace / "mdr" / "checkpoint.json"
-    companion = path.with_name(path.name + ".npz")
-    shutil.copy(source.with_name(source.name + ".npz"), companion)
+    companion = path.with_name(path.name + ".arena")
+    shutil.copy(source.with_name(source.name + ".arena"), companion)
     doc = json.loads(source.read_text(encoding="utf-8"))
     name = draw(st.sampled_from(sorted(doc["tensors"])))
     spec = doc["tensors"][name]
-    op = draw(st.sampled_from(["value", "shape", "truncate", "flip", "swap", "dtype",
-                               "reshape"]))
+    op = draw(st.sampled_from(["value", "shape", "truncate", "flip-header", "flip-payload",
+                               "swap", "encode", "resize", "header-shape"]))
     if op in ("value", "shape"):
         field = spec["values"] if op == "value" else spec["shape"]
         i = draw(st.integers(0, len(field) - 1))
@@ -865,22 +866,33 @@ def _damaged_checkpoint(draw, workspace, path):
         return op
     shutil.copy(source, path)
     data = companion.read_bytes()
+    payload_start = len(data) - 8 * len(read_arena(companion)[1])
     if op == "truncate":
         companion.write_bytes(data[:draw(st.integers(0, len(data) - 1))])
-    elif op == "flip":
+    elif op.startswith("flip"):
+        where = (st.integers(0, payload_start - 1) if op == "flip-header"
+                 else st.integers(payload_start, len(data) - 1))
         damaged = bytearray(data)
-        for i in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=3)):
+        for i in draw(st.lists(where, min_size=1, max_size=3)):
             damaged[i] ^= draw(st.integers(1, 255))
         companion.write_bytes(bytes(damaged))
     elif op == "swap":
-        shutil.copy(workspace / "mass" / "checkpoint.json.npz", companion)
-    elif op == "dtype":
+        shutil.copy(workspace / "mass" / "checkpoint.json.arena", companion)
+    elif op == "encode":  # the values in another encoding, the CRC left as written
         dtype = draw(st.sampled_from(["<f4", ">f8", "<i8", "<f2", "<c16"]))
-        _rewrite_companion(companion, lambda n, a: a.astype(dtype) if n == name else a)
-    else:  # the header's shape in place of a flat array, or one value fewer or more
-        change = draw(st.sampled_from([lambda a: a.reshape(spec["shape"]), lambda a: a[:-1],
+        _rewrite_companion(companion, lambda h, a: (h, a.astype(dtype)), crc=False)
+    elif op == "resize":  # a payload of another length, with a CRC that matches it
+        change = draw(st.sampled_from([lambda a: a.astype("<f4"), lambda a: a[:-1],
                                        lambda a: np.append(a, a[:1])]))
-        _rewrite_companion(companion, lambda n, a: change(a) if n == name else a)
+        _rewrite_companion(companion, lambda h, a: (h, change(a)), crc=True)
+    else:  # a header shape entry edited beside an intact payload, with a matching CRC
+        i = draw(st.integers(0, len(spec["shape"]) - 1))
+        value = draw(st.integers(-2, 2 ** 40))
+
+        def edit(header, payload):
+            header["tensors"][name]["shape"][i] = value
+            return header, payload
+        _rewrite_companion(companion, edit, crc=True)
     return op
 
 
@@ -908,5 +920,5 @@ def test_damaged_checkpoint_or_companion_gives_what_the_json_alone_gives(
     path = corruption_dir / "damaged.json"
     op = data.draw(_damaged_checkpoint(workspace, path))
     with_companion = _outcome(path, corruption_dir / "splits")
-    path.with_name(path.name + ".npz").unlink()
+    path.with_name(path.name + ".arena").unlink()
     assert _outcome(path, corruption_dir / "splits") == with_companion, op

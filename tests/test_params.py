@@ -1,8 +1,12 @@
+import hashlib
 import json
 import os
 import time
+import zipfile
+import zlib
 
 import numpy as np
+import orjson
 import pytest
 
 from metric_rec import params as params_mod
@@ -274,6 +278,48 @@ def test_load_checkpoint_rejects_tensors_that_disagree_with_header(tmp_path, cas
         params_mod.load_checkpoint(str(path))
 
 
+def read_arena(path):
+    """(header, payload) of the arena file at `path`: the 8-byte magic, the
+    header's length as a little-endian uint64, the header, zeros up to an
+    8-byte boundary, then the payload as little-endian float64."""
+    data = path.read_bytes()
+    assert data[:8] == b"MRARENA1"
+    size = int.from_bytes(data[8:16], "little")
+    start = 16 + size + -size % 8
+    assert data[16 + size:start] == bytes(start - 16 - size)
+    return json.loads(data[16:16 + size]), np.frombuffer(data[start:], "<f8")
+
+
+def write_arena(path, header, payload, crc=True):
+    """Write `header` and the bytes of the array `payload` as an arena file at
+    `path`; with `crc`, its `crc32` is recomputed for them, else kept."""
+    head = orjson.dumps({k: v for k, v in header.items() if k != "crc32"},
+                        option=orjson.OPT_SORT_KEYS)
+    if crc:
+        header = dict(header, crc32=zlib.crc32(payload.tobytes(), zlib.crc32(head)))
+    head = orjson.dumps(header, option=orjson.OPT_SORT_KEYS)
+    path.write_bytes(b"MRARENA1" + len(head).to_bytes(8, "little") + head
+                     + bytes(-len(head) % 8) + payload.tobytes())
+
+
+def write_zip_companion(path):
+    """Beside the checkpoint at `path`, the zip `.npz` companion earlier versions
+    wrote and read: a `header` entry, the document without its values plus the
+    JSON's SHA-256, and one flat float64 array per tensor. Its values are the
+    JSON's plus one, so a reader that took them would load other tensors."""
+    data = path.read_bytes()
+    doc = json.loads(data)
+    header = dict(doc, json_sha256=hashlib.sha256(data).hexdigest(),
+                  tensors={n: {"shape": spec["shape"]} for n, spec in doc["tensors"].items()})
+    entries = {"header": np.frombuffer(orjson.dumps(header, option=orjson.OPT_SORT_KEYS),
+                                       np.uint8)}
+    entries.update((n, np.array(spec["values"]) + 1) for n, spec in doc["tensors"].items())
+    with zipfile.ZipFile(f"{path}.npz", "w") as zf:
+        for name, array in entries.items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as f:
+                np.lib.format.write_array(f, array, allow_pickle=False)
+
+
 _COMPANION_MODELS = (
     [("mdr", {"variant": v, "use_bias": b}) for v in params_mod.MDR_VARIANTS
      for b in (True, False)]
@@ -307,7 +353,7 @@ def test_companion_loads_the_tensors_of_the_json_bit_identically(tmp_path, monke
     p.catalog_sha256 = "cd" * 32
     path = tmp_path / "ckpt.json"
     params_mod.save_checkpoint(p, path, {"epochs": 3}, seed=4)
-    assert (tmp_path / "ckpt.json.npz").exists()
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.json", "ckpt.json.arena"]
     parses = _count_json_parses(monkeypatch)
     back, hyper, seed = params_mod.load_checkpoint(path)
     assert parses == []
@@ -326,8 +372,8 @@ def test_companion_bytes_do_not_depend_on_the_time_or_the_file_name(tmp_path, mo
     later = time.time() + 86_400 * 400
     monkeypatch.setattr(time, "time", lambda: later)
     params_mod.save_checkpoint(p, str(tmp_path / "b.json"))
-    assert (tmp_path / "a.json.npz").read_bytes() == (tmp_path / "b.json.npz").read_bytes()
-    assert sorted(os.listdir(tmp_path)) == ["a.json", "a.json.npz", "b.json", "b.json.npz"]
+    assert (tmp_path / "a.json.arena").read_bytes() == (tmp_path / "b.json.arena").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "a.json.arena", "b.json", "b.json.arena"]
 
 
 def test_json_edited_after_the_companion_loads_the_edited_values(tmp_path, monkeypatch):
@@ -342,4 +388,101 @@ def test_json_edited_after_the_companion_loads_the_edited_values(tmp_path, monke
     assert parses == [path]
     assert back.tensors["U"][0, 0] == 0.125
     back.tensors["U"][0, 0] = p.tensors["U"][0, 0]
+    assert back.tensors.flat.tobytes() == p.tensors.flat.tobytes()
+
+
+def test_arena_file_holds_the_header_and_the_arena_values(tmp_path):
+    p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(14), variant="ups",
+                             attention="mem_metric")
+    path = tmp_path / "ckpt.json"
+    params_mod.save_checkpoint(p, path, {"learning_rate": 1e-05}, seed=2)
+    header, payload = read_arena(tmp_path / "ckpt.json.arena")
+    doc = json.loads(path.read_bytes())
+    assert header.pop("json_sha256") == hashlib.sha256(path.read_bytes()).hexdigest()
+    crc = header.pop("crc32")
+    assert header == dict(doc, tensors={n: {"shape": spec["shape"]}
+                                        for n, spec in doc["tensors"].items()})
+    # the payload keeps the arena's order, not the header's sorted one
+    assert list(p.tensors) != sorted(p.tensors)
+    assert payload.tobytes() == p.tensors.flat.tobytes()
+    header = dict(header, json_sha256=hashlib.sha256(path.read_bytes()).hexdigest())
+    assert crc == zlib.crc32(payload.tobytes(), zlib.crc32(
+        orjson.dumps(header, option=orjson.OPT_SORT_KEYS)))
+
+
+def test_saving_removes_the_zip_companion_of_earlier_versions(tmp_path):
+    p = params_mod.init_mdr(3, 4, 5, 2, np.random.default_rng(15))
+    path = tmp_path / "ckpt.json"
+    params_mod.save_checkpoint(p, path)
+    write_zip_companion(path)
+    params_mod.save_checkpoint(p, path)
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.json", "ckpt.json.arena"]
+
+
+def test_zip_companion_of_earlier_versions_is_not_read(tmp_path, monkeypatch):
+    p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(16), attention="mem_dot")
+    path = tmp_path / "ckpt.json"
+    params_mod.save_checkpoint(p, path)
+    (tmp_path / "ckpt.json.arena").unlink()
+    write_zip_companion(path)
+    files = {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)}
+    parses = _count_json_parses(monkeypatch)
+    back, _, _ = params_mod.load_checkpoint(path)
+    assert parses == [path]
+    assert back.tensors.flat.tobytes() == p.tensors.flat.tobytes()
+    assert {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)} == files
+
+
+def _edit_arena(edit, crc=True):
+    def damage(path):
+        header, payload = read_arena(path)
+        write_arena(path, *edit(header, payload.copy()), crc=crc)
+    return damage
+
+
+def _flip(at):
+    def damage(path):
+        data = bytearray(path.read_bytes())
+        data[at(data)] ^= 0x01
+        path.write_bytes(bytes(data))
+    return damage
+
+
+def _with_shape(header, payload, name="U"):
+    header["tensors"][name]["shape"] = [header["tensors"][name]["shape"][0] - 1, 2]
+    return header, payload
+
+
+def _other_checkpoints_arena(path):
+    other = path.with_name("other.json")
+    params_mod.save_checkpoint(params_mod.init_mdr(3, 4, 5, 2, np.random.default_rng(18)), other)
+    os.replace(other.with_name("other.json.arena"), path)
+
+
+ARENA_DAMAGE = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-8]),
+    "magic": _flip(lambda data: 7),
+    "header-length": _flip(lambda data: 8),
+    # "seed":0 becomes "seed":1, a header that still parses
+    "header-byte": _flip(lambda data: data.index(b'"seed":0') + 7),
+    "payload-byte": _flip(lambda data: len(data) - 1),
+    "float32": _edit_arena(lambda h, a: (h, a.astype("<f4"))),
+    "big-endian": _edit_arena(lambda h, a: (h, a.astype(">f8")), crc=False),
+    "one-value-more": _edit_arena(lambda h, a: (h, np.append(a, 0.0))),
+    "one-value-fewer": _edit_arena(lambda h, a: (h, a[:-1])),
+    "header-shape": _edit_arena(_with_shape),
+    "nonfinite": _edit_arena(lambda h, a: (h, np.where(a == a.max(), np.inf, a))),
+    "other-checkpoint": _other_checkpoints_arena,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(ARENA_DAMAGE))
+def test_damaged_arena_file_is_not_used(tmp_path, monkeypatch, damage):
+    p = params_mod.init_mdr(3, 4, 5, 2, np.random.default_rng(17))
+    path = tmp_path / "ckpt.json"
+    params_mod.save_checkpoint(p, path)
+    ARENA_DAMAGE[damage](tmp_path / "ckpt.json.arena")
+    parses = _count_json_parses(monkeypatch)
+    back, _, _ = params_mod.load_checkpoint(path)
+    assert parses == [path]
     assert back.tensors.flat.tobytes() == p.tensors.flat.tobytes()
