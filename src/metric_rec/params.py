@@ -250,6 +250,8 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
 
 
 def _header_json(header):
+    """An arena file's header bytes: one serialization for the writer and for
+    the reader's CRC check, which re-serializes the parsed header."""
     return orjson.dumps(header, option=orjson.OPT_SORT_KEYS)
 
 
@@ -298,7 +300,6 @@ def _arena_doc(arena, data):
         if (doc["json_sha256"] != hashlib.sha256(data).hexdigest()
                 or crc != zlib.crc32(payload, zlib.crc32(_header_json(doc)))):
             return None
-        del doc["json_sha256"]
         values = np.frombuffer(payload, "<f8")
         offset = 0
         # the header's keys are sorted; the payload is in the arena's order
