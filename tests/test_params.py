@@ -448,8 +448,8 @@ def _flip(at):
     return damage
 
 
-def _with_shape(header, payload, name="U"):
-    header["tensors"][name]["shape"] = [header["tensors"][name]["shape"][0] - 1, 2]
+def _with_u_shape(header, payload):
+    header["tensors"]["U"]["shape"] = [header["tensors"]["U"]["shape"][0] - 1, 2]
     return header, payload
 
 
@@ -470,7 +470,7 @@ ARENA_DAMAGE = {
     "big-endian": _edit_arena(lambda h, a: (h, a.astype(">f8")), crc=False),
     "one-value-more": _edit_arena(lambda h, a: (h, np.append(a, 0.0))),
     "one-value-fewer": _edit_arena(lambda h, a: (h, a[:-1])),
-    "header-shape": _edit_arena(_with_shape),
+    "header-shape": _edit_arena(_with_u_shape),
     "nonfinite": _edit_arena(lambda h, a: (h, np.where(a == a.max(), np.inf, a))),
     "other-checkpoint": _other_checkpoints_arena,
 }
