@@ -8,8 +8,16 @@ on each of those parameter sets, one whole `step` on each (forward, loss
 and backward into a zeroed gradient arena by `training.gradients`, then
 `training.adam_update`), `evaluation.rank_candidates` on each (one dev or
 test ranking), `params.load_checkpoint` on each (a checkpoint that the
-timed checkout's own `save_checkpoint` wrote), and `training._make_batch`
-(a minibatch's negatives and index gathers). Shapes: a minibatch of
+timed checkout's own `save_checkpoint` wrote), `training._make_batch`
+(a minibatch's negatives and index gathers), and `dataset.load_split_dir`
+followed by the catalog's `fingerprint()`, what every `train`, `evaluate`
+and `recommend` does first, on a split directory that the timed
+checkout's own `prepare` wrote (V / 4 playlists of 63 songs, each owned by
+its own user): one row as written, through its split companion, one with
+the companion deleted, through the JSON (a checkout without
+`load_split_dir` is timed through `cli._load_split_dir`, and writes no
+companion, so both of its rows read the JSON); each of these rows is
+timed alone. Shapes: a minibatch of
 B = 256 contexts, k = 4 negatives (C = 1 + k candidates), l = 61 members
 per context, d in {8, 16, 32, 64} and V in {2,000; 20,000} songs, with
 V / 4 users and V / 4 playlists. A ranking scores B = 300 contexts of
@@ -197,6 +205,35 @@ def _sampler_rows(metric_rec, rng):
     return _timed_rows(calls)
 
 
+def _split_dir_rows(metric_rec, rng, tmp):
+    load = getattr(metric_rec.dataset, "load_split_dir", None)
+    if load is None:
+        import metric_rec.cli
+        load = metric_rec.cli._load_split_dir
+    calls = []
+    for v in SONGS:
+        n = v // 4
+        # a stream of shuffled catalogs, cut into playlists, so every song occurs
+        stream = np.concatenate([rng.permutation(v) for _ in range(-(-n * (L + 2) // v))])
+        tsv = os.path.join(tmp, f"split-{v}.tsv")
+        with open(tsv, "w", encoding="utf-8") as f:
+            for p in range(n):
+                for s in stream[p * (L + 2):(p + 1) * (L + 2)]:
+                    f.write(f"u{p}\tp{p}\ts{s}\n")
+        dirs = {source: os.path.join(tmp, f"split-{v}-{source}") for source in ("companion", "json")}
+        for source, d in dirs.items():
+            metric_rec.dataset.prepare(tsv, d, seed=0)
+        companion = os.path.join(dirs["json"], "split.json.arena")
+        if os.path.exists(companion):
+            os.remove(companion)
+        calls += [({"layer": "dataset.load_split_dir", "model": "", "source": source,
+                    "playlists": n, "l": L, "V": v},
+                   lambda d=d: load(d)[0].fingerprint()) for source, d in dirs.items()]
+    # each row alone: interleaved, a JSON load ran 1.2-1.7x faster right
+    # after another JSON load of the same ids than right after a companion load
+    return [row for call in calls for row in _timed_rows([call])]
+
+
 def main():
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -216,7 +253,8 @@ def main():
     rng = np.random.default_rng(0)
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        rows = _model_rows(metric_rec, rng, tmp) + _sampler_rows(metric_rec, rng)
+        rows = (_model_rows(metric_rec, rng, tmp) + _sampler_rows(metric_rec, rng)
+                + _split_dir_rows(metric_rec, rng, tmp))
     doc = {"tag": args.tag, "environment": _environment(root),
            "seconds": round(time.perf_counter() - t0, 1), "rows": rows}
     path = os.path.join(args.out, f"BENCH_{args.tag}.json")

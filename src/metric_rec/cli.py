@@ -18,12 +18,6 @@ def _fail(message):
     sys.exit(1)
 
 
-def _load_split_dir(split_dir):
-    catalog = dataset.load_catalog(os.path.join(split_dir, "catalog.json"))
-    split = dataset.load_split(os.path.join(split_dir, "split.json"), catalog)
-    return catalog, split
-
-
 def _check_catalog(parts, catalog):
     """Refuse models whose tables index another catalog than the split's.
 
@@ -120,7 +114,10 @@ def train(config_path, apr):
     except (OSError, ValueError) as exc:
         _fail(exc)
     out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        _fail(f"cannot create out_dir {out_dir!r}: {exc}")
 
     if cfg.model == "masr":
         for key in ("mdr_checkpoint", "mass_checkpoint"):
@@ -137,14 +134,14 @@ def train(config_path, apr):
         path = os.path.join(out_dir, "masr.json")
         try:
             _load_masr(manifest, path)
+            dataset.write_json(manifest, path)
         except (OSError, ValueError) as exc:
             _fail(exc)
-        dataset.write_json(manifest, path)
         click.echo(f"wrote fusion manifest {path}")
         return
 
     try:
-        catalog, split = _load_split_dir(cfg.split_dir)
+        catalog, split = dataset.load_split_dir(cfg.split_dir)
     except (OSError, ValueError) as exc:
         _fail(f"cannot load split from {cfg.split_dir!r}: {exc}")
     hyper = cfg.hyperparams()
@@ -172,10 +169,10 @@ def train(config_path, apr):
             params_mod.save_checkpoint(result.params, bpr_path, asdict(hyper), hyper.seed)
             result = training.train(result.params, data, dev, hyper, mode="apr", rng=rng,
                                     log_path=os.path.join(out_dir, "apr_log.jsonl"))
-    except (FloatingPointError, ValueError) as exc:
+        ckpt_path = os.path.join(out_dir, "checkpoint.json")
+        params_mod.save_checkpoint(result.params, ckpt_path, asdict(hyper), hyper.seed)
+    except (FloatingPointError, OSError, ValueError) as exc:
         _fail(exc)
-    ckpt_path = os.path.join(out_dir, "checkpoint.json")
-    params_mod.save_checkpoint(result.params, ckpt_path, asdict(hyper), hyper.seed)
     click.echo(f"wrote checkpoint {ckpt_path} (best epoch {result.best_epoch})")
 
 
@@ -203,20 +200,26 @@ def _parse_n_list(spec):
 @click.option("--out", "out_path", default="metrics.json", show_default=True)
 def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
     """Leave-one-out test evaluation; writes a metrics JSON."""
+    if not 0 <= seed < 2 ** 64:
+        _fail(f"--seed must be in [0, 2**64 - 1], got {seed}")
+    if os.path.isdir(out_path):
+        _fail(f"--out {out_path}: is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
+        _fail(f"--out {out_path}: its directory does not exist")
     try:
         n_list = _parse_n_list(n_spec)
         scorer, meta, parts = _load_model(checkpoint)
-        catalog, split = _load_split_dir(split_dir)
+        catalog, split = dataset.load_split_dir(split_dir)
         _check_catalog(parts, catalog)
         held = evaluation.held_out(split, catalog.num_songs, seed=seed)
         metrics = evaluation.evaluate(scorer, held, n_list=n_list)
+        doc = dict(meta)
+        doc["N"] = {str(n): metrics["N"][n] for n in n_list}
+        doc["num_playlists"] = metrics["num_playlists"]
+        doc["seed"] = seed
+        dataset.write_json(doc, out_path)
     except (OSError, ValueError) as exc:
         _fail(exc)
-    doc = dict(meta)
-    doc["N"] = {str(n): metrics["N"][n] for n in n_list}
-    doc["num_playlists"] = metrics["num_playlists"]
-    doc["seed"] = seed
-    dataset.write_json(doc, out_path)
     click.echo(f"wrote metrics {out_path}")
 
 
@@ -231,7 +234,7 @@ def recommend(checkpoint, playlist_id, top, split_dir):
         _fail(f"--top must be at least 1, got {top}")
     try:
         scorer, _, parts = _load_model(checkpoint)
-        catalog, split = _load_split_dir(split_dir)
+        catalog, split = dataset.load_split_dir(split_dir)
         _check_catalog(parts, catalog)
         if playlist_id not in catalog.playlists:
             _fail(f"unknown playlist id: {playlist_id}")
@@ -260,17 +263,17 @@ def attention_report(checkpoint, split_dir, out_dir):
         ckpt, _, _ = params_mod.load_checkpoint(checkpoint)
         if ckpt.kind != "mass":
             _fail("attention report requires a mass-family checkpoint")
-        catalog, split = _load_split_dir(split_dir)
+        catalog, split = dataset.load_split_dir(split_dir)
         _check_catalog((ckpt,), catalog)
         os.makedirs(out_dir, exist_ok=True)
         counts = analysis.count_cooccurrences(split.train.values())
         rho, rows = analysis.attention_correlation(
             ckpt, split, counts, csv_path=os.path.join(out_dir, "pmi_att.csv")
         )
+        summary_path = os.path.join(out_dir, "attention_summary.json")
+        dataset.write_json({"pearson_rho": rho, "num_pairs": len(rows)}, summary_path)
     except (OSError, ValueError) as exc:
         _fail(exc)
-    summary_path = os.path.join(out_dir, "attention_summary.json")
-    dataset.write_json({"pearson_rho": rho, "num_pairs": len(rows)}, summary_path)
     click.echo(f"wrote {summary_path} (rho={rho:.4f})")
 
 

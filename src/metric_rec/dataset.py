@@ -10,8 +10,12 @@ dev item. Everything is deterministic given the seed.
 
 import hashlib
 import json
+import os
+import struct
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -19,6 +23,11 @@ import orjson
 DEFAULT_K_CORE = 5
 DEFAULT_MAX_PLAYLISTS_PER_USER = 100
 DEFAULT_MAX_SONGS_PER_PLAYLIST = 63
+
+# the first 8 bytes of an arena file: its layout and version
+ARENA_MAGIC = b"MRARENA1"
+# the split companion `prepare` writes beside catalog.json and split.json
+SPLIT_ARENA = "split.json.arena"
 
 
 @dataclass
@@ -38,6 +47,9 @@ class Catalog:
     users: dict = field(default_factory=dict)
     playlists: dict = field(default_factory=dict)
     songs: dict = field(default_factory=dict)
+    # `fingerprint()` as a split companion stores it, "" when it is to be
+    # computed; not compared, and stale once a map changes
+    stored_fingerprint: str = field(default="", compare=False, repr=False)
 
     @property
     def num_users(self):
@@ -60,6 +72,8 @@ class Catalog:
     def fingerprint(self):
         """SHA-256 hex digest of the user, playlist and song id -> index maps,
         taken over their compact sorted-key JSON."""
+        if self.stored_fingerprint:
+            return self.stored_fingerprint
         maps = {"users": self.users, "playlists": self.playlists, "songs": self.songs}
         return hashlib.sha256(orjson.dumps(maps, option=orjson.OPT_SORT_KEYS)).hexdigest()
 
@@ -231,7 +245,67 @@ def write_json(doc, path):
     return data
 
 
+def _header_json(header):
+    """An arena file's header bytes: one serialization for the writer and for
+    the reader's CRC check, which re-serializes the parsed header."""
+    return orjson.dumps(header, option=orjson.OPT_SORT_KEYS)
+
+
+def write_arena(path, header, payload, sources):
+    """Write the arena file `path`, derived data for the files whose bytes
+    `sources` maps from a header key.
+
+    Layout: `ARENA_MAGIC`; the header's length as a little-endian uint64; the
+    header, sorted-key JSON holding `header`, each `sources` key with the
+    SHA-256 of its bytes, and `crc32`, the CRC-32 of the header's JSON
+    without that key followed by the payload; zeros up to an 8-byte
+    boundary; and the payload, the bytes of the array `payload`. It holds
+    no time stamp, so equal inputs give equal bytes. It is written in place:
+    a reader refuses a file cut short by a crash or read mid-write by its
+    CRC-32, as it refuses any other damage.
+    """
+    header = dict(header, **{key: hashlib.sha256(data).hexdigest()
+                             for key, data in sources.items()})
+    head = _header_json(dict(header, crc32=zlib.crc32(payload, zlib.crc32(_header_json(header)))))
+    with open(path, "wb") as f:
+        f.write(ARENA_MAGIC + struct.pack("<Q", len(head)) + head + bytes(-len(head) % 8))
+        f.write(payload)
+
+
+def read_arena(path, sources, dtype, build):
+    """`build(header, values)` for the arena file `path` (see `write_arena`),
+    or None.
+
+    `values` is the payload as a flat read-only `dtype` array. The result is
+    None when the file cannot be read, its magic is not `ARENA_MAGIC`, its
+    header does not parse, a `sources` key of the header is not the SHA-256
+    of those bytes (the file was written for other files), the CRC-32 does
+    not match, or `build` returns None or raises one of the errors a header
+    of another layout gives. Nothing is written.
+    """
+    try:
+        with open(path, "rb") as f:
+            buf = f.read()
+        if buf[:8] != ARENA_MAGIC:
+            return None
+        size, = struct.unpack_from("<Q", buf, 8)
+        header = orjson.loads(buf[16:16 + size])
+        crc = header.pop("crc32")
+        payload = memoryview(buf)[16 + size + -size % 8:]
+        if (any(header[key] != hashlib.sha256(data).hexdigest() for key, data in sources.items())
+                or crc != zlib.crc32(payload, zlib.crc32(_header_json(header)))):
+            return None
+        return build(header, np.frombuffer(payload, dtype))
+    except (OSError, struct.error, ValueError, LookupError, TypeError, AttributeError):
+        # Derived data that cannot be read (a missing file, a truncated or
+        # altered one, a header of another layout) is not used: the caller
+        # parses the JSON instead.
+        return None
+
+
 def save_catalog(catalog, path):
+    """Catalog manifest: the three id -> index maps and their sizes; returns
+    the bytes written."""
     doc = {
         "users": catalog.users,
         "playlists": catalog.playlists,
@@ -240,7 +314,7 @@ def save_catalog(catalog, path):
         "num_playlists": catalog.num_playlists,
         "num_songs": catalog.num_songs,
     }
-    write_json(doc, path)
+    return write_json(doc, path)
 
 
 def load_catalog(path):
@@ -277,7 +351,7 @@ def _require_object(path, field_name, value, what):
 
 
 def save_split(split, catalog, path):
-    """Split manifest keyed by external playlist id."""
+    """Split manifest keyed by external playlist id; returns the bytes written."""
     inv_u, inv_p, inv_s = catalog.inverse()
     doc = {}
     for p, members in split.train.items():
@@ -287,7 +361,7 @@ def save_split(split, catalog, path):
             "dev": inv_s[split.dev[p]],
             "test": inv_s[split.test[p]],
         }
-    write_json(doc, path)
+    return write_json(doc, path)
 
 
 def load_split(path, catalog):
@@ -342,12 +416,118 @@ def _name_unknown_id(path, pid, entry, catalog):
             raise ValueError(f"{path}: {pid}.{key}: {ext_id!r} is not in the catalog") from None
 
 
+def save_split_arena(catalog, split, catalog_data, split_data, path):
+    """Write the split companion `path` for the catalog.json bytes
+    `catalog_data` and the split.json bytes `split_data` that `save_catalog`
+    and `save_split` wrote for `catalog` and `split` (see `write_arena`).
+
+    Its header holds `catalog_json_sha256` and `split_json_sha256`, the
+    catalog's `fingerprint()` as `catalog_fingerprint`, each map's ids in
+    catalog.json's key order (sorted, as `write_json` sorts keys) as
+    `users`, `playlists` and `songs`, and `entries`, the number of
+    split.json entries. Its int64 payload holds each map's indices in its
+    ids' order; then one row per split.json entry in file order (playlist,
+    owner, dev song, test song, and the end offset of its train songs);
+    then every entry's train songs, one list after another.
+    """
+    maps = {key: getattr(catalog, key) for key in ("users", "playlists", "songs")}
+    ids = {key: sorted(table) for key, table in maps.items()}
+    indices = [np.fromiter(map(maps[key].__getitem__, key_ids), "<i8", len(key_ids))
+               for key, key_ids in ids.items()]
+    playlists = [p for p in map(catalog.playlists.__getitem__, ids["playlists"])
+                 if p in split.train]
+    trains = list(map(split.train.__getitem__, playlists))
+    columns = (playlists, map(split.owner.__getitem__, playlists),
+               map(split.dev.__getitem__, playlists), map(split.test.__getitem__, playlists),
+               map(len, trains))
+    rows = np.stack([np.fromiter(c, "<i8", len(playlists)) for c in columns], axis=1)
+    rows[:, 4] = np.cumsum(rows[:, 4])
+    train = np.fromiter(chain.from_iterable(trains), "<i8", rows[-1, 4])
+    header = dict(ids, catalog_fingerprint=catalog.fingerprint(), entries=len(playlists))
+    write_arena(path, header, np.concatenate(indices + [rows.ravel(), train]),
+                {"catalog_json_sha256": catalog_data, "split_json_sha256": split_data})
+
+
+def load_split_dir(split_dir):
+    """(Catalog, SplitDataset) of the split directory `split_dir`: its
+    catalog.json and split.json, read through `load_catalog` and `load_split`.
+
+    When `split_dir` holds a split companion (see `save_split_arena`) whose
+    magic, header and CRC-32 are intact, whose hashes are the SHA-256 of
+    both files' bytes, whose payload has the length its header implies, and
+    which passes every check of `load_catalog` and `load_split`, the result
+    is built from it without parsing either file, and the catalog keeps
+    the companion's fingerprint. It then equals what the JSON gives, dict
+    order included. In every other case the JSON is parsed, with its own
+    errors. Nothing is written.
+    """
+    catalog_path = os.path.join(split_dir, "catalog.json")
+    split_path = os.path.join(split_dir, "split.json")
+    companion = os.path.join(split_dir, SPLIT_ARENA)
+    if os.path.exists(companion):  # else the JSON files are read once, below
+        try:
+            sources = {}
+            for key, path in (("catalog_json_sha256", catalog_path),
+                              ("split_json_sha256", split_path)):
+                with open(path, "rb") as f:
+                    sources[key] = f.read()
+        except OSError:
+            sources = None  # the JSON path raises the error in its own order
+        loaded = sources and read_arena(companion, sources, "<i8", _split_from_arena)
+        if loaded:
+            return loaded
+    catalog = load_catalog(catalog_path)
+    return catalog, load_split(split_path, catalog)
+
+
+def _split_from_arena(header, values):
+    """(Catalog, SplitDataset) from a split companion's header and payload
+    `values`, or None unless they pass the vectorised forms of the checks of
+    `load_catalog` (ids each once, dense indices) and `load_split` (ids in
+    the catalog, non-empty train lists, held-out songs not in them)."""
+    maps, offset = {}, 0
+    for key, first in (("users", 0), ("playlists", 0), ("songs", 1)):
+        ids = header[key]
+        indices = values[offset:offset + len(ids)]
+        offset += len(ids)
+        if (type(ids) is not list or not set(map(type, ids)) <= {str}
+                or not np.array_equal(np.sort(indices), np.arange(first, first + len(ids)))):
+            return None
+        maps[key] = dict(zip(ids, indices.tolist()))
+        if len(maps[key]) != len(ids):  # an id given twice
+            return None
+    n, fingerprint = header["entries"], header["catalog_fingerprint"]
+    if type(n) is not int or n < 1 or type(fingerprint) is not str:
+        return None
+    rows = values[offset:offset + 5 * n].reshape(n, 5)
+    train = values[offset + 5 * n:]
+    playlist, owner, dev, test, ends = rows.T
+    num_songs = len(maps["songs"])
+    counts = np.diff(ends, prepend=0)
+    # the offsets are compared, not subtracted, so a count that wrapped
+    # around int64 is never used
+    if (ends[0] < 1 or np.any(ends[1:] <= ends[:-1]) or ends[-1] != len(train)
+            or playlist.min() < 0 or playlist.max() >= len(maps["playlists"])
+            or np.bincount(playlist).max() > 1
+            or owner.min() < 0 or owner.max() >= len(maps["users"])
+            or min(dev.min(), test.min(), train.min()) < 1
+            or max(dev.max(), test.max(), train.max()) > num_songs
+            or np.any(np.repeat(dev, counts) == train)
+            or np.any(np.repeat(test, counts) == train)):
+        return None
+    keys, songs = playlist.tolist(), train.tolist()
+    split = SplitDataset(
+        train={p: songs[b - c:b] for p, b, c in zip(keys, ends.tolist(), counts.tolist())},
+        dev=dict(zip(keys, dev.tolist())), test=dict(zip(keys, test.tolist())),
+        owner=dict(zip(keys, owner.tolist())), max_members=int(counts.max()))
+    return Catalog(**maps, stored_fingerprint=fingerprint), split
+
+
 def prepare(input_path, out_dir, k=DEFAULT_K_CORE, seed=0,
             max_playlists_per_user=DEFAULT_MAX_PLAYLISTS_PER_USER,
             max_songs_per_playlist=DEFAULT_MAX_SONGS_PER_PLAYLIST):
-    """Full pipeline: load, cap, filter, index, split, write manifests."""
-    import os
-
+    """Full pipeline: load, cap, filter, index, split, write the manifests
+    and their split companion."""
     records = load_interactions(input_path)
     records = apply_size_caps(records, max_playlists_per_user, max_songs_per_playlist)
     records = k_core_filter(records, k)
@@ -356,6 +536,8 @@ def prepare(input_path, out_dir, k=DEFAULT_K_CORE, seed=0,
     catalog = build_catalog(records)
     split = leave_one_out_split(records, seed, catalog)
     os.makedirs(out_dir, exist_ok=True)
-    save_catalog(catalog, os.path.join(out_dir, "catalog.json"))
-    save_split(split, catalog, os.path.join(out_dir, "split.json"))
+    catalog_data = save_catalog(catalog, os.path.join(out_dir, "catalog.json"))
+    split_data = save_split(split, catalog, os.path.join(out_dir, "split.json"))
+    save_split_arena(catalog, split, catalog_data, split_data,
+                     os.path.join(out_dir, SPLIT_ARENA))
     return catalog, split

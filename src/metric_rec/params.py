@@ -9,17 +9,13 @@ song_bias) carry a reserved padding row at index 0 that is kept at zero and
 never receives gradient updates.
 """
 
-import hashlib
 import math
 import os
-import struct
-import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import orjson
 
-from .dataset import parse_json, write_json
+from .dataset import parse_json, read_arena, write_arena, write_json
 
 # Tensors subject to L2 regularization: embedding tables and metric vectors.
 # Song-bias tables and the query affine maps are left unregularized.
@@ -35,8 +31,6 @@ MASS_VARIANTS = ("us", "ps", "ups")
 ATTENTION_KINDS = ("mem_metric", "mem_dot", "nonmem_metric", "nonmem_dot")
 
 CHECKPOINT_FORMAT = "metric-rec-checkpoint-v1"
-# the first 8 bytes of a checkpoint's arena file: its layout and version
-ARENA_MAGIC = b"MRARENA1"
 
 
 class Arena(dict):
@@ -196,16 +190,13 @@ def init_mass(m, n, v, d, rng, variant="us", attention="mem_metric", use_bias=Tr
 def save_checkpoint(params, path, hyperparams=None, seed=0):
     """Write a self-describing JSON checkpoint (sorted keys, UTF-8) and its arena file.
 
-    The arena file, `<path>.arena`, is derived data for `load_checkpoint`:
-    `ARENA_MAGIC`; the header's length as a little-endian uint64; the header,
-    sorted-key JSON holding the document without its tensor values, plus
-    `json_sha256`, the SHA-256 of the JSON's bytes, and `crc32`, the CRC-32
-    of the header's JSON without that key followed by the payload; zeros up
-    to an 8-byte boundary; and the payload, every tensor's values as
-    little-endian float64 in the `tensor_shapes` order, which is the
-    arena's. It is written through a temporary file and holds no time
-    stamp, so equal checkpoints give equal bytes. A `<path>.npz`, the zip
-    companion of earlier versions, is removed.
+    The arena file, `<path>.arena`, is derived data for `load_checkpoint`
+    in the layout of `dataset.write_arena`: its header holds the document
+    without its tensor values, plus `json_sha256`, the SHA-256 of the JSON's
+    bytes; its payload every tensor's values as little-endian float64 in
+    the `tensor_shapes` order, which is the arena's. Equal checkpoints give
+    equal bytes. A `<path>.npz`, the zip companion of earlier versions, is
+    removed.
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -227,32 +218,16 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
             for name, t in params.tensors.items()
         },
     }
-    digest = hashlib.sha256(write_json(doc, path)).hexdigest()
-    header = dict(doc, json_sha256=digest,
-                  tensors={name: {"shape": spec["shape"]} for name, spec in doc["tensors"].items()})
+    data = write_json(doc, path)
+    header = dict(doc, tensors={name: {"shape": spec["shape"]}
+                                for name, spec in doc["tensors"].items()})
     payload = np.concatenate([params.tensors[name].ravel() for name in tensor_shapes(params)],
                              dtype="<f8")
-    head = _header_json(dict(header, crc32=zlib.crc32(payload, zlib.crc32(_header_json(header)))))
-    arena = os.fspath(path) + ".arena"
-    tmp = arena + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(ARENA_MAGIC + struct.pack("<Q", len(head)) + head + bytes(-len(head) % 8))
-            f.write(payload)
-        os.replace(tmp, arena)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_arena(os.fspath(path) + ".arena", header, payload, {"json_sha256": data})
     try:
         os.remove(os.fspath(path) + ".npz")
     except FileNotFoundError:
         pass
-
-
-def _header_json(header):
-    """An arena file's header bytes: one serialization for the writer and for
-    the reader's CRC check, which re-serializes the parsed header."""
-    return orjson.dumps(header, option=orjson.OPT_SORT_KEYS)
 
 
 def load_checkpoint(path):
@@ -276,43 +251,26 @@ def read_checkpoint(path):
     """
     with open(path, "rb") as f:
         data = f.read()
-    doc = _arena_doc(os.fspath(path) + ".arena", data)
-    if doc is not None:
-        try:
-            return checkpoint_from_doc(doc, path), None
-        except ValueError:
-            pass  # the JSON decides, with its own message if it fails too
-    return None, parse_json(data, path)
+    loaded = read_arena(os.fspath(path) + ".arena", {"json_sha256": data}, "<f8",
+                        lambda header, values: checkpoint_from_doc(_with_values(header, values),
+                                                                   path))
+    # the JSON decides, with its own message if it fails too
+    return (loaded, None) if loaded else (None, parse_json(data, path))
 
 
-def _arena_doc(arena, data):
-    """The checkpoint document held by the file `arena`, its values as float64
-    arrays, if it was written for the JSON bytes `data`; else None."""
-    try:
-        with open(arena, "rb") as f:
-            buf = f.read()
-        if buf[:8] != ARENA_MAGIC:
-            return None
-        size, = struct.unpack_from("<Q", buf, 8)
-        doc = orjson.loads(buf[16:16 + size])
-        crc = doc.pop("crc32")
-        payload = memoryview(buf)[16 + size + -size % 8:]
-        if (doc["json_sha256"] != hashlib.sha256(data).hexdigest()
-                or crc != zlib.crc32(payload, zlib.crc32(_header_json(doc)))):
-            return None
-        values = np.frombuffer(payload, "<f8")
-        offset = 0
-        # the header's keys are sorted; the payload is in the arena's order
-        for name, shape in tensor_shapes(ModelParams(**doc["model"])).items():
-            n = math.prod(shape)
-            doc["tensors"][name]["values"] = values[offset:offset + n]
-            offset += n
-        return doc if offset == values.size else None
-    except (OSError, struct.error, ValueError, LookupError, TypeError, AttributeError):
-        # Derived data that cannot be read (a missing file, a truncated or
-        # altered one, a header of another layout) is not used: the caller
-        # parses the JSON instead.
-        return None
+def _with_values(doc, values):
+    """The checkpoint header `doc` with each tensor's `values`, its slice of
+    the arena file's float64 payload `values`, in the arena's order (the
+    header's keys are sorted). Raises ValueError unless the payload holds
+    exactly the values the header's model implies."""
+    offset = 0
+    for name, shape in tensor_shapes(ModelParams(**doc["model"])).items():
+        n = math.prod(shape)
+        doc["tensors"][name]["values"] = values[offset:offset + n]
+        offset += n
+    if offset != values.size:
+        raise ValueError("the arena file's payload does not match its header")
+    return doc
 
 
 def _check_tensor_spec(path, name, spec):

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import oracles
 import synthetic
 from metric_rec import dataset, evaluation, kernels, models, params as params_mod, training
+from test_dataset import loaded_split
 from test_params import (CORRUPTIONS, read_arena, write_arena, write_corrupt_checkpoint,
                          write_zip_companion)
-from metric_rec.cli import _load_model, _load_split_dir, main
+from metric_rec.cli import _load_model, main
 
 runner = CliRunner()
 
@@ -59,10 +60,11 @@ def workspace(tmp_path_factory):
 def test_prepare_outputs_and_determinism(workspace, tmp_path):
     assert (workspace / "splits" / "catalog.json").exists()
     assert (workspace / "splits" / "split.json").exists()
+    assert (workspace / "splits" / "split.json.arena").exists()
     tsv = workspace / "interactions.tsv"
     for d in ("a", "b"):
         _run(["prepare", "--input", str(tsv), "--out", str(tmp_path / d)])
-    for name in ("catalog.json", "split.json"):
+    for name in ("catalog.json", "split.json", "split.json.arena"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -159,7 +161,7 @@ def test_train_apr_writes_the_bytes_of_the_reference_step(workspace, tmp_path, m
     """`train --apr` writes the same checkpoints and losses when the training
     step's row sums, scatters and sampler are replaced by their references."""
     split_dir = workspace / "splits"
-    catalog, split = _load_split_dir(str(split_dir))
+    catalog, split = dataset.load_split_dir(str(split_dir))
     pool_sizes, gaps = oracles.negative_pools(split, catalog.num_songs)
 
     def train_grid(tag):
@@ -270,6 +272,53 @@ def test_evaluate_rejects_n_below_one_before_loading(tmp_path):
     result = _run(["evaluate", "--checkpoint", str(tmp_path / "missing.json"),
                    "--split", str(tmp_path), "--n", "0..3"], expect_exit=1)
     assert "N must be >= 1" in _single_error_line(result)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)], ids=["negative", "beyond-64-bits"])
+def test_evaluate_refuses_a_seed_outside_64_bits_naming_the_option(workspace, tmp_path, seed):
+    out = tmp_path / "m.json"
+    result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(workspace / "splits"), "--seed", seed, "--out", str(out)],
+                  expect_exit=1)
+    assert "--seed" in _single_error_line(result)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_evaluate_refuses_an_out_path_it_cannot_write_before_ranking(workspace, tmp_path,
+                                                                    monkeypatch, where):
+    ranked = []
+    monkeypatch.setattr(evaluation, "evaluate", lambda *args, **kwargs: ranked.append(args))
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "m.json"
+    result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(workspace / "splits"), "--out", str(out)], expect_exit=1)
+    assert f"--out {out}: " in _single_error_line(result)
+    assert ranked == [] and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("model", ["mdr", "masr"])
+def test_train_with_an_out_dir_that_is_a_file_fails_cleanly(workspace, tmp_path, model):
+    out_dir = tmp_path / "out"
+    out_dir.write_text("a file", encoding="utf-8")
+    values = ({"split_dir": workspace / "splits", "epochs": "1", "d": "8"} if model == "mdr"
+              else {"alpha": "0.5", "mdr_checkpoint": workspace / "mdr" / "checkpoint.json",
+                    "mass_checkpoint": workspace / "mass" / "checkpoint.json"})
+    cfg = _write_config(tmp_path / "run.cfg", model=model, out_dir=out_dir, **values)
+    line = _single_error_line(_run(["train", "--config", cfg], expect_exit=1))
+    assert f"cannot create out_dir {str(out_dir)!r}: " in line
+    assert out_dir.read_text(encoding="utf-8") == "a file"
+
+
+@pytest.mark.parametrize("blocked", ["checkpoint_bpr.json", "checkpoint.json",
+                                     "checkpoint.json.arena"])
+def test_train_that_cannot_write_a_checkpoint_fails_cleanly(workspace, tmp_path, blocked):
+    """A directory stands where `train --apr` writes a checkpoint or its arena file."""
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)
+    cfg = _write_config(tmp_path / "apr.cfg", model="mdr", split_dir=workspace / "splits",
+                        out_dir=out_dir, epochs="1", batch_size="64", d="8")
+    line = _single_error_line(_run(["train", "--config", cfg, "--apr"], expect_exit=1))
+    assert str(out_dir / blocked) in line
 
 
 def test_recommend_rejects_top_below_one(workspace):
@@ -436,8 +485,17 @@ def _files(directory):
 @pytest.mark.parametrize("companion", ["matching", "stale", "missing", "zip"])
 def test_reading_commands_write_nothing_beside_a_read_only_model(workspace, tmp_path,
                                                                  companion):
+    """Nor beside a read-only split directory, whose companion is matching,
+    stale or missing alike (for "zip", matching)."""
     models_dir = tmp_path / "models"
     models_dir.mkdir()
+    split_dir = tmp_path / "splits"
+    shutil.copytree(workspace / "splits", split_dir)
+    if companion == "stale":
+        with open(split_dir / "split.json", "ab") as f:
+            f.write(b" ")
+    elif companion == "missing":
+        (split_dir / "split.json.arena").unlink()
     for kind in ("mdr", "mass"):
         shutil.copy(workspace / kind / "checkpoint.json", models_dir / f"{kind}.json")
         if companion in ("matching", "stale"):
@@ -450,11 +508,11 @@ def test_reading_commands_write_nothing_beside_a_read_only_model(workspace, tmp_
                 f.write(b" ")
     _masr_manifest(workspace, models_dir / "masr.json",
                    mdr_checkpoint="mdr.json", mass_checkpoint="mass.json")
-    before = _files(models_dir)
-    for p in [models_dir, *models_dir.iterdir()]:
+    before = _files(models_dir), _files(split_dir)
+    for p in [models_dir, *models_dir.iterdir(), split_dir, *split_dir.iterdir()]:
         p.chmod(0o555 if p.is_dir() else 0o444)
     try:
-        split = str(workspace / "splits")
+        split = str(split_dir)
         for model in ("mdr.json", "masr.json"):
             _run(["evaluate", "--checkpoint", str(models_dir / model), "--split", split,
                   "--out", str(tmp_path / "metrics.json")])
@@ -464,7 +522,8 @@ def test_reading_commands_write_nothing_beside_a_read_only_model(workspace, tmp_
               "--split", split, "--out", str(tmp_path / "report")])
     finally:
         models_dir.chmod(0o755)
-    assert _files(models_dir) == before
+        split_dir.chmod(0o755)
+    assert (_files(models_dir), _files(split_dir)) == before
 
 
 def _masr_manifest(workspace, path, **changes):
@@ -800,7 +859,11 @@ def corruption_dir(workspace, tmp_path_factory):
     shutil.copytree(workspace / "splits", root / "splits")
     _masr_manifest(workspace, root / "masr.json")
     # the valid checkpoint's companion, left stale beside each corrupted copy
+    # (the split directory's companion is copied with it, and goes stale too)
     shutil.copy(workspace / "mdr" / "checkpoint.json.arena", root / "checkpoint.json.arena")
+    # another split of the same corpus, whose companion is swapped in
+    _run(["prepare", "--input", str(workspace / "interactions.tsv"),
+          "--out", str(root / "other-splits"), "--seed", "1"])
     return root
 
 
@@ -819,6 +882,7 @@ _CORRUPTED_FILES = {
 def test_corrupted_artifact_fails_cleanly_naming_the_file(workspace, corruption_dir, kind,
                                                           command, data):
     source, path = _CORRUPTED_FILES[kind](workspace, corruption_dir)
+    assert (corruption_dir / "splits" / "split.json.arena").exists()
     valid = json.loads(source.read_text(encoding="utf-8"))
     path.write_text(json.dumps(data.draw(_corrupted(kind, valid))), encoding="utf-8")
     model = {"checkpoint": path, "manifest": path}.get(kind, workspace / "mdr" / "checkpoint.json")
@@ -836,10 +900,11 @@ def test_corrupted_artifact_fails_cleanly_naming_the_file(workspace, corruption_
             path.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
 
 
-def _rewrite_companion(path, edit, crc):
-    """Rewrite the arena file at `path`, its header and payload passed through
-    `edit(header, payload)`; with `crc`, its CRC-32 is recomputed for them."""
-    header, payload = read_arena(path)
+def _rewrite_companion(path, edit, crc, dtype="<f8"):
+    """Rewrite the arena file at `path`, its header and `dtype` payload passed
+    through `edit(header, payload)`; with `crc`, its CRC-32 is recomputed for
+    them."""
+    header, payload = read_arena(path, dtype)
     write_arena(path, *edit(header, payload), crc=crc)
 
 
@@ -896,29 +961,87 @@ def _damaged_checkpoint(draw, workspace, path):
     return op
 
 
-def _outcome(path, split_dir):
-    """What `recommend` prints and `load_checkpoint` returns for the checkpoint at `path`."""
+@st.composite
+def _damaged_split_companion(draw, workspace, other, split_dir):
+    """Copy `workspace`'s split directory to `split_dir`, then truncate, flip,
+    swap (for the companion of the split directory `other`), re-encode or
+    resize its companion, or edit one of its JSON files beside it."""
+    shutil.rmtree(split_dir, ignore_errors=True)
+    shutil.copytree(workspace / "splits", split_dir)
+    companion = split_dir / "split.json.arena"
+    data = companion.read_bytes()
+    payload_start = len(data) - 8 * len(read_arena(companion, "<i8")[1])
+    op = draw(st.sampled_from(["truncate", "flip-header", "flip-payload", "swap", "encode",
+                               "resize", "catalog", "split"]))
+    if op == "truncate":
+        companion.write_bytes(data[:draw(st.integers(0, len(data) - 1))])
+    elif op.startswith("flip"):
+        where = (st.integers(0, payload_start - 1) if op == "flip-header"
+                 else st.integers(payload_start, len(data) - 1))
+        damaged = bytearray(data)
+        for i in draw(st.lists(where, min_size=1, max_size=3)):
+            damaged[i] ^= draw(st.integers(1, 255))
+        companion.write_bytes(bytes(damaged))
+    elif op == "swap":
+        shutil.copy(other / "split.json.arena", companion)
+    elif op == "encode":  # the values in another encoding, the CRC left as written
+        dtype = draw(st.sampled_from(["<i4", ">i8", "<f8", "<u2"]))
+        _rewrite_companion(companion, lambda h, a: (h, a.astype(dtype)), crc=False,
+                           dtype="<i8")
+    elif op == "resize":  # a payload of another length, with a CRC that matches it
+        change = draw(st.sampled_from([lambda a: a.astype("<i4"), lambda a: a[:-1],
+                                       lambda a: np.append(a, a[-1:])]))
+        _rewrite_companion(companion, lambda h, a: (h, change(a)), crc=True, dtype="<i8")
+    else:  # a JSON file rewritten: the same document, p0's held-out songs swapped, or
+        # p0's dev song put in its train list
+        path = split_dir / f"{op}.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit = draw(st.sampled_from(["spaced", "swap-held-out", "dev-in-train"]))
+        if op == "split" and edit == "swap-held-out":
+            doc["p0"]["dev"], doc["p0"]["test"] = doc["p0"]["test"], doc["p0"]["dev"]
+        elif op == "split" and edit == "dev-in-train":
+            doc["p0"]["train"].append(doc["p0"]["dev"])
+        elif op == "catalog" and edit != "spaced":
+            a, b = sorted(doc["songs"])[:2]
+            doc["songs"][a], doc["songs"][b] = doc["songs"][b], doc["songs"][a]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        op = f"{op}-{edit}"
+    return op
+
+
+def _outcome(path, split_dir, named):
+    """What `recommend` prints and `load_checkpoint` returns for the checkpoint
+    at `path`, and what `load_split_dir` returns for `split_dir`; a failed
+    `recommend` must print one `error:` line, naming `named` unless None."""
     result = runner.invoke(main, ["recommend", "--checkpoint", str(path),
                                   "--split", str(split_dir), "--playlist", "p0"])
     assert result.exit_code in (0, 1), (result.output, result.exception)
     if result.exit_code:
-        assert str(path) in _single_error_line(result)
+        assert str(named) in _single_error_line(result)
     try:
         ckpt, hyper, seed = params_mod.load_checkpoint(path)
         loaded = (ckpt.tensors.layout, ckpt.tensors.flat.tobytes(), hyper, seed)
     except ValueError as exc:
         loaded = str(exc)
-    return result.exit_code, result.output, loaded
+    return result.exit_code, result.output, loaded, loaded_split(split_dir)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_damaged_checkpoint_or_companion_gives_what_the_json_alone_gives(
         workspace, corruption_dir, data):
-    """A changed value or shape entry, or a damaged companion, either loads the
-    JSON's tensors bit-identically or fails with the JSON's own one-line error."""
-    path = corruption_dir / "damaged.json"
-    op = data.draw(_damaged_checkpoint(workspace, path))
-    with_companion = _outcome(path, corruption_dir / "splits")
-    path.with_name(path.name + ".arena").unlink()
-    assert _outcome(path, corruption_dir / "splits") == with_companion, op
+    """A changed value or shape entry, or a damaged companion of a checkpoint
+    or of a split directory, either loads the JSON's tensors, catalog and
+    split exactly or fails with the JSON's own one-line error."""
+    if data.draw(st.booleans()):
+        path, split_dir = corruption_dir / "damaged.json", corruption_dir / "splits"
+        op = data.draw(_damaged_checkpoint(workspace, path))
+        companion, named = path.with_name(path.name + ".arena"), path
+    else:  # an edited catalog may also fail the checkpoint's fingerprint check
+        path, split_dir = workspace / "mdr" / "checkpoint.json", corruption_dir / "damaged-splits"
+        op = data.draw(_damaged_split_companion(workspace, corruption_dir / "other-splits",
+                                                split_dir))
+        companion, named = split_dir / "split.json.arena", ""
+    with_companion = _outcome(path, split_dir, named)
+    companion.unlink()
+    assert _outcome(path, split_dir, named) == with_companion, op

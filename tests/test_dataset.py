@@ -1,10 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from metric_rec import dataset
 from metric_rec.dataset import InteractionRecord
+from test_params import read_arena, write_arena
 
 
 def _write(tmp_path, lines, name="in.tsv"):
@@ -290,6 +292,7 @@ def test_prepare_pipeline(tmp_path):
         doc = json.load(f)
     assert set(doc) == {"p0", "p1", "p2"}
     assert set(doc["p0"]) == {"user", "train", "dev", "test"}
+    assert sorted(os.listdir(out_dir)) == ["catalog.json", "split.json", "split.json.arena"]
 
 
 def test_prepare_deterministic(tmp_path):
@@ -297,5 +300,169 @@ def test_prepare_deterministic(tmp_path):
     path = _write(tmp_path, lines)
     for d in ("a", "b"):
         dataset.prepare(path, str(tmp_path / d), seed=5)
-    for name in ("catalog.json", "split.json"):
+    for name in ("catalog.json", "split.json", "split.json.arena"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# ids whose code-point order differs from a case-folded or locale order
+_USERS = ["Zoë", "anna", "Ω", "u10", "u9"]
+_SONGS = ["s10", "s9", "S1", "é", "e", "ß", "😀", "Ω", "ω", "z", "Z", "ａ"]
+
+
+def _prepared(tmp_path, name="split", seed=0):
+    """A split directory that `prepare` wrote for six playlists of 6-9 songs
+    over `_SONGS`, owned by `_USERS`, with ids in no sorted order."""
+    lines = []
+    for i in range(6):
+        songs = [_SONGS[(5 * i + j) % len(_SONGS)] for j in range(6 + i % 4)]
+        lines += [f"{_USERS[i % len(_USERS)]}\tpl-{'ÿab'[i % 3]}{9 - i}\t{s}" for s in songs]
+    tsv = _write(tmp_path, lines, name=f"{name}.tsv")
+    dataset.prepare(tsv, str(tmp_path / name), seed=seed)
+    return tmp_path / name
+
+
+def _count_json_loads(monkeypatch):
+    calls = []
+    for name in ("load_catalog", "load_split"):
+        original = getattr(dataset, name)
+        monkeypatch.setattr(dataset, name, lambda *args, _name=name, _fn=original:
+                            calls.append(_name) or _fn(*args))
+    return calls
+
+
+def loaded_split(split_dir):
+    """What `load_split_dir` gives for `split_dir`, dict order included, or its error."""
+    try:
+        catalog, split = dataset.load_split_dir(str(split_dir))
+    except (OSError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return ([list(getattr(catalog, key).items()) for key in ("users", "playlists", "songs")],
+            [list(getattr(split, key).items()) for key in ("train", "dev", "test", "owner")],
+            split.max_members, catalog.fingerprint())
+
+
+def test_split_companion_gives_the_structures_of_the_json(tmp_path, monkeypatch):
+    split_dir = _prepared(tmp_path)
+    calls = _count_json_loads(monkeypatch)
+    catalog, split = dataset.load_split_dir(str(split_dir))
+    via_companion = loaded_split(split_dir)
+    assert calls == []
+    ref_catalog = dataset.load_catalog(str(split_dir / "catalog.json"))
+    ref_split = dataset.load_split(str(split_dir / "split.json"), ref_catalog)
+    assert (catalog, split) == (ref_catalog, ref_split)
+    assert catalog.stored_fingerprint == ref_catalog.fingerprint()
+    (split_dir / "split.json.arena").unlink()
+    assert via_companion == loaded_split(split_dir)
+    assert calls == ["load_catalog", "load_split"] * 2
+    assert all(type(s) is int for songs in split.train.values() for s in songs)
+    assert list(catalog.songs) == sorted(_SONGS) != sorted(_SONGS, key=str.casefold)
+
+
+def _edit_companion(edit):
+    """Rewrite the split companion's header and payload through `edit`, with
+    a CRC-32 that matches: only the content checks can refuse it."""
+    def damage(split_dir):
+        path = split_dir / "split.json.arena"
+        header, payload = read_arena(path, "<i8")
+        write_arena(path, *edit(header, payload.copy()))
+    return damage
+
+
+def _rows_start(header):
+    return sum(len(header[key]) for key in ("users", "playlists", "songs"))
+
+
+def _set(where, value):
+    """An edit that sets payload[where(header)] to value(header, payload)."""
+    def edit(header, payload):
+        payload[where(header)] = value(header, payload)
+        return header, payload
+    return edit
+
+
+def _with_ends(header, payload, ends):
+    """`payload` with its first rows' train end offsets replaced by `ends`."""
+    for i, end in enumerate(ends):
+        payload[_rows_start(header) + 5 * i + 4] = end
+    return payload
+
+
+def _flip(at):
+    def damage(split_dir):
+        path = split_dir / "split.json.arena"
+        data = bytearray(path.read_bytes())
+        data[at(data)] ^= 0x01
+        path.write_bytes(bytes(data))
+    return damage
+
+
+def _edit_json(name, edit):
+    """Rewrite `name` in the split directory through `edit`, leaving the
+    companion stale."""
+    def damage(split_dir):
+        path = split_dir / name
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        dataset.write_json(doc, str(path))
+    return damage
+
+
+def _swap_two_songs(doc):
+    a, b = sorted(doc["songs"])[:2]
+    doc["songs"][a], doc["songs"][b] = doc["songs"][b], doc["songs"][a]
+
+
+def _dev_into_train(doc):
+    entry = doc[sorted(doc)[0]]
+    entry["train"].append(entry["dev"])
+
+
+def _other_splits_companion(split_dir):
+    other = _prepared(split_dir.parent, name="other", seed=1)
+    os.replace(other / "split.json.arena", split_dir / "split.json.arena")
+
+
+SPLIT_COMPANION_DAMAGE = {
+    "truncated": lambda d: (d / "split.json.arena").write_bytes(
+        (d / "split.json.arena").read_bytes()[:-8]),
+    "magic": _flip(lambda data: 0),
+    # a digit of the stored fingerprint: the header still parses and passes
+    # every content check, so only the CRC-32 refuses it
+    "header-byte": _flip(lambda data: data.index(b'"catalog_fingerprint":"') + 23),
+    # the low bit of the last train song, another song of the catalog
+    "payload-byte": _flip(lambda data: len(data) - 8),
+    "stale-catalog": _edit_json("catalog.json", _swap_two_songs),
+    "stale-split": _edit_json("split.json", _dev_into_train),
+    "other-split": _other_splits_companion,
+    "song-out-of-range": _edit_companion(_set(lambda h: -1, lambda h, a: len(h["songs"]) + 1)),
+    "owner-out-of-range": _edit_companion(_set(lambda h: _rows_start(h) + 1,
+                                               lambda h, a: len(h["users"]))),
+    "held-out-in-train": _edit_companion(_set(lambda h: _rows_start(h) + 5 * h["entries"],
+                                              lambda h, a: a[_rows_start(h) + 2])),
+    "playlist-twice": _edit_companion(_set(lambda h: _rows_start(h) + 5,
+                                           lambda h, a: a[_rows_start(h)])),
+    "empty-train-list": _edit_companion(_set(lambda h: _rows_start(h) + 4, lambda h, a: 0)),
+    "song-index-twice": _edit_companion(_set(lambda h: len(h["users"]) + len(h["playlists"]),
+                                             lambda h, a: a[len(h["users"]) + len(h["playlists"])
+                                                            + 1])),
+    "song-id-twice": _edit_companion(lambda h, a: (dict(h, songs=[h["songs"][1]] + h["songs"][1:]),
+                                                   a)),
+    # offsets 2**63 - 1, -2, n: counts that wrap around int64 to 2**63 - 1, 2**63 - 1, n + 2
+    "offsets-that-wrap": _edit_companion(lambda h, a: (h, _with_ends(h, a, [2 ** 63 - 1, -2]))),
+    "one-entry-fewer": _edit_companion(lambda h, a: (dict(h, entries=h["entries"] - 1), a)),
+    "one-value-more": _edit_companion(lambda h, a: (h, np.append(a, 1))),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(SPLIT_COMPANION_DAMAGE))
+def test_damaged_or_stale_split_companion_gives_what_the_json_alone_gives(tmp_path, monkeypatch,
+                                                                         damage):
+    split_dir = _prepared(tmp_path)
+    SPLIT_COMPANION_DAMAGE[damage](split_dir)
+    files = {f: (split_dir / f).read_bytes() for f in os.listdir(split_dir)}
+    calls = _count_json_loads(monkeypatch)
+    damaged = loaded_split(split_dir)
+    assert calls == ["load_catalog", "load_split"]
+    assert {f: (split_dir / f).read_bytes() for f in os.listdir(split_dir)} == files
+    (split_dir / "split.json.arena").unlink()
+    assert loaded_split(split_dir) == damaged

@@ -278,16 +278,17 @@ def test_load_checkpoint_rejects_tensors_that_disagree_with_header(tmp_path, cas
         params_mod.load_checkpoint(str(path))
 
 
-def read_arena(path):
+def read_arena(path, dtype="<f8"):
     """(header, payload) of the arena file at `path`: the 8-byte magic, the
     header's length as a little-endian uint64, the header, zeros up to an
-    8-byte boundary, then the payload as little-endian float64."""
+    8-byte boundary, then the payload as `dtype` (a checkpoint's is
+    little-endian float64)."""
     data = path.read_bytes()
     assert data[:8] == b"MRARENA1"
     size = int.from_bytes(data[8:16], "little")
     start = 16 + size + -size % 8
     assert data[16 + size:start] == bytes(start - 16 - size)
-    return json.loads(data[16:16 + size]), np.frombuffer(data[start:], "<f8")
+    return json.loads(data[16:16 + size]), np.frombuffer(data[start:], dtype)
 
 
 def write_arena(path, header, payload, crc=True):
