@@ -1017,7 +1017,8 @@ def _outcome(path, split_dir, named):
                                   "--split", str(split_dir), "--playlist", "p0"])
     assert result.exit_code in (0, 1), (result.output, result.exception)
     if result.exit_code:
-        assert str(named) in _single_error_line(result)
+        line = _single_error_line(result)
+        assert named is None or str(named) in line
     try:
         ckpt, hyper, seed = params_mod.load_checkpoint(path)
         loaded = (ckpt.tensors.layout, ckpt.tensors.flat.tobytes(), hyper, seed)
@@ -1041,7 +1042,7 @@ def test_damaged_checkpoint_or_companion_gives_what_the_json_alone_gives(
         path, split_dir = workspace / "mdr" / "checkpoint.json", corruption_dir / "damaged-splits"
         op = data.draw(_damaged_split_companion(workspace, corruption_dir / "other-splits",
                                                 split_dir))
-        companion, named = split_dir / "split.json.arena", ""
+        companion, named = split_dir / "split.json.arena", None
     with_companion = _outcome(path, split_dir, named)
     companion.unlink()
     assert _outcome(path, split_dir, named) == with_companion, op
