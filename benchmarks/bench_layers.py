@@ -220,7 +220,7 @@ def _split_dir_rows(metric_rec, rng, tmp):
             for p in range(n):
                 for s in stream[p * (L + 2):(p + 1) * (L + 2)]:
                     f.write(f"u{p}\tp{p}\ts{s}\n")
-        dirs = {source: os.path.join(tmp, f"split-{v}-{source}") for source in ("companion", "json")}
+        dirs = {source: os.path.join(tmp, f"split-{v}-{source}") for source in ("json", "companion")}
         for source, d in dirs.items():
             metric_rec.dataset.prepare(tsv, d, seed=0)
         companion = os.path.join(dirs["json"], "split.json.arena")

@@ -47,9 +47,9 @@ class Catalog:
     users: dict = field(default_factory=dict)
     playlists: dict = field(default_factory=dict)
     songs: dict = field(default_factory=dict)
-    # `fingerprint()` as a split companion stores it, "" when it is to be
-    # computed; not compared, and stale once a map changes
-    stored_fingerprint: str = field(default="", compare=False, repr=False)
+    # `fingerprint()` as a split companion stores it, set only by the
+    # companion's loader; "" when it is to be computed
+    stored_fingerprint: str = field(default="", init=False, compare=False, repr=False)
 
     @property
     def num_users(self):
@@ -520,7 +520,9 @@ def _split_from_arena(header, values):
         train={p: songs[b - c:b] for p, b, c in zip(keys, ends.tolist(), counts.tolist())},
         dev=dict(zip(keys, dev.tolist())), test=dict(zip(keys, test.tolist())),
         owner=dict(zip(keys, owner.tolist())), max_members=int(counts.max()))
-    return Catalog(**maps, stored_fingerprint=fingerprint), split
+    catalog = Catalog(**maps)
+    catalog.stored_fingerprint = fingerprint
+    return catalog, split
 
 
 def prepare(input_path, out_dir, k=DEFAULT_K_CORE, seed=0,

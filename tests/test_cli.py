@@ -1027,7 +1027,7 @@ def _outcome(path, split_dir, named):
     return result.exit_code, result.output, loaded, loaded_split(split_dir)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_damaged_checkpoint_or_companion_gives_what_the_json_alone_gives(
         workspace, corruption_dir, data):
