@@ -13,8 +13,8 @@ timed checkout's own `save_checkpoint` wrote), `training._make_batch`
 followed by the catalog's `fingerprint()`, what every `train`, `evaluate`
 and `recommend` does first, on a split directory that the timed
 checkout's own `prepare` wrote (V / 4 playlists of 63 songs, each owned by
-its own user): one row as written, through its split companion, one with
-the companion deleted, through the JSON (a checkout without
+its own user): one row with the companion deleted, through the JSON, then
+one as written, through its split companion (a checkout without
 `load_split_dir` is timed through `cli._load_split_dir`, and writes no
 companion, so both of its rows read the JSON); each of these rows is
 timed alone. Shapes: a minibatch of
@@ -229,8 +229,10 @@ def _split_dir_rows(metric_rec, rng, tmp):
         calls += [({"layer": "dataset.load_split_dir", "model": "", "source": source,
                     "playlists": n, "l": L, "V": v},
                    lambda d=d: load(d)[0].fingerprint()) for source, d in dirs.items()]
-    # each row alone: interleaved, a JSON load ran 1.2-1.7x faster right
-    # after another JSON load of the same ids than right after a companion load
+    # each row alone, the JSON row first: a JSON load ran 1.2-1.7x faster
+    # right after another JSON load of the same ids than right after a
+    # companion load, so a JSON row timed second favours a checkout without
+    # a companion, whose first row is a JSON load too
     return [row for call in calls for row in _timed_rows([call])]
 
 
