@@ -9,7 +9,10 @@ and backward into a zeroed gradient arena by `training.gradients`, then
 `training.adam_update`), `evaluation.rank_candidates` on each (one dev or
 test ranking), `params.load_checkpoint` on each (a checkpoint that the
 timed checkout's own `save_checkpoint` wrote), `training._make_batch`
-(a minibatch's negatives and index gathers), and `dataset.load_split_dir`
+(a minibatch's negatives and index gathers), `training.build_train_data`
+and `evaluation.held_out` (the per-split work of `train` and `evaluate`,
+on 3 V / 20 playlists of 63 songs split by `leave_one_out_split`), and
+`dataset.load_split_dir`
 followed by the catalog's `fingerprint()`, what every `train`, `evaluate`
 and `recommend` does first, on a split directory that the timed
 checkout's own `prepare` wrote (V / 4 playlists of 63 songs, each owned by
@@ -23,8 +26,8 @@ per context, d in {8, 16, 32, 64} and V in {2,000; 20,000} songs, with
 V / 4 users and V / 4 playlists. A ranking scores B = 300 contexts of
 l = 61 members, C = 101 distinct candidates each.
 
-Rows that share a parameter set (its forward, backward and Adam rows), and
-the sampler rows, are timed interleaved: after a warm-up, each round calls
+Rows that share a parameter set (its forward, backward and Adam rows), the
+sampler rows, and the two rows of one split, are timed interleaved: after a warm-up, each round calls
 each of them once, over a fixed number of rounds, so that drift in the
 host's speed reaches all of them alike. Each row records the median and
 the quartiles of its calls, in microseconds. Forward, backward and step
@@ -186,23 +189,42 @@ def _model_rows(metric_rec, rng, tmp):
     return rows
 
 
+def _split(dataset, rng, v, n):
+    """The split `leave_one_out_split` makes of n playlists of 63 songs, the
+    playlist-length cap, drawn from V songs, each owned by its own user:
+    61 train songs, a dev and a test song each."""
+    records = [dataset.InteractionRecord(f"u{p}", f"p{p}", f"s{s}") for p in range(n)
+               for s in rng.choice(np.arange(1, v + 1), L + 2, replace=False)]
+    return dataset.leave_one_out_split(records, 0, dataset.build_catalog(records))
+
+
 def _sampler_rows(metric_rec, rng):
     calls = []
     for v in SONGS:
-        # B playlists of 63 songs, the playlist-length cap: 61 train songs,
-        # then a dev and a test song; one instance of each is a context
-        train, dev, test = {}, {}, {}
-        for p in range(B):
-            songs = rng.choice(np.arange(1, v + 1), L + 2, replace=False).tolist()
-            train[p], dev[p], test[p] = songs[:L], songs[L], songs[L + 1]
-        split = metric_rec.dataset.SplitDataset(train=train, dev=dev, test=test,
-                                                owner={p: p for p in range(B)}, max_members=L)
-        data = metric_rec.training.build_train_data(split, v)
+        # one instance of each of B playlists is a context
+        data = metric_rec.training.build_train_data(_split(metric_rec.dataset, rng, v, B), v)
         idx = np.arange(B) * L
         calls.append(({"layer": "training._make_batch", "model": "", "B": B, "k": K_NEG,
                        "V": v},
                       lambda d=data: metric_rec.training._make_batch(idx, d, K_NEG, rng)))
     return _timed_rows(calls)
+
+
+def _split_consumer_rows(metric_rec, rng):
+    """`training.build_train_data` and `evaluation.held_out` (the test lists)
+    on the split of 3 V / 20 playlists, timed interleaved per V."""
+    rows = []
+    for v in SONGS:
+        n = 3 * v // 20
+        split = _split(metric_rec.dataset, rng, v, n)
+        shape = {"model": "", "playlists": n, "l": L, "V": v}
+        rows += _timed_rows([
+            (dict(shape, layer="training.build_train_data"),
+             lambda: metric_rec.training.build_train_data(split, v)),
+            (dict(shape, layer="evaluation.held_out"),
+             lambda: metric_rec.evaluation.held_out(split, v)),
+        ])
+    return rows
 
 
 def _split_dir_rows(metric_rec, rng, tmp):
@@ -256,7 +278,7 @@ def main():
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         rows = (_model_rows(metric_rec, rng, tmp) + _sampler_rows(metric_rec, rng)
-                + _split_dir_rows(metric_rec, rng, tmp))
+                + _split_consumer_rows(metric_rec, rng) + _split_dir_rows(metric_rec, rng, tmp))
     doc = {"tag": args.tag, "environment": _environment(root),
            "seconds": round(time.perf_counter() - t0, 1), "rows": rows}
     path = os.path.join(args.out, f"BENCH_{args.tag}.json")

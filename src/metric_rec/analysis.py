@@ -81,15 +81,19 @@ def attention_correlation(params, split, counts, csv_path=None):
     """Pearson correlation between PMI attention and model attention.
 
     Pairs are collected over every test context and real member; returns
-    (rho, rows) where rows are (playlist, member, pmi_att, model_att).
+    (rho, rows) where rows are (playlist, member, pmi_att, model_att). An
+    attention weight that is not finite raises FloatingPointError.
     """
-    playlists = sorted(split.test)
-    targets = [split.test[p] for p in playlists]
+    playlists = np.flatnonzero(split.test)
+    targets = split.test[playlists]
     # one candidate per context: the attention comes back as (B, l)
     _, cache = forward(params, context_batch(split, playlists, targets))
+    if not np.isfinite(cache["alpha"]).all():
+        raise FloatingPointError("the model gives an attention weight of inf or nan")
     rows = []
-    for p, target, model_att in zip(playlists, targets, cache["alpha"]):
-        members = split.train[p]
+    train = split.train_lists()
+    for p, target, model_att in zip(playlists.tolist(), targets.tolist(), cache["alpha"]):
+        members = train[p]
         pmi_att = pmi_attention_scores(members, target, counts)
         for m, pa, ma in zip(members, pmi_att, model_att):
             rows.append((p, m, float(pa), float(ma)))

@@ -220,6 +220,8 @@ def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
         dataset.write_json(doc, out_path)
     except (OSError, ValueError) as exc:
         _fail(exc)
+    except FloatingPointError as exc:
+        _fail(f"{checkpoint}: {exc}")
     click.echo(f"wrote metrics {out_path}")
 
 
@@ -239,10 +241,14 @@ def recommend(checkpoint, playlist_id, top, split_dir):
         if playlist_id not in catalog.playlists:
             _fail(f"unknown playlist id: {playlist_id}")
         p = catalog.playlists[playlist_id]
-        if p not in split.train:
+        start, end = split.offsets[p:p + 2]
+        if start == end:
             _fail(f"playlist {playlist_id} has no entry in the split under {split_dir}")
-        candidates = dataset.songs_outside(split.full_set(p), catalog.num_songs)
+        candidates = dataset.songs_outside(
+            np.append(split.songs[start:end], (split.dev[p], split.test[p])), catalog.num_songs)
         scores = scorer(evaluation.context_batch(split, [p], candidates[None, :]))[0]
+        if not np.isfinite(scores).all():
+            _fail(f"{checkpoint}: the model scores a candidate song as inf or nan")
         order = np.lexsort((candidates, scores))[:top]
         top_songs = candidates[order].tolist()
         wanted = set(top_songs)
@@ -266,7 +272,7 @@ def attention_report(checkpoint, split_dir, out_dir):
         catalog, split = dataset.load_split_dir(split_dir)
         _check_catalog((ckpt,), catalog)
         os.makedirs(out_dir, exist_ok=True)
-        counts = analysis.count_cooccurrences(split.train.values())
+        counts = analysis.count_cooccurrences(split.train_lists())
         rho, rows = analysis.attention_correlation(
             ckpt, split, counts, csv_path=os.path.join(out_dir, "pmi_att.csv")
         )
@@ -274,6 +280,8 @@ def attention_report(checkpoint, split_dir, out_dir):
         dataset.write_json({"pearson_rho": rho, "num_pairs": len(rows)}, summary_path)
     except (OSError, ValueError) as exc:
         _fail(exc)
+    except FloatingPointError as exc:
+        _fail(f"{checkpoint}: {exc}")
     click.echo(f"wrote {summary_path} (rho={rho:.4f})")
 
 

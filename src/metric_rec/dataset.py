@@ -15,7 +15,8 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import pairwise
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -78,23 +79,88 @@ class Catalog:
         return hashlib.sha256(orjson.dumps(maps, option=orjson.OPT_SORT_KEYS)).hexdigest()
 
 
-@dataclass
+@dataclass(eq=False)
 class SplitDataset:
-    """Per-playlist train lists and held-out dev/test songs (dense indices)."""
+    """Owners, held-out songs and train songs as int64 arrays indexed by the
+    catalog's playlists: p's train songs are `songs[offsets[p]:offsets[p + 1]]`.
+    A playlist without a split entry has an empty row and owner 0; song 0,
+    the padding, marks a missing held-out song."""
 
-    train: dict            # playlist idx -> list of song idx
-    dev: dict              # playlist idx -> song idx
-    test: dict             # playlist idx -> song idx
-    owner: dict            # playlist idx -> user idx
+    owner: np.ndarray
+    dev: np.ndarray
+    test: np.ndarray
+    offsets: np.ndarray    # (num_playlists + 1,), from 0
+    songs: np.ndarray
     max_members: int       # l: longest train list
 
-    def full_set(self, playlist):
-        s = set(self.train[playlist])
-        if playlist in self.dev:
-            s.add(self.dev[playlist])
-        if playlist in self.test:
-            s.add(self.test[playlist])
-        return s
+    def train_lists(self):
+        """Each playlist's train songs as a list of ints, in playlist order."""
+        songs = self.songs.tolist()
+        return [songs[a:b] for a, b in pairwise(self.offsets.tolist())]
+
+    def full_sets(self, num_songs):
+        """(offsets, songs) of each playlist's distinct train and held-out
+        songs, ascending, in rows laid out as the train rows are."""
+        base, playlists = num_songs + 1, np.arange(len(self.owner))
+        keys = base * np.concatenate((np.repeat(playlists, np.diff(self.offsets)),
+                                      playlists, playlists))
+        keys += np.concatenate((self.songs, self.dev, self.test))
+        keys.sort()
+        rows, songs = np.divmod(keys[np.append(True, keys[1:] != keys[:-1]) & (keys % base > 0)],
+                                base)
+        return np.append(0, np.cumsum(np.bincount(rows, minlength=len(playlists)))), songs
+
+
+def split_from_rows(rows, songs, num_playlists):
+    """The SplitDataset of the split entries `rows`, which `check_split` passes."""
+    playlist, counts = rows[:, 0], np.diff(rows[:, 4], prepend=0)
+    table = np.zeros((4, num_playlists), dtype=np.int64)
+    table[:, playlist] = np.vstack((rows[:, 1:4].T, counts))
+    owner, dev, test, lengths = table
+    offsets = np.append(0, np.cumsum(lengths))
+    train = np.empty(len(songs), dtype=np.int64)
+    train[row_positions(offsets[playlist], counts)] = songs
+    return SplitDataset(owner, dev, test, offsets, train, int(counts.max()))
+
+
+def row_positions(starts, counts):
+    """Flat positions of rows of `counts` songs that start at `starts`, row after row."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def check_split(rows, songs, num_users, num_playlists, num_songs):
+    """(entry index, field) of the first fault of the split entries `rows`,
+    or None. `rows` is (n, 5) int64: per entry its playlist, owner, dev song,
+    test song and the end offset of its train songs in `songs`; the offsets
+    must ascend to len(songs).
+
+    An entry's faults, in field order: `id`, a playlist outside the catalog
+    or given by an earlier entry; `user`, an owner outside it; `train`, an
+    empty train list or a song outside 1..num_songs; `dev`, then `test`, a
+    song outside 1..num_songs or in the train list. No entry gives
+    (None, "top level").
+    """
+    if not len(rows):
+        return None, "top level"
+    playlist, owner, dev, test, ends = rows.T
+    counts = np.diff(ends, prepend=0)
+    entry = np.repeat(np.arange(len(rows)), counts)
+    order = np.argsort(playlist, kind="stable")
+    repeated = np.zeros(len(rows), dtype=bool)
+    repeated[order[1:]] = playlist[order[1:]] == playlist[order[:-1]]
+
+    def per_entry(mask):  # the entries with a train song in `mask`
+        return np.bincount(entry[mask], minlength=len(rows)) > 0
+
+    faults = np.column_stack([
+        (playlist < 0) | (playlist >= num_playlists) | repeated,
+        (owner < 0) | (owner >= num_users),
+        (counts == 0) | per_entry((songs < 1) | (songs > num_songs)),
+        (dev < 1) | (dev > num_songs) | per_entry(np.repeat(dev, counts) == songs),
+        (test < 1) | (test > num_songs) | per_entry(np.repeat(test, counts) == songs),
+    ]).ravel()
+    first = int(np.argmax(faults))  # entry-major: the first entry's first field
+    return (first // 5, ("id", "user", "train", "dev", "test")[first % 5]) if faults[first] else None
 
 
 def load_interactions(path):
@@ -175,26 +241,25 @@ def leave_one_out_split(records, seed, catalog=None):
         owner[p] = catalog.users[r.user_id]
 
     rng = np.random.default_rng(seed)
-    train, dev, test = {}, {}, {}
+    rows, train = [], []
     for p, songs in playlists.items():
         if len(songs) < 3:
             raise ValueError(
                 f"playlist index {p} has only {len(songs)} songs; need >= 3 to split"
             )
-        picks = rng.choice(len(songs), size=2, replace=False)
-        test[p] = songs[picks[0]]
-        dev[p] = songs[picks[1]]
-        train[p] = [s for i, s in enumerate(songs) if i not in (picks[0], picks[1])]
-    max_members = max(len(v) for v in train.values())
-    return SplitDataset(train=train, dev=dev, test=test, owner=owner,
-                        max_members=max_members)
+        test, dev = rng.choice(len(songs), size=2, replace=False)
+        train += [s for i, s in enumerate(songs) if i not in (test, dev)]
+        rows.append((p, owner[p], songs[dev], songs[test], len(train)))
+    return split_from_rows(np.array(rows, dtype=np.int64), np.array(train, dtype=np.int64),
+                           catalog.num_playlists)
 
 
 def songs_outside(full_set, num_songs):
-    """Sorted int64 array of the songs 1..num_songs that are not in `full_set`."""
+    """Sorted int64 array of the songs 1..num_songs that are not in `full_set`,
+    an int array or a collection of song indices (0, the padding, may be in it)."""
     keep = np.ones(num_songs + 1, dtype=bool)
     keep[0] = False
-    keep[np.fromiter(full_set, dtype=np.int64, count=len(full_set))] = False
+    keep[full_set if isinstance(full_set, np.ndarray) else list(full_set)] = False
     return np.flatnonzero(keep)
 
 
@@ -353,55 +418,76 @@ def _require_object(path, field_name, value, what):
 def save_split(split, catalog, path):
     """Split manifest keyed by external playlist id; returns the bytes written."""
     inv_u, inv_p, inv_s = catalog.inverse()
+    owner, dev, test = (a.tolist() for a in (split.owner, split.dev, split.test))
     doc = {}
-    for p, members in split.train.items():
-        doc[inv_p[p]] = {
-            "user": inv_u[split.owner[p]],
-            "train": [inv_s[s] for s in members],
-            "dev": inv_s[split.dev[p]],
-            "test": inv_s[split.test[p]],
-        }
+    for p, members in enumerate(split.train_lists()):
+        if members:
+            doc[inv_p[p]] = {
+                "user": inv_u[owner[p]],
+                "train": [inv_s[s] for s in members],
+                "dev": inv_s[dev[p]],
+                "test": inv_s[test[p]],
+            }
     return write_json(doc, path)
 
 
 def load_split(path, catalog):
     """Read a split manifest against its catalog.
 
-    Raises ValueError("<path>: <playlist id>.<field>: <problem>") for an
-    entry that is not a JSON object or lacks `user`, `train`, `dev` or
-    `test`, for a `train` that is not a non-empty JSON array, for a playlist, user or
-    song id the catalog lacks, and for a held-out (dev or test) song that is
-    also in the playlist's train list.
+    Raises ValueError("<path>: <playlist id>.<field>: <problem>") for the
+    first bad entry in file order: one that is not a JSON object or lacks
+    `user`, `train`, `dev` or `test`, a `train` that is not a non-empty JSON
+    array, a playlist, user or song id the catalog lacks, or a held-out (dev
+    or test) song that is also in the train list; and
+    ValueError("<path>: top level: <problem>") for a document that is not a
+    JSON object or holds no entry.
     """
     doc = read_json(path)
     _require_object(path, "top level", doc, "a split")
-    train, dev, test, owner = {}, {}, {}, {}
-    for pid, entry in doc.items():
+    rows, songs = [], []
+    for i, (pid, entry) in enumerate(doc.items()):
         try:
-            p = catalog.playlists[pid]
-            owner[p] = catalog.users[entry["user"]]
+            p, owner = catalog.playlists[pid], catalog.users[entry["user"]]
             if not isinstance(entry["train"], list):
                 raise ValueError(f"{path}: {pid}.train: must be a JSON array, "
                                  f"got {type(entry['train']).__name__}")
-            if not entry["train"]:
-                raise ValueError(f"{path}: {pid}.train: must hold at least one song")
-            train[p] = [catalog.songs[s] for s in entry["train"]]
-            dev[p] = catalog.songs[entry["dev"]]
-            test[p] = catalog.songs[entry["test"]]
-        except (KeyError, TypeError):
+            songs += map(catalog.songs.__getitem__, entry["train"])
+            rows.append([p, owner, 0, 0, len(songs)])
+            rows[-1][2:4] = catalog.songs[entry["dev"]], catalog.songs[entry["test"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            # a fault of an earlier entry, or this entry's empty train list,
+            # comes first; this entry's held-out songs are not mapped
+            if rows:
+                _check_rows(path, doc, rows, songs, catalog, len(rows) > i)
+            if isinstance(exc, ValueError):
+                raise
             _require_object(path, pid, entry, "a split entry")
             for key in ("user", "train", "dev", "test"):
                 if key not in entry:
                     raise ValueError(f"{path}: {pid}.{key}: missing") from None
             _name_unknown_id(path, pid, entry, catalog)
             raise
-        for key, song in (("dev", dev[p]), ("test", test[p])):
-            if song in train[p]:
-                raise ValueError(f"{path}: {pid}.{key}: held-out song {entry[key]!r} "
-                                 f"is also in the train list")
-    max_members = max(len(v) for v in train.values())
-    return SplitDataset(train=train, dev=dev, test=test, owner=owner,
-                        max_members=max_members)
+    return split_from_rows(_check_rows(path, doc, rows, songs, catalog),
+                           np.array(songs, dtype=np.int64), catalog.num_playlists)
+
+
+def _check_rows(path, doc, rows, songs, catalog, last_unmapped=False):
+    """The entries `rows` that `load_split` mapped from `doc`, as an array, or
+    the `load_split` error of the first fault `check_split` finds in them:
+    an empty split, an empty train list or a held-out song in it (mapped ids
+    are in the catalog). With `last_unmapped`, the last entry's held-out
+    songs are not mapped, and only its train list counts."""
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
+    fault = check_split(rows, np.array(songs[:rows[-1, 4] if len(rows) else 0], dtype=np.int64),
+                        catalog.num_users, catalog.num_playlists, catalog.num_songs)
+    if fault is None or last_unmapped and fault[0] == len(rows) - 1 and fault[1] != "train":
+        return rows
+    if fault[0] is None:
+        raise ValueError(f"{path}: top level: a split holds at least one playlist, this one none")
+    pid, key = list(doc)[fault[0]], fault[1]
+    raise ValueError(f"{path}: {pid}.train: must hold at least one song" if key == "train" else
+                     f"{path}: {pid}.{key}: held-out song {doc[pid][key]!r} is also in the "
+                     f"train list")
 
 
 def _name_unknown_id(path, pid, entry, catalog):
@@ -434,17 +520,14 @@ def save_split_arena(catalog, split, catalog_data, split_data, path):
     ids = {key: sorted(table) for key, table in maps.items()}
     indices = [np.fromiter(map(maps[key].__getitem__, key_ids), "<i8", len(key_ids))
                for key, key_ids in ids.items()]
-    playlists = [p for p in map(catalog.playlists.__getitem__, ids["playlists"])
-                 if p in split.train]
-    trains = list(map(split.train.__getitem__, playlists))
-    columns = (playlists, map(split.owner.__getitem__, playlists),
-               map(split.dev.__getitem__, playlists), map(split.test.__getitem__, playlists),
-               map(len, trains))
-    rows = np.stack([np.fromiter(c, "<i8", len(playlists)) for c in columns], axis=1)
-    rows[:, 4] = np.cumsum(rows[:, 4])
-    train = np.fromiter(chain.from_iterable(trains), "<i8", rows[-1, 4])
+    lengths = np.diff(split.offsets)
+    playlists = indices[1][lengths[indices[1]] > 0]  # those with an entry, in id order
+    counts = lengths[playlists]
+    rows = np.column_stack([playlists, *(a[playlists] for a in (split.owner, split.dev, split.test)),
+                            np.cumsum(counts)])
+    train = split.songs[row_positions(split.offsets[playlists], counts)]
     header = dict(ids, catalog_fingerprint=catalog.fingerprint(), entries=len(playlists))
-    write_arena(path, header, np.concatenate(indices + [rows.ravel(), train]),
+    write_arena(path, header, np.concatenate(indices + [rows.ravel(), train], dtype="<i8"),
                 {"catalog_json_sha256": catalog_data, "split_json_sha256": split_data})
 
 
@@ -455,22 +538,19 @@ def load_split_dir(split_dir):
     When `split_dir` holds a split companion (see `save_split_arena`) whose
     magic, header and CRC-32 are intact, whose hashes are the SHA-256 of
     both files' bytes, whose payload has the length its header implies, and
-    which passes every check of `load_catalog` and `load_split`, the result
+    which passes every check of `load_catalog` and `check_split`, the result
     is built from it without parsing either file, and the catalog keeps
-    the companion's fingerprint. It then equals what the JSON gives, dict
-    order included. In every other case the JSON is parsed, with its own
-    errors. Nothing is written.
+    the companion's fingerprint. It then equals what the JSON gives, the
+    catalog's dict order included. In every other case the JSON is parsed,
+    with its own errors. Nothing is written.
     """
     catalog_path = os.path.join(split_dir, "catalog.json")
     split_path = os.path.join(split_dir, "split.json")
     companion = os.path.join(split_dir, SPLIT_ARENA)
     if os.path.exists(companion):  # else the JSON files are read once, below
         try:
-            sources = {}
-            for key, path in (("catalog_json_sha256", catalog_path),
-                              ("split_json_sha256", split_path)):
-                with open(path, "rb") as f:
-                    sources[key] = f.read()
+            sources = {"catalog_json_sha256": Path(catalog_path).read_bytes(),
+                       "split_json_sha256": Path(split_path).read_bytes()}
         except OSError:
             sources = None  # the JSON path raises the error in its own order
         loaded = sources and read_arena(companion, sources, "<i8", _split_from_arena)
@@ -482,47 +562,31 @@ def load_split_dir(split_dir):
 
 def _split_from_arena(header, values):
     """(Catalog, SplitDataset) from a split companion's header and payload
-    `values`, or None unless they pass the vectorised forms of the checks of
-    `load_catalog` (ids each once, dense indices) and `load_split` (ids in
-    the catalog, non-empty train lists, held-out songs not in them)."""
+    `values`, or None unless they pass the vectorised form of the checks of
+    `load_catalog` (ids each once, dense indices) and `check_split`."""
     maps, offset = {}, 0
     for key, first in (("users", 0), ("playlists", 0), ("songs", 1)):
         ids = header[key]
         indices = values[offset:offset + len(ids)]
         offset += len(ids)
-        if (type(ids) is not list or not set(map(type, ids)) <= {str}
-                or not np.array_equal(np.sort(indices), np.arange(first, first + len(ids)))):
-            return None
         maps[key] = dict(zip(ids, indices.tolist()))
-        if len(maps[key]) != len(ids):  # an id given twice
-            return None
+        if (type(ids) is not list or not set(map(type, ids)) <= {str} or len(maps[key]) < len(ids)
+                or not np.array_equal(np.sort(indices), np.arange(first, first + len(ids)))):
+            return None  # ids of another type or given twice, or indices not dense
     n, fingerprint = header["entries"], header["catalog_fingerprint"]
-    if type(n) is not int or n < 1 or type(fingerprint) is not str:
+    if type(n) is not int or n < 0 or type(fingerprint) is not str:
         return None
-    rows = values[offset:offset + 5 * n].reshape(n, 5)
-    train = values[offset + 5 * n:]
-    playlist, owner, dev, test, ends = rows.T
-    num_songs = len(maps["songs"])
-    counts = np.diff(ends, prepend=0)
-    # the offsets are compared, not subtracted, so a count that wrapped
-    # around int64 is never used
-    if (ends[0] < 1 or np.any(ends[1:] <= ends[:-1]) or ends[-1] != len(train)
-            or playlist.min() < 0 or playlist.max() >= len(maps["playlists"])
-            or np.bincount(playlist).max() > 1
-            or owner.min() < 0 or owner.max() >= len(maps["users"])
-            or min(dev.min(), test.min(), train.min()) < 1
-            or max(dev.max(), test.max(), train.max()) > num_songs
-            or np.any(np.repeat(dev, counts) == train)
-            or np.any(np.repeat(test, counts) == train)):
+    rows, songs = values[offset:offset + 5 * n].reshape(n, 5), values[offset + 5 * n:]
+    ends = rows[:, 4]
+    # the offsets are compared, not subtracted, so a count that wraps around
+    # int64 is never used
+    if (n and (np.any(ends < np.append(0, ends[:-1])) or ends[-1] != len(songs))
+            or check_split(rows, songs, len(maps["users"]), len(maps["playlists"]),
+                           len(maps["songs"]))):
         return None
-    keys, songs = playlist.tolist(), train.tolist()
-    split = SplitDataset(
-        train={p: songs[b - c:b] for p, b, c in zip(keys, ends.tolist(), counts.tolist())},
-        dev=dict(zip(keys, dev.tolist())), test=dict(zip(keys, test.tolist())),
-        owner=dict(zip(keys, owner.tolist())), max_members=int(counts.max()))
     catalog = Catalog(**maps)
     catalog.stored_fingerprint = fingerprint
-    return catalog, split
+    return catalog, split_from_rows(rows, songs, catalog.num_playlists)
 
 
 def prepare(input_path, out_dir, k=DEFAULT_K_CORE, seed=0,

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .dataset import sample_negatives
+from .dataset import row_positions, sample_negatives
 from .models import ScoreBatch
 
 DEFAULT_NUM_NEGATIVES = 100
@@ -32,16 +32,13 @@ def context_batch(split, playlists, songs):
     to the split's longest train list.
     """
     playlists = np.asarray(playlists, dtype=np.int64)
+    starts, counts = split.offsets[playlists], np.diff(split.offsets)[playlists]
     members = np.zeros((len(playlists), split.max_members), dtype=np.int64)
-    counts = np.empty(len(playlists), dtype=np.int64)
-    for i, p in enumerate(playlists):
-        row = split.train[p]
-        members[i, :len(row)] = row
-        counts[i] = len(row)
+    members[np.arange(split.max_members) < counts[:, None]] = split.songs[
+        row_positions(starts, counts)]
     return ScoreBatch(
-        users=np.array([split.owner[p] for p in playlists], dtype=np.int64),
-        playlists=playlists, songs=np.asarray(songs, dtype=np.int64),
-        members=members, counts=counts,
+        users=split.owner[playlists], playlists=playlists,
+        songs=np.asarray(songs, dtype=np.int64), members=members, counts=counts,
     )
 
 
@@ -52,21 +49,21 @@ def held_out(split, num_songs, seed=0, which="test", num_negatives=DEFAULT_NUM_N
     non-member songs drawn from the (seed, playlist) stream.
     """
     held = split.dev if which == "dev" else split.test
-    if not held:
+    playlists = np.flatnonzero(held)
+    if not len(playlists):
         raise ValueError("empty evaluation set")
-    playlists = sorted(held)
+    offsets, full = split.full_sets(num_songs)
     songs = np.empty((len(playlists), 1 + num_negatives), dtype=np.int64)
-    for i, p in enumerate(playlists):
-        full = split.full_set(p)
-        outside = num_songs - len(full)
+    songs[:, 0] = held[playlists]
+    for i, p in enumerate(playlists.tolist()):
+        outside = num_songs - (offsets[p + 1] - offsets[p])
         if outside < num_negatives:
             raise ValueError(
                 f"the {which} evaluation needs {num_negatives} sampled negative songs per "
                 f"playlist, but playlist index {p} has only {outside} songs outside it"
             )
-        songs[i, 0] = held[p]
-        songs[i, 1:] = sample_negatives(full, num_songs, num_negatives,
-                                        np.random.default_rng([seed, p]))
+        songs[i, 1:] = sample_negatives(full[offsets[p]:offsets[p + 1]], num_songs,
+                                        num_negatives, np.random.default_rng([seed, p]))
     return context_batch(split, playlists, songs)
 
 
@@ -74,6 +71,7 @@ def rank_candidates(scorer, batch):
     """(B,) ranks (1 = best) of each row's first candidate among that row's songs.
 
     Scores ascend (lower = more relevant); ties break by ascending song index.
+    A score that is not finite raises FloatingPointError.
     """
     songs = batch.songs
     ordered = np.sort(songs, axis=1)
@@ -87,6 +85,8 @@ def rank_candidates(scorer, batch):
         rows = slice(start, start + RANK_CHUNK)
         scores[rows] = scorer(ScoreBatch(*(None if a is None else a[rows] for a in (
             batch.users, batch.playlists, songs, batch.members, batch.counts))))
+    if not np.isfinite(scores).all():
+        raise FloatingPointError("the model scores a candidate song as inf or nan")
     first = scores[:, :1]
     ahead = (scores < first) | ((scores == first) & (songs < songs[:, :1]))
     return 1 + ahead.sum(axis=1)

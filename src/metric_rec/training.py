@@ -21,6 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -104,37 +105,28 @@ class TrainData:
 
 def build_train_data(split, num_songs):
     """One instance per (playlist, train song); members exclude the positive."""
-    playlists = np.array(sorted(split.train), dtype=np.int64)
-    lengths = np.array([len(split.train[p]) for p in playlists], dtype=np.int64)
-    pos = np.array([s for p in playlists for s in split.train[p]], dtype=np.int64)
+    pos = split.songs
     members = np.zeros((len(pos), split.max_members), dtype=np.int64)
     counts = np.empty(len(pos), dtype=np.int64)
-    for start, n in zip(np.cumsum(lengths) - lengths, lengths):
+    for start, end in pairwise(split.offsets.tolist()):
         # instance i keeps its playlist's songs other than song i, in list order
-        row = pos[start:start + n]
+        row = pos[start:end]
         keep = row != row[:, None]
         r, c = np.nonzero(keep)
         members[start + r, np.cumsum(keep, axis=1)[r, c] - 1] = row[c]
-        counts[start:start + n] = keep.sum(axis=1)
-    full = [sorted(split.full_set(p)) for p in playlists]
-    full_sizes = np.array([len(f) for f in full], dtype=np.int64)
-    num_rows = int(playlists.max(initial=-1)) + 1
-    pool_sizes = np.zeros(num_rows, dtype=np.int64)
-    pool_sizes[playlists] = num_songs - full_sizes
-    gaps = np.full((num_rows, full_sizes.max(initial=0)), num_songs, dtype=np.int64)
-    r, c = np.nonzero(np.arange(gaps.shape[1]) < full_sizes[:, None])
-    gaps[playlists[r], c] = [e - i - 1 for f in full for i, e in enumerate(f)]
-    gaps += (np.arange(num_rows) * (num_songs + 1))[:, None]
-    return TrainData(
-        users=np.repeat(np.array([split.owner[p] for p in playlists], dtype=np.int64), lengths),
-        playlists=np.repeat(playlists, lengths),
-        pos=pos,
-        members=members,
-        counts=counts,
-        pool_sizes=pool_sizes,
-        gaps=gaps,
-        num_songs=num_songs,
-    )
+        counts[start:end] = keep.sum(axis=1)
+    offsets, full = split.full_sets(num_songs)
+    full_sizes, lengths = np.diff(offsets), np.diff(split.offsets)
+    playlists = np.arange(len(lengths))
+    gaps = np.full((len(playlists), full_sizes.max(initial=0)), num_songs, dtype=np.int64)
+    # g_i = e_i - i - 1, i counted within each row
+    gaps[np.arange(gaps.shape[1]) < full_sizes[:, None]] = (
+        full - np.arange(len(full)) + np.repeat(offsets[:-1], full_sizes) - 1)
+    gaps += (playlists * (num_songs + 1))[:, None]
+    return TrainData(users=np.repeat(split.owner, lengths),
+                     playlists=np.repeat(playlists, lengths), pos=pos, members=members,
+                     counts=counts, pool_sizes=num_songs - full_sizes, gaps=gaps,
+                     num_songs=num_songs)
 
 
 def _sigmoid(x):

@@ -194,14 +194,19 @@ def scatter_add(target, idx, rows):
     target += sums.reshape(target.shape)
 
 
+def full_set(split, p):
+    """Playlist p's train, dev and test songs as a set, without the padding 0."""
+    start, end = split.offsets[p], split.offsets[p + 1]
+    return (set(split.songs[start:end].tolist()) | {int(split.dev[p]), int(split.test[p])}) - {0}
+
+
 def negative_pools(split, num_songs):
     """(pool_sizes, gaps) of every playlist row: the number of songs outside its
     full set e_0 < e_1 < ..., and g_i = e_i - i - 1 padded with num_songs."""
-    rows = max(split.train) + 1
-    full = {p: sorted(split.full_set(p)) for p in split.train}
-    pool_sizes = np.zeros(rows, dtype=np.int64)
-    gaps = np.full((rows, max(len(f) for f in full.values())), num_songs, dtype=np.int64)
-    for p, f in full.items():
+    full = [sorted(full_set(split, p)) for p in range(len(split.owner))]
+    pool_sizes = np.zeros(len(full), dtype=np.int64)
+    gaps = np.full((len(full), max(len(f) for f in full)), num_songs, dtype=np.int64)
+    for p, f in enumerate(full):
         pool_sizes[p] = num_songs - len(f)
         gaps[p, :len(f)] = [e - i - 1 for i, e in enumerate(f)]
     return pool_sizes, gaps

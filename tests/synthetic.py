@@ -87,8 +87,17 @@ def figure1_split(num_distractors=20):
         p = catalog.playlists[r.playlist_id]
         train.setdefault(p, []).append(catalog.songs[r.song_id])
         owner[p] = catalog.users[r.user_id]
-    split = dataset.SplitDataset(
-        train=train, dev={}, test={}, owner=owner,
-        max_members=max(len(v) for v in train.values()),
-    )
-    return catalog, split
+    return catalog, split_of(catalog.num_playlists, train, owner)
+
+
+def split_of(num_playlists, train, owner, dev=None, test=None):
+    """The SplitDataset of `num_playlists` playlists whose entries are the
+    playlists of `train`, a dict of train lists, with owners `owner` and
+    held-out songs `dev` and `test` (dicts, 0 where they lack a playlist)."""
+    dev, test = dev or {}, test or {}
+    rows, songs = [], []
+    for p, members in train.items():
+        songs += members
+        rows.append((p, owner[p], dev.get(p, 0), test.get(p, 0), len(songs)))
+    return dataset.split_from_rows(np.array(rows, dtype=np.int64),
+                                   np.array(songs, dtype=np.int64), num_playlists)

@@ -98,11 +98,12 @@ def _tiny_mass_setup():
 
 def test_attention_correlation_writes_csv(tmp_path):
     catalog, split, params = _tiny_mass_setup()
-    counts = analysis.count_cooccurrences(split.train.values())
+    counts = analysis.count_cooccurrences(split.train_lists())
     path = str(tmp_path / "pmi_att.csv")
     rho, rows = analysis.attention_correlation(params, split, counts, csv_path=path)
     assert -1.0 <= rho <= 1.0
-    assert len(rows) == sum(len(split.train[p]) for p in split.test)
+    assert len(rows) == sum(len(songs) for songs, test in zip(split.train_lists(), split.test)
+                            if test)
     for _, _, pa, ma in rows:
         assert 0.0 <= pa <= 1.0 and 0.0 <= ma <= 1.0
     with open(path, newline="", encoding="utf-8") as f:

@@ -216,7 +216,7 @@ def test_train_apr_builds_training_data_and_dev_lists_once(workspace, tmp_path, 
     _run(["train", "--config", cfg, "--apr"])
     catalog = dataset.load_catalog(str(workspace / "splits" / "catalog.json"))
     split = dataset.load_split(str(workspace / "splits" / "split.json"), catalog)
-    assert calls == {"build_train_data": 1, "sample_negatives": len(split.dev)}
+    assert calls == {"build_train_data": 1, "sample_negatives": np.count_nonzero(split.dev)}
 
 
 def test_evaluate_deterministic(workspace, tmp_path):
@@ -664,6 +664,52 @@ def test_split_entry_with_an_empty_train_list_fails_cleanly(workspace, tmp_path,
     assert f"{split_dir / 'split.json'}: p0.train: " in _single_error_line(result)
 
 
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "train", "attention-report"])
+def test_split_without_an_entry_fails_cleanly(workspace, tmp_path, command):
+    """split.json holds `{}`: each reading command names the file and its top level."""
+    split_dir = _edited_split(workspace, tmp_path / "splits", lambda entry: None)
+    (split_dir / "split.json").write_text("{}", encoding="utf-8")
+    kind = "mass" if command == "attention-report" else "mdr"
+    checkpoint = ["--checkpoint", str(workspace / kind / "checkpoint.json"),
+                  "--split", str(split_dir)]
+    args = {
+        "evaluate": ["evaluate", *checkpoint, "--out", str(tmp_path / "m.json")],
+        "recommend": ["recommend", *checkpoint, "--playlist", "p0"],
+        "attention-report": ["attention-report", *checkpoint, "--out", str(tmp_path / "att")],
+        "train": ["train", "--config", _write_config(
+            tmp_path / "mdr.cfg", model="mdr", split_dir=split_dir,
+            out_dir=tmp_path / "mdr", epochs="1", batch_size="64", d="8")],
+    }[command]
+    result = _run(args, expect_exit=1)
+    assert f"{split_dir / 'split.json'}: top level: " in _single_error_line(result)
+
+
+def _dev_in_train(entry):
+    entry["train"].append(entry["dev"])
+
+
+def _unknown_train_song(entry):
+    entry["train"].append("no-such-song")
+
+
+@pytest.mark.parametrize("first,later,field", [
+    (_dev_in_train, _unknown_train_song, "dev: held-out song "),
+    (_unknown_train_song, _dev_in_train, "train: 'no-such-song' is not in the catalog"),
+], ids=["dev-in-train-first", "unknown-song-first"])
+def test_split_with_two_bad_entries_names_the_first_in_file_order(workspace, tmp_path, first,
+                                                                  later, field):
+    split_dir = _edited_split(workspace, tmp_path / "splits", lambda entry: None)
+    path = split_dir / "split.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    ids = list(doc)
+    first(doc[ids[0]])
+    later(doc[ids[len(ids) // 2]])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(split_dir), "--out", str(tmp_path / "m.json")], expect_exit=1)
+    assert f"{path}: {ids[0]}.{field}" in _single_error_line(result)
+
+
 @pytest.mark.parametrize("key", ["user", "train", "dev", "test", None],
                          ids=["no-user", "no-train", "no-dev", "no-test", "list"])
 @pytest.mark.parametrize("command", ["evaluate", "recommend"])
@@ -769,6 +815,60 @@ def test_recommend_for_a_playlist_the_split_lacks_fails_cleanly(workspace, tmp_p
     result = _run(["recommend", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
                    "--split", str(split_dir), "--playlist", "p0"], expect_exit=1)
     assert "playlist p0 has no entry in the split" in _single_error_line(result)
+
+
+def _with_value(workspace, kind, path, name, value, index=0):
+    """`workspace`'s `kind` checkpoint, written to `path` with the value at
+    flat `index` of tensor `name` set to `value`; its arena file is not copied."""
+    doc = json.loads((workspace / kind / "checkpoint.json").read_text(encoding="utf-8"))
+    doc["tensors"][name]["values"][index] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "attention-report", "masr"])
+def test_finite_values_whose_scores_overflow_fail_cleanly(workspace, tmp_path, command):
+    """A metric weight of 1e300 is finite, so the checkpoint loads, but every
+    squared distance under it overflows: no command prints or writes a score
+    or weight from it, and the one error line names the checkpoint or manifest."""
+    kind = "mass" if command == "attention-report" else "mdr"
+    weight = "B4" if kind == "mass" else "B1"
+    path = _with_value(workspace, kind, tmp_path / "big.json", weight, 1e300)
+    if command == "masr":
+        path = _masr_manifest(workspace, tmp_path / "masr.json", mdr_checkpoint=str(path))
+    out = tmp_path / "out"
+    args = {"evaluate": ["--out", str(out)], "masr": ["--out", str(out)],
+            "recommend": ["--playlist", "p0"], "attention-report": ["--out", str(out)]}[command]
+    result = _run(["recommend" if command == "recommend" else
+                   "evaluate" if command in ("evaluate", "masr") else "attention-report",
+                   "--checkpoint", str(path), "--split", str(workspace / "splits"), *args],
+                  expect_exit=1)
+    assert f"error: {path}: " in _single_error_line(result)
+    assert not out.exists() or not os.listdir(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_recommend_prints_finite_scores_or_one_error_line(workspace, corruption_dir, data):
+    """For any MDR checkpoint that loads, with up to three tensor values set to
+    any finite floats, `recommend` prints finite scores or exits 1 with one
+    `error:` line that names the checkpoint."""
+    doc = json.loads((workspace / "mdr" / "checkpoint.json").read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        values = doc["tensors"][data.draw(st.sampled_from(sorted(doc["tensors"])))]["values"]
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+            st.floats(allow_nan=False, allow_infinity=False))
+    path = corruption_dir / "finite.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    params_mod.load_checkpoint(str(path))
+    result = runner.invoke(main, ["recommend", "--checkpoint", str(path), "--split",
+                                  str(workspace / "splits"), "--playlist", "p0", "--top", "5"])
+    if result.exit_code:
+        assert result.exit_code == 1, (result.output, result.exception)
+        assert str(path) in _single_error_line(result)
+    else:
+        scores = [float(line.split("\t")[1]) for line in result.output.splitlines()]
+        assert len(scores) == 5 and all(np.isfinite(scores)), result.output
 
 
 def _json_kind(value):

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -105,9 +106,9 @@ def _toy_records(num_songs=5, playlist="p", user="u"):
 def test_split_counts():
     records = _toy_records(3)
     split = dataset.leave_one_out_split(records, seed=0)
-    (p,) = split.train
-    assert len(split.train[p]) == 1
-    assert p in split.dev and p in split.test
+    (train,) = split.train_lists()
+    assert len(train) == 1
+    assert split.dev[0] and split.test[0]
     assert split.max_members == 1
 
 
@@ -120,18 +121,18 @@ def test_split_deterministic():
     records = _toy_records(6)
     a = dataset.leave_one_out_split(records, seed=42)
     b = dataset.leave_one_out_split(records, seed=42)
-    assert a.train == b.train and a.dev == b.dev and a.test == b.test
+    assert split_values(a) == split_values(b)
 
 
 def test_split_disjoint_and_exhaustive():
     records = _toy_records(8)
     split = dataset.leave_one_out_split(records, seed=3)
-    (p,) = split.train
-    parts = set(split.train[p]) | {split.dev[p], split.test[p]}
+    (train,) = split.train_lists()
+    parts = set(train) | {split.dev[0], split.test[0]}
     assert len(parts) == 8
-    assert split.dev[p] != split.test[p]
-    assert split.dev[p] not in split.train[p]
-    assert split.test[p] not in split.train[p]
+    assert split.dev[0] != split.test[0]
+    assert split.dev[0] not in train
+    assert split.test[0] not in train
 
 
 def test_split_test_item_uniform():
@@ -270,11 +271,55 @@ def test_split_roundtrip(tmp_path):
     path = str(tmp_path / "split.json")
     dataset.save_split(split, cat, path)
     back = dataset.load_split(path, cat)
-    assert back.train == split.train
-    assert back.dev == split.dev
-    assert back.test == split.test
-    assert back.owner == split.owner
-    assert back.max_members == split.max_members
+    assert split_values(back) == split_values(split)
+
+
+# two split entries (playlist, owner, dev, test, end offset) over 3 playlists,
+# 2 users and songs 1..5: playlist 0 trains on [1, 2], playlist 2 on [3, 4]
+_ROWS, _ROW_SONGS = [[0, 0, 4, 5, 2], [2, 1, 1, 5, 4]], [1, 2, 3, 4]
+
+
+def _set_rows(*edits):
+    rows, songs = copy.deepcopy(_ROWS), list(_ROW_SONGS)
+    for entry, column, value in edits:
+        if entry == "song":
+            songs[column] = value
+        else:
+            rows[entry][column] = value
+    return np.array(rows, dtype=np.int64), np.array(songs, dtype=np.int64)
+
+
+@pytest.mark.parametrize("edits,fault", [
+    ((), None),
+    (((1, 0, 0),), (1, "id")),                       # playlist 0 again
+    (((0, 0, 3),), (0, "id")),                       # no playlist 3
+    (((1, 1, 2),), (1, "user")),
+    (((0, 4, 0),), (0, "train")),                    # an empty train list
+    (((0, 4, 0), (1, 2, 1)), (0, "train")),          # ... before a later held-out fault
+    ((("song", 3, 6),), (1, "train")),               # no song 6
+    (((1, 2, 0),), (1, "dev")),                      # no song 0
+    (((1, 1, 2), (0, 2, 2)), (0, "dev")),            # the first entry's dev in its train list
+    (((0, 2, 1), (0, 3, 2)), (0, "dev")),            # dev before test
+    (((0, 3, 1),), (0, "test")),
+], ids=["valid", "playlist-twice", "playlist-outside", "owner-outside", "empty-train",
+        "empty-train-first", "song-outside", "dev-padding", "first-entry-first",
+        "dev-before-test", "test-in-train"])
+def test_check_split_names_the_first_bad_entry_and_its_first_bad_field(edits, fault):
+    assert dataset.check_split(*_set_rows(*edits), 2, 3, 5) == fault
+
+
+def test_check_split_refuses_a_split_of_no_entry():
+    empty = np.zeros((0, 5), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    assert dataset.check_split(*empty, 2, 3, 5) == (None, "top level")
+
+
+def test_split_from_rows_scatters_entries_into_playlist_rows():
+    split = dataset.split_from_rows(*_set_rows(), num_playlists=3)
+    assert split_values(split) == [("<i8", [0, 0, 1]), ("<i8", [4, 0, 1]), ("<i8", [5, 0, 5]),
+                                   ("<i8", [0, 2, 2, 4]), ("<i8", [1, 2, 3, 4]), int, 2]
+    assert split.train_lists() == [[1, 2], [], [3, 4]]
+    offsets, full = split.full_sets(5)
+    assert offsets.tolist() == [0, 4, 4, 8] and full.tolist() == [1, 2, 4, 5, 1, 3, 4, 5]
 
 
 def test_prepare_pipeline(tmp_path):
@@ -330,15 +375,22 @@ def _count_json_loads(monkeypatch):
     return calls
 
 
+def split_values(split):
+    """A split's arrays as lists, and its `max_members`, with their types."""
+    arrays = [getattr(split, key) for key in ("owner", "dev", "test", "offsets", "songs")]
+    return [(a.dtype.str, a.tolist()) for a in arrays] + [type(split.max_members),
+                                                          split.max_members]
+
+
 def loaded_split(split_dir):
-    """What `load_split_dir` gives for `split_dir`, dict order included, or its error."""
+    """What `load_split_dir` gives for `split_dir`, the catalog's dict order
+    included, or its error."""
     try:
         catalog, split = dataset.load_split_dir(str(split_dir))
     except (OSError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
     return ([list(getattr(catalog, key).items()) for key in ("users", "playlists", "songs")],
-            [list(getattr(split, key).items()) for key in ("train", "dev", "test", "owner")],
-            split.max_members, catalog.fingerprint())
+            split_values(split), catalog.fingerprint())
 
 
 def test_split_companion_gives_the_structures_of_the_json(tmp_path, monkeypatch):
@@ -349,12 +401,12 @@ def test_split_companion_gives_the_structures_of_the_json(tmp_path, monkeypatch)
     assert calls == []
     ref_catalog = dataset.load_catalog(str(split_dir / "catalog.json"))
     ref_split = dataset.load_split(str(split_dir / "split.json"), ref_catalog)
-    assert (catalog, split) == (ref_catalog, ref_split)
+    assert catalog == ref_catalog and split_values(split) == split_values(ref_split)
     assert catalog.stored_fingerprint == ref_catalog.fingerprint()
     (split_dir / "split.json.arena").unlink()
     assert via_companion == loaded_split(split_dir)
     assert calls == ["load_catalog", "load_split"] * 2
-    assert all(type(s) is int for songs in split.train.values() for s in songs)
+    assert all(a.flags.writeable for a in (split.owner, split.offsets, split.songs))
     assert list(catalog.songs) == sorted(_SONGS) != sorted(_SONGS, key=str.casefold)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import synthetic
 from metric_rec import dataset, evaluation, models, params as params_mod
 from metric_rec.dataset import InteractionRecord
 from metric_rec.models import ScoreBatch
@@ -141,9 +142,7 @@ def _toy_eval_split(num_playlists=4, size=8):
 
 def test_evaluate_perfect_model():
     catalog, split = _toy_eval_split()
-    target = np.zeros(catalog.num_playlists, dtype=np.int64)
-    for p, s in split.test.items():
-        target[p] = s
+    target = split.test
 
     def scorer(batch):
         return np.where(batch.songs == target[batch.playlists][:, None], 0.0, 1.0)
@@ -172,17 +171,20 @@ def test_evaluate_deterministic_and_dev_selection():
 
 def test_evaluate_empty_set_rejected():
     catalog, split = _toy_eval_split()
-    split.test.clear()
+    split.test[:] = 0
     with pytest.raises(ValueError, match="empty"):
         evaluation.held_out(split, catalog.num_songs)
 
 
 def test_context_batch_pads_members():
     catalog, split = _toy_eval_split()
-    split.train[1] = split.train[1][:2]
+    train = split.train_lists()
+    train[1] = train[1][:2]
+    split = synthetic.split_of(catalog.num_playlists, dict(enumerate(train)),
+                               dict(enumerate(split.owner.tolist())))
     batch = evaluation.context_batch(split, [1, 0], [[5], [6]])
     assert split.max_members == 6
-    np.testing.assert_array_equal(batch.members, [split.train[1] + [0] * 4, split.train[0]])
+    np.testing.assert_array_equal(batch.members, [train[1] + [0] * 4, train[0]])
     np.testing.assert_array_equal(batch.counts, [2, 6])
     np.testing.assert_array_equal(batch.users, [split.owner[1], split.owner[0]])
     np.testing.assert_array_equal(batch.playlists, [1, 0])

@@ -64,7 +64,7 @@ def test_bpr_loss_regularization_term():
 def test_build_train_data_members_exclude_positive():
     catalog, split = _toy_split()
     data = training.build_train_data(split, catalog.num_songs)
-    assert len(data) == sum(len(v) for v in split.train.values())
+    assert len(data) == len(split.songs) == sum(map(len, split.train_lists()))
     for i in range(len(data)):
         row = data.members[i][:data.counts[i]]
         assert data.pos[i] not in row
@@ -73,16 +73,17 @@ def test_build_train_data_members_exclude_positive():
     negatives = training._make_batch(np.arange(len(data)), data, k,
                                      np.random.default_rng(0)).songs[:, 1:]
     for p, row in zip(data.playlists, negatives):
-        assert not (set(row.tolist()) & (split.full_set(p) | {0}))
+        assert not (set(row.tolist()) & (oracles.full_set(split, p) | {0}))
 
 
 def _reference_instances(split):
     """`build_train_data`'s instance arrays, built one instance at a time."""
-    instances = [(p, s) for p in sorted(split.train) for s in split.train[p]]
+    train = split.train_lists()
+    instances = [(p, s) for p, songs in enumerate(train) for s in songs]
     members = np.zeros((len(instances), split.max_members), dtype=np.int64)
     counts = np.empty(len(instances), dtype=np.int64)
     for i, (p, s) in enumerate(instances):
-        rest = [x for x in split.train[p] if x != s]
+        rest = [x for x in train[p] if x != s]
         members[i, :len(rest)] = rest
         counts[i] = len(rest)
     return {
@@ -103,8 +104,8 @@ def test_build_train_data_matches_per_instance_reference():
         catalog = dataset.build_catalog(records)
         splits.append((dataset.leave_one_out_split(records, seed, catalog), catalog))
     # a train list that repeats a song: its instances drop every copy of their positive
-    splits.append((dataset.SplitDataset(train={0: [3, 1, 3, 2], 2: [5]}, dev={0: 4, 2: 6},
-                                        test={0: 7, 2: 8}, owner={0: 1, 2: 0}, max_members=4),
+    splits.append((synthetic.split_of(3, {0: [3, 1, 3, 2], 2: [5]}, {0: 1, 2: 0},
+                                      dev={0: 4, 2: 6}, test={0: 7, 2: 8}),
                    dataset.build_catalog([InteractionRecord("u", "p", f"s{i}") for i in range(9)])))
     for split, catalog in splits:
         data = training.build_train_data(split, catalog.num_songs)
@@ -132,7 +133,7 @@ def test_sampled_negatives_avoid_the_full_set_and_never_repeat():
         batch = training._make_batch(idx, data, k, rng)
         for p, row in zip(batch.playlists, batch.songs[:, 1:]):
             assert len(set(row.tolist())) == k
-            assert not (set(row.tolist()) & (split.full_set(p) | {0}))
+            assert not (set(row.tolist()) & (oracles.full_set(split, p) | {0}))
             assert np.all((row >= 1) & (row <= catalog.num_songs))
 
 
@@ -141,7 +142,7 @@ def test_negatives_with_k_equal_to_the_pool_size_permute_the_pool():
     idx = np.tile(np.arange(len(data)), 50)
     batch = training._make_batch(idx, data, 8, np.random.default_rng(4))
     for p, row in zip(batch.playlists, batch.songs[:, 1:]):
-        pool = dataset.songs_outside(split.full_set(p), catalog.num_songs)
+        pool = dataset.songs_outside(oracles.full_set(split, p), catalog.num_songs)
         np.testing.assert_array_equal(np.sort(row), pool)
     assert len({tuple(row) for row in batch.songs[:, 1:].tolist()}) > 2
 
@@ -149,7 +150,8 @@ def test_negatives_with_k_equal_to_the_pool_size_permute_the_pool():
 def test_negatives_are_uniform_over_ordered_tuples():
     catalog, split, data = _two_pool_data(pool_a=9)
     rows = np.flatnonzero(data.playlists == catalog.playlists["p0"])
-    pool = dataset.songs_outside(split.full_set(catalog.playlists["p0"]), catalog.num_songs)
+    pool = dataset.songs_outside(oracles.full_set(split, catalog.playlists["p0"]),
+                                 catalog.num_songs)
     assert len(pool) == 9
     trials = 504 * 200
     batch = training._make_batch(np.resize(rows, trials), data, 3, np.random.default_rng(5))
