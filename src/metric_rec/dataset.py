@@ -493,7 +493,9 @@ def _check_rows(path, doc, rows, songs, catalog, last_unmapped=False):
 def _name_unknown_id(path, pid, entry, catalog):
     """Raise the `load_split` error for the first id of `entry` the catalog lacks."""
     fields = [("id", catalog.playlists, pid), ("user", catalog.users, entry["user"])]
-    fields += [("train", catalog.songs, s) for s in entry["train"]]
+    # a `train` that is not a list comes after an unknown playlist or user
+    train = entry["train"] if isinstance(entry["train"], list) else []
+    fields += [("train", catalog.songs, s) for s in train]
     fields += [(key, catalog.songs, entry[key]) for key in ("dev", "test")]
     for key, table, ext_id in fields:
         try:

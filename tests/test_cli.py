@@ -634,7 +634,9 @@ def _edited_split(workspace, split_dir, edit):
     (lambda entry: entry["train"].append("nosuchsong"), "p0.train"),
     (lambda entry: entry.update(train=None), "p0.train"),
     (lambda entry: entry.update(train={s: 0 for s in entry["train"]}), "p0.train"),
-], ids=["dev-song-in-train", "unknown-train-song", "train-null", "train-object"])
+    (lambda entry: entry.update(user="nobody", train=5), "p0.user"),
+], ids=["dev-song-in-train", "unknown-train-song", "train-null", "train-object",
+        "unknown-user-train-number"])
 def test_split_that_contradicts_itself_or_the_catalog_fails_cleanly(
         workspace, tmp_path, edit, field):
     split_dir = _edited_split(workspace, tmp_path / "splits", edit)
