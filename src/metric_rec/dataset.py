@@ -467,21 +467,21 @@ def load_split(path, catalog):
                     raise ValueError(f"{path}: {pid}.{key}: missing") from None
             _name_unknown_id(path, pid, entry, catalog)
             raise
-    return split_from_rows(_check_rows(path, doc, rows, songs, catalog),
-                           np.array(songs, dtype=np.int64), catalog.num_playlists)
+    return split_from_rows(*_check_rows(path, doc, rows, songs, catalog), catalog.num_playlists)
 
 
 def _check_rows(path, doc, rows, songs, catalog, last_unmapped=False):
-    """The entries `rows` that `load_split` mapped from `doc`, as an array, or
-    the `load_split` error of the first fault `check_split` finds in them:
-    an empty split, an empty train list or a held-out song in it (mapped ids
-    are in the catalog). With `last_unmapped`, the last entry's held-out
-    songs are not mapped, and only its train list counts."""
+    """The entries `rows` that `load_split` mapped from `doc` and their train
+    songs, the head of `songs`, as arrays; or the `load_split` error of the
+    first fault `check_split` finds in them: an empty split, an empty train
+    list or a held-out song in it (mapped ids are in the catalog). With
+    `last_unmapped`, the last entry's held-out songs are not mapped, and
+    only its train list counts."""
     rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
-    fault = check_split(rows, np.array(songs[:rows[-1, 4] if len(rows) else 0], dtype=np.int64),
-                        catalog.num_users, catalog.num_playlists, catalog.num_songs)
+    songs = np.fromiter(songs, np.int64, rows[-1, 4] if len(rows) else 0)
+    fault = check_split(rows, songs, catalog.num_users, catalog.num_playlists, catalog.num_songs)
     if fault is None or last_unmapped and fault[0] == len(rows) - 1 and fault[1] != "train":
-        return rows
+        return rows, songs
     if fault[0] is None:
         raise ValueError(f"{path}: top level: a split holds at least one playlist, this one none")
     pid, key = list(doc)[fault[0]], fault[1]
