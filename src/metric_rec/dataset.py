@@ -16,7 +16,6 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import pairwise
-from pathlib import Path
 
 import numpy as np
 import orjson
@@ -551,8 +550,11 @@ def load_split_dir(split_dir):
     companion = os.path.join(split_dir, SPLIT_ARENA)
     if os.path.exists(companion):  # else the JSON files are read once, below
         try:
-            sources = {"catalog_json_sha256": Path(catalog_path).read_bytes(),
-                       "split_json_sha256": Path(split_path).read_bytes()}
+            sources = {}
+            for key, path in (("catalog_json_sha256", catalog_path),
+                              ("split_json_sha256", split_path)):
+                with open(path, "rb") as f:
+                    sources[key] = f.read()
         except OSError:
             sources = None  # the JSON path raises the error in its own order
         loaded = sources and read_arena(companion, sources, "<i8", _split_from_arena)
@@ -571,10 +573,12 @@ def _split_from_arena(header, values):
         ids = header[key]
         indices = values[offset:offset + len(ids)]
         offset += len(ids)
-        maps[key] = dict(zip(ids, indices.tolist()))
-        if (type(ids) is not list or not set(map(type, ids)) <= {str} or len(maps[key]) < len(ids)
+        if (type(ids) is not list or not set(map(type, ids)) <= {str}
                 or not np.array_equal(np.sort(indices), np.arange(first, first + len(ids)))):
-            return None  # ids of another type or given twice, or indices not dense
+            return None
+        maps[key] = dict(zip(ids, indices.tolist()))
+        if len(maps[key]) != len(ids):  # an id given twice
+            return None
     n, fingerprint = header["entries"], header["catalog_fingerprint"]
     if type(n) is not int or n < 0 or type(fingerprint) is not str:
         return None

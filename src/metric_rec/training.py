@@ -123,10 +123,16 @@ def build_train_data(split, num_songs):
     gaps[np.arange(gaps.shape[1]) < full_sizes[:, None]] = (
         full - np.arange(len(full)) + np.repeat(offsets[:-1], full_sizes) - 1)
     gaps += (playlists * (num_songs + 1))[:, None]
-    return TrainData(users=np.repeat(split.owner, lengths),
-                     playlists=np.repeat(playlists, lengths), pos=pos, members=members,
-                     counts=counts, pool_sizes=num_songs - full_sizes, gaps=gaps,
-                     num_songs=num_songs)
+    return TrainData(
+        users=np.repeat(split.owner, lengths),
+        playlists=np.repeat(playlists, lengths),
+        pos=pos,
+        members=members,
+        counts=counts,
+        pool_sizes=num_songs - full_sizes,
+        gaps=gaps,
+        num_songs=num_songs,
+    )
 
 
 def _sigmoid(x):
