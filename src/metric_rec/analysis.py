@@ -87,7 +87,8 @@ def attention_correlation(params, split, counts, csv_path=None):
     playlists = np.flatnonzero(split.test)
     targets = split.test[playlists]
     # one candidate per context: the attention comes back as (B, l)
-    _, cache = forward(params, context_batch(split, playlists, targets))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        _, cache = forward(params, context_batch(split, playlists, targets))
     if not np.isfinite(cache["alpha"]).all():
         raise FloatingPointError("the model gives an attention weight of inf or nan")
     rows = []

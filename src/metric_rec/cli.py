@@ -246,7 +246,8 @@ def recommend(checkpoint, playlist_id, top, split_dir):
             _fail(f"playlist {playlist_id} has no entry in the split under {split_dir}")
         candidates = dataset.songs_outside(
             np.append(split.songs[start:end], (split.dev[p], split.test[p])), catalog.num_songs)
-        scores = scorer(evaluation.context_batch(split, [p], candidates[None, :]))[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            scores = scorer(evaluation.context_batch(split, [p], candidates[None, :]))[0]
         if not np.isfinite(scores).all():
             _fail(f"{checkpoint}: the model scores a candidate song as inf or nan")
         order = np.lexsort((candidates, scores))[:top]

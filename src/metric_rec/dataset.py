@@ -15,7 +15,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import chain, pairwise, repeat
 
 import numpy as np
 import orjson
@@ -133,11 +133,11 @@ def check_split(rows, songs, num_users, num_playlists, num_songs):
     test song and the end offset of its train songs in `songs`; the offsets
     must ascend to len(songs).
 
-    An entry's faults, in field order: `id`, a playlist outside the catalog
+    An entry's faults, in this order: `id`, a playlist outside the catalog
     or given by an earlier entry; `user`, an owner outside it; `train`, an
     empty train list or a song outside 1..num_songs; `dev`, then `test`, a
-    song outside 1..num_songs or in the train list. No entry gives
-    (None, "top level").
+    song outside 1..num_songs; then `dev`, then `test`, a song in the train
+    list. No entry gives (None, "top level").
     """
     if not len(rows):
         return None, "top level"
@@ -155,11 +155,14 @@ def check_split(rows, songs, num_users, num_playlists, num_songs):
         (playlist < 0) | (playlist >= num_playlists) | repeated,
         (owner < 0) | (owner >= num_users),
         (counts == 0) | per_entry((songs < 1) | (songs > num_songs)),
-        (dev < 1) | (dev > num_songs) | per_entry(np.repeat(dev, counts) == songs),
-        (test < 1) | (test > num_songs) | per_entry(np.repeat(test, counts) == songs),
+        (dev < 1) | (dev > num_songs),
+        (test < 1) | (test > num_songs),
+        per_entry(np.repeat(dev, counts) == songs),
+        per_entry(np.repeat(test, counts) == songs),
     ]).ravel()
-    first = int(np.argmax(faults))  # entry-major: the first entry's first field
-    return (first // 5, ("id", "user", "train", "dev", "test")[first % 5]) if faults[first] else None
+    first = int(np.argmax(faults))  # entry-major: the first entry's first fault
+    fields = ("id", "user", "train", "dev", "test", "dev", "test")
+    return (first // 7, fields[first % 7]) if faults[first] else None
 
 
 def load_interactions(path):
@@ -433,74 +436,67 @@ def save_split(split, catalog, path):
 def load_split(path, catalog):
     """Read a split manifest against its catalog.
 
-    Raises ValueError("<path>: <playlist id>.<field>: <problem>") for the
-    first bad entry in file order: one that is not a JSON object or lacks
-    `user`, `train`, `dev` or `test`, a `train` that is not a non-empty JSON
-    array, a playlist, user or song id the catalog lacks, or a held-out (dev
-    or test) song that is also in the train list; and
-    ValueError("<path>: top level: <problem>") for a document that is not a
-    JSON object or holds no entry.
+    Every entry becomes a `check_split` row: an id maps to its index, or to
+    -1 when the catalog lacks it or it is not a JSON string; a missing
+    `user`, `dev` or `test` maps to -1, a missing `train` to no song, and a
+    `train` that is not a JSON array to one song -1. The first row that
+    `check_split` refuses, the first bad entry in file order, raises
+    ValueError("<path>: <playlist id>.<field>: <problem>") built from that
+    entry alone: an entry that is not a JSON object; else a missing `user`,
+    `train`, `dev` or `test`; else the first fault `check_split` finds in
+    it: an id the catalog lacks, a `train` that is not a non-empty JSON
+    array, or a held-out song that is also in the train list. So a missing
+    field comes before every other fault of its entry, an empty or
+    non-array `train` included. A document that is not a JSON object or
+    holds no entry raises ValueError("<path>: top level: <problem>").
     """
     doc = read_json(path)
     _require_object(path, "top level", doc, "a split")
-    rows, songs = [], []
-    for i, (pid, entry) in enumerate(doc.items()):
-        try:
-            p, owner = catalog.playlists[pid], catalog.users[entry["user"]]
-            if not isinstance(entry["train"], list):
-                raise ValueError(f"{path}: {pid}.train: must be a JSON array, "
-                                 f"got {type(entry['train']).__name__}")
-            songs += map(catalog.songs.__getitem__, entry["train"])
-            rows.append([p, owner, 0, 0, len(songs)])
-            rows[-1][2:4] = catalog.songs[entry["dev"]], catalog.songs[entry["test"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            # a fault of an earlier entry, or this entry's empty train list,
-            # comes first; this entry's held-out songs are not mapped
-            if rows:
-                _check_rows(path, doc, rows, songs, catalog, len(rows) > i)
-            if isinstance(exc, ValueError):
-                raise
-            _require_object(path, pid, entry, "a split entry")
-            for key in ("user", "train", "dev", "test"):
-                if key not in entry:
-                    raise ValueError(f"{path}: {pid}.{key}: missing") from None
-            _name_unknown_id(path, pid, entry, catalog)
-            raise
-    return split_from_rows(*_check_rows(path, doc, rows, songs, catalog), catalog.num_playlists)
-
-
-def _check_rows(path, doc, rows, songs, catalog, last_unmapped=False):
-    """The entries `rows` that `load_split` mapped from `doc` and their train
-    songs, the head of `songs`, as arrays; or the `load_split` error of the
-    first fault `check_split` finds in them: an empty split, an empty train
-    list or a held-out song in it (mapped ids are in the catalog). With
-    `last_unmapped`, the last entry's held-out songs are not mapped, and
-    only its train list counts."""
-    rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
-    songs = np.fromiter(songs, np.int64, rows[-1, 4] if len(rows) else 0)
+    entries = [entry if isinstance(entry, dict) else {} for entry in doc.values()]
+    trains = [train if isinstance(train, list) else [None]
+              for train in (entry.get("train", []) for entry in entries)]
+    rows = np.column_stack([
+        _indices(catalog.playlists, list(doc)),
+        *(_indices(table, [entry.get(key) for entry in entries])
+          for key, table in (("user", catalog.users), ("dev", catalog.songs),
+                             ("test", catalog.songs))),
+        np.cumsum(list(map(len, trains)), dtype=np.int64)])
+    songs = _indices(catalog.songs, list(chain.from_iterable(trains)))
     fault = check_split(rows, songs, catalog.num_users, catalog.num_playlists, catalog.num_songs)
-    if fault is None or last_unmapped and fault[0] == len(rows) - 1 and fault[1] != "train":
-        return rows, songs
-    if fault[0] is None:
+    if fault:
+        _refuse_entry(path, doc, catalog, *fault)
+    return split_from_rows(rows, songs, catalog.num_playlists)
+
+
+def _indices(table, ids):
+    """int64 array of `table`'s index of each id of the list `ids`; -1 for an
+    id it lacks or one that is not a string."""
+    if list(map(type, ids)).count(str) < len(ids):  # a JSON array or object is unhashable
+        ids = [i if type(i) is str else None for i in ids]
+    return np.fromiter(map(table.get, ids, repeat(-1)), np.int64, len(ids))
+
+
+def _refuse_entry(path, doc, catalog, i, key):
+    """Raise the `load_split` error of field `key` of `doc`'s entry `i`, which
+    `check_split` refused (see `load_split`)."""
+    if i is None:
         raise ValueError(f"{path}: top level: a split holds at least one playlist, this one none")
-    pid, key = list(doc)[fault[0]], fault[1]
-    raise ValueError(f"{path}: {pid}.train: must hold at least one song" if key == "train" else
-                     f"{path}: {pid}.{key}: held-out song {doc[pid][key]!r} is also in the "
-                     f"train list")
-
-
-def _name_unknown_id(path, pid, entry, catalog):
-    """Raise the `load_split` error for the first id of `entry` the catalog lacks."""
-    fields = [("id", catalog.playlists, pid), ("user", catalog.users, entry["user"])]
-    # a `train` that is not a list comes after an unknown playlist or user
-    train = entry["train"] if isinstance(entry["train"], list) else []
-    fields += [("train", catalog.songs, s) for s in train]
-    fields += [(key, catalog.songs, entry[key]) for key in ("dev", "test")]
-    for key, table, ext_id in fields:
-        try:
-            table[ext_id]
-        except (KeyError, TypeError):
-            raise ValueError(f"{path}: {pid}.{key}: {ext_id!r} is not in the catalog") from None
+    pid, entry = list(doc.items())[i]
+    _require_object(path, pid, entry, "a split entry")
+    for field_name in ("user", "train", "dev", "test"):
+        if field_name not in entry:
+            raise ValueError(f"{path}: {pid}.{field_name}: missing")
+    where = f"{path}: {pid}.{key}:"
+    ids = entry["train"] if key == "train" else [pid if key == "id" else entry[key]]
+    if not isinstance(ids, list):
+        raise ValueError(f"{where} must be a JSON array, got {type(ids).__name__}")
+    if not ids:
+        raise ValueError(f"{where} must hold at least one song")
+    table = {"id": catalog.playlists, "user": catalog.users}.get(key, catalog.songs)
+    unknown = _indices(table, ids) < 0
+    if unknown.any():
+        raise ValueError(f"{where} {ids[int(np.argmax(unknown))]!r} is not in the catalog")
+    raise ValueError(f"{where} held-out song {entry[key]!r} is also in the train list")
 
 
 def save_split_arena(catalog, split, catalog_data, split_data, path):

@@ -81,10 +81,11 @@ def rank_candidates(scorer, batch):
     # temporaries, and every product a score comes from is stacked per
     # context (see `models._query`), so each row gets the bits it gets alone.
     scores = np.empty(songs.shape)
-    for start in range(0, len(songs), RANK_CHUNK):
-        rows = slice(start, start + RANK_CHUNK)
-        scores[rows] = scorer(ScoreBatch(*(None if a is None else a[rows] for a in (
-            batch.users, batch.playlists, songs, batch.members, batch.counts))))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for start in range(0, len(songs), RANK_CHUNK):
+            rows = slice(start, start + RANK_CHUNK)
+            scores[rows] = scorer(ScoreBatch(*(None if a is None else a[rows] for a in (
+                batch.users, batch.playlists, songs, batch.members, batch.counts))))
     if not np.isfinite(scores).all():
         raise FloatingPointError("the model scores a candidate song as inf or nan")
     first = scores[:, :1]

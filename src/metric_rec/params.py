@@ -195,8 +195,7 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
     without its tensor values, plus `json_sha256`, the SHA-256 of the JSON's
     bytes; its payload every tensor's values as little-endian float64 in
     the `tensor_shapes` order, which is the arena's. Equal checkpoints give
-    equal bytes. A `<path>.npz`, the zip companion of earlier versions, is
-    removed.
+    equal bytes.
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -224,10 +223,6 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
     payload = np.concatenate([params.tensors[name].ravel() for name in tensor_shapes(params)],
                              dtype="<f8")
     write_arena(os.fspath(path) + ".arena", header, payload, {"json_sha256": data})
-    try:
-        os.remove(os.fspath(path) + ".npz")
-    except FileNotFoundError:
-        pass
 
 
 def load_checkpoint(path):

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -615,9 +617,10 @@ def test_train_masr_checks_the_manifest_components_before_writing_it(workspace, 
     assert not (tmp_path / "out" / "masr.json").exists()
 
 
-def _edited_split(workspace, split_dir, edit):
+def _edited_split(workspace, split_dir, edit, playlist="p0"):
     """A copy of `workspace`'s split directory whose split.json went through
-    `edit`, which changes p0's entry in place or returns its replacement."""
+    `edit`, which changes p0's entry in place or returns its replacement;
+    the entry is then stored under the id `playlist`, last when it is not p0."""
     split_dir.mkdir()
     src = workspace / "splits"
     (split_dir / "catalog.json").write_bytes((src / "catalog.json").read_bytes())
@@ -625,26 +628,53 @@ def _edited_split(workspace, split_dir, edit):
     replacement = edit(doc["p0"])
     if replacement is not None:
         doc["p0"] = replacement
+    if playlist != "p0":
+        doc[playlist] = doc.pop("p0")
     (split_dir / "split.json").write_text(json.dumps(doc), encoding="utf-8")
     return split_dir
 
 
 @pytest.mark.parametrize("edit,field", [
-    (lambda entry: entry["train"].append(entry["dev"]), "p0.dev"),
-    (lambda entry: entry["train"].append("nosuchsong"), "p0.train"),
-    (lambda entry: entry.update(train=None), "p0.train"),
-    (lambda entry: entry.update(train={s: 0 for s in entry["train"]}), "p0.train"),
-    (lambda entry: entry.update(user="nobody", train=5), "p0.user"),
+    (lambda entry: entry["train"].append(entry["dev"]), "p0.dev: "),
+    (lambda entry: entry["train"].append("nosuchsong"), "p0.train: "),
+    (lambda entry: entry.update(train=None), "p0.train: "),
+    (lambda entry: entry.update(train={s: 0 for s in entry["train"]}), "p0.train: "),
+    (lambda entry: entry.update(user="nobody", train=5), "p0.user: "),
+    (lambda entry: entry.update(dev="zz"), "p0.dev: 'zz' is not in the catalog"),
+    (lambda entry: entry.update(test="zz"), "p0.test: 'zz' is not in the catalog"),
+    (lambda entry: entry.update(user=[1]), "p0.user: [1] is not in the catalog"),
+    (lambda entry: entry["train"].append({"s": 1}), "p0.train: {'s': 1} is not in the catalog"),
+    (lambda entry: None, "px.id: 'px' is not in the catalog"),
+    (lambda entry: entry.update(train=entry["train"] + [entry["dev"]], test="zz"),
+     "p0.test: 'zz' is not in the catalog"),
 ], ids=["dev-song-in-train", "unknown-train-song", "train-null", "train-object",
-        "unknown-user-train-number"])
+        "unknown-user-train-number", "unknown-dev-song", "unknown-test-song", "user-array",
+        "train-song-object", "unknown-playlist", "dev-in-train-unknown-test"])
 def test_split_that_contradicts_itself_or_the_catalog_fails_cleanly(
         workspace, tmp_path, edit, field):
-    split_dir = _edited_split(workspace, tmp_path / "splits", edit)
+    """`field` starts with the playlist id under which the edited p0 entry is stored."""
+    split_dir = _edited_split(workspace, tmp_path / "splits", edit, field.split(".")[0])
     out = tmp_path / "m.json"
     result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
                    "--split", str(split_dir), "--out", str(out)], expect_exit=1)
-    assert f"{split_dir / 'split.json'}: {field}: " in _single_error_line(result)
+    assert f"{split_dir / 'split.json'}: {field}" in _single_error_line(result)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("train", [[], 5], ids=["empty-train", "train-number"])
+@pytest.mark.parametrize("key", ["dev", "test"])
+def test_split_entry_without_a_held_out_song_names_it_before_its_train_list(
+        workspace, tmp_path, train, key):
+    """p0's entry lacks `key` and its train list is empty or not an array: the
+    missing field, a fault of the entry's structure, is named first."""
+    def edit(entry):
+        entry.update(train=train)
+        del entry[key]
+
+    split_dir = _edited_split(workspace, tmp_path / "splits", edit)
+    result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
+                   "--split", str(split_dir), "--out", str(tmp_path / "m.json")], expect_exit=1)
+    assert _single_error_line(result).endswith(f"{split_dir / 'split.json'}: p0.{key}: missing")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "recommend", "train"])
@@ -697,15 +727,21 @@ def _unknown_train_song(entry):
 @pytest.mark.parametrize("first,later,field", [
     (_dev_in_train, _unknown_train_song, "dev: held-out song "),
     (_unknown_train_song, _dev_in_train, "train: 'no-such-song' is not in the catalog"),
-], ids=["dev-in-train-first", "unknown-song-first"])
+    (lambda entry: entry.pop("dev"), _dev_in_train, "dev: missing"),
+    (_dev_in_train, lambda entry: [1, 2], "dev: held-out song "),
+], ids=["dev-in-train-first", "unknown-song-first", "no-dev-first", "dev-in-train-before-list"])
 def test_split_with_two_bad_entries_names_the_first_in_file_order(workspace, tmp_path, first,
                                                                   later, field):
+    """`first` edits the first entry and `later` one in the middle, in place
+    or by returning a list that replaces it."""
     split_dir = _edited_split(workspace, tmp_path / "splits", lambda entry: None)
     path = split_dir / "split.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
     ids = list(doc)
-    first(doc[ids[0]])
-    later(doc[ids[len(ids) // 2]])
+    for pid, edit in ((ids[0], first), (ids[len(ids) // 2], later)):
+        replacement = edit(doc[pid])
+        if isinstance(replacement, list):
+            doc[pid] = replacement
     path.write_text(json.dumps(doc), encoding="utf-8")
     result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
                    "--split", str(split_dir), "--out", str(tmp_path / "m.json")], expect_exit=1)
@@ -847,6 +883,26 @@ def test_finite_values_whose_scores_overflow_fail_cleanly(workspace, tmp_path, c
                   expect_exit=1)
     assert f"error: {path}: " in _single_error_line(result)
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "attention-report"])
+def test_overflowing_scores_print_one_stderr_line_in_a_fresh_process(workspace, tmp_path,
+                                                                     command):
+    """The refusal above from `python -m metric_rec.cli`, where no test runner
+    captures numpy's warnings: stderr holds the `error:` line alone."""
+    kind = "mass" if command == "attention-report" else "mdr"
+    path = _with_value(workspace, kind, tmp_path / "big.json", "B4" if kind == "mass" else "B1",
+                       1e300)
+    args = {"evaluate": ["--out", str(tmp_path / "m.json")], "recommend": ["--playlist", "p0"],
+            "attention-report": ["--out", str(tmp_path / "att")]}[command]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dataset.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "metric_rec.cli", command, "--checkpoint",
+                           str(path), "--split", str(workspace / "splits"), *args],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: "), proc.stderr
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -301,9 +301,10 @@ def _set_rows(*edits):
     (((1, 1, 2), (0, 2, 2)), (0, "dev")),            # the first entry's dev in its train list
     (((0, 2, 1), (0, 3, 2)), (0, "dev")),            # dev before test
     (((0, 3, 1),), (0, "test")),
+    (((0, 2, 1), (0, 3, 6)), (0, "test")),           # a song outside before a held-out one
 ], ids=["valid", "playlist-twice", "playlist-outside", "owner-outside", "empty-train",
         "empty-train-first", "song-outside", "dev-padding", "first-entry-first",
-        "dev-before-test", "test-in-train"])
+        "dev-before-test", "test-in-train", "test-outside-before-dev-in-train"])
 def test_check_split_names_the_first_bad_entry_and_its_first_bad_field(edits, fault):
     assert dataset.check_split(*_set_rows(*edits), 2, 3, 5) == fault
 

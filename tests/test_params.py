@@ -411,15 +411,6 @@ def test_arena_file_holds_the_header_and_the_arena_values(tmp_path):
         orjson.dumps(header, option=orjson.OPT_SORT_KEYS)))
 
 
-def test_saving_removes_the_zip_companion_of_earlier_versions(tmp_path):
-    p = params_mod.init_mdr(3, 4, 5, 2, np.random.default_rng(15))
-    path = tmp_path / "ckpt.json"
-    params_mod.save_checkpoint(p, path)
-    write_zip_companion(path)
-    params_mod.save_checkpoint(p, path)
-    assert sorted(os.listdir(tmp_path)) == ["ckpt.json", "ckpt.json.arena"]
-
-
 def test_zip_companion_of_earlier_versions_is_not_read(tmp_path, monkeypatch):
     p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(16), attention="mem_dot")
     path = tmp_path / "ckpt.json"
