@@ -1,6 +1,7 @@
 """Layer timings at the paper's shapes, written to BENCH_<tag>.json.
 
     python benchmarks/bench_layers.py --tag <tag> [--root <checkout>] [--out <dir>]
+                                      [--against <checkout>]
 
 Times `models.forward` and `models.backward` for MDR `ups` and for MASS `us`
 with `mem_metric` and with `nonmem_dot` attention, `training.adam_update`
@@ -9,10 +10,11 @@ and backward into a zeroed gradient arena by `training.gradients`, then
 `training.adam_update`), `evaluation.rank_candidates` on each (one dev or
 test ranking), `params.load_checkpoint` on each (a checkpoint that the
 timed checkout's own `save_checkpoint` wrote), `training._make_batch`
-(a minibatch's negatives and index gathers), `training.build_train_data`
-and `evaluation.held_out` (the per-split work of `train` and `evaluate`,
-on 3 V / 20 playlists of 63 songs split by `leave_one_out_split`), and
-`dataset.load_split_dir`
+(a minibatch's negatives and index gathers: MDR at B = 256 without
+members, MASS at B = 16 and 256 with l = 61 members gathered from the
+split's rows), `training.build_train_data` and `evaluation.held_out` (the
+per-split work of `train` and `evaluate`, on 3 V / 20 playlists of 63
+songs split by `leave_one_out_split`), and `dataset.load_split_dir`
 followed by the catalog's `fingerprint()`, what every `train`, `evaluate`
 and `recommend` does first, on a split directory that the timed
 checkout's own `prepare` wrote (V / 4 playlists of 63 songs, each owned by
@@ -27,9 +29,9 @@ V / 4 users and V / 4 playlists. A ranking scores B = 300 contexts of
 l = 61 members, C = 101 distinct candidates each.
 
 Rows that share a parameter set (its forward, backward and Adam rows), the
-sampler rows, and the two rows of one split, are timed interleaved: after a warm-up, each round calls
-each of them once, over a fixed number of rounds, so that drift in the
-host's speed reaches all of them alike. Each row records the median and
+minibatch rows, and the split-consumer rows, are timed interleaved: after
+a warm-up, each round calls each of them once, over a fixed number of
+rounds, so that drift in the host's speed reaches all of them alike. Each row records the median and
 the quartiles of its calls, in microseconds. Forward, backward and step
 score a fresh copy of the batch on every call, so they time a pass that
 builds the batch's index plan (see `models.ScoreBatch`), not one that
@@ -40,11 +42,20 @@ alone, after the rows it shares a parameter set with.
 
 `metric_rec` is imported from `<root>/src` (default: this checkout), so
 the same script times another checkout through entry points both share.
+With `--against <checkout>`, that checkout's `src/` is imported too, under
+another package name, and its minibatch and split-consumer rows join the
+same rounds as `<root>`'s, on the same inputs. Each such row records its
+`tree` (`root` or `against`) and `ratio`, the median over rounds of its
+time over the other tree's in the same round: separate runs of two
+checkouts drift apart by up to 1.4x on unchanged rows, interleaved ones
+do not.
 BLAS threads are pinned to 1 before numpy loads. It runs in about a minute
 on 2 vCPUs.
 """
 
 import argparse
+import importlib.util
+import inspect
 import os
 import platform
 import statistics
@@ -72,9 +83,9 @@ MODELS = (
 WARMUP, ROUNDS = 3, 20
 
 
-def _interleaved_us(calls):
-    """[q1, median, q3] wall time in us of each fn of `calls`, a list of
-    (row, fn), timed once per round over ROUNDS rounds after WARMUP calls."""
+def _interleaved_times(calls):
+    """Wall times in s of each fn of `calls`, a list of (row, fn), timed once
+    per round over ROUNDS rounds after WARMUP calls."""
     for _, fn in calls:
         for _ in range(WARMUP):
             fn()
@@ -84,16 +95,19 @@ def _interleaved_us(calls):
             t0 = time.perf_counter()
             fn()
             row_times.append(time.perf_counter() - t0)
-    return [statistics.quantiles(t, n=4, method="inclusive") for t in times]
+    return times
+
+
+def _row(row, times):
+    """`row` with the median and quartiles of `times` in us added."""
+    q1, median, q3 = (round(q * 1e6, 1)
+                      for q in statistics.quantiles(times, n=4, method="inclusive"))
+    return dict(row, median_us=median, q1_us=q1, q3_us=q3, reps=len(times))
 
 
 def _timed_rows(calls):
     """`calls`' rows, each with its quartile timings added."""
-    rows = []
-    for (row, _), quartiles in zip(calls, _interleaved_us(calls)):
-        q1, median, q3 = (round(q * 1e6, 1) for q in quartiles)
-        rows.append(dict(row, median_us=median, q1_us=q1, q3_us=q3, reps=ROUNDS))
-    return rows
+    return [_row(row, times) for (row, _), times in zip(calls, _interleaved_times(calls))]
 
 
 def _environment(root):
@@ -112,6 +126,19 @@ def _environment(root):
         "git_commit": commit,
         "src_modified": bool(dirty),
     }
+
+
+def _load_tree(root, name):
+    """The package `<root>/src/metric_rec` imported as `name`, beside `metric_rec`;
+    its modules import one another relatively, so each tree keeps its own."""
+    init = os.path.join(root, "src", "metric_rec", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    package = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    for module in ("dataset", "evaluation", "training"):
+        importlib.import_module(f"{name}.{module}")
+    return package
 
 
 def _batch(models, rng, v, num_users, num_playlists):
@@ -198,32 +225,62 @@ def _split(dataset, rng, v, n):
     return dataset.leave_one_out_split(records, 0, dataset.build_catalog(records))
 
 
-def _sampler_rows(metric_rec, rng):
+def _sampler_calls(metric_rec, rng):
+    """`training._make_batch` for MDR, which asks for no members, and for MASS
+    at B and at 16, one instance of each of B playlists per minibatch. A
+    checkout whose `_make_batch` has no `members` keyword gathers members
+    for both."""
+    training = metric_rec.training
+    asks = "members" in inspect.signature(training._make_batch).parameters
     calls = []
     for v in SONGS:
-        # one instance of each of B playlists is a context
-        data = metric_rec.training.build_train_data(_split(metric_rec.dataset, rng, v, B), v)
-        idx = np.arange(B) * L
-        calls.append(({"layer": "training._make_batch", "model": "", "B": B, "k": K_NEG,
-                       "V": v},
-                      lambda d=data: metric_rec.training._make_batch(idx, d, K_NEG, rng)))
-    return _timed_rows(calls)
+        data = training.build_train_data(_split(metric_rec.dataset, rng, v, B), v)
+        for kind, size in (("mdr", B), ("mass", 16), ("mass", B)):
+            idx = np.arange(size) * L
+            kwargs = {"members": kind == "mass"} if asks else {}
+            calls.append(({"layer": "training._make_batch", "model": kind, "B": size,
+                           "k": K_NEG, "l": L, "V": v},
+                          lambda d=data, i=idx, kw=kwargs: training._make_batch(
+                              i, d, K_NEG, rng, **kw)))
+    return calls
 
 
-def _split_consumer_rows(metric_rec, rng):
+def _split_consumer_calls(metric_rec, rng):
     """`training.build_train_data` and `evaluation.held_out` (the test lists)
-    on the split of 3 V / 20 playlists, timed interleaved per V."""
-    rows = []
+    on the split of 3 V / 20 playlists."""
+    calls = []
     for v in SONGS:
         n = 3 * v // 20
         split = _split(metric_rec.dataset, rng, v, n)
         shape = {"model": "", "playlists": n, "l": L, "V": v}
-        rows += _timed_rows([
+        calls += [
             (dict(shape, layer="training.build_train_data"),
-             lambda: metric_rec.training.build_train_data(split, v)),
+             lambda s=split, v=v: metric_rec.training.build_train_data(s, v)),
             (dict(shape, layer="evaluation.held_out"),
-             lambda: metric_rec.evaluation.held_out(split, v)),
-        ])
+             lambda s=split, v=v: metric_rec.evaluation.held_out(s, v)),
+        ]
+    return calls
+
+
+def _paired_rows(build, trees, seed):
+    """Rows of the calls `build(package, rng)` makes for each of `trees`, a
+    list of (tag, package), each tree's from a generator seeded `seed`, so
+    that both get the same inputs. All are timed interleaved: every round
+    calls every tree's calls. With two trees, each row also records `ratio`,
+    the median over rounds of its time over the time of the other tree's
+    matching row in the same round."""
+    calls = []
+    for tag, package in trees:
+        calls += [(dict(row, tree=tag), fn)
+                  for row, fn in build(package, np.random.default_rng(seed))]
+    times = _interleaved_times(calls)
+    rows = [_row(row, t) for (row, _), t in zip(calls, times)]
+    if len(trees) == 2:
+        n = len(calls) // 2
+        for i in range(n):
+            for mine, theirs in ((i, n + i), (n + i, i)):
+                rows[mine]["ratio"] = round(statistics.median(
+                    a / b for a, b in zip(times[mine], times[theirs])), 3)
     return rows
 
 
@@ -265,6 +322,8 @@ def main():
     parser.add_argument("--root", default=os.path.dirname(here),
                         help="checkout whose src/ is timed (default: this one)")
     parser.add_argument("--out", default=here, help="directory for BENCH_<tag>.json")
+    parser.add_argument("--against", help="checkout whose minibatch and split-consumer "
+                                          "rows are timed interleaved with <root>'s")
     args = parser.parse_args()
     root = os.path.abspath(args.root)
     sys.path.insert(0, os.path.join(root, "src"))
@@ -274,12 +333,19 @@ def main():
     import metric_rec.params
     import metric_rec.training
 
+    trees = [("root", metric_rec)]
+    if args.against:
+        trees.append(("against", _load_tree(os.path.abspath(args.against), "against_rec")))
     rng = np.random.default_rng(0)
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        rows = (_model_rows(metric_rec, rng, tmp) + _sampler_rows(metric_rec, rng)
-                + _split_consumer_rows(metric_rec, rng) + _split_dir_rows(metric_rec, rng, tmp))
-    doc = {"tag": args.tag, "environment": _environment(root),
+        rows = (_model_rows(metric_rec, rng, tmp) + _paired_rows(_sampler_calls, trees, 1)
+                + _paired_rows(_split_consumer_calls, trees, 2)
+                + _split_dir_rows(metric_rec, rng, tmp))
+    environment = _environment(root)
+    if args.against:
+        environment["against"] = _environment(os.path.abspath(args.against))
+    doc = {"tag": args.tag, "environment": environment,
            "seconds": round(time.perf_counter() - t0, 1), "rows": rows}
     path = os.path.join(args.out, f"BENCH_{args.tag}.json")
     metric_rec.dataset.write_json(doc, path)

@@ -104,6 +104,42 @@ def prepare(input_path, out_dir, k, seed, max_playlists_per_user, max_playlist_l
     )
 
 
+def _make_out_dir(out_dir):
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        _fail(f"cannot create out_dir {out_dir!r}: {exc}")
+
+
+def _write_masr_manifest(cfg):
+    """Write `masr.json` into the config's out_dir once both component
+    checkpoints load as the kinds the manifest names; out_dir is made only then."""
+    for key in ("mdr_checkpoint", "mass_checkpoint"):
+        path = cfg.values[key]
+        if not path:
+            _fail(f"missing config key {key} (masr needs both pretrained checkpoints)")
+        if not os.path.isfile(path):
+            _fail(f"{key}: no checkpoint file at {path}")
+    manifest = {
+        "format": MASR_FORMAT,
+        "model": "masr",
+        "alpha": cfg.alpha,
+        "mdr_checkpoint": os.path.abspath(cfg.mdr_checkpoint),
+        "mass_checkpoint": os.path.abspath(cfg.mass_checkpoint),
+    }
+    path = os.path.join(cfg.out_dir, "masr.json")
+    try:
+        _load_masr(manifest, path)
+    except (OSError, ValueError) as exc:
+        _fail(exc)
+    _make_out_dir(cfg.out_dir)
+    try:
+        dataset.write_json(manifest, path)
+    except OSError as exc:
+        _fail(exc)
+    click.echo(f"wrote fusion manifest {path}")
+
+
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--apr", is_flag=True, help="Run adversarial training after the base phase.")
@@ -114,31 +150,10 @@ def train(config_path, apr):
     except (OSError, ValueError) as exc:
         _fail(exc)
     out_dir = cfg.out_dir
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        _fail(f"cannot create out_dir {out_dir!r}: {exc}")
-
     if cfg.model == "masr":
-        for key in ("mdr_checkpoint", "mass_checkpoint"):
-            path = cfg.values[key]
-            if not path or not os.path.exists(path):
-                _fail(f"missing config key {key} (masr needs both pretrained checkpoints)")
-        manifest = {
-            "format": MASR_FORMAT,
-            "model": "masr",
-            "alpha": cfg.alpha,
-            "mdr_checkpoint": os.path.abspath(cfg.mdr_checkpoint),
-            "mass_checkpoint": os.path.abspath(cfg.mass_checkpoint),
-        }
-        path = os.path.join(out_dir, "masr.json")
-        try:
-            _load_masr(manifest, path)
-            dataset.write_json(manifest, path)
-        except (OSError, ValueError) as exc:
-            _fail(exc)
-        click.echo(f"wrote fusion manifest {path}")
+        _write_masr_manifest(cfg)
         return
+    _make_out_dir(out_dir)
 
     try:
         catalog, split = dataset.load_split_dir(cfg.split_dir)

@@ -71,21 +71,29 @@ def rank_candidates(scorer, batch):
     """(B,) ranks (1 = best) of each row's first candidate among that row's songs.
 
     Scores ascend (lower = more relevant); ties break by ascending song index.
-    A score that is not finite raises FloatingPointError.
+    A score that is not finite raises FloatingPointError. The first call on a
+    batch checks it for duplicate candidates and cuts it into sub-batches,
+    which its `plan` keeps for later calls, with the member masks that
+    scoring caches in theirs.
     """
     songs = batch.songs
-    ordered = np.sort(songs, axis=1)
-    if np.any(ordered[:, 1:] == ordered[:, :-1]):
-        raise ValueError("duplicate candidate song in ranking list")
-    # At most RANK_CHUNK contexts per scorer call: that bounds MASS's (B, C, l)
-    # temporaries, and every product a score comes from is stacked per
-    # context (see `models._query`), so each row gets the bits it gets alone.
-    scores = np.empty(songs.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    chunks = batch.plan.get("chunks")
+    if chunks is None:
+        ordered = np.sort(songs, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise ValueError("duplicate candidate song in ranking list")
+        # At most RANK_CHUNK contexts per scorer call: that bounds MASS's (B, C, l)
+        # temporaries, and every product a score comes from is stacked per
+        # context (see `models._query`), so each row gets the bits it gets alone.
+        chunks = batch.plan["chunks"] = []
         for start in range(0, len(songs), RANK_CHUNK):
             rows = slice(start, start + RANK_CHUNK)
-            scores[rows] = scorer(ScoreBatch(*(None if a is None else a[rows] for a in (
-                batch.users, batch.playlists, songs, batch.members, batch.counts))))
+            chunks.append((rows, ScoreBatch(*(None if a is None else a[rows] for a in (
+                batch.users, batch.playlists, songs, batch.members, batch.counts)))))
+    scores = np.empty(songs.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for rows, chunk in chunks:
+            scores[rows] = scorer(chunk)
     if not np.isfinite(scores).all():
         raise FloatingPointError("the model scores a candidate song as inf or nan")
     first = scores[:, :1]
@@ -93,33 +101,27 @@ def rank_candidates(scorer, batch):
     return 1 + ahead.sum(axis=1)
 
 
-def hit_at_n(rank, n):
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    return 1 if rank <= n else 0
-
-
-def ndcg_at_n(rank, n):
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    return 1.0 / math.log2(rank + 1) if rank <= n else 0.0
-
-
 def evaluate(scorer, held, n_list=None):
     """Mean hit@N and NDCG@N over the candidate lists `held` (see `held_out`).
 
-    Returns {"N": {n: {"hit": ..., "ndcg": ...}}, "num_playlists": ...}.
+    A list whose held-out song ranks r <= N scores hit 1 and NDCG
+    1 / log2(r + 1), and 0 and 0.0 otherwise. Returns
+    {"N": {n: {"hit": ..., "ndcg": ...}}, "num_playlists": ...}.
     """
     if n_list is None:
         n_list = list(range(1, 11))
+    if min(n_list, default=1) < 1:
+        raise ValueError(f"N must be >= 1, got {min(n_list)}")
     ranks = rank_candidates(scorer, held)
-
-    out = {"N": {}, "num_playlists": len(ranks)}
-    for n in n_list:
-        hits = [hit_at_n(r, n) for r in ranks]
-        ndcgs = [ndcg_at_n(r, n) for r in ranks]
-        out["N"][n] = {
-            "hit": float(np.mean(hits)),
-            "ndcg": float(np.mean(ndcgs)),
-        }
-    return out
+    # gains[r - 1] is rank r's gain, from math.log2 as the metric's definition
+    # reads; row j of `hits` and `ndcgs` is N = n_list[j], one contiguous row
+    # whose mean has the bits of np.mean over that N's per-list values
+    top = max(n_list, default=1)
+    gains = np.array([1.0 / math.log2(r + 1) for r in range(1, top + 1)])
+    hits = ranks <= np.array(n_list, dtype=np.int64)[:, None]
+    ndcgs = np.where(hits, gains[np.minimum(ranks, top) - 1], 0.0)
+    return {
+        "N": {n: {"hit": float(hit.mean()), "ndcg": float(ndcg.mean())}
+              for n, hit, ndcg in zip(n_list, hits, ndcgs)},
+        "num_playlists": len(ranks),
+    }

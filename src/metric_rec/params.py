@@ -193,9 +193,10 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
     The arena file, `<path>.arena`, is derived data for `load_checkpoint`
     in the layout of `dataset.write_arena`: its header holds the document
     without its tensor values, plus `json_sha256`, the SHA-256 of the JSON's
-    bytes; its payload every tensor's values as little-endian float64 in
-    the `tensor_shapes` order, which is the arena's. Equal checkpoints give
-    equal bytes.
+    bytes; its payload the parameter arena's own buffer, every tensor's
+    values as little-endian float64 in the `tensor_shapes` order in which
+    `_init` and `checkpoint_from_doc` lay the arena out. Equal checkpoints
+    give equal bytes.
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -220,9 +221,8 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
     data = write_json(doc, path)
     header = dict(doc, tensors={name: {"shape": spec["shape"]}
                                 for name, spec in doc["tensors"].items()})
-    payload = np.concatenate([params.tensors[name].ravel() for name in tensor_shapes(params)],
-                             dtype="<f8")
-    write_arena(os.fspath(path) + ".arena", header, payload, {"json_sha256": data})
+    write_arena(os.fspath(path) + ".arena", header, np.asarray(params.tensors.flat, dtype="<f8"),
+                {"json_sha256": data})
 
 
 def load_checkpoint(path):

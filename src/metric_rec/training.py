@@ -21,8 +21,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import pairwise
-
 import numpy as np
 
 from . import models
@@ -82,6 +80,11 @@ class Hyperparams:
 class TrainData:
     """Flattened training instances plus each playlist's negative pool.
 
+    Instance i is song i of the split's flat train songs `pos`; playlist p's
+    train list is pos[offsets[p]:offsets[p + 1]], at most `max_members`
+    songs, and a minibatch gathers its members from those rows (see
+    `_make_batch`).
+
     Playlist p's pool is the songs 1..V outside its full set e_0 < e_1 < ...;
     g_i = e_i - i - 1 is the number of pool songs below e_i, and pool rank r
     (0-based) is song r + 1 + #{i : g_i <= r}. Row p of `gaps` holds p's
@@ -93,8 +96,8 @@ class TrainData:
     users: np.ndarray
     playlists: np.ndarray
     pos: np.ndarray
-    members: np.ndarray
-    counts: np.ndarray
+    offsets: np.ndarray     # (num_playlists + 1,) the split's train-row offsets
+    max_members: int        # l: the split's longest train list
     pool_sizes: np.ndarray  # (num_playlists,) songs outside each playlist's full set
     gaps: np.ndarray        # (num_playlists, longest full set) int64, raised rows
     num_songs: int          # V
@@ -104,17 +107,7 @@ class TrainData:
 
 
 def build_train_data(split, num_songs):
-    """One instance per (playlist, train song); members exclude the positive."""
-    pos = split.songs
-    members = np.zeros((len(pos), split.max_members), dtype=np.int64)
-    counts = np.empty(len(pos), dtype=np.int64)
-    for start, end in pairwise(split.offsets.tolist()):
-        # instance i keeps its playlist's songs other than song i, in list order
-        row = pos[start:end]
-        keep = row != row[:, None]
-        r, c = np.nonzero(keep)
-        members[start + r, np.cumsum(keep, axis=1)[r, c] - 1] = row[c]
-        counts[start:end] = keep.sum(axis=1)
+    """One instance per (playlist, train song), in the split's train order."""
     offsets, full = split.full_sets(num_songs)
     full_sizes, lengths = np.diff(offsets), np.diff(split.offsets)
     playlists = np.arange(len(lengths))
@@ -126,9 +119,9 @@ def build_train_data(split, num_songs):
     return TrainData(
         users=np.repeat(split.owner, lengths),
         playlists=np.repeat(playlists, lengths),
-        pos=pos,
-        members=members,
-        counts=counts,
+        pos=split.songs,
+        offsets=split.offsets,
+        max_members=split.max_members,
         pool_sizes=num_songs - full_sizes,
         gaps=gaps,
         num_songs=num_songs,
@@ -282,14 +275,32 @@ def draw_negatives(data, playlists, k, rng):
     return ranks + 1 + below
 
 
-def _make_batch(idx, data, k, rng):
-    """Instances `idx` as contexts scoring [pos, neg_1..neg_k], with k negatives per row."""
+def _members(data, playlists, positives):
+    """(B, l) members and (B,) counts of the instances of `positives` in
+    `playlists`: row i holds playlist i's train songs other than every copy
+    of positive i, in list order, 0-padded to the split's longest train list."""
+    slots = np.arange(data.max_members)
+    positions = data.offsets[playlists][:, None] + slots
+    keep = positions < data.offsets[playlists + 1][:, None]
+    rows = data.pos.take(positions, mode="clip")
+    keep &= rows != positives[:, None]
+    counts = keep.sum(axis=1)
+    members = np.zeros_like(rows)
+    members[slots < counts[:, None]] = rows[keep]
+    return members, counts
+
+
+def _make_batch(idx, data, k, rng, members=True):
+    """Instances `idx` as contexts scoring [pos, neg_1..neg_k], with k negatives
+    per row, and with their members and counts when `members` is true (MASS)."""
     playlists = data.playlists[idx]
     songs = np.empty((len(idx), 1 + k), dtype=np.int64)
     songs[:, 0] = data.pos[idx]
     songs[:, 1:] = draw_negatives(data, playlists, k, rng)
-    return ScoreBatch(users=data.users[idx], playlists=playlists, songs=songs,
-                      members=data.members[idx], counts=data.counts[idx])
+    batch = ScoreBatch(users=data.users[idx], playlists=playlists, songs=songs)
+    if members:
+        batch.members, batch.counts = _members(data, playlists, songs[:, 0])
+    return batch
 
 
 def train(params, data, dev, hyper, mode="bpr", log_path=None, loss_scale=1.0, rng=None):
@@ -325,7 +336,7 @@ def train(params, data, dev, hyper, mode="bpr", log_path=None, loss_scale=1.0, r
             epoch_loss = 0.0
             for start in range(0, len(order), hyper.batch_size):
                 idx = order[start:start + hyper.batch_size]
-                batch = _make_batch(idx, data, k, rng)
+                batch = _make_batch(idx, data, k, rng, members=params.kind == "mass")
                 if mode == "bpr":
                     loss, _ = gradients(params, batch, hyper.lambda_theta, loss_scale,
                                         out=grads)

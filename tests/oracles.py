@@ -12,6 +12,9 @@ did before it scored them in chunks of contexts. `bpr_loss` and
 differentiates numerically; `batch_loss` reads the scores from the
 package's forward pass, whose gradient the gate checks.
 
+`hit_at_n` and `ndcg_at_n` are the per-list metrics that
+`evaluation.evaluate` averages over a rank array, one rank at a time.
+
 `adam_step` is the optimizer's reference: the bias-corrected Adam update
 applied tensor by tensor to plain dicts, against which the package's
 one-buffer step is checked bit for bit. `row_sums`, `scatter_add` and
@@ -29,6 +32,7 @@ Euclidean distance.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -157,6 +161,20 @@ def rank_per_context(scorer, batch):
     ranks = np.array([1 + np.flatnonzero(np.lexsort((songs, row)) == 0)[0]
                       for songs, row in zip(batch.songs, scores)])
     return scores, ranks
+
+
+def hit_at_n(rank, n):
+    """1 when the held-out song ranks within the top n, else 0."""
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    return 1 if rank <= n else 0
+
+
+def ndcg_at_n(rank, n):
+    """1 / log2(rank + 1) when the held-out song ranks within the top n, else 0.0."""
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    return 1.0 / math.log2(rank + 1) if rank <= n else 0.0
 
 
 def adam_step(tensors, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -289,12 +289,20 @@ def test_criterion_06_adversarial_mechanics():
 
 
 def test_criterion_07_ranking_metric_table():
+    def at_10(rank):
+        """`evaluate`'s hit@10 and NDCG@10 of one list whose held-out song ranks `rank`:
+        songs 1..12 score their own index."""
+        songs = np.array([[rank] + [s for s in range(1, 13) if s != rank]])
+        held = ScoreBatch(users=np.zeros(1, dtype=np.int64),
+                          playlists=np.zeros(1, dtype=np.int64), songs=songs)
+        out = evaluation.evaluate(lambda batch: batch.songs.astype(np.float64), held, [10])
+        return out["N"][10]
+
     ok = (
-        evaluation.hit_at_n(1, 10) == 1 and evaluation.ndcg_at_n(1, 10) == 1.0
-        and evaluation.hit_at_n(3, 10) == 1
-        and evaluation.ndcg_at_n(3, 10) == 0.5
-        and evaluation.hit_at_n(11, 10) == 0
-        and evaluation.ndcg_at_n(11, 10) == 0.0
+        at_10(1) == {"hit": 1.0, "ndcg": 1.0}
+        and at_10(3) == {"hit": 1.0, "ndcg": 0.5}
+        and at_10(10)["hit"] == 1.0
+        and at_10(11) == {"hit": 0.0, "ndcg": 0.0}
     )
     _report(7, "hit@N and NDCG@N unit table", ok)
 

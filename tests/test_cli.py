@@ -605,6 +605,28 @@ def test_masr_requires_both_checkpoints(workspace, tmp_path):
     assert "mass_checkpoint" in result.output
 
 
+@pytest.mark.parametrize("key", ["mdr_checkpoint", "mass_checkpoint"])
+@pytest.mark.parametrize("missing", ["unset", "no-file"])
+def test_train_masr_names_a_missing_component_before_making_out_dir(workspace, tmp_path, key,
+                                                                     missing):
+    values = {"mdr_checkpoint": workspace / "mdr" / "checkpoint.json",
+              "mass_checkpoint": workspace / "mass" / "checkpoint.json"}
+    nowhere = tmp_path / "nope" / "checkpoint.json"
+    if missing == "unset":
+        del values[key]
+    else:
+        values[key] = nowhere
+    out_dir = tmp_path / "out"
+    cfg = _write_config(tmp_path / "masr.cfg", model="masr", out_dir=out_dir, alpha="0.5",
+                        **values)
+    line = _single_error_line(_run(["train", "--config", cfg], expect_exit=1))
+    if missing == "unset":
+        assert line == f"error: missing config key {key} (masr needs both pretrained checkpoints)"
+    else:
+        assert line == f"error: {key}: no checkpoint file at {nowhere}"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("swap", [True, False], ids=["swapped", "both-mdr"])
 def test_train_masr_checks_the_manifest_components_before_writing_it(workspace, tmp_path, swap):
     mdr = workspace / "mdr" / "checkpoint.json"
@@ -614,7 +636,7 @@ def test_train_masr_checks_the_manifest_components_before_writing_it(workspace, 
     line = _single_error_line(_run(["train", "--config", cfg], expect_exit=1))
     field = "mdr_checkpoint" if swap else "mass_checkpoint"
     assert f"{tmp_path / 'out' / 'masr.json'}: {field}: " in line
-    assert not (tmp_path / "out" / "masr.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def _edited_split(workspace, split_dir, edit, playlist="p0"):

@@ -106,16 +106,71 @@ def test_rank_rejects_duplicate_candidates():
         _rank(np.zeros(11), 5, [5, 1, 2])
 
 
+def test_rank_candidates_keeps_its_chunks_and_checks_once():
+    """A second ranking of one batch reuses the first's sub-batches, with the
+    member masks MASS built on them, and gives the same ranks."""
+    rng = np.random.default_rng(8)
+    p = params_mod.init_mass(3, 4, 60, 8, rng, attention="mem_metric")
+    b, l = 2 * evaluation.RANK_CHUNK + 3, 5
+    batch = ScoreBatch(users=rng.integers(3, size=b), playlists=rng.integers(4, size=b),
+                       songs=np.array([rng.choice(60, 11, replace=False) + 1 for _ in range(b)]),
+                       members=rng.integers(1, 61, size=(b, l)),
+                       counts=rng.integers(1, l + 1, size=b))
+    seen = []
+
+    def scorer(chunk):
+        seen.append(chunk)
+        return models.score_batch(p, chunk)
+
+    first = evaluation.rank_candidates(scorer, batch)
+    second = evaluation.rank_candidates(scorer, batch)
+    assert first.tolist() == second.tolist()
+    assert len(seen) == 6 and all(a is c for a, c in zip(seen[:3], seen[3:]))
+    assert all("mask" in chunk.plan for chunk in seen)
+    assert first.tolist() == oracles.rank_per_context(scorer, batch)[1].tolist()
+
+
+def test_rank_rejects_duplicate_candidates_on_the_first_call():
+    batch = ScoreBatch(users=np.array([0]), playlists=np.array([0]),
+                       songs=np.array([[5, 1, 5]]))
+    with pytest.raises(ValueError, match="duplicate"):
+        evaluation.rank_candidates(_fixed_scorer(np.zeros(11)), batch)
+    assert "chunks" not in batch.plan
+
+
 def test_hit_and_ndcg_table():
-    assert (evaluation.hit_at_n(1, 10), evaluation.ndcg_at_n(1, 10)) == (1, 1.0)
-    assert evaluation.hit_at_n(10, 10) == 1
-    assert (evaluation.hit_at_n(11, 10), evaluation.ndcg_at_n(11, 10)) == (0, 0.0)
-    assert evaluation.ndcg_at_n(3, 10) == pytest.approx(0.5)
-    assert evaluation.ndcg_at_n(1, 1) == 1.0
+    assert (oracles.hit_at_n(1, 10), oracles.ndcg_at_n(1, 10)) == (1, 1.0)
+    assert oracles.hit_at_n(10, 10) == 1
+    assert (oracles.hit_at_n(11, 10), oracles.ndcg_at_n(11, 10)) == (0, 0.0)
+    assert oracles.ndcg_at_n(3, 10) == pytest.approx(0.5)
+    assert oracles.ndcg_at_n(1, 1) == 1.0
     with pytest.raises(ValueError):
-        evaluation.hit_at_n(1, 0)
+        oracles.hit_at_n(1, 0)
     with pytest.raises(ValueError):
-        evaluation.ndcg_at_n(1, 0)
+        oracles.ndcg_at_n(1, 0)
+
+
+def test_evaluate_has_the_bits_of_the_per_rank_mean(monkeypatch):
+    """`evaluate`'s array metrics equal np.mean over the per-list reference
+    values, bit for bit, for random ranks, lengths and lists of N."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        ranks = rng.integers(1, 102, size=int(rng.integers(1, 400)))
+        n_list = (list(range(1, 11)) if rng.random() < 0.5
+                  else rng.choice(np.arange(1, 102), size=int(rng.integers(1, 6))).tolist())
+        monkeypatch.setattr(evaluation, "rank_candidates", lambda scorer, held: ranks)
+        got = evaluation.evaluate(None, None, n_list=n_list)
+        want = {"N": {n: {"hit": float(np.mean([oracles.hit_at_n(r, n) for r in ranks])),
+                          "ndcg": float(np.mean([oracles.ndcg_at_n(r, n) for r in ranks]))}
+                      for n in n_list},
+                "num_playlists": len(ranks)}
+        assert got == want
+
+
+def test_evaluate_refuses_n_below_one_before_ranking(monkeypatch):
+    monkeypatch.setattr(evaluation, "rank_candidates", None)
+    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+        evaluation.evaluate(None, None, n_list=[3, 0])
 
 
 def test_random_scores_hit_rate_near_uniform():
@@ -126,7 +181,7 @@ def test_random_scores_hit_rate_near_uniform():
     hits = 0
     for _ in range(trials):
         rank = _rank(rng.standard_normal(200), 1, np.arange(2, 102))
-        hits += evaluation.hit_at_n(rank, 10)
+        hits += oracles.hit_at_n(rank, 10)
     assert abs(hits / trials - 10 / 101) < 0.02
 
 

@@ -65,19 +65,19 @@ def test_build_train_data_members_exclude_positive():
     catalog, split = _toy_split()
     data = training.build_train_data(split, catalog.num_songs)
     assert len(data) == len(split.songs) == sum(map(len, split.train_lists()))
+    k = int(data.pool_sizes[data.playlists].min())
+    batch = training._make_batch(np.arange(len(data)), data, k, np.random.default_rng(0))
     for i in range(len(data)):
-        row = data.members[i][:data.counts[i]]
+        row = batch.members[i][:batch.counts[i]]
         assert data.pos[i] not in row
         assert 0 not in row
-    k = int(data.pool_sizes[data.playlists].min())
-    negatives = training._make_batch(np.arange(len(data)), data, k,
-                                     np.random.default_rng(0)).songs[:, 1:]
-    for p, row in zip(data.playlists, negatives):
+    for p, row in zip(data.playlists, batch.songs[:, 1:]):
         assert not (set(row.tolist()) & (oracles.full_set(split, p) | {0}))
 
 
 def _reference_instances(split):
-    """`build_train_data`'s instance arrays, built one instance at a time."""
+    """`build_train_data`'s instance arrays and each instance's members and
+    counts, built one instance at a time."""
     train = split.train_lists()
     instances = [(p, s) for p, songs in enumerate(train) for s in songs]
     members = np.zeros((len(instances), split.max_members), dtype=np.int64)
@@ -96,6 +96,8 @@ def _reference_instances(split):
 
 
 def test_build_train_data_matches_per_instance_reference():
+    """The instance arrays, and the members and counts that a minibatch of any
+    instances gathers from the split's rows, in any order."""
     splits = [_toy_split()[::-1], _toy_split(num_songs=3)[::-1]]
     for seed in range(3):
         records = synthetic.planted_cluster_records(seed=seed, playlist_size=5 + 3 * seed)
@@ -107,12 +109,19 @@ def test_build_train_data_matches_per_instance_reference():
     splits.append((synthetic.split_of(3, {0: [3, 1, 3, 2], 2: [5]}, {0: 1, 2: 0},
                                       dev={0: 4, 2: 6}, test={0: 7, 2: 8}),
                    dataset.build_catalog([InteractionRecord("u", "p", f"s{i}") for i in range(9)])))
+    rng = np.random.default_rng(6)
     for split, catalog in splits:
         data = training.build_train_data(split, catalog.num_songs)
-        for name, want in _reference_instances(split).items():
-            got = getattr(data, name)
-            assert got.dtype == want.dtype and got.shape == want.shape, name
-            np.testing.assert_array_equal(got, want, err_msg=name)
+        want = _reference_instances(split)
+        for idx in (np.arange(len(data)), rng.permutation(len(data)),
+                    rng.integers(len(data), size=7)):
+            batch = training._make_batch(idx, data, 1, rng)
+            got = {"users": batch.users, "playlists": batch.playlists, "pos": batch.songs[:, 0],
+                   "members": batch.members, "counts": batch.counts}
+            for name, array in got.items():
+                assert array.dtype == want[name].dtype, name
+                np.testing.assert_array_equal(array, want[name][idx], err_msg=name)
+        assert training._make_batch(idx, data, 1, rng, members=False).members is None
 
 
 def _two_pool_data(pool_a=9, pool_b=8):
