@@ -31,11 +31,11 @@ l = 61 members, C = 101 distinct candidates each.
 Rows that share a parameter set (its forward, backward and Adam rows), the
 minibatch rows, and the split-consumer rows, are timed interleaved: after
 a warm-up, each round calls each of them once, over a fixed number of
-rounds, so that drift in the host's speed reaches all of them alike. Each row records the median and
-the quartiles of its calls, in microseconds. Forward, backward and step
-score a fresh copy of the batch on every call, so they time a pass that
-builds the batch's index plan (see `models.ScoreBatch`), not one that
-reuses it. At V = 20,000 single rows can trade page faults and cache state
+rounds, so that drift in the host's speed reaches all of them alike. Each
+row records the median and the quartiles of its calls, in microseconds.
+Forward, backward and step score a fresh copy of the batch on every call,
+so they time a pass that builds the batch's index plan (see
+`models.ScoreBatch`), not one that reuses it. At V = 20,000 single rows can trade page faults and cache state
 with their neighbours; compare the step rows there. A checkpoint load
 allocates and frees several times the parameter set, so its row is timed
 alone, after the rows it shares a parameter set with.
@@ -46,9 +46,9 @@ With `--against <checkout>`, that checkout's `src/` is imported too, under
 another package name, and its minibatch and split-consumer rows join the
 same rounds as `<root>`'s, on the same inputs. Each such row records its
 `tree` (`root` or `against`) and `ratio`, the median over rounds of its
-time over the other tree's in the same round: separate runs of two
-checkouts drift apart by up to 1.4x on unchanged rows, interleaved ones
-do not.
+time over the other tree's in the same round. Separate runs of two
+checkouts have read unchanged rows 1.2-1.8x apart on one host; rows
+interleaved in one process share its drift.
 BLAS threads are pinned to 1 before numpy loads. It runs in about a minute
 on 2 vCPUs.
 """

@@ -21,6 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from . import models
