@@ -102,11 +102,14 @@ def test_rank_candidates_is_bitwise_the_per_context_loop(
 
 
 def test_rank_rejects_duplicate_candidates():
-    with pytest.raises(ValueError, match="duplicate"):
-        _rank(np.zeros(11), 5, [5, 1, 2])
+    batch = ScoreBatch(users=np.array([0]), playlists=np.array([0]),
+                       songs=np.array([[5, 1, 5, 2]]))
+    for _ in range(2):  # a refused batch keeps no ranking plan, so it is refused again
+        with pytest.raises(ValueError, match="duplicate"):
+            evaluation.rank_candidates(_fixed_scorer(np.zeros(11)), batch)
 
 
-def test_rank_candidates_keeps_its_chunks_and_checks_once():
+def test_ranking_a_batch_twice_reuses_its_chunks_and_masks():
     """A second ranking of one batch reuses the first's sub-batches, with the
     member masks MASS built on them, and gives the same ranks."""
     rng = np.random.default_rng(8)
@@ -128,14 +131,6 @@ def test_rank_candidates_keeps_its_chunks_and_checks_once():
     assert len(seen) == 6 and all(a is c for a, c in zip(seen[:3], seen[3:]))
     assert all("mask" in chunk.plan for chunk in seen)
     assert first.tolist() == oracles.rank_per_context(scorer, batch)[1].tolist()
-
-
-def test_rank_rejects_duplicate_candidates_on_the_first_call():
-    batch = ScoreBatch(users=np.array([0]), playlists=np.array([0]),
-                       songs=np.array([[5, 1, 5]]))
-    with pytest.raises(ValueError, match="duplicate"):
-        evaluation.rank_candidates(_fixed_scorer(np.zeros(11)), batch)
-    assert "chunks" not in batch.plan
 
 
 def test_hit_and_ndcg_table():
