@@ -3,59 +3,53 @@
     python benchmarks/bench_layers.py --tag <tag> [--root <checkout>] [--out <dir>]
                                       [--against <checkout>]
 
-Times `models.forward` and `models.backward` for MDR `ups` and for MASS `us`
-with `mem_metric` and with `nonmem_dot` attention, `training.adam_update`
-on each of those parameter sets, one whole `step` on each (forward, loss
-and backward into a zeroed gradient arena by `training.gradients`, then
-`training.adam_update`), `evaluation.rank_candidates` on each (one dev or
-test ranking), `params.load_checkpoint` on each (a checkpoint that the
-timed checkout's own `save_checkpoint` wrote), `training._make_batch`
-(a minibatch's negatives and index gathers: MDR at B = 256 without
-members, MASS at B = 16 and 256 with l = 61 members gathered from the
-split's rows), `training.build_train_data` and `evaluation.held_out` (the
-per-split work of `train` and `evaluate`, on 3 V / 20 playlists of 63
-songs split by `leave_one_out_split`), and `dataset.load_split_dir`
-followed by the catalog's `fingerprint()`, what every `train`, `evaluate`
-and `recommend` does first, on a split directory that the timed
-checkout's own `prepare` wrote (V / 4 playlists of 63 songs, each owned by
-its own user): one row with the companion deleted, through the JSON, then
-one as written, through its split companion (a checkout without
-`load_split_dir` is timed through `cli._load_split_dir`, and writes no
-companion, so both of its rows read the JSON); each of these rows is
-timed alone. Shapes: a minibatch of
-B = 256 contexts, k = 4 negatives (C = 1 + k candidates), l = 61 members
-per context, d in {8, 16, 32, 64} and V in {2,000; 20,000} songs, with
-V / 4 users and V / 4 playlists. A ranking scores B = 300 contexts of
-l = 61 members, C = 101 distinct candidates each.
+Rows, at V in {2,000; 20,000} songs with V / 4 users and V / 4 playlists:
+- for MDR `ups` and for MASS `us` with `mem_metric` and with `nonmem_dot`
+  attention, at d in {8, 16, 32, 64}: `models.forward` and `models.backward`
+  on a minibatch of B = 256 contexts, k = 4 negatives (C = 1 + k candidates)
+  and l = 61 members; `training.adam_update`; one whole `step` (forward, loss
+  and backward into a zeroed gradient arena by `training.gradients`, then
+  `training.adam_update`); `evaluation.rank_candidates` on one ranking of
+  B = 300 contexts of l = 61 members, C = 101 distinct candidates each; and
+  `params.load_checkpoint` of a checkpoint that the timed checkout's own
+  `save_checkpoint` wrote;
+- `training._make_batch`, a minibatch's negatives and index gathers: MDR at
+  B = 256 without members, MASS at B = 16 and 256 with l = 61 members
+  gathered from the split's rows;
+- `training.build_train_data` and `evaluation.held_out`, the per-split work of
+  `train` and `evaluate`, on 3 V / 20 playlists of 63 songs split by
+  `leave_one_out_split`;
+- `dataset.load_split_dir` followed by the catalog's `fingerprint()`, what
+  every `train`, `evaluate` and `recommend` does first, on a split directory
+  that the timed checkout's own `prepare` wrote (V / 4 playlists of 63 songs,
+  each owned by its own user): through the JSON with the companion deleted,
+  then through the split companion.
 
-Rows that share a parameter set (its forward, backward and Adam rows), the
-minibatch rows, and the split-consumer rows, are timed interleaved: after
-a warm-up, each round calls each of them once, over a fixed number of
-rounds, so that drift in the host's speed reaches all of them alike. Each
-row records the median and the quartiles of its calls, in microseconds.
-Forward, backward and step score a fresh copy of the batch on every call,
-so they time a pass that builds the batch's index plan (see
-`models.ScoreBatch`), not one that reuses it. At V = 20,000 single rows can trade page faults and cache state
-with their neighbours; compare the step rows there. A checkpoint load
-allocates and frees several times the parameter set, so its row is timed
-alone, after the rows it shares a parameter set with.
+Each kind of row yields groups of calls, and each group is timed interleaved:
+after a warm-up, each round calls each of its calls once, over a fixed number
+of rounds, so that drift in the host's speed reaches all of them alike. Each
+row records the median and the quartiles of its calls, in microseconds. The
+rows that share a parameter set form a group, as do the minibatch rows and
+the split-consumer rows; a checkpoint load, which allocates and frees several
+times the parameter set, and each split-load row form groups of their own.
+Forward, backward and step score a fresh copy of the batch on every call, so
+they time a pass that builds the batch's index plan (see `models.ScoreBatch`).
+At V = 20,000 single rows can trade page faults and cache state with their
+neighbours; compare the step rows there.
 
-`metric_rec` is imported from `<root>/src` (default: this checkout), so
-the same script times another checkout through entry points both share.
-With `--against <checkout>`, that checkout's `src/` is imported too, under
-another package name, and its minibatch and split-consumer rows join the
-same rounds as `<root>`'s, on the same inputs. Each such row records its
-`tree` (`root` or `against`) and `ratio`, the median over rounds of its
-time over the other tree's in the same round. Separate runs of two
-checkouts have read unchanged rows 1.2-1.8x apart on one host; rows
-interleaved in one process share its drift.
-BLAS threads are pinned to 1 before numpy loads. It runs in about a minute
-on 2 vCPUs.
+`metric_rec` is imported from `<root>/src` (default: this checkout). With
+`--against <checkout>`, that checkout's `src/` is imported too, under another
+package name, and group i of each tree runs in the same rounds, on the same
+inputs. Every row then records its `tree` (`root` or `against`) and `ratio`,
+the median over rounds of its time over the other tree's in the same round.
+Separate runs of two checkouts have read unchanged rows 1.2-1.8x apart on one
+host; rows interleaved in one process share its drift. BLAS threads are
+pinned to 1 before numpy loads. A run takes about a minute on 2 vCPUs, and
+about twice that with `--against`.
 """
 
 import argparse
 import importlib.util
-import inspect
 import os
 import platform
 import statistics
@@ -105,11 +99,6 @@ def _row(row, times):
     return dict(row, median_us=median, q1_us=q1, q3_us=q3, reps=len(times))
 
 
-def _timed_rows(calls):
-    """`calls`' rows, each with its quartile timings added."""
-    return [_row(row, times) for (row, _), times in zip(calls, _interleaved_times(calls))]
-
-
 def _environment(root):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     commit = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
@@ -136,7 +125,7 @@ def _load_tree(root, name):
         name, init, submodule_search_locations=[os.path.dirname(init)])
     package = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(package)
-    for module in ("dataset", "evaluation", "training"):
+    for module in ("dataset", "evaluation", "models", "params", "training"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -171,10 +160,9 @@ def _step(training, params, batch, grads, state):
     training.adam_update(params, grads, state, 1e-3)
 
 
-def _model_rows(metric_rec, rng, tmp):
+def _model_groups(metric_rec, rng, tmp):
     models, params_mod, training = metric_rec.models, metric_rec.params, metric_rec.training
     evaluation = metric_rec.evaluation
-    rows = []
     for v in SONGS:
         m = n = v // 4
         for d in DIMS:
@@ -193,7 +181,7 @@ def _model_rows(metric_rec, rng, tmp):
                 state = training.AdamState()
                 shape = {"model": f"{kind} {variant} {attention}".strip(),
                          "B": B, "C": 1 + K_NEG, "l": L, "d": d, "V": v}
-                rows += _timed_rows([
+                yield [
                     (dict(shape, layer="models.forward"),
                      lambda: models.forward(params, _fresh(models, batch))),
                     (dict(shape, layer="models.backward"),
@@ -205,15 +193,13 @@ def _model_rows(metric_rec, rng, tmp):
                      lambda: _step(training, params, _fresh(models, batch), grads, state)),
                     (dict(shape, layer="evaluation.rank_candidates", B=RANK_B, C=RANK_C),
                      lambda: evaluation.rank_candidates(scorer, held)),
-                ])
+                ]
                 path = os.path.join(tmp, f"{kind}-{attention}-{v}-{d}.json")
                 params_mod.save_checkpoint(params, path)
-                rows += _timed_rows([({"layer": "params.load_checkpoint", "model": shape["model"],
-                                       "d": d, "V": v},
-                                      lambda: params_mod.load_checkpoint(path))])
+                yield [({"layer": "params.load_checkpoint", "model": shape["model"], "d": d,
+                         "V": v}, lambda: params_mod.load_checkpoint(path))]
                 for name in os.listdir(tmp):
                     os.remove(os.path.join(tmp, name))
-    return rows
 
 
 def _split(dataset, rng, v, n):
@@ -225,27 +211,22 @@ def _split(dataset, rng, v, n):
     return dataset.leave_one_out_split(records, 0, dataset.build_catalog(records))
 
 
-def _sampler_calls(metric_rec, rng):
+def _sampler_groups(metric_rec, rng, tmp):
     """`training._make_batch` for MDR, which asks for no members, and for MASS
-    at B and at 16, one instance of each of B playlists per minibatch. A
-    checkout whose `_make_batch` has no `members` keyword gathers members
-    for both."""
+    at B and at 16, one instance of each of B playlists per minibatch."""
     training = metric_rec.training
-    asks = "members" in inspect.signature(training._make_batch).parameters
     calls = []
     for v in SONGS:
         data = training.build_train_data(_split(metric_rec.dataset, rng, v, B), v)
         for kind, size in (("mdr", B), ("mass", 16), ("mass", B)):
-            idx = np.arange(size) * L
-            kwargs = {"members": kind == "mass"} if asks else {}
             calls.append(({"layer": "training._make_batch", "model": kind, "B": size,
                            "k": K_NEG, "l": L, "V": v},
-                          lambda d=data, i=idx, kw=kwargs: training._make_batch(
-                              i, d, K_NEG, rng, **kw)))
-    return calls
+                          lambda d=data, i=np.arange(size) * L, m=kind == "mass":
+                          training._make_batch(i, d, K_NEG, rng, members=m)))
+    yield calls
 
 
-def _split_consumer_calls(metric_rec, rng):
+def _split_consumer_groups(metric_rec, rng, tmp):
     """`training.build_train_data` and `evaluation.held_out` (the test lists)
     on the split of 3 V / 20 playlists."""
     calls = []
@@ -259,37 +240,14 @@ def _split_consumer_calls(metric_rec, rng):
             (dict(shape, layer="evaluation.held_out"),
              lambda s=split, v=v: metric_rec.evaluation.held_out(s, v)),
         ]
-    return calls
+    yield calls
 
 
-def _paired_rows(build, trees, seed):
-    """Rows of the calls `build(package, rng)` makes for each of `trees`, a
-    list of (tag, package), each tree's from a generator seeded `seed`, so
-    that both get the same inputs. All are timed interleaved: every round
-    calls every tree's calls. With two trees, each row also records `ratio`,
-    the median over rounds of its time over the time of the other tree's
-    matching row in the same round."""
-    calls = []
-    for tag, package in trees:
-        calls += [(dict(row, tree=tag), fn)
-                  for row, fn in build(package, np.random.default_rng(seed))]
-    times = _interleaved_times(calls)
-    rows = [_row(row, t) for (row, _), t in zip(calls, times)]
-    if len(trees) == 2:
-        n = len(calls) // 2
-        for i in range(n):
-            for mine, theirs in ((i, n + i), (n + i, i)):
-                rows[mine]["ratio"] = round(statistics.median(
-                    a / b for a, b in zip(times[mine], times[theirs])), 3)
-    return rows
-
-
-def _split_dir_rows(metric_rec, rng, tmp):
-    load = getattr(metric_rec.dataset, "load_split_dir", None)
-    if load is None:
-        import metric_rec.cli
-        load = metric_rec.cli._load_split_dir
-    calls = []
+def _split_dir_groups(metric_rec, rng, tmp):
+    """One group per split-load row, the JSON row of each V first: a JSON load
+    ran 1.2-1.7x faster right after another JSON load of the same ids than
+    right after a companion load."""
+    dataset = metric_rec.dataset
     for v in SONGS:
         n = v // 4
         # a stream of shuffled catalogs, cut into playlists, so every song occurs
@@ -299,20 +257,37 @@ def _split_dir_rows(metric_rec, rng, tmp):
             for p in range(n):
                 for s in stream[p * (L + 2):(p + 1) * (L + 2)]:
                     f.write(f"u{p}\tp{p}\ts{s}\n")
-        dirs = {source: os.path.join(tmp, f"split-{v}-{source}") for source in ("json", "companion")}
-        for source, d in dirs.items():
-            metric_rec.dataset.prepare(tsv, d, seed=0)
-        companion = os.path.join(dirs["json"], "split.json.arena")
-        if os.path.exists(companion):
-            os.remove(companion)
-        calls += [({"layer": "dataset.load_split_dir", "model": "", "source": source,
-                    "playlists": n, "l": L, "V": v},
-                   lambda d=d: load(d)[0].fingerprint()) for source, d in dirs.items()]
-    # each row alone, the JSON row first: a JSON load ran 1.2-1.7x faster
-    # right after another JSON load of the same ids than right after a
-    # companion load, so a JSON row timed second favours a checkout without
-    # a companion, whose first row is a JSON load too
-    return [row for call in calls for row in _timed_rows([call])]
+        for source in ("json", "companion"):
+            d = os.path.join(tmp, f"split-{v}-{source}")
+            dataset.prepare(tsv, d, seed=0)
+            if source == "json":
+                os.remove(os.path.join(d, dataset.SPLIT_ARENA))
+            yield [({"layer": "dataset.load_split_dir", "model": "", "source": source,
+                     "playlists": n, "l": L, "V": v},
+                    lambda: dataset.load_split_dir(d)[0].fingerprint())]
+
+
+def _paired_rows(build, trees, seed, tmp):
+    """Rows of the groups of calls that `build(package, rng, directory)` yields
+    for each of `trees`, a list of (tag, package): each tree's rng is seeded
+    `seed`, so that all get the same inputs, and its files go to `<tmp>/<tag>`.
+    Group i of every tree is timed interleaved, in the same rounds. With two
+    trees, each row also records `ratio`, the median over rounds of its time
+    over the time of the other tree's matching row in the same round."""
+    builds = [build(package, np.random.default_rng(seed), os.path.join(tmp, tag))
+              for tag, package in trees]
+    rows = []
+    for groups in zip(*builds, strict=True):
+        calls = [(dict(row, tree=tag), fn)
+                 for (tag, _), group in zip(trees, groups) for row, fn in group]
+        times = _interleaved_times(calls)
+        n = len(calls) // 2
+        for i, ((row, _), row_times) in enumerate(zip(calls, times)):
+            rows.append(_row(row, row_times))
+            if len(trees) == 2:
+                rows[-1]["ratio"] = round(statistics.median(
+                    a / b for a, b in zip(row_times, times[(i + n) % len(calls)])), 3)
+    return rows
 
 
 def main():
@@ -322,8 +297,8 @@ def main():
     parser.add_argument("--root", default=os.path.dirname(here),
                         help="checkout whose src/ is timed (default: this one)")
     parser.add_argument("--out", default=here, help="directory for BENCH_<tag>.json")
-    parser.add_argument("--against", help="checkout whose minibatch and split-consumer "
-                                          "rows are timed interleaved with <root>'s")
+    parser.add_argument("--against", help="checkout whose rows are timed interleaved "
+                                          "with <root>'s")
     args = parser.parse_args()
     root = os.path.abspath(args.root)
     sys.path.insert(0, os.path.join(root, "src"))
@@ -336,12 +311,13 @@ def main():
     trees = [("root", metric_rec)]
     if args.against:
         trees.append(("against", _load_tree(os.path.abspath(args.against), "against_rec")))
-    rng = np.random.default_rng(0)
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        rows = (_model_rows(metric_rec, rng, tmp) + _paired_rows(_sampler_calls, trees, 1)
-                + _paired_rows(_split_consumer_calls, trees, 2)
-                + _split_dir_rows(metric_rec, rng, tmp))
+        for tag, _ in trees:
+            os.mkdir(os.path.join(tmp, tag))
+        rows = [row for seed, build in enumerate((_model_groups, _sampler_groups,
+                                                  _split_consumer_groups, _split_dir_groups))
+                for row in _paired_rows(build, trees, seed, tmp)]
     environment = _environment(root)
     if args.against:
         environment["against"] = _environment(os.path.abspath(args.against))

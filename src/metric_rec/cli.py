@@ -153,12 +153,13 @@ def train(config_path, apr):
     if cfg.model == "masr":
         _write_masr_manifest(cfg)
         return
-    _make_out_dir(out_dir)
-
+    if not cfg.split_dir:
+        _fail("missing config key split_dir")
     try:
         catalog, split = dataset.load_split_dir(cfg.split_dir)
     except (OSError, ValueError) as exc:
         _fail(f"cannot load split from {cfg.split_dir!r}: {exc}")
+    _make_out_dir(out_dir)
     hyper = cfg.hyperparams()
     rng = np.random.default_rng(hyper.seed)
     m, n, v = catalog.num_users, catalog.num_playlists, catalog.num_songs
@@ -193,13 +194,16 @@ def train(config_path, apr):
 
 def _parse_n_list(spec):
     spec = spec.strip()
-    for sep in ("..", "-"):
-        if sep in spec:
-            lo, hi = spec.split(sep, 1)
-            n_list = list(range(int(lo), int(hi) + 1))
-            break
-    else:
-        n_list = [int(x) for x in spec.split(",")]
+    try:
+        for sep in ("..", "-"):
+            if sep in spec:
+                lo, hi = spec.split(sep, 1)
+                n_list = list(range(int(lo), int(hi) + 1))
+                break
+        else:
+            n_list = [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"--n {spec!r}: expected integers as N,N,... or LO..HI") from None
     if not n_list:
         raise ValueError(f"--n {spec!r} gives no value of N")
     if min(n_list) < 1:

@@ -13,7 +13,6 @@ import json
 import os
 import struct
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain, pairwise, repeat
 
@@ -96,6 +95,21 @@ class SplitDataset:
         """Each playlist's train songs as a list of ints, in playlist order."""
         songs = self.songs.tolist()
         return [songs[a:b] for a, b in pairwise(self.offsets.tolist())]
+
+    def members(self, playlists, drop=0):
+        """(B, max_members) train songs of the int array `playlists`, 0-padded,
+        and (B,) counts: row i holds playlist i's train songs other than every
+        copy of `drop[i]`, in list order; `drop` broadcasts as (B, 1). Song 0
+        is in no train row, so the default drops none."""
+        slots = np.arange(self.max_members)
+        positions = self.offsets[playlists][:, None] + slots
+        keep = positions < self.offsets[playlists + 1][:, None]
+        rows = self.songs.take(positions, mode="clip")
+        keep &= rows != np.asarray(drop)[..., None]
+        counts = keep.sum(axis=1)
+        members = np.zeros_like(rows)
+        members[slots < counts[:, None]] = rows[keep]
+        return members, counts
 
     def full_sets(self, num_songs):
         """(offsets, songs) of each playlist's distinct train and held-out
@@ -191,8 +205,8 @@ def load_interactions(path):
 def apply_size_caps(records, max_playlists_per_user=DEFAULT_MAX_PLAYLISTS_PER_USER,
                     max_songs_per_playlist=DEFAULT_MAX_SONGS_PER_PLAYLIST):
     """Drop users with too many playlists and playlists with too many songs."""
-    per_user = OrderedDict()
-    per_playlist = OrderedDict()
+    per_user = {}
+    per_playlist = {}
     for r in records:
         per_user.setdefault(r.user_id, set()).add(r.playlist_id)
         per_playlist.setdefault(r.playlist_id, set()).add(r.song_id)
@@ -208,7 +222,7 @@ def k_core_filter(records, k=DEFAULT_K_CORE):
     """Remove all records of playlists holding fewer than k distinct songs."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    sizes = OrderedDict()
+    sizes = {}
     for r in records:
         sizes.setdefault(r.playlist_id, set()).add(r.song_id)
     keep = {p for p, songs in sizes.items() if len(songs) >= k}
@@ -235,7 +249,7 @@ def leave_one_out_split(records, seed, catalog=None):
     """
     if catalog is None:
         catalog = build_catalog(records)
-    playlists = OrderedDict()
+    playlists = {}
     owner = {}
     for r in records:
         p = catalog.playlists[r.playlist_id]

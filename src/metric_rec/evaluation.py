@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .dataset import row_positions, sample_negatives
+from .dataset import sample_negatives
 from .models import ScoreBatch
 
 DEFAULT_NUM_NEGATIVES = 100
@@ -29,13 +29,10 @@ def context_batch(split, playlists, songs):
     """`ScoreBatch` of the train contexts of `playlists` with candidates `songs`.
 
     Users and counts are (B,); members are the train songs, (B, l) zero-padded
-    to the split's longest train list.
+    to the split's longest train list (see `SplitDataset.members`).
     """
     playlists = np.asarray(playlists, dtype=np.int64)
-    starts, counts = split.offsets[playlists], np.diff(split.offsets)[playlists]
-    members = np.zeros((len(playlists), split.max_members), dtype=np.int64)
-    members[np.arange(split.max_members) < counts[:, None]] = split.songs[
-        row_positions(starts, counts)]
+    members, counts = split.members(playlists)
     return ScoreBatch(
         users=split.owner[playlists], playlists=playlists,
         songs=np.asarray(songs, dtype=np.int64), members=members, counts=counts,

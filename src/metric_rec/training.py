@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
+from .dataset import SplitDataset
 from .evaluation import evaluate
 from .models import ScoreBatch
 from .params import REGULARIZED, Arena
@@ -81,10 +82,9 @@ class Hyperparams:
 class TrainData:
     """Flattened training instances plus each playlist's negative pool.
 
-    Instance i is song i of the split's flat train songs `pos`; playlist p's
-    train list is pos[offsets[p]:offsets[p + 1]], at most `max_members`
-    songs, and a minibatch gathers its members from those rows (see
-    `_make_batch`).
+    Instance i is song i of the split's flat train songs, `split.songs[i]`,
+    in playlist `playlists[i]`, owned by `split.owner[playlists[i]]`; a
+    minibatch gathers its members from the split's rows (see `_make_batch`).
 
     Playlist p's pool is the songs 1..V outside its full set e_0 < e_1 < ...;
     g_i = e_i - i - 1 is the number of pool songs below e_i, and pool rank r
@@ -94,35 +94,29 @@ class TrainData:
     the count is one `np.searchsorted` of r + p (V + 1) in it, less p n.
     """
 
-    users: np.ndarray
+    split: SplitDataset
     playlists: np.ndarray
-    pos: np.ndarray
-    offsets: np.ndarray     # (num_playlists + 1,) the split's train-row offsets
-    max_members: int        # l: the split's longest train list
     pool_sizes: np.ndarray  # (num_playlists,) songs outside each playlist's full set
     gaps: np.ndarray        # (num_playlists, longest full set) int64, raised rows
     num_songs: int          # V
 
     def __len__(self):
-        return len(self.pos)
+        return len(self.split.songs)
 
 
 def build_train_data(split, num_songs):
     """One instance per (playlist, train song), in the split's train order."""
     offsets, full = split.full_sets(num_songs)
-    full_sizes, lengths = np.diff(offsets), np.diff(split.offsets)
-    playlists = np.arange(len(lengths))
+    full_sizes = np.diff(offsets)
+    playlists = np.arange(len(full_sizes))
     gaps = np.full((len(playlists), full_sizes.max(initial=0)), num_songs, dtype=np.int64)
     # g_i = e_i - i - 1, i counted within each row
     gaps[np.arange(gaps.shape[1]) < full_sizes[:, None]] = (
         full - np.arange(len(full)) + np.repeat(offsets[:-1], full_sizes) - 1)
     gaps += (playlists * (num_songs + 1))[:, None]
     return TrainData(
-        users=np.repeat(split.owner, lengths),
-        playlists=np.repeat(playlists, lengths),
-        pos=split.songs,
-        offsets=split.offsets,
-        max_members=split.max_members,
+        split=split,
+        playlists=np.repeat(playlists, np.diff(split.offsets)),
         pool_sizes=num_songs - full_sizes,
         gaps=gaps,
         num_songs=num_songs,
@@ -276,31 +270,17 @@ def draw_negatives(data, playlists, k, rng):
     return ranks + 1 + below
 
 
-def _members(data, playlists, positives):
-    """(B, l) members and (B,) counts of the instances of `positives` in
-    `playlists`: row i holds playlist i's train songs other than every copy
-    of positive i, in list order, 0-padded to the split's longest train list."""
-    slots = np.arange(data.max_members)
-    positions = data.offsets[playlists][:, None] + slots
-    keep = positions < data.offsets[playlists + 1][:, None]
-    rows = data.pos.take(positions, mode="clip")
-    keep &= rows != positives[:, None]
-    counts = keep.sum(axis=1)
-    members = np.zeros_like(rows)
-    members[slots < counts[:, None]] = rows[keep]
-    return members, counts
-
-
 def _make_batch(idx, data, k, rng, members=True):
     """Instances `idx` as contexts scoring [pos, neg_1..neg_k], with k negatives
-    per row, and with their members and counts when `members` is true (MASS)."""
+    per row, and with their members and counts when `members` is true (MASS):
+    each context's train songs without any copy of its positive."""
     playlists = data.playlists[idx]
     songs = np.empty((len(idx), 1 + k), dtype=np.int64)
-    songs[:, 0] = data.pos[idx]
+    songs[:, 0] = data.split.songs[idx]
     songs[:, 1:] = draw_negatives(data, playlists, k, rng)
-    batch = ScoreBatch(users=data.users[idx], playlists=playlists, songs=songs)
+    batch = ScoreBatch(users=data.split.owner[playlists], playlists=playlists, songs=songs)
     if members:
-        batch.members, batch.counts = _members(data, playlists, songs[:, 0])
+        batch.members, batch.counts = data.split.members(playlists, songs[:, 0])
     return batch
 
 

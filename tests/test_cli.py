@@ -261,12 +261,13 @@ def _single_error_line(result):
     return lines[0]
 
 
-def test_evaluate_rejects_n_spec_without_values(workspace, tmp_path):
+@pytest.mark.parametrize("spec", ["5..3", "1,,3", "1-", "a"])
+def test_evaluate_rejects_n_spec_without_values(workspace, tmp_path, spec):
     out = tmp_path / "m.json"
     result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
-                   "--split", str(workspace / "splits"), "--n", "5..3",
+                   "--split", str(workspace / "splits"), "--n", spec,
                    "--out", str(out)], expect_exit=1)
-    assert "--n" in _single_error_line(result)
+    assert f"--n {spec!r}" in _single_error_line(result)
     assert not out.exists()
 
 
@@ -309,6 +310,23 @@ def test_train_with_an_out_dir_that_is_a_file_fails_cleanly(workspace, tmp_path,
     line = _single_error_line(_run(["train", "--config", cfg], expect_exit=1))
     assert f"cannot create out_dir {str(out_dir)!r}: " in line
     assert out_dir.read_text(encoding="utf-8") == "a file"
+
+
+@pytest.mark.parametrize("model", ["mdr", "mass"])
+@pytest.mark.parametrize("split_dir", ["missing-directory", "unset"])
+def test_train_names_a_split_dir_it_cannot_load_before_making_out_dir(tmp_path, model,
+                                                                      split_dir, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # an unset split_dir must not read the working directory
+    out_dir = tmp_path / "out"
+    values = {"split_dir": tmp_path / "nope"} if split_dir == "missing-directory" else {}
+    cfg = _write_config(tmp_path / "run.cfg", model=model, out_dir=out_dir, epochs="1",
+                        **values)
+    line = _single_error_line(_run(["train", "--config", cfg], expect_exit=1))
+    if split_dir == "unset":
+        assert line == "error: missing config key split_dir"
+    else:
+        assert line.startswith(f"error: cannot load split from {str(tmp_path / 'nope')!r}: ")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("blocked", ["checkpoint_bpr.json", "checkpoint.json",

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 import synthetic
-from metric_rec import dataset, models, params as params_mod, training
+from metric_rec import dataset, evaluation, models, params as params_mod, training
 from metric_rec.dataset import InteractionRecord
 from metric_rec.training import Hyperparams
 
@@ -69,7 +69,7 @@ def test_build_train_data_members_exclude_positive():
     batch = training._make_batch(np.arange(len(data)), data, k, np.random.default_rng(0))
     for i in range(len(data)):
         row = batch.members[i][:batch.counts[i]]
-        assert data.pos[i] not in row
+        assert data.split.songs[i] not in row
         assert 0 not in row
     for p, row in zip(data.playlists, batch.songs[:, 1:]):
         assert not (set(row.tolist()) & (oracles.full_set(split, p) | {0}))
@@ -97,7 +97,8 @@ def _reference_instances(split):
 
 def test_build_train_data_matches_per_instance_reference():
     """The instance arrays, and the members and counts that a minibatch of any
-    instances gathers from the split's rows, in any order."""
+    instances gathers from the split's rows, in any order; and the members and
+    counts of every playlist's context, repeated songs kept."""
     splits = [_toy_split()[::-1], _toy_split(num_songs=3)[::-1]]
     for seed in range(3):
         records = synthetic.planted_cluster_records(seed=seed, playlist_size=5 + 3 * seed)
@@ -122,6 +123,14 @@ def test_build_train_data_matches_per_instance_reference():
                 assert array.dtype == want[name].dtype, name
                 np.testing.assert_array_equal(array, want[name][idx], err_msg=name)
         assert training._make_batch(idx, data, 1, rng, members=False).members is None
+        # every playlist's context, with each repeated copy of a song kept
+        rows = [(p, songs) for p, songs in enumerate(split.train_lists()) if songs]
+        context = evaluation.context_batch(split, [p for p, _ in rows], np.ones((len(rows), 1)))
+        want = np.zeros((len(rows), split.max_members), dtype=np.int64)
+        for i, (_, songs) in enumerate(rows):
+            want[i, :len(songs)] = songs
+        np.testing.assert_array_equal(context.members, want)
+        np.testing.assert_array_equal(context.counts, [len(songs) for _, songs in rows])
 
 
 def _two_pool_data(pool_a=9, pool_b=8):
