@@ -17,13 +17,17 @@ Rows, at V in {2,000; 20,000} songs with V / 4 users and V / 4 playlists:
   B = 256 without members, MASS at B = 16 and 256 with l = 61 members
   gathered from the split's rows;
 - `training.build_train_data` and `evaluation.held_out`, the per-split work of
-  `train` and `evaluate`, on 3 V / 20 playlists of 63 songs split by
-  `leave_one_out_split`;
+  `train` and `evaluate`, on 3 V / 20 playlists of 63 songs split by the
+  timed checkout's own `prepare`;
 - `dataset.load_split_dir` followed by the catalog's `fingerprint()`, what
   every `train`, `evaluate` and `recommend` does first, on a split directory
   that the timed checkout's own `prepare` wrote (V / 4 playlists of 63 songs,
   each owned by its own user): through the JSON with the companion deleted,
-  then through the split companion.
+  then through the split companion;
+- `dataset.prepare`, from the TSV to the three files of a split directory, on
+  the perfbench `train-mdr` corpus at seed 1 (300 playlists of 5-30 songs
+  over 2,000 songs, 5,250 rows) and on one of 3,000 playlists of 5-63 songs
+  over 20,000 songs (102,000 rows), each its own group.
 
 Each kind of row yields groups of calls, and each group is timed interleaved:
 after a warm-up, each round calls each of its calls once, over a fixed number
@@ -63,6 +67,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = THREADS
 
 import numpy as np  # noqa: E402  (after the thread pinning)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import corpus  # noqa: E402  (perfbench's corpus generator)
 
 B, K_NEG, L = 256, 4, 61
 # a dev or test ranking: 300 playlists, each ranking 1 held-out song + 100 negatives
@@ -202,13 +210,14 @@ def _model_groups(metric_rec, rng, tmp):
                     os.remove(os.path.join(tmp, name))
 
 
-def _split(dataset, rng, v, n):
-    """The split `leave_one_out_split` makes of n playlists of 63 songs, the
-    playlist-length cap, drawn from V songs, each owned by its own user:
-    61 train songs, a dev and a test song each."""
-    records = [dataset.InteractionRecord(f"u{p}", f"p{p}", f"s{s}") for p in range(n)
-               for s in rng.choice(np.arange(1, v + 1), L + 2, replace=False)]
-    return dataset.leave_one_out_split(records, 0, dataset.build_catalog(records))
+def _split(dataset, rng, v, n, tmp):
+    """The split that `dataset.prepare` makes, in `tmp`, of n playlists of 63
+    songs, the playlist-length cap, drawn from V songs, each owned by its own
+    user: 61 train songs, a dev and a test song each."""
+    tsv = os.path.join(tmp, f"split-{v}-{n}.tsv")
+    corpus.write_tsv([(f"u{p}", f"p{p}", f"s{s}") for p in range(n)
+                      for s in rng.choice(np.arange(1, v + 1), L + 2, replace=False)], tsv)
+    return dataset.prepare(tsv, os.path.join(tmp, f"split-{v}-{n}"), seed=0)[1]
 
 
 def _sampler_groups(metric_rec, rng, tmp):
@@ -217,7 +226,7 @@ def _sampler_groups(metric_rec, rng, tmp):
     training = metric_rec.training
     calls = []
     for v in SONGS:
-        data = training.build_train_data(_split(metric_rec.dataset, rng, v, B), v)
+        data = training.build_train_data(_split(metric_rec.dataset, rng, v, B, tmp), v)
         for kind, size in (("mdr", B), ("mass", 16), ("mass", B)):
             calls.append(({"layer": "training._make_batch", "model": kind, "B": size,
                            "k": K_NEG, "l": L, "V": v},
@@ -232,7 +241,7 @@ def _split_consumer_groups(metric_rec, rng, tmp):
     calls = []
     for v in SONGS:
         n = 3 * v // 20
-        split = _split(metric_rec.dataset, rng, v, n)
+        split = _split(metric_rec.dataset, rng, v, n, tmp)
         shape = {"model": "", "playlists": n, "l": L, "V": v}
         calls += [
             (dict(shape, layer="training.build_train_data"),
@@ -265,6 +274,18 @@ def _split_dir_groups(metric_rec, rng, tmp):
             yield [({"layer": "dataset.load_split_dir", "model": "", "source": source,
                      "playlists": n, "l": L, "V": v},
                     lambda: dataset.load_split_dir(d)[0].fingerprint())]
+
+
+def _prepare_groups(metric_rec, rng, tmp):
+    """One group per corpus: `dataset.prepare` of the train-mdr corpus and of
+    the 102,000-row one."""
+    for n, v, max_len in ((300, 2_000, 30), (3_000, 20_000, 63)):
+        rows = corpus.planted_rows(1, n, v, 5, max_len)
+        tsv = os.path.join(tmp, f"prepare-{n}.tsv")
+        corpus.write_tsv(rows, tsv)
+        out = os.path.join(tmp, f"prepare-{n}")
+        yield [({"layer": "dataset.prepare", "model": "", "playlists": n, "rows": len(rows),
+                 "V": v}, lambda: metric_rec.dataset.prepare(tsv, out, seed=1))]
 
 
 def _paired_rows(build, trees, seed, tmp):
@@ -316,7 +337,8 @@ def main():
         for tag, _ in trees:
             os.mkdir(os.path.join(tmp, tag))
         rows = [row for seed, build in enumerate((_model_groups, _sampler_groups,
-                                                  _split_consumer_groups, _split_dir_groups))
+                                                  _split_consumer_groups, _split_dir_groups,
+                                                  _prepare_groups))
                 for row in _paired_rows(build, trees, seed, tmp)]
     environment = _environment(root)
     if args.against:

@@ -90,6 +90,8 @@ def main():
               show_default=True)
 def prepare(input_path, out_dir, k, seed, max_playlists_per_user, max_playlist_len):
     """Filter raw interactions and write catalog + split manifests."""
+    if k < 1:
+        _fail(f"--k must be >= 1, got {k}")
     try:
         catalog, split = dataset.prepare(
             input_path, out_dir, k=k, seed=seed,

@@ -1,13 +1,17 @@
 """Data pipeline: raw interaction ingestion through train/dev/test splits.
 
-Input is a UTF-8 TSV of `user\tplaylist\tsong` lines. The pipeline
-deduplicates (playlist, song) pairs, drops oversized users/playlists,
-applies the playlist-size filter (k-core, single pass), assigns dense
-integer indices (song index 0 is reserved for padding), and holds out two
-songs per playlist: the first draw becomes the test item, the second the
-dev item. Everything is deterministic given the seed.
+Input is a UTF-8 TSV of `user\tplaylist\tsong` lines. `prepare` reads it
+column by column: each id column becomes an int64 code array, and every
+later step is a numpy pass over those codes. It keeps the first row of each
+(playlist, song) pair, drops oversized users and playlists, applies the
+playlist-size filter (k-core, single pass), assigns dense integer indices in
+first-appearance order (song index 0 is reserved for padding), and holds out
+two songs per playlist: the first draw becomes the test item, the second the
+dev item. Everything is deterministic given the seed. The record-by-record
+form of the same steps is the tests' reference.
 """
 
+import codecs
 import hashlib
 import json
 import os
@@ -27,13 +31,6 @@ DEFAULT_MAX_SONGS_PER_PLAYLIST = 63
 ARENA_MAGIC = b"MRARENA1"
 # the split companion `prepare` writes beside catalog.json and split.json
 SPLIT_ARENA = "split.json.arena"
-
-
-@dataclass
-class InteractionRecord:
-    user_id: str
-    playlist_id: str
-    song_id: str
 
 
 @dataclass
@@ -179,95 +176,120 @@ def check_split(rows, songs, num_users, num_playlists, num_songs):
     return (first // 7, fields[first % 7]) if faults[first] else None
 
 
-def load_interactions(path):
-    """Parse a TSV interaction file, dropping repeated (playlist, song) pairs."""
-    records = []
-    seen = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or not all(fields):
+def read_interactions(path):
+    """(users, playlists, songs): the three id columns of the TSV interaction
+    file `path`, lists of str with one entry per non-empty line, in file order.
+
+    The file is UTF-8, with or without a byte-order mark. A line ends at a
+    line feed, a carriage return or both, as Python's universal newlines read
+    them, and at no other character. Raises ValueError naming the file and
+    the 1-based line, empty lines counted, of the first line that is not
+    UTF-8 or does not hold three non-empty tab-separated fields, and for a
+    file without a non-empty line.
+    """
+    with open(path, "rb") as f:
+        data = f.read().removeprefix(codecs.BOM_UTF8)
+    if b"\r" in data:  # neither byte is part of a multi-byte UTF-8 character
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno} is not UTF-8 text: {exc.reason}") from None
+    rows = list(filter(None, text.split("\n")))
+    fields = "\t".join(rows).split("\t")
+    if list(map(str.count, rows, repeat("\t"))).count(2) < len(rows) or "" in fields:
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if line and (line.count("\t") != 2 or "" in line.split("\t")):
                 raise ValueError(f"{path}: malformed line {lineno}: {line!r}")
-            user, playlist, song = fields
-            key = (playlist, song)
-            if key in seen:
-                continue
-            seen.add(key)
-            records.append(InteractionRecord(user, playlist, song))
-    if not records:
+    if not rows:
         raise ValueError(f"{path}: no interaction records found")
-    return records
+    return fields[0::3], fields[1::3], fields[2::3]
 
 
-def apply_size_caps(records, max_playlists_per_user=DEFAULT_MAX_PLAYLISTS_PER_USER,
-                    max_songs_per_playlist=DEFAULT_MAX_SONGS_PER_PLAYLIST):
-    """Drop users with too many playlists and playlists with too many songs."""
-    per_user = {}
-    per_playlist = {}
-    for r in records:
-        per_user.setdefault(r.user_id, set()).add(r.playlist_id)
-        per_playlist.setdefault(r.playlist_id, set()).add(r.song_id)
-    bad_users = {u for u, ps in per_user.items() if len(ps) > max_playlists_per_user}
-    bad_playlists = {p for p, ss in per_playlist.items() if len(ss) > max_songs_per_playlist}
-    return [
-        r for r in records
-        if r.user_id not in bad_users and r.playlist_id not in bad_playlists
-    ]
+def _codes(ids):
+    """(distinct ids in first-appearance order, int64 code of each id of `ids`
+    in that order)."""
+    table = {key: i for i, key in enumerate(dict.fromkeys(ids))}
+    return list(table), np.fromiter(map(table.__getitem__, ids), np.int64, len(ids))
 
 
-def k_core_filter(records, k=DEFAULT_K_CORE):
-    """Remove all records of playlists holding fewer than k distinct songs."""
+def index_interactions(users, playlists, songs, k=DEFAULT_K_CORE,
+                       max_playlists_per_user=DEFAULT_MAX_PLAYLISTS_PER_USER,
+                       max_songs_per_playlist=DEFAULT_MAX_SONGS_PER_PLAYLIST):
+    """(Catalog, rows) of the interactions whose user, playlist and song ids
+    are the equal-length sequences `users`, `playlists` and `songs`.
+
+    Only the first row of each (playlist, song) pair is kept, with its user.
+    Users with more than `max_playlists_per_user` playlists and playlists
+    with more than `max_songs_per_playlist` songs, both counted over those
+    rows, lose their rows; then every playlist left with fewer than k songs
+    (a single k-core pass). The catalog numbers the ids of the rows left in
+    first-appearance order, songs from 1. `rows` is their (3, n) int64
+    user, playlist and song indices, in row order. Raises ValueError when no
+    row is left.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    sizes = {}
-    for r in records:
-        sizes.setdefault(r.playlist_id, set()).add(r.song_id)
-    keep = {p for p, songs in sizes.items() if len(songs) >= k}
-    return [r for r in records if r.playlist_id in keep]
+    (user_ids, user), (playlist_ids, playlist), (song_ids, song) = map(
+        _codes, (users, playlists, songs))
+    first = np.unique(playlist * len(song_ids) + song, return_index=True)[1]
+    first.sort()
+    user, playlist, song = user[first], playlist[first], song[first]
+    # each row is a distinct (playlist, song) pair, so a playlist's rows count its songs
+    size = np.bincount(playlist, minlength=len(playlist_ids))
+    # one user per distinct (user, playlist) pair, so a user's copies count its playlists
+    pair_users = user[np.unique(user * len(playlist_ids) + playlist, return_index=True)[1]]
+    per_user = np.bincount(pair_users, minlength=len(user_ids))
+    keep = (per_user <= max_playlists_per_user)[user] & (size <= max_songs_per_playlist)[playlist]
+    keep &= np.bincount(playlist[keep], minlength=len(playlist_ids))[playlist] >= k
+    if not keep.any():
+        raise ValueError("no playlists survive filtering")
+    rows = np.vstack((user[keep], playlist[keep], song[keep]))
+    maps = [_renumber(ids, codes, start)
+            for ids, codes, start in zip((user_ids, playlist_ids, song_ids), rows, (0, 0, 1))]
+    return Catalog(*maps), rows
 
 
-def build_catalog(records):
-    """Dense index assignment in first-appearance order."""
-    cat = Catalog()
-    for r in records:
-        if r.user_id not in cat.users:
-            cat.users[r.user_id] = len(cat.users)
-        if r.playlist_id not in cat.playlists:
-            cat.playlists[r.playlist_id] = len(cat.playlists)
-        if r.song_id not in cat.songs:
-            cat.songs[r.song_id] = len(cat.songs) + 1  # 0 is padding
-    return cat
+def _renumber(ids, codes, start):
+    """The id -> index map of the ids of `ids` that the int array `codes`
+    names, in first-appearance order from `start`; `codes` is rewritten to
+    those indices."""
+    first = np.full(len(ids), len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    present = np.flatnonzero(first < len(codes))
+    present = present[np.argsort(first[present])]
+    index = np.empty(len(ids), dtype=np.int64)
+    index[present] = np.arange(start, start + len(present))
+    codes[:] = index[codes]
+    return dict(zip(map(ids.__getitem__, present.tolist()), range(start, start + len(present))))
 
 
-def leave_one_out_split(records, seed, catalog=None):
-    """Hold out two songs per playlist: first draw is test, second is dev.
-
-    The max member count l is computed over the remaining train lists.
+def leave_one_out(catalog, rows, seed):
+    """The SplitDataset of `index_interactions`' `catalog` and `rows`: each
+    playlist's songs in row order, owned by the user of its last row, less
+    two held out by one `default_rng(seed)` stream, drawn playlist by
+    playlist in index order: of a playlist of n songs,
+    `rng.choice(n, 2, replace=False)` picks the test song, then the dev song.
+    Raises ValueError naming the first playlist of fewer than 3 songs.
     """
-    if catalog is None:
-        catalog = build_catalog(records)
-    playlists = {}
-    owner = {}
-    for r in records:
-        p = catalog.playlists[r.playlist_id]
-        playlists.setdefault(p, []).append(catalog.songs[r.song_id])
-        owner[p] = catalog.users[r.user_id]
-
+    user, playlist, song = rows
+    order = np.argsort(playlist, kind="stable")
+    counts = np.bincount(playlist, minlength=catalog.num_playlists)
+    if counts.min() < 3:
+        p = int(np.argmax(counts < 3))
+        raise ValueError(f"playlist {catalog.inverse()[1][p]} has only {counts[p]} songs; "
+                         "need >= 3 to split")
     rng = np.random.default_rng(seed)
-    rows, train = [], []
-    for p, songs in playlists.items():
-        if len(songs) < 3:
-            raise ValueError(
-                f"playlist index {p} has only {len(songs)} songs; need >= 3 to split"
-            )
-        test, dev = rng.choice(len(songs), size=2, replace=False)
-        train += [s for i, s in enumerate(songs) if i not in (test, dev)]
-        rows.append((p, owner[p], songs[dev], songs[test], len(train)))
-    return split_from_rows(np.array(rows, dtype=np.int64), np.array(train, dtype=np.int64),
-                           catalog.num_playlists)
+    starts = np.append(0, np.cumsum(counts))
+    held = starts[:-1, None] + np.array([rng.choice(n, 2, replace=False)
+                                         for n in counts.tolist()])
+    song = song[order]
+    test, dev = song[held[:, 0]], song[held[:, 1]]
+    train = np.ones(len(song), dtype=bool)
+    train[held] = False
+    return SplitDataset(user[order[starts[1:] - 1]], dev, test,
+                        starts - 2 * np.arange(len(starts)), song[train], int(counts.max()) - 2)
 
 
 def songs_outside(full_set, num_songs):
@@ -435,12 +457,13 @@ def save_split(split, catalog, path):
     """Split manifest keyed by external playlist id; returns the bytes written."""
     inv_u, inv_p, inv_s = catalog.inverse()
     owner, dev, test = (a.tolist() for a in (split.owner, split.dev, split.test))
+    songs = list(map(inv_s.__getitem__, split.songs.tolist()))
     doc = {}
-    for p, members in enumerate(split.train_lists()):
-        if members:
+    for p, (a, b) in enumerate(pairwise(split.offsets.tolist())):
+        if a < b:
             doc[inv_p[p]] = {
                 "user": inv_u[owner[p]],
-                "train": [inv_s[s] for s in members],
+                "train": songs[a:b],
                 "dev": inv_s[dev[p]],
                 "test": inv_s[test[p]],
             }
@@ -610,13 +633,9 @@ def prepare(input_path, out_dir, k=DEFAULT_K_CORE, seed=0,
             max_songs_per_playlist=DEFAULT_MAX_SONGS_PER_PLAYLIST):
     """Full pipeline: load, cap, filter, index, split, write the manifests
     and their split companion."""
-    records = load_interactions(input_path)
-    records = apply_size_caps(records, max_playlists_per_user, max_songs_per_playlist)
-    records = k_core_filter(records, k)
-    if not records:
-        raise ValueError("no playlists survive filtering")
-    catalog = build_catalog(records)
-    split = leave_one_out_split(records, seed, catalog)
+    catalog, rows = index_interactions(*read_interactions(input_path), k,
+                                       max_playlists_per_user, max_songs_per_playlist)
+    split = leave_one_out(catalog, rows, seed)
     os.makedirs(out_dir, exist_ok=True)
     catalog_data = save_catalog(catalog, os.path.join(out_dir, "catalog.json"))
     split_data = save_split(split, catalog, os.path.join(out_dir, "split.json"))

@@ -25,6 +25,11 @@ and draw in the order the package's faster forms must keep, bit for bit.
 `read_training_log` and `runtime_report` read the per-epoch `seconds` of
 training logs; no command of the package reads them back.
 
+`load_interactions`, `apply_size_caps`, `k_core_filter`, `build_catalog`
+and `leave_one_out_split` are the reference of `dataset.prepare`'s columnar
+pipeline: the same steps taken one `InteractionRecord` at a time through
+dicts and sets. `reference_split` chains them as `prepare` does.
+
 The distance between x and y under a learned diagonal weight vector b is
 ``sum_t (b_t * (x_t - y_t))**2`` -- the squared form of a per-dimension
 weighted Euclidean distance. All-ones b reduces it to plain squared
@@ -33,9 +38,12 @@ Euclidean distance.
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from metric_rec.dataset import (DEFAULT_K_CORE, DEFAULT_MAX_PLAYLISTS_PER_USER,
+                                DEFAULT_MAX_SONGS_PER_PLAYLIST, Catalog, split_from_rows)
 from metric_rec.models import ScoreBatch, score_batch
 from metric_rec.params import REGULARIZED
 
@@ -290,3 +298,113 @@ def runtime_report(*log_paths):
     if len(means) > 1:
         report["ratios"] = [means[i + 1] / means[i] for i in range(len(means) - 1)]
     return report
+
+
+@dataclass
+class InteractionRecord:
+    user_id: str
+    playlist_id: str
+    song_id: str
+
+
+def load_interactions(path):
+    """Parse a TSV interaction file, dropping repeated (playlist, song) pairs."""
+    records = []
+    seen = set()
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3 or not all(fields):
+                raise ValueError(f"{path}: malformed line {lineno}: {line!r}")
+            user, playlist, song = fields
+            key = (playlist, song)
+            if key in seen:
+                continue
+            seen.add(key)
+            records.append(InteractionRecord(user, playlist, song))
+    if not records:
+        raise ValueError(f"{path}: no interaction records found")
+    return records
+
+
+def apply_size_caps(records, max_playlists_per_user=DEFAULT_MAX_PLAYLISTS_PER_USER,
+                    max_songs_per_playlist=DEFAULT_MAX_SONGS_PER_PLAYLIST):
+    """Drop users with too many playlists and playlists with too many songs."""
+    per_user = {}
+    per_playlist = {}
+    for r in records:
+        per_user.setdefault(r.user_id, set()).add(r.playlist_id)
+        per_playlist.setdefault(r.playlist_id, set()).add(r.song_id)
+    bad_users = {u for u, ps in per_user.items() if len(ps) > max_playlists_per_user}
+    bad_playlists = {p for p, ss in per_playlist.items() if len(ss) > max_songs_per_playlist}
+    return [
+        r for r in records
+        if r.user_id not in bad_users and r.playlist_id not in bad_playlists
+    ]
+
+
+def k_core_filter(records, k=DEFAULT_K_CORE):
+    """Remove all records of playlists holding fewer than k distinct songs."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    sizes = {}
+    for r in records:
+        sizes.setdefault(r.playlist_id, set()).add(r.song_id)
+    keep = {p for p, songs in sizes.items() if len(songs) >= k}
+    return [r for r in records if r.playlist_id in keep]
+
+
+def build_catalog(records):
+    """Dense index assignment in first-appearance order."""
+    cat = Catalog()
+    for r in records:
+        if r.user_id not in cat.users:
+            cat.users[r.user_id] = len(cat.users)
+        if r.playlist_id not in cat.playlists:
+            cat.playlists[r.playlist_id] = len(cat.playlists)
+        if r.song_id not in cat.songs:
+            cat.songs[r.song_id] = len(cat.songs) + 1  # 0 is padding
+    return cat
+
+
+def leave_one_out_split(records, seed, catalog=None):
+    """Hold out two songs per playlist: first draw is test, second is dev.
+
+    The max member count l is computed over the remaining train lists.
+    """
+    if catalog is None:
+        catalog = build_catalog(records)
+    playlists = {}
+    owner = {}
+    for r in records:
+        p = catalog.playlists[r.playlist_id]
+        playlists.setdefault(p, []).append(catalog.songs[r.song_id])
+        owner[p] = catalog.users[r.user_id]
+
+    rng = np.random.default_rng(seed)
+    rows, train = [], []
+    for p, songs in playlists.items():
+        if len(songs) < 3:
+            pid = catalog.inverse()[1][p]
+            raise ValueError(f"playlist {pid} has only {len(songs)} songs; need >= 3 to split")
+        test, dev = rng.choice(len(songs), size=2, replace=False)
+        train += [s for i, s in enumerate(songs) if i not in (test, dev)]
+        rows.append((p, owner[p], songs[dev], songs[test], len(train)))
+    return split_from_rows(np.array(rows, dtype=np.int64), np.array(train, dtype=np.int64),
+                           catalog.num_playlists)
+
+
+def reference_split(path, k=DEFAULT_K_CORE, seed=0,
+                    max_playlists_per_user=DEFAULT_MAX_PLAYLISTS_PER_USER,
+                    max_songs_per_playlist=DEFAULT_MAX_SONGS_PER_PLAYLIST):
+    """(Catalog, SplitDataset) that `dataset.prepare` writes for the TSV `path`."""
+    records = load_interactions(path)
+    records = apply_size_caps(records, max_playlists_per_user, max_songs_per_playlist)
+    records = k_core_filter(records, k)
+    if not records:
+        raise ValueError("no playlists survive filtering")
+    catalog = build_catalog(records)
+    return catalog, leave_one_out_split(records, seed, catalog)

@@ -12,7 +12,7 @@ import numpy as np
 from metric_rec import dataset
 
 
-def planted_cluster_records(
+def planted_cluster_rows(
     num_clusters=2,
     songs_per_cluster=100,
     num_playlists=60,
@@ -21,9 +21,9 @@ def planted_cluster_records(
     users_per_cluster=10,
     seed=0,
 ):
-    """Interaction records (user, playlist, song) with planted local structure."""
+    """(user, playlist, song) interaction rows with planted local structure."""
     rng = np.random.default_rng(seed)
-    records = []
+    rows = []
     num_blocks = songs_per_cluster // block
     for j in range(num_playlists):
         c = j % num_clusters
@@ -31,45 +31,45 @@ def planted_cluster_records(
         start = int(rng.integers(num_blocks)) * block
         block_songs = [c * songs_per_cluster + start + t for t in range(block)]
         picks = rng.choice(block, size=playlist_size, replace=False)
-        for t in sorted(picks):
-            records.append(
-                dataset.InteractionRecord(user, f"p{j}", f"s{block_songs[t]}")
-            )
-    return records
+        rows += [(user, f"p{j}", f"s{block_songs[t]}") for t in sorted(picks)]
+    return rows
+
+
+def index_rows(rows, k=1):
+    """`dataset.index_interactions` of the (user, playlist, song) `rows`,
+    with no size cap."""
+    return dataset.index_interactions(*zip(*rows), k=k, max_playlists_per_user=len(rows),
+                                      max_songs_per_playlist=len(rows))
+
+
+def catalog_and_split(rows, seed=0, k=1):
+    """Catalog + leave-one-out split of the (user, playlist, song) `rows`
+    through `prepare`'s columnar pipeline, with no size cap."""
+    catalog, codes = index_rows(rows, k)
+    return catalog, dataset.leave_one_out(catalog, codes, seed)
 
 
 def planted_cluster_split(seed=0, **kwargs):
     """Catalog + split for the planted corpus (k-core then leave-one-out)."""
-    records = planted_cluster_records(seed=seed, **kwargs)
-    records = dataset.k_core_filter(records, 5)
-    catalog = dataset.build_catalog(records)
-    split = dataset.leave_one_out_split(records, seed, catalog)
-    return catalog, split
+    return catalog_and_split(planted_cluster_rows(seed=seed, **kwargs), seed, k=5)
 
 
-def write_tsv(records, path):
+def write_tsv(rows, path):
     with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(f"{r.user_id}\t{r.playlist_id}\t{r.song_id}\n")
+        for user, playlist, song in rows:
+            f.write(f"{user}\t{playlist}\t{song}\n")
 
 
-def figure1_records(num_distractors=20):
+def figure1_rows(num_distractors=20):
     """The toy two-playlist pattern embedded among distractor songs.
 
     p1 holds {s1, s2}; p2 holds {s1, s2, s3}. Distractor songs d0..d19
     ride in a filler playlist so they enter the catalog (and the negative
     pools) but never co-occur with the toy songs.
     """
-    records = [
-        dataset.InteractionRecord("u1", "p1", "s1"),
-        dataset.InteractionRecord("u1", "p1", "s2"),
-        dataset.InteractionRecord("u2", "p2", "s1"),
-        dataset.InteractionRecord("u2", "p2", "s2"),
-        dataset.InteractionRecord("u2", "p2", "s3"),
-    ]
-    for i in range(num_distractors):
-        records.append(dataset.InteractionRecord("u3", "pd", f"d{i}"))
-    return records
+    rows = [("u1", "p1", "s1"), ("u1", "p1", "s2"),
+            ("u2", "p2", "s1"), ("u2", "p2", "s2"), ("u2", "p2", "s3")]
+    return rows + [("u3", "pd", f"d{i}") for i in range(num_distractors)]
 
 
 def figure1_split(num_distractors=20):
@@ -78,15 +78,15 @@ def figure1_split(num_distractors=20):
     Only p1 and p2 are trained; the filler playlist exists solely to place
     the distractors in the catalog.
     """
-    records = figure1_records(num_distractors)
-    catalog = dataset.build_catalog(records)
+    rows = figure1_rows(num_distractors)
+    catalog, _ = index_rows(rows)
     train, owner = {}, {}
-    for r in records:
-        if r.playlist_id == "pd":
+    for user, playlist, song in rows:
+        if playlist == "pd":
             continue
-        p = catalog.playlists[r.playlist_id]
-        train.setdefault(p, []).append(catalog.songs[r.song_id])
-        owner[p] = catalog.users[r.user_id]
+        p = catalog.playlists[playlist]
+        train.setdefault(p, []).append(catalog.songs[song])
+        owner[p] = catalog.users[user]
     return catalog, split_of(catalog.num_playlists, train, owner)
 
 

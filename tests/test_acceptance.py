@@ -374,7 +374,7 @@ def test_criterion_09_fusion_endpoints():
 def test_criterion_10_end_to_end_determinism(tmp_path):
     runner = CliRunner()
     tsv = tmp_path / "interactions.tsv"
-    synthetic.write_tsv(synthetic.planted_cluster_records(seed=0), tsv)
+    synthetic.write_tsv(synthetic.planted_cluster_rows(seed=0), tsv)
 
     def pipeline(tag):
         base = tmp_path / tag

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from metric_rec import analysis, dataset, params as params_mod
+import synthetic
+from metric_rec import analysis, params as params_mod
 from metric_rec.analysis import CooccurrenceCounts
-from metric_rec.dataset import InteractionRecord
 
 
 def test_count_cooccurrences_once_per_pair_per_playlist():
@@ -82,12 +82,8 @@ def test_pearson_endpoints():
 
 
 def _tiny_mass_setup():
-    records = []
-    for p in range(3):
-        for s in range(6):
-            records.append(InteractionRecord(f"u{p}", f"p{p}", f"s{(p * 2 + s) % 8}"))
-    catalog = dataset.build_catalog(records)
-    split = dataset.leave_one_out_split(records, 0, catalog)
+    catalog, split = synthetic.catalog_and_split(
+        [(f"u{p}", f"p{p}", f"s{(p * 2 + s) % 8}") for p in range(3) for s in range(6)])
     rng = np.random.default_rng(4)
     params = params_mod.init_mass(
         catalog.num_users, catalog.num_playlists, catalog.num_songs,

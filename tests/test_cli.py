@@ -1,3 +1,4 @@
+import codecs
 import copy
 import hashlib
 import json
@@ -43,7 +44,7 @@ def _write_config(path, **values):
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     tsv = root / "interactions.tsv"
-    synthetic.write_tsv(synthetic.planted_cluster_records(seed=0), tsv)
+    synthetic.write_tsv(synthetic.planted_cluster_rows(seed=0), tsv)
     split_dir = root / "splits"
     _run(["prepare", "--input", str(tsv), "--out", str(split_dir), "--seed", "0"])
 
@@ -74,6 +75,34 @@ def test_prepare_missing_input_fails(tmp_path):
     result = _run(["prepare", "--input", str(tmp_path / "nope.tsv"),
                    "--out", str(tmp_path / "out")], expect_exit=1)
     assert "error:" in result.output
+
+
+def test_prepare_reads_a_byte_order_mark_as_no_part_of_an_id(tmp_path):
+    rows = b"".join(b"u1\tp%d\ts%d\n" % (p, s) for p in range(2) for s in range(5))
+    for name, data in (("plain", rows), ("bom", codecs.BOM_UTF8 + rows)):
+        (tmp_path / f"{name}.tsv").write_bytes(data)
+        _run(["prepare", "--input", str(tmp_path / f"{name}.tsv"), "--out", str(tmp_path / name)])
+    for name in ("catalog.json", "split.json", "split.json.arena"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+# p1 of three songs and p2 of two, with line ends of every kind
+_SHORT_P2 = b"u1\tp1\ts1\nu1\tp1\ts2\r\nu1\tp1\ts3\ru2\tp2\ts1\nu2\tp2\ts2\n"
+
+
+@pytest.mark.parametrize("data,args,message", [
+    (_SHORT_P2.replace(b"\tp2\ts1", b"\tp2\t\xffs1"), [],
+     "{path}: line 4 is not UTF-8 text: invalid start byte"),
+    (_SHORT_P2, ["--k", "1"], "playlist p2 has only 2 songs; need >= 3 to split"),
+    (_SHORT_P2, ["--k", "0"], "--k must be >= 1, got 0"),
+], ids=["not-utf8", "short-playlist", "k-zero"])
+def test_prepare_refusal_names_the_line_playlist_or_option(tmp_path, data, args, message):
+    path = tmp_path / "in.tsv"
+    path.write_bytes(data)
+    result = _run(["prepare", "--input", str(path), "--out", str(tmp_path / "out"), *args],
+                  expect_exit=1)
+    assert _single_error_line(result) == "error: " + message.format(path=path)
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_writes_artifacts(workspace):
@@ -353,7 +382,7 @@ def small_catalog_checkpoints(tmp_path_factory):
     """Untrained MDR and MASS checkpoints over a smaller catalog than `workspace`'s."""
     root = tmp_path_factory.mktemp("small")
     tsv = root / "interactions.tsv"
-    synthetic.write_tsv(synthetic.planted_cluster_records(seed=0, num_playlists=20), tsv)
+    synthetic.write_tsv(synthetic.planted_cluster_rows(seed=0, num_playlists=20), tsv)
     split_dir = root / "splits"
     _run(["prepare", "--input", str(tsv), "--out", str(split_dir), "--seed", "0"])
     for kind in ("mdr", "mass"):

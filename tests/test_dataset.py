@@ -1,12 +1,16 @@
 import copy
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from metric_rec import dataset
-from metric_rec.dataset import InteractionRecord
+from synthetic import catalog_and_split, index_rows
 from test_params import read_arena, write_arena
 
 
@@ -18,9 +22,8 @@ def _write(tmp_path, lines, name="in.tsv"):
 
 def test_load_well_formed(tmp_path):
     path = _write(tmp_path, ["u1\tp1\ts1", "u1\tp1\ts2", "u2\tp2\ts1"])
-    records = dataset.load_interactions(path)
-    assert len(records) == 3
-    assert records[0] == InteractionRecord("u1", "p1", "s1")
+    assert dataset.read_interactions(path) == (["u1", "u1", "u2"], ["p1", "p1", "p2"],
+                                               ["s1", "s2", "s1"])
 
 
 def test_load_dedups_playlist_song_pairs(tmp_path):
@@ -29,68 +32,66 @@ def test_load_dedups_playlist_song_pairs(tmp_path):
         "u1\tp1\ts2",
         "u1\tp2\ts1",
         "u1\tp1\ts3",
-        "u1\tp1\ts2",  # repeat of line 2
+        "u2\tp1\ts2",  # repeat of line 2, under another user
     ])
-    records = dataset.load_interactions(path)
-    assert len(records) == 4
+    catalog, rows = dataset.index_interactions(*dataset.read_interactions(path), k=1)
+    assert rows.tolist() == [[0, 0, 0, 0], [0, 0, 1, 0], [1, 2, 1, 3]]
+    assert catalog.users == {"u1": 0}
 
 
 def test_load_malformed_line_names_lineno(tmp_path):
     path = _write(tmp_path, ["u1\tp1\ts1", "u1\tp1"])
     with pytest.raises(ValueError, match="line 2"):
-        dataset.load_interactions(path)
+        dataset.read_interactions(path)
 
 
 def test_load_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError):
-        dataset.load_interactions(str(path))
+        dataset.read_interactions(str(path))
+
+
+def _columns(rows):
+    return [list(column) for column in zip(*rows)]
 
 
 def test_size_caps_drop_oversized():
-    records = []
-    for i in range(3):
-        records.append(InteractionRecord("big_u", f"bp{i}", "s0"))
-    records.append(InteractionRecord("u1", "p1", "s1"))
-    for i in range(4):
-        records.append(InteractionRecord("u2", "long_p", f"s{i}"))
-    kept = dataset.apply_size_caps(records, max_playlists_per_user=2,
-                                   max_songs_per_playlist=3)
-    assert all(r.user_id != "big_u" for r in kept)
-    assert all(r.playlist_id != "long_p" for r in kept)
-    assert any(r.playlist_id == "p1" for r in kept)
+    rows = [("big_u", f"bp{i}", "s0") for i in range(3)]
+    rows.append(("u1", "p1", "s1"))
+    rows += [("u2", "long_p", f"s{i}") for i in range(4)]
+    catalog, _ = dataset.index_interactions(*_columns(rows), k=1, max_playlists_per_user=2,
+                                            max_songs_per_playlist=3)
+    assert catalog.users == {"u1": 0}
+    assert catalog.playlists == {"p1": 0}
+    assert catalog.songs == {"s1": 1}
 
 
 def test_k_core_threshold():
-    small = [InteractionRecord("u", "p", f"s{i}") for i in range(4)]
-    assert dataset.k_core_filter(small, 5) == []
-    exact = [InteractionRecord("u", "p", f"s{i}") for i in range(5)]
-    assert len(dataset.k_core_filter(exact, 5)) == 5
+    small = [("u", "p", f"s{i}") for i in range(4)]
+    with pytest.raises(ValueError, match="no playlists survive filtering"):
+        dataset.index_interactions(*_columns(small), k=5)
+    exact = [("u", "p", f"s{i}") for i in range(5)]
+    assert dataset.index_interactions(*_columns(exact), k=5)[1].shape == (3, 5)
 
 
 def test_k_core_recomputes_counts():
-    records = [InteractionRecord("u1", "p_small", f"s{i}") for i in range(4)]
-    records += [InteractionRecord("u2", "p_big", f"t{i}") for i in range(7)]
-    kept = dataset.k_core_filter(records, 5)
-    assert {r.playlist_id for r in kept} == {"p_big"}
-    catalog = dataset.build_catalog(kept)
+    rows = [("u1", "p_small", f"s{i}") for i in range(4)]
+    rows += [("u2", "p_big", f"t{i}") for i in range(7)]
+    catalog, _ = dataset.index_interactions(*_columns(rows), k=5)
+    assert catalog.playlists == {"p_big": 0}
     assert catalog.num_users == 1
     assert catalog.num_songs == 7
 
 
 def test_k_core_rejects_bad_k():
-    with pytest.raises(ValueError):
-        dataset.k_core_filter([], 0)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        dataset.index_interactions(["u"], ["p"], ["s"], k=0)
 
 
 def test_catalog_indexing():
-    records = [
-        InteractionRecord("u1", "p1", "s1"),
-        InteractionRecord("u2", "p2", "s2"),
-        InteractionRecord("u1", "p1", "s2"),
-    ]
-    cat = dataset.build_catalog(records)
+    rows = [("u1", "p1", "s1"), ("u2", "p2", "s2"), ("u1", "p1", "s2")]
+    cat, _ = dataset.index_interactions(*_columns(rows), k=1)
     assert cat.users == {"u1": 0, "u2": 1}
     assert cat.playlists == {"p1": 0, "p2": 1}
     # songs indexed from 1; 0 is the padding slot
@@ -99,13 +100,12 @@ def test_catalog_indexing():
     assert inv_s[2] == "s2"
 
 
-def _toy_records(num_songs=5, playlist="p", user="u"):
-    return [InteractionRecord(user, playlist, f"s{i}") for i in range(num_songs)]
+def _toy_rows(num_songs=5, playlist="p", user="u"):
+    return [(user, playlist, f"s{i}") for i in range(num_songs)]
 
 
 def test_split_counts():
-    records = _toy_records(3)
-    split = dataset.leave_one_out_split(records, seed=0)
+    _, split = catalog_and_split(_toy_rows(3))
     (train,) = split.train_lists()
     assert len(train) == 1
     assert split.dev[0] and split.test[0]
@@ -113,20 +113,19 @@ def test_split_counts():
 
 
 def test_split_rejects_tiny_playlists():
-    with pytest.raises(ValueError, match="need >= 3"):
-        dataset.leave_one_out_split(_toy_records(2), seed=0)
+    with pytest.raises(ValueError, match="playlist p has only 2 songs; need >= 3"):
+        catalog_and_split(_toy_rows(2))
 
 
 def test_split_deterministic():
-    records = _toy_records(6)
-    a = dataset.leave_one_out_split(records, seed=42)
-    b = dataset.leave_one_out_split(records, seed=42)
+    rows = _toy_rows(6)
+    a = catalog_and_split(rows, seed=42)[1]
+    b = catalog_and_split(rows, seed=42)[1]
     assert split_values(a) == split_values(b)
 
 
 def test_split_disjoint_and_exhaustive():
-    records = _toy_records(8)
-    split = dataset.leave_one_out_split(records, seed=3)
+    _, split = catalog_and_split(_toy_rows(8), seed=3)
     (train,) = split.train_lists()
     parts = set(train) | {split.dev[0], split.test[0]}
     assert len(parts) == 8
@@ -138,15 +137,72 @@ def test_split_disjoint_and_exhaustive():
 def test_split_test_item_uniform():
     # Monte-Carlo oracle: over many seeds, each of the 5 songs should be
     # picked as the test item about 1/5 of the time.
-    records = _toy_records(5)
-    catalog = dataset.build_catalog(records)
+    catalog, rows = index_rows(_toy_rows(5))
     trials = 20000
     counts = np.zeros(6)
     for seed in range(trials):
-        split = dataset.leave_one_out_split(records, seed, catalog)
+        split = dataset.leave_one_out(catalog, rows, seed)
         counts[split.test[0]] += 1
     freqs = counts[1:] / trials
     assert np.all(np.abs(freqs - 0.2) < 0.02)
+
+
+# ids holding characters that str.splitlines, unlike a file's lines, ends a line at
+_USER_IDS = ["u0", "u1", "u2", "u\x0bv", "\x85w", "x\u2028y"]
+_SONG_IDS = [f"s{i}" for i in range(8)] + ["t\x0c", "\x1ct"]
+
+
+@st.composite
+def _interaction_files(draw):
+    """(TSV bytes, k, per-user cap, per-playlist cap) of playlists at k - 1, k
+    and k + 1 songs among others, some shared by several users, with
+    (playlist, song) pairs repeated under other users, empty lines, CRLF
+    line ends and at times a malformed line."""
+    k = draw(st.integers(1, 6))
+    rows = []
+    for p in range(draw(st.integers(2, 6))):
+        size = draw(st.sampled_from([k - 1, k, k + 1, draw(st.integers(0, len(_SONG_IDS)))]))
+        owners = draw(st.lists(st.sampled_from(_USER_IDS), min_size=1, max_size=3))
+        rows += [(draw(st.sampled_from(owners)), f"p{p}", song)
+                 for song in draw(st.permutations(_SONG_IDS))[:size]]
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        _, playlist, song = draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    (draw(st.sampled_from(_USER_IDS)), playlist, song))
+    lines = ["\t".join(row) for row in rows]
+    for extra in draw(st.lists(st.sampled_from(["", "", "", "", "u0\tp0", "u0\t\ts1"]),
+                               max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    data = "".join(map(str.__add__, lines, ends)).encode("utf-8")
+    return data, k, draw(st.integers(2, 6)), draw(st.integers(k, 10))
+
+
+def _outcome(prepare):
+    """The id -> index maps in dict order and the split arrays that
+    `prepare()` gives, or its error message."""
+    try:
+        catalog, split = prepare()
+    except ValueError as exc:
+        return str(exc)
+    return ([list(getattr(catalog, key).items()) for key in ("users", "playlists", "songs")],
+            split_values(split))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(file=_interaction_files(), seed=st.integers(0, 2 ** 32))
+def test_columnar_prepare_matches_the_record_level_reference(file, seed):
+    data, k, max_playlists, max_songs = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.tsv")
+        with open(path, "wb") as f:
+            f.write(data)
+        caps = {"max_playlists_per_user": max_playlists, "max_songs_per_playlist": max_songs}
+        want = _outcome(lambda: oracles.reference_split(path, k, seed, **caps))
+        got = _outcome(lambda: dataset.prepare(path, os.path.join(tmp, "out"), k, seed, **caps))
+    assert got == want
 
 
 def test_songs_outside_sorted_int64_complement():
@@ -205,10 +261,7 @@ def test_sample_negatives_uniform():
 
 
 def test_catalog_roundtrip(tmp_path):
-    records = [
-        InteractionRecord("u1", "p1", f"s{i}") for i in range(5)
-    ] + [InteractionRecord("u2", "p2", f"s{i}") for i in range(2, 8)]
-    cat = dataset.build_catalog(records)
+    cat, _ = index_rows(_toy_rows(5, "p1", "u1") + [("u2", "p2", f"s{i}") for i in range(2, 8)])
     path = str(tmp_path / "catalog.json")
     dataset.save_catalog(cat, path)
     back = dataset.load_catalog(path)
@@ -218,8 +271,7 @@ def test_catalog_roundtrip(tmp_path):
 
 
 def test_catalog_fingerprint_covers_ids_not_order(tmp_path):
-    records = [InteractionRecord("u1", "p1", f"s{i}") for i in range(5)]
-    cat = dataset.build_catalog(records)
+    cat, _ = index_rows(_toy_rows(5, "p1", "u1"))
     path = str(tmp_path / "catalog.json")
     dataset.save_catalog(cat, path)
     assert dataset.load_catalog(path).fingerprint() == cat.fingerprint()
@@ -263,11 +315,8 @@ def test_failed_write_json_leaves_the_file_as_it_was(tmp_path):
 
 
 def test_split_roundtrip(tmp_path):
-    records = [
-        InteractionRecord("u1", "p1", f"s{i}") for i in range(5)
-    ] + [InteractionRecord("u2", "p2", f"s{i}") for i in range(2, 8)]
-    cat = dataset.build_catalog(records)
-    split = dataset.leave_one_out_split(records, seed=1, catalog=cat)
+    cat, split = catalog_and_split(
+        _toy_rows(5, "p1", "u1") + [("u2", "p2", f"s{i}") for i in range(2, 8)], seed=1)
     path = str(tmp_path / "split.json")
     dataset.save_split(split, cat, path)
     back = dataset.load_split(path, cat)

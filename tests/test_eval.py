@@ -5,8 +5,7 @@ import pytest
 
 import oracles
 import synthetic
-from metric_rec import dataset, evaluation, models, params as params_mod
-from metric_rec.dataset import InteractionRecord
+from metric_rec import evaluation, models, params as params_mod
 from metric_rec.models import ScoreBatch
 
 
@@ -181,13 +180,8 @@ def test_random_scores_hit_rate_near_uniform():
 
 
 def _toy_eval_split(num_playlists=4, size=8):
-    records = []
-    for p in range(num_playlists):
-        for s in range(size):
-            records.append(InteractionRecord(f"u{p}", f"p{p}", f"s{p}_{s}"))
-    catalog = dataset.build_catalog(records)
-    split = dataset.leave_one_out_split(records, 0, catalog)
-    return catalog, split
+    return synthetic.catalog_and_split(
+        [(f"u{p}", f"p{p}", f"s{p}_{s}") for p in range(num_playlists) for s in range(size)])
 
 
 def test_evaluate_perfect_model():

@@ -4,16 +4,13 @@ import pytest
 import oracles
 import synthetic
 from metric_rec import dataset, evaluation, models, params as params_mod, training
-from metric_rec.dataset import InteractionRecord
 from metric_rec.training import Hyperparams
 
 
 def _toy_split(num_songs=8, seed=0):
-    records = [InteractionRecord("u0", "p0", f"s{i}") for i in range(num_songs)]
-    records += [InteractionRecord("u1", "p1", f"t{i}") for i in range(num_songs)]
-    catalog = dataset.build_catalog(records)
-    split = dataset.leave_one_out_split(records, seed, catalog)
-    return catalog, split
+    rows = [("u0", "p0", f"s{i}") for i in range(num_songs)]
+    rows += [("u1", "p1", f"t{i}") for i in range(num_songs)]
+    return synthetic.catalog_and_split(rows, seed)
 
 
 def _small_model(kind, catalog, split, seed=0, **kwargs):
@@ -101,15 +98,14 @@ def test_build_train_data_matches_per_instance_reference():
     counts of every playlist's context, repeated songs kept."""
     splits = [_toy_split()[::-1], _toy_split(num_songs=3)[::-1]]
     for seed in range(3):
-        records = synthetic.planted_cluster_records(seed=seed, playlist_size=5 + 3 * seed)
-        records += [InteractionRecord(r.user_id, f"q{r.playlist_id}", r.song_id)
-                    for r in synthetic.planted_cluster_records(seed=seed, playlist_size=11)]
-        catalog = dataset.build_catalog(records)
-        splits.append((dataset.leave_one_out_split(records, seed, catalog), catalog))
+        rows = synthetic.planted_cluster_rows(seed=seed, playlist_size=5 + 3 * seed)
+        rows += [(user, f"q{playlist}", song) for user, playlist, song
+                 in synthetic.planted_cluster_rows(seed=seed, playlist_size=11)]
+        splits.append(synthetic.catalog_and_split(rows, seed)[::-1])
     # a train list that repeats a song: its instances drop every copy of their positive
     splits.append((synthetic.split_of(3, {0: [3, 1, 3, 2], 2: [5]}, {0: 1, 2: 0},
                                       dev={0: 4, 2: 6}, test={0: 7, 2: 8}),
-                   dataset.build_catalog([InteractionRecord("u", "p", f"s{i}") for i in range(9)])))
+                   synthetic.index_rows([("u", "p", f"s{i}") for i in range(9)])[0]))
     rng = np.random.default_rng(6)
     for split, catalog in splits:
         data = training.build_train_data(split, catalog.num_songs)
@@ -136,10 +132,9 @@ def test_build_train_data_matches_per_instance_reference():
 def _two_pool_data(pool_a=9, pool_b=8):
     """Playlists p0 and p1 over disjoint songs: p0's pool holds p1's `pool_a` songs
     and p1's pool holds p0's `pool_b` songs."""
-    records = [InteractionRecord("u0", "p0", f"s{i}") for i in range(pool_b)]
-    records += [InteractionRecord("u1", "p1", f"t{i}") for i in range(pool_a)]
-    catalog = dataset.build_catalog(records)
-    split = dataset.leave_one_out_split(records, 0, catalog)
+    rows = [("u0", "p0", f"s{i}") for i in range(pool_b)]
+    rows += [("u1", "p1", f"t{i}") for i in range(pool_a)]
+    catalog, split = synthetic.catalog_and_split(rows)
     return catalog, split, training.build_train_data(split, catalog.num_songs)
 
 
@@ -570,12 +565,8 @@ def test_training_deterministic():
 
 
 def test_best_checkpoint_contract(tmp_path):
-    records = [
-        InteractionRecord(f"u{p}", f"p{p}", f"s{p}_{s}")
-        for p in range(16) for s in range(8)
-    ]
-    catalog = dataset.build_catalog(records)
-    split = dataset.leave_one_out_split(records, 0, catalog)
+    catalog, split = synthetic.catalog_and_split(
+        [(f"u{p}", f"p{p}", f"s{p}_{s}") for p in range(16) for s in range(8)])
     p = _small_model("mdr", catalog, split)
     hyper = Hyperparams(epochs=4, batch_size=8, seed=0)
     log = str(tmp_path / "log.jsonl")
