@@ -52,15 +52,11 @@ def test_load_empty_file_rejected(tmp_path):
         dataset.read_interactions(str(path))
 
 
-def _columns(rows):
-    return [list(column) for column in zip(*rows)]
-
-
 def test_size_caps_drop_oversized():
     rows = [("big_u", f"bp{i}", "s0") for i in range(3)]
     rows.append(("u1", "p1", "s1"))
     rows += [("u2", "long_p", f"s{i}") for i in range(4)]
-    catalog, _ = dataset.index_interactions(*_columns(rows), k=1, max_playlists_per_user=2,
+    catalog, _ = dataset.index_interactions(*zip(*rows), k=1, max_playlists_per_user=2,
                                             max_songs_per_playlist=3)
     assert catalog.users == {"u1": 0}
     assert catalog.playlists == {"p1": 0}
@@ -70,15 +66,15 @@ def test_size_caps_drop_oversized():
 def test_k_core_threshold():
     small = [("u", "p", f"s{i}") for i in range(4)]
     with pytest.raises(ValueError, match="no playlists survive filtering"):
-        dataset.index_interactions(*_columns(small), k=5)
+        dataset.index_interactions(*zip(*small), k=5)
     exact = [("u", "p", f"s{i}") for i in range(5)]
-    assert dataset.index_interactions(*_columns(exact), k=5)[1].shape == (3, 5)
+    assert dataset.index_interactions(*zip(*exact), k=5)[1].shape == (3, 5)
 
 
 def test_k_core_recomputes_counts():
     rows = [("u1", "p_small", f"s{i}") for i in range(4)]
     rows += [("u2", "p_big", f"t{i}") for i in range(7)]
-    catalog, _ = dataset.index_interactions(*_columns(rows), k=5)
+    catalog, _ = dataset.index_interactions(*zip(*rows), k=5)
     assert catalog.playlists == {"p_big": 0}
     assert catalog.num_users == 1
     assert catalog.num_songs == 7
@@ -91,7 +87,7 @@ def test_k_core_rejects_bad_k():
 
 def test_catalog_indexing():
     rows = [("u1", "p1", "s1"), ("u2", "p2", "s2"), ("u1", "p1", "s2")]
-    cat, _ = dataset.index_interactions(*_columns(rows), k=1)
+    cat, _ = dataset.index_interactions(*zip(*rows), k=1)
     assert cat.users == {"u1": 0, "u2": 1}
     assert cat.playlists == {"p1": 0, "p2": 1}
     # songs indexed from 1; 0 is the padding slot
