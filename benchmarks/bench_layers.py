@@ -10,9 +10,10 @@ Rows, at V in {2,000; 20,000} songs with V / 4 users and V / 4 playlists:
   and l = 61 members; `training.adam_update`; one whole `step` (forward, loss
   and backward into a zeroed gradient arena by `training.gradients`, then
   `training.adam_update`); `evaluation.rank_candidates` on one ranking of
-  B = 300 contexts of l = 61 members, C = 101 distinct candidates each; and
-  `params.load_checkpoint` of a checkpoint that the timed checkout's own
-  `save_checkpoint` wrote;
+  B = 300 contexts of l = 61 members, C = 101 distinct candidates each;
+  `params.save_checkpoint` of the parameter set, the JSON and its arena
+  file; and `params.load_checkpoint` of the checkpoint that the timed
+  checkout's own `save_checkpoint` wrote there;
 - `training._make_batch`, a minibatch's negatives and index gathers: MDR at
   B = 256 without members, MASS at B = 16 and 256 with l = 61 members
   gathered from the split's rows;
@@ -34,8 +35,9 @@ after a warm-up, each round calls each of its calls once, over a fixed number
 of rounds, so that drift in the host's speed reaches all of them alike. Each
 row records the median and the quartiles of its calls, in microseconds. The
 rows that share a parameter set form a group, as do the minibatch rows and
-the split-consumer rows; a checkpoint load, which allocates and frees several
-times the parameter set, and each split-load row form groups of their own.
+the split-consumer rows; a checkpoint save and a checkpoint load, each of
+which allocates and frees several times the parameter set, and each
+split-load row form groups of their own.
 Forward, backward and step score a fresh copy of the batch on every call, so
 they time a pass that builds the batch's index plan (see `models.ScoreBatch`).
 At V = 20,000 single rows can trade page faults and cache state with their
@@ -203,9 +205,11 @@ def _model_groups(metric_rec, rng, tmp):
                      lambda: evaluation.rank_candidates(scorer, held)),
                 ]
                 path = os.path.join(tmp, f"{kind}-{attention}-{v}-{d}.json")
-                params_mod.save_checkpoint(params, path)
-                yield [({"layer": "params.load_checkpoint", "model": shape["model"], "d": d,
-                         "V": v}, lambda: params_mod.load_checkpoint(path))]
+                checkpoint = {"model": shape["model"], "d": d, "V": v}
+                yield [(dict(checkpoint, layer="params.save_checkpoint"),
+                        lambda: params_mod.save_checkpoint(params, path))]
+                yield [(dict(checkpoint, layer="params.load_checkpoint"),
+                        lambda: params_mod.load_checkpoint(path))]
                 for name in os.listdir(tmp):
                     os.remove(os.path.join(tmp, name))
 

@@ -18,6 +18,12 @@ def _fail(message):
     sys.exit(1)
 
 
+def _check_seed(seed):
+    """Refuse a `--seed` that numpy's generators do not take."""
+    if not 0 <= seed < 2 ** 64:
+        _fail(f"--seed must be in [0, 2**64 - 1], got {seed}")
+
+
 def _check_catalog(parts, catalog):
     """Refuse models whose tables index another catalog than the split's.
 
@@ -92,6 +98,7 @@ def prepare(input_path, out_dir, k, seed, max_playlists_per_user, max_playlist_l
     """Filter raw interactions and write catalog + split manifests."""
     if k < 1:
         _fail(f"--k must be >= 1, got {k}")
+    _check_seed(seed)
     try:
         catalog, split = dataset.prepare(
             input_path, out_dir, k=k, seed=seed,
@@ -221,8 +228,7 @@ def _parse_n_list(spec):
 @click.option("--out", "out_path", default="metrics.json", show_default=True)
 def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
     """Leave-one-out test evaluation; writes a metrics JSON."""
-    if not 0 <= seed < 2 ** 64:
-        _fail(f"--seed must be in [0, 2**64 - 1], got {seed}")
+    _check_seed(seed)
     if os.path.isdir(out_path):
         _fail(f"--out {out_path}: is a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):

@@ -28,7 +28,9 @@ DEFAULT_MAX_PLAYLISTS_PER_USER = 100
 DEFAULT_MAX_SONGS_PER_PLAYLIST = 63
 
 # the first 8 bytes of an arena file: its layout and version
-ARENA_MAGIC = b"MRARENA1"
+ARENA_MAGIC = b"MRARENA2"
+# the most bytes of a stored copy compared with its live file per read
+_COPY_CHUNK = 1 << 16
 # the split companion `prepare` writes beside catalog.json and split.json
 SPLIT_ARENA = "split.json.arena"
 
@@ -360,44 +362,73 @@ def write_arena(path, header, payload, sources):
 
     Layout: `ARENA_MAGIC`; the header's length as a little-endian uint64; the
     header, sorted-key JSON holding `header`, each `sources` key with the
-    SHA-256 of its bytes, and `crc32`, the CRC-32 of the header's JSON
+    length of its bytes, and `crc32`, the CRC-32 of the header's JSON
     without that key followed by the payload; zeros up to an 8-byte
-    boundary; and the payload, the bytes of the array `payload`. It holds
-    no time stamp, so equal inputs give equal bytes. It is written in place:
-    a reader refuses a file cut short by a crash or read mid-write by its
-    CRC-32, as it refuses any other damage.
+    boundary; the payload, the bytes of the array `payload`; and each
+    source's bytes verbatim, in the sorted order of their keys. It holds no
+    time stamp, so equal inputs give equal bytes. It is written in place: a
+    reader refuses a file cut short by a crash or read mid-write by its
+    CRC-32 or its copies, as it refuses any other damage.
     """
-    header = dict(header, **{key: hashlib.sha256(data).hexdigest()
-                             for key, data in sources.items()})
+    header = dict(header, **{key: len(data) for key, data in sources.items()})
     head = _header_json(dict(header, crc32=zlib.crc32(payload, zlib.crc32(_header_json(header)))))
     with open(path, "wb") as f:
         f.write(ARENA_MAGIC + struct.pack("<Q", len(head)) + head + bytes(-len(head) % 8))
         f.write(payload)
+        for key in sorted(sources):
+            f.write(sources[key])
+
+
+def _same_bytes(f, path, size, stored, chunk):
+    """Whether the next `size` bytes of the open file `f` are the whole file
+    `path`, compared through the bytearrays `stored` and `chunk`, of one
+    length, a buffer's length at a time."""
+    with open(path, "rb") as live:
+        if os.fstat(live.fileno()).st_size != size:
+            return False
+        stored_view, chunk_view = memoryview(stored), memoryview(chunk)
+        while size:
+            n = f.readinto(stored_view[:min(size, len(stored))])
+            if not n or live.readinto(chunk_view[:n]) != n or not stored.startswith(chunk_view[:n]):
+                return False
+            size -= n
+    return True
 
 
 def read_arena(path, sources, dtype, build):
     """`build(header, values)` for the arena file `path` (see `write_arena`),
     or None.
 
-    `values` is the payload as a flat read-only `dtype` array. The result is
-    None when the file cannot be read, its magic is not `ARENA_MAGIC`, its
-    header does not parse, a `sources` key of the header is not the SHA-256
-    of those bytes (the file was written for other files), the CRC-32 does
-    not match, or `build` returns None or raises one of the errors a header
-    of another layout gives. Nothing is written.
+    `sources` maps each header key of a copy to the path of the live file it
+    must equal. `values` is the payload as a flat read-only `dtype` array.
+    The result is None when a file cannot be read, the magic is not
+    `ARENA_MAGIC`, the header does not parse, a stored copy is not exactly
+    the bytes of its live file (the arena was written for other files), the
+    CRC-32 does not match, or `build` returns None or raises one of the
+    errors a header of another layout gives. Only the header and the
+    payload are read whole. Nothing is written.
     """
     try:
         with open(path, "rb") as f:
-            buf = f.read()
-        if buf[:8] != ARENA_MAGIC:
-            return None
-        size, = struct.unpack_from("<Q", buf, 8)
-        header = orjson.loads(buf[16:16 + size])
-        crc = header.pop("crc32")
-        payload = memoryview(buf)[16 + size + -size % 8:]
-        if (any(header[key] != hashlib.sha256(data).hexdigest() for key, data in sources.items())
-                or crc != zlib.crc32(payload, zlib.crc32(_header_json(header)))):
-            return None
+            total = os.fstat(f.fileno()).st_size
+            prefix = f.read(16)
+            size, = struct.unpack_from("<Q", prefix, 8)
+            if prefix[:8] != ARENA_MAGIC or size > total:  # read no more than the file
+                return None
+            header = orjson.loads(f.read(size))
+            crc = header.pop("crc32")
+            keys = sorted(sources)
+            sizes = [header[key] for key in keys]
+            start = 16 + size + -size % 8
+            if not all(type(n) is int and n >= 0 for n in sizes) or total - sum(sizes) < start:
+                return None
+            f.seek(start)
+            payload = f.read(total - sum(sizes) - start)
+            # one pair of buffers for every copy, no longer than the longest copy
+            buffers = [bytearray(min(max(sizes, default=0), _COPY_CHUNK)) for _ in range(2)]
+            if (not all(_same_bytes(f, sources[key], n, *buffers) for key, n in zip(keys, sizes))
+                    or crc != zlib.crc32(payload, zlib.crc32(_header_json(header)))):
+                return None
         return build(header, np.frombuffer(payload, dtype))
     except (OSError, struct.error, ValueError, LookupError, TypeError, AttributeError):
         # Derived data that cannot be read (a missing file, a truncated or
@@ -541,14 +572,15 @@ def save_split_arena(catalog, split, catalog_data, split_data, path):
     `catalog_data` and the split.json bytes `split_data` that `save_catalog`
     and `save_split` wrote for `catalog` and `split` (see `write_arena`).
 
-    Its header holds `catalog_json_sha256` and `split_json_sha256`, the
+    Its header holds `catalog_json_size` and `split_json_size`, the
     catalog's `fingerprint()` as `catalog_fingerprint`, each map's ids in
     catalog.json's key order (sorted, as `write_json` sorts keys) as
     `users`, `playlists` and `songs`, and `entries`, the number of
     split.json entries. Its int64 payload holds each map's indices in its
     ids' order; then one row per split.json entry in file order (playlist,
     owner, dev song, test song, and the end offset of its train songs);
-    then every entry's train songs, one list after another.
+    then every entry's train songs, one list after another. The copies of
+    both files' bytes follow it.
     """
     maps = {key: getattr(catalog, key) for key in ("users", "playlists", "songs")}
     ids = {key: sorted(table) for key, table in maps.items()}
@@ -562,7 +594,7 @@ def save_split_arena(catalog, split, catalog_data, split_data, path):
     train = split.songs[row_positions(split.offsets[playlists], counts)]
     header = dict(ids, catalog_fingerprint=catalog.fingerprint(), entries=len(playlists))
     write_arena(path, header, np.concatenate(indices + [rows.ravel(), train], dtype="<i8"),
-                {"catalog_json_sha256": catalog_data, "split_json_sha256": split_data})
+                {"catalog_json_size": catalog_data, "split_json_size": split_data})
 
 
 def load_split_dir(split_dir):
@@ -570,29 +602,21 @@ def load_split_dir(split_dir):
     catalog.json and split.json, read through `load_catalog` and `load_split`.
 
     When `split_dir` holds a split companion (see `save_split_arena`) whose
-    magic, header and CRC-32 are intact, whose hashes are the SHA-256 of
-    both files' bytes, whose payload has the length its header implies, and
-    which passes every check of `load_catalog` and `check_split`, the result
-    is built from it without parsing either file, and the catalog keeps
-    the companion's fingerprint. It then equals what the JSON gives, the
+    magic, header and CRC-32 are intact, whose copies are byte for byte the
+    two files, whose payload has the length its header implies, and which
+    passes every check of `load_catalog` and `check_split`, the result is
+    built from it without parsing either file, and the catalog keeps the
+    companion's fingerprint. It then equals what the JSON gives, the
     catalog's dict order included. In every other case the JSON is parsed,
     with its own errors. Nothing is written.
     """
     catalog_path = os.path.join(split_dir, "catalog.json")
     split_path = os.path.join(split_dir, "split.json")
-    companion = os.path.join(split_dir, SPLIT_ARENA)
-    if os.path.exists(companion):  # else the JSON files are read once, below
-        try:
-            sources = {}
-            for key, path in (("catalog_json_sha256", catalog_path),
-                              ("split_json_sha256", split_path)):
-                with open(path, "rb") as f:
-                    sources[key] = f.read()
-        except OSError:
-            sources = None  # the JSON path raises the error in its own order
-        loaded = sources and read_arena(companion, sources, "<i8", _split_from_arena)
-        if loaded:
-            return loaded
+    loaded = read_arena(os.path.join(split_dir, SPLIT_ARENA),
+                        {"catalog_json_size": catalog_path, "split_json_size": split_path},
+                        "<i8", _split_from_arena)
+    if loaded:
+        return loaded
     catalog = load_catalog(catalog_path)
     return catalog, load_split(split_path, catalog)
 

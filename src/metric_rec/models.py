@@ -72,23 +72,6 @@ class ScoreBatch:
     plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _real_slots(counts, l, ndim):
-    """Mask of context i's first counts[i] of l slots, broadcastable to `ndim`-D scores."""
-    counts = np.asarray(counts)
-    if np.any(counts < 1):
-        raise ValueError("every context must have at least one real member")
-    return np.arange(l) < counts.reshape(counts.shape + (1,) * (ndim - 1))
-
-
-def masked_softmax(scores, counts):
-    """Softmax over the last axis, on context i's first counts[i] entries only.
-
-    `scores` is (B, l) or (B, C, l) and `counts` is (B,); padded slots get 0.
-    """
-    s = np.array(scores, dtype=np.float64)
-    return _softmax_where(s, _real_slots(counts, s.shape[-1], s.ndim))
-
-
 def _softmax_where(scores, mask):
     """Softmax over the last axis of the entries where `mask` holds, 0 elsewhere,
     computed in place in `scores` (float64), which it returns."""
@@ -97,11 +80,6 @@ def _softmax_where(scores, mask):
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores
-
-
-def masked_softmin(dists, counts):
-    """Softmax over negated values: smaller distances get larger weights."""
-    return masked_softmax(-np.asarray(dists, dtype=np.float64), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +92,14 @@ def _candidates(batch):
 
 
 def _member_mask(batch):
-    """(B, 1, l) mask of each context's real member slots, built once per batch."""
+    """(B, 1, l) mask of each context's real member slots, built once per batch;
+    a context without a real member raises ValueError."""
     mask = batch.plan.get("mask")
     if mask is None:
-        mask = batch.plan["mask"] = _real_slots(batch.counts, batch.members.shape[1], 3)
+        counts = np.asarray(batch.counts)
+        if np.any(counts < 1):
+            raise ValueError("every context must have at least one real member")
+        mask = batch.plan["mask"] = np.arange(batch.members.shape[1]) < counts[:, None, None]
     return mask
 
 

@@ -192,11 +192,12 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
 
     The arena file, `<path>.arena`, is derived data for `load_checkpoint`
     in the layout of `dataset.write_arena`: its header holds the document
-    without its tensor values, plus `json_sha256`, the SHA-256 of the JSON's
+    without its tensor values, plus `json_size`, the length of the JSON's
     bytes; its payload the parameter arena's own buffer, every tensor's
     values as little-endian float64 in the `tensor_shapes` order in which
-    `_init` and `checkpoint_from_doc` lay the arena out. Equal checkpoints
-    give equal bytes.
+    `_init` and `checkpoint_from_doc` lay the arena out; then a copy of the
+    JSON's bytes, which ties the file to that JSON. Equal checkpoints give
+    equal bytes.
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -222,7 +223,7 @@ def save_checkpoint(params, path, hyperparams=None, seed=0):
     header = dict(doc, tensors={name: {"shape": spec["shape"]}
                                 for name, spec in doc["tensors"].items()})
     write_arena(os.fspath(path) + ".arena", header, np.asarray(params.tensors.flat, dtype="<f8"),
-                {"json_sha256": data})
+                {"json_size": data})
 
 
 def load_checkpoint(path):
@@ -235,22 +236,22 @@ def read_checkpoint(path):
     """(loaded, doc) for the JSON file at `path`, exactly one of them None.
 
     When `path` has an arena file (see `save_checkpoint`) whose magic, header
-    and CRC-32 are intact, whose `json_sha256` is the SHA-256 of the file's
-    bytes, whose payload holds as many values as the header's model implies,
-    and which passes every check of `checkpoint_from_doc`, `loaded` is that
-    function's result, taken from the payload without parsing the JSON. In
-    every other case (no arena file, a stale or damaged one) `doc` is the
-    parsed JSON, which may hold something other than a checkpoint. The JSON
-    is the one source of truth; the arena file only saves its parse.
-    Nothing is written.
+    and CRC-32 are intact, whose copy of the JSON is byte for byte the file
+    at `path`, whose payload holds as many values as the header's model
+    implies, and which passes every check of `checkpoint_from_doc`, `loaded`
+    is that function's result, taken from the payload without parsing the
+    JSON. In every other case (no arena file, a stale or damaged one) `doc`
+    is the parsed JSON, which may hold something other than a checkpoint.
+    The JSON is the one source of truth; the arena file only saves its
+    parse. Nothing is written.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    loaded = read_arena(os.fspath(path) + ".arena", {"json_sha256": data}, "<f8",
+    loaded = read_arena(os.fspath(path) + ".arena", {"json_size": path}, "<f8",
                         lambda header, values: checkpoint_from_doc(_with_values(header, values),
                                                                    path))
-    # the JSON decides, with its own message if it fails too
-    return (loaded, None) if loaded else (None, parse_json(data, path))
+    if loaded:
+        return loaded, None
+    with open(path, "rb") as f:  # the JSON decides, with its own message if it fails too
+        return None, parse_json(f.read(), path)
 
 
 def _with_values(doc, values):

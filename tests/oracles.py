@@ -132,6 +132,28 @@ def _softmax_first(scores, real_count):
     return out
 
 
+def masked_softmax(scores, counts):
+    """Softmax over the last axis, on context i's first counts[i] entries only.
+
+    `scores` is (B, l) or (B, C, l) and `counts` is (B,); padded slots get 0.
+    A context without a real entry raises ValueError, as the package's
+    forward pass does.
+    """
+    scores = np.asarray(scores, float)
+    if np.any(np.asarray(counts) < 1):
+        raise ValueError("every context must have at least one real member")
+    out = np.zeros(scores.shape)
+    for i, count in enumerate(counts):
+        for row in np.ndindex(scores.shape[1:-1]):
+            out[(i, *row)] = _softmax_first(scores[(i, *row)], count)
+    return out
+
+
+def masked_softmin(dists, counts):
+    """Softmax over negated values: smaller distances get larger weights."""
+    return masked_softmax(-np.asarray(dists, float), counts)
+
+
 def attention_weights(q_a, member_a_vectors, b4, real_count):
     """Softmin attention over distances under B4; padded slots get weight 0."""
     return _softmax_first(-member_distances(q_a, member_a_vectors, b4), real_count)

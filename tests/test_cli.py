@@ -1,6 +1,5 @@
 import codecs
 import copy
-import hashlib
 import json
 import os
 import shutil
@@ -95,7 +94,12 @@ _SHORT_P2 = b"u1\tp1\ts1\nu1\tp1\ts2\r\nu1\tp1\ts3\ru2\tp2\ts1\nu2\tp2\ts2\n"
      "{path}: line 4 is not UTF-8 text: invalid start byte"),
     (_SHORT_P2, ["--k", "1"], "playlist p2 has only 2 songs; need >= 3 to split"),
     (_SHORT_P2, ["--k", "0"], "--k must be >= 1, got 0"),
-], ids=["not-utf8", "short-playlist", "k-zero"])
+    # refused before the file, which is not UTF-8 text, is read
+    (_SHORT_P2.replace(b"\tp2\ts1", b"\tp2\t\xffs1"), ["--seed", "-1"],
+     "--seed must be in [0, 2**64 - 1], got -1"),
+    (_SHORT_P2.replace(b"\tp2\ts1", b"\tp2\t\xffs1"), ["--seed", str(2 ** 64)],
+     f"--seed must be in [0, 2**64 - 1], got {2 ** 64}"),
+], ids=["not-utf8", "short-playlist", "k-zero", "seed-negative", "seed-beyond-64-bits"])
 def test_prepare_refusal_names_the_line_playlist_or_option(tmp_path, data, args, message):
     path = tmp_path / "in.tsv"
     path.write_bytes(data)
@@ -177,8 +181,9 @@ def test_train_apr_writes_both_checkpoints(workspace, tmp_path):
         "apr_log.jsonl", "checkpoint.json", "checkpoint.json.arena", "checkpoint_bpr.json",
         "checkpoint_bpr.json.arena", "train_log.jsonl"]
     for name in ("checkpoint_bpr.json", "checkpoint.json"):
-        header, _ = read_arena(out_dir / f"{name}.arena")
-        assert header["json_sha256"] == hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        header, _, copy = read_arena(out_dir / f"{name}.arena")
+        assert copy == (out_dir / name).read_bytes()
+        assert header["json_size"] == len(copy)
 
 
 _STEP_MODELS = ([{"model": "mdr", "mdr_variant": var} for var in params_mod.MDR_VARIANTS]
@@ -1131,8 +1136,23 @@ def _rewrite_companion(path, edit, crc, dtype="<f8"):
     """Rewrite the arena file at `path`, its header and `dtype` payload passed
     through `edit(header, payload)`; with `crc`, its CRC-32 is recomputed for
     them."""
-    header, payload = read_arena(path, dtype)
-    write_arena(path, *edit(header, payload), crc=crc)
+    header, payload, copies = read_arena(path, dtype)
+    write_arena(path, *edit(header, payload), copies, crc=crc)
+
+
+def _flip_bytes(draw, companion, data, op):
+    """Write to `companion` the arena file bytes `data` with one to three
+    bytes changed in the part `op` names: its header (magic, length, header
+    and padding), its payload or its stored copies of the JSON files."""
+    _, payload, copies = read_arena(companion, "<u1")
+    payload_end = len(data) - len(copies)
+    where = {"flip-header": st.integers(0, payload_end - len(payload) - 1),
+             "flip-payload": st.integers(payload_end - len(payload), payload_end - 1),
+             "flip-copy": st.integers(payload_end, len(data) - 1)}[op]
+    damaged = bytearray(data)
+    for i in draw(st.lists(where, min_size=1, max_size=3)):
+        damaged[i] ^= draw(st.integers(1, 255))
+    companion.write_bytes(bytes(damaged))
 
 
 @st.composite
@@ -1148,7 +1168,7 @@ def _damaged_checkpoint(draw, workspace, path):
     name = draw(st.sampled_from(sorted(doc["tensors"])))
     spec = doc["tensors"][name]
     op = draw(st.sampled_from(["value", "shape", "truncate", "flip-header", "flip-payload",
-                               "swap", "encode", "resize", "header-shape"]))
+                               "flip-copy", "swap", "encode", "resize", "header-shape"]))
     if op in ("value", "shape"):
         field = spec["values"] if op == "value" else spec["shape"]
         i = draw(st.integers(0, len(field) - 1))
@@ -1158,16 +1178,10 @@ def _damaged_checkpoint(draw, workspace, path):
         return op
     shutil.copy(source, path)
     data = companion.read_bytes()
-    payload_start = len(data) - 8 * len(read_arena(companion)[1])
     if op == "truncate":
         companion.write_bytes(data[:draw(st.integers(0, len(data) - 1))])
     elif op.startswith("flip"):
-        where = (st.integers(0, payload_start - 1) if op == "flip-header"
-                 else st.integers(payload_start, len(data) - 1))
-        damaged = bytearray(data)
-        for i in draw(st.lists(where, min_size=1, max_size=3)):
-            damaged[i] ^= draw(st.integers(1, 255))
-        companion.write_bytes(bytes(damaged))
+        _flip_bytes(draw, companion, data, op)
     elif op == "swap":
         shutil.copy(workspace / "mass" / "checkpoint.json.arena", companion)
     elif op == "encode":  # the values in another encoding, the CRC left as written
@@ -1197,18 +1211,12 @@ def _damaged_split_companion(draw, workspace, other, split_dir):
     shutil.copytree(workspace / "splits", split_dir)
     companion = split_dir / "split.json.arena"
     data = companion.read_bytes()
-    payload_start = len(data) - 8 * len(read_arena(companion, "<i8")[1])
-    op = draw(st.sampled_from(["truncate", "flip-header", "flip-payload", "swap", "encode",
-                               "resize", "catalog", "split"]))
+    op = draw(st.sampled_from(["truncate", "flip-header", "flip-payload", "flip-copy", "swap",
+                               "encode", "resize", "catalog", "split"]))
     if op == "truncate":
         companion.write_bytes(data[:draw(st.integers(0, len(data) - 1))])
     elif op.startswith("flip"):
-        where = (st.integers(0, payload_start - 1) if op == "flip-header"
-                 else st.integers(payload_start, len(data) - 1))
-        damaged = bytearray(data)
-        for i in draw(st.lists(where, min_size=1, max_size=3)):
-            damaged[i] ^= draw(st.integers(1, 255))
-        companion.write_bytes(bytes(damaged))
+        _flip_bytes(draw, companion, data, op)
     elif op == "swap":
         shutil.copy(other / "split.json.arena", companion)
     elif op == "encode":  # the values in another encoding, the CRC left as written

@@ -461,9 +461,18 @@ def _edit_companion(edit):
     a CRC-32 that matches: only the content checks can refuse it."""
     def damage(split_dir):
         path = split_dir / "split.json.arena"
-        header, payload = read_arena(path, "<i8")
-        write_arena(path, *edit(header, payload.copy()))
+        header, payload, copies = read_arena(path, "<i8")
+        write_arena(path, *edit(header, payload.copy()), copies)
     return damage
+
+
+def _copy_one_byte_short(split_dir):
+    """split.json's stored copy one byte short, with its length in the header
+    and the CRC-32 to match: only the tie to split.json can refuse it."""
+    path = split_dir / "split.json.arena"
+    header, payload, copies = read_arena(path, "<i8")
+    write_arena(path, dict(header, split_json_size=header["split_json_size"] - 1), payload,
+                copies[:-1])
 
 
 def _rows_start(header):
@@ -505,9 +514,28 @@ def _edit_json(name, edit):
     return damage
 
 
+def _same_length(name, edit):
+    """`_edit_json` of an edit that keeps the file's length, so that only the
+    bytes the companion stores can tell the file changed."""
+    def damage(split_dir):
+        size = (split_dir / name).stat().st_size
+        _edit_json(name, edit)(split_dir)
+        assert (split_dir / name).stat().st_size == size
+    return damage
+
+
 def _swap_two_songs(doc):
     a, b = sorted(doc["songs"])[:2]
     doc["songs"][a], doc["songs"][b] = doc["songs"][b], doc["songs"][a]
+
+
+def _swap_two_one_digit_songs(doc):
+    a, b = [song for song, i in sorted(doc["songs"].items()) if i < 10][:2]
+    doc["songs"][a], doc["songs"][b] = doc["songs"][b], doc["songs"][a]
+
+
+def _reverse_first_train_list(doc):
+    doc[sorted(doc)[0]]["train"].reverse()
 
 
 def _dev_into_train(doc):
@@ -527,10 +555,18 @@ SPLIT_COMPANION_DAMAGE = {
     # a digit of the stored fingerprint: the header still parses and passes
     # every content check, so only the CRC-32 refuses it
     "header-byte": _flip(lambda data: data.index(b'"catalog_fingerprint":"') + 23),
-    # the low bit of the last train song, another song of the catalog
-    "payload-byte": _flip(lambda data: len(data) - 8),
+    # the low bit of the last train song, another song of the catalog: the
+    # payload ends where the copy of catalog.json begins
+    "payload-byte": _flip(lambda data: data.rindex(b'{"num_playlists"') - 8),
     "stale-catalog": _edit_json("catalog.json", _swap_two_songs),
     "stale-split": _edit_json("split.json", _dev_into_train),
+    "same-length-catalog": _same_length("catalog.json", _swap_two_one_digit_songs),
+    "same-length-split": _same_length("split.json", _reverse_first_train_list),
+    # a byte of the first key in the stored copy of catalog.json, and
+    # split.json's closing brace in its stored copy
+    "catalog-copy-byte": _flip(lambda data: data.rindex(b'{"num_playlists"') + 3),
+    "split-copy-byte": _flip(lambda data: len(data) - 2),
+    "copy-one-byte-short": _copy_one_byte_short,
     "other-split": _other_splits_companion,
     "song-out-of-range": _edit_companion(_set(lambda h: -1, lambda h, a: len(h["songs"]) + 1)),
     "owner-out-of-range": _edit_companion(_set(lambda h: _rows_start(h) + 1,

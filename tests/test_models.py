@@ -75,20 +75,30 @@ def test_member_distances_identity_and_euclidean():
 
 
 def test_masked_softmin_hand():
-    alpha = models.masked_softmin(np.array([[0.0, np.log(3.0)]]), np.array([2]))[0]
+    alpha = oracles.masked_softmin(np.array([[0.0, np.log(3.0)]]), np.array([2]))[0]
     np.testing.assert_allclose(alpha, [0.75, 0.25], atol=1e-12)
 
 
 def test_masked_softmin_uniform_and_single():
-    alpha = models.masked_softmin(np.array([[2.0, 2.0, 2.0, 9.9]]), np.array([3]))[0]
+    alpha = oracles.masked_softmin(np.array([[2.0, 2.0, 2.0, 9.9]]), np.array([3]))[0]
     np.testing.assert_allclose(alpha, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-12)
-    alpha = models.masked_softmin(np.array([[5.0, 1.0, 1.0]]), np.array([1]))[0]
+    alpha = oracles.masked_softmin(np.array([[5.0, 1.0, 1.0]]), np.array([1]))[0]
     np.testing.assert_allclose(alpha, [1.0, 0.0, 0.0])
 
 
 def test_masked_softmax_rejects_empty_context():
     with pytest.raises(ValueError):
-        models.masked_softmax(np.zeros((1, 3)), np.array([0]))
+        oracles.masked_softmax(np.zeros((1, 3)), np.array([0]))
+
+
+@pytest.mark.parametrize("attention", params_mod.ATTENTION_KINDS)
+def test_mass_forward_rejects_empty_context(attention):
+    p = params_mod.init_mass(2, 2, 6, 4, np.random.default_rng(0), attention=attention)
+    batch = ScoreBatch(users=np.array([0, 1]), playlists=np.array([0, 1]),
+                       songs=np.array([[1, 2], [3, 4]]), members=np.array([[5, 6], [5, 0]]),
+                       counts=np.array([2, 0]))
+    with pytest.raises(ValueError, match="at least one real member"):
+        models.forward(p, batch)
 
 
 def test_attention_variant_dot_hand():

@@ -9,7 +9,7 @@ import numpy as np
 import orjson
 import pytest
 
-from metric_rec import params as params_mod
+from metric_rec import dataset, params as params_mod
 
 
 def test_init_mdr_tensor_sets():
@@ -279,28 +279,32 @@ def test_load_checkpoint_rejects_tensors_that_disagree_with_header(tmp_path, cas
 
 
 def read_arena(path, dtype="<f8"):
-    """(header, payload) of the arena file at `path`: the 8-byte magic, the
-    header's length as a little-endian uint64, the header, zeros up to an
-    8-byte boundary, then the payload as `dtype` (a checkpoint's is
-    little-endian float64)."""
+    """(header, payload, copies) of the arena file at `path`: the 8-byte magic,
+    the header's length as a little-endian uint64, the header, zeros up to an
+    8-byte boundary, the payload as `dtype` (a checkpoint's is little-endian
+    float64), then `copies`, the stored bytes of the files whose lengths the
+    header holds under its `...json_size` keys, one after another."""
     data = path.read_bytes()
-    assert data[:8] == b"MRARENA1"
+    assert data[:8] == b"MRARENA2"
     size = int.from_bytes(data[8:16], "little")
     start = 16 + size + -size % 8
     assert data[16 + size:start] == bytes(start - 16 - size)
-    return json.loads(data[16:16 + size]), np.frombuffer(data[start:], dtype)
+    header = json.loads(data[16:16 + size])
+    end = len(data) - sum(n for key, n in header.items() if key.endswith("json_size"))
+    return header, np.frombuffer(data[start:end], dtype), data[end:]
 
 
-def write_arena(path, header, payload, crc=True):
-    """Write `header` and the bytes of the array `payload` as an arena file at
-    `path`; with `crc`, its `crc32` is recomputed for them, else kept."""
+def write_arena(path, header, payload, copies, crc=True, magic=b"MRARENA2"):
+    """Write `header`, the bytes of the array `payload` and the bytes `copies`
+    as an arena file at `path`; with `crc`, its `crc32` is recomputed for
+    them, else kept."""
     head = orjson.dumps({k: v for k, v in header.items() if k != "crc32"},
                         option=orjson.OPT_SORT_KEYS)
     if crc:
         header = dict(header, crc32=zlib.crc32(payload.tobytes(), zlib.crc32(head)))
     head = orjson.dumps(header, option=orjson.OPT_SORT_KEYS)
-    path.write_bytes(b"MRARENA1" + len(head).to_bytes(8, "little") + head
-                     + bytes(-len(head) % 8) + payload.tobytes())
+    path.write_bytes(magic + len(head).to_bytes(8, "little") + head
+                     + bytes(-len(head) % 8) + payload.tobytes() + copies)
 
 
 def write_zip_companion(path):
@@ -392,21 +396,46 @@ def test_json_edited_after_the_companion_loads_the_edited_values(tmp_path, monke
     assert back.tensors.flat.tobytes() == p.tensors.flat.tobytes()
 
 
+@pytest.mark.parametrize("num_songs", [5, 5_000], ids=["small", "several-chunks"])
+def test_same_length_json_edit_loads_the_edited_values(tmp_path, monkeypatch, num_songs):
+    """A digit of the JSON changed in place leaves its length as the arena
+    file records it; the copy tells the two apart, so the load parses the
+    edited JSON. In the larger file the digit lies past the first chunk
+    that the copy is compared in."""
+    p = params_mod.init_mdr(3, 4, num_songs, 2, np.random.default_rng(19))
+    path = tmp_path / "ckpt.json"
+    params_mod.save_checkpoint(p, path)
+    data = path.read_bytes()
+    # the first nonzero digit of U's first value (U follows S), made another nonzero digit
+    start = data.index(b'"values":[', data.index(b'"U":'))
+    i = min(data.index(d, start) for d in b"123456789")
+    assert num_songs < 5_000 or i > 2 * dataset._COPY_CHUNK
+    edited = data[:i] + bytes([ord("1") + data[i] % 9]) + data[i + 1:]
+    path.write_bytes(edited)
+    parses = _count_json_parses(monkeypatch)
+    back, _, _ = params_mod.load_checkpoint(path)
+    assert parses == [path]
+    ref, _, _ = params_mod.checkpoint_from_doc(json.loads(edited), path)
+    assert back.tensors.flat.tobytes() == ref.tensors.flat.tobytes() != p.tensors.flat.tobytes()
+
+
 def test_arena_file_holds_the_header_and_the_arena_values(tmp_path):
     p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(14), variant="ups",
                              attention="mem_metric")
     path = tmp_path / "ckpt.json"
     params_mod.save_checkpoint(p, path, {"learning_rate": 1e-05}, seed=2)
-    header, payload = read_arena(tmp_path / "ckpt.json.arena")
+    header, payload, copy = read_arena(tmp_path / "ckpt.json.arena")
     doc = json.loads(path.read_bytes())
-    assert header.pop("json_sha256") == hashlib.sha256(path.read_bytes()).hexdigest()
+    # the JSON's bytes follow the payload verbatim, and the header holds their length
+    assert copy == path.read_bytes()
+    assert header.pop("json_size") == len(copy)
     crc = header.pop("crc32")
     assert header == dict(doc, tensors={n: {"shape": spec["shape"]}
                                         for n, spec in doc["tensors"].items()})
     # the payload keeps the arena's order, not the header's sorted one
     assert list(p.tensors) != sorted(p.tensors)
     assert payload.tobytes() == p.tensors.flat.tobytes()
-    header = dict(header, json_sha256=hashlib.sha256(path.read_bytes()).hexdigest())
+    header = dict(header, json_size=len(copy))
     assert crc == zlib.crc32(payload.tobytes(), zlib.crc32(
         orjson.dumps(header, option=orjson.OPT_SORT_KEYS)))
 
@@ -427,9 +456,25 @@ def test_zip_companion_of_earlier_versions_is_not_read(tmp_path, monkeypatch):
 
 def _edit_arena(edit, crc=True):
     def damage(path):
-        header, payload = read_arena(path)
-        write_arena(path, *edit(header, payload.copy()), crc=crc)
+        header, payload, copy = read_arena(path)
+        write_arena(path, *edit(header, payload.copy()), copy, crc=crc)
     return damage
+
+
+def _copy_one_byte_short(path):
+    """The stored copy of the JSON one byte short, with its length in the
+    header and the CRC-32 to match: only the tie to the JSON can refuse it."""
+    header, payload, copy = read_arena(path)
+    write_arena(path, dict(header, json_size=len(copy) - 1), payload, copy[:-1])
+
+
+def _old_layout(path):
+    """The arena file in the layout earlier versions wrote: magic `MRARENA1`,
+    the SHA-256 of the JSON as `json_sha256` in the header, and no copy."""
+    header, payload, copy = read_arena(path)
+    del header["json_size"]
+    header["json_sha256"] = hashlib.sha256(copy).hexdigest()
+    write_arena(path, header, payload, b"", magic=b"MRARENA1")
 
 
 def _flip(at):
@@ -457,7 +502,8 @@ ARENA_DAMAGE = {
     "header-length": _flip(lambda data: 8),
     # "seed":0 becomes "seed":1, a header that still parses
     "header-byte": _flip(lambda data: data.index(b'"seed":0') + 7),
-    "payload-byte": _flip(lambda data: len(data) - 1),
+    # the last byte before the copy, an exponent bit of the arena's last value
+    "payload-byte": _flip(lambda data: data.rindex(b'{"format"') - 1),
     "float32": _edit_arena(lambda h, a: (h, a.astype("<f4"))),
     "big-endian": _edit_arena(lambda h, a: (h, a.astype(">f8")), crc=False),
     "one-value-more": _edit_arena(lambda h, a: (h, np.append(a, 0.0))),
@@ -465,6 +511,10 @@ ARENA_DAMAGE = {
     "header-shape": _edit_arena(_with_u_shape),
     "nonfinite": _edit_arena(lambda h, a: (h, np.where(a == a.max(), np.inf, a))),
     "other-checkpoint": _other_checkpoints_arena,
+    # the JSON's closing brace, in the stored copy
+    "copy-byte": _flip(lambda data: len(data) - 2),
+    "copy-one-byte-short": _copy_one_byte_short,
+    "old-layout": _old_layout,
 }
 
 
