@@ -1,7 +1,7 @@
 """Layer timings at the paper's shapes, written to BENCH_<tag>.json.
 
     python benchmarks/bench_layers.py --tag <tag> [--root <checkout>] [--out <dir>]
-                                      [--against <checkout>]
+                                      [--against <checkout or git revision>]
 
 Rows, at V in {2,000; 20,000} songs with V / 4 users and V / 4 playlists:
 - for MDR `ups` and for MASS `us` with `mem_metric` and with `nonmem_dot`
@@ -28,7 +28,13 @@ Rows, at V in {2,000; 20,000} songs with V / 4 users and V / 4 playlists:
 - `dataset.prepare`, from the TSV to the three files of a split directory, on
   the perfbench `train-mdr` corpus at seed 1 (300 playlists of 5-30 songs
   over 2,000 songs, 5,250 rows) and on one of 3,000 playlists of 5-63 songs
-  over 20,000 songs (102,000 rows), each its own group.
+  over 20,000 songs (102,000 rows), each its own group;
+- `cli.evaluate` and `cli.recommend`, end to end: `evaluate` and a top-10
+  `recommend` of a MASR manifest, run in-process through `cli.main` as
+  perfbench runs them, over perfbench `serve`'s MDR `ups` and MASS `us`
+  `nonmem_dot` models at d = 32, untrained, on the same two corpora, all
+  written by the timed checkout's own `prepare` and `train`; a group per
+  corpus.
 
 Each kind of row yields groups of calls, and each group is timed interleaved:
 after a warm-up, each round calls each of its calls once, over a fixed number
@@ -46,21 +52,26 @@ neighbours; compare the step rows there.
 `metric_rec` is imported from `<root>/src` (default: this checkout). With
 `--against <checkout>`, that checkout's `src/` is imported too, under another
 package name, and group i of each tree runs in the same rounds, on the same
-inputs. Every row then records its `tree` (`root` or `against`) and `ratio`,
+inputs. `--against <revision>` names a git revision of `<root>` instead: its
+`src/` is taken from `git archive`, so that neither side is a separate
+clone. Every row then records its `tree` (`root` or `against`) and `ratio`,
 the median over rounds of its time over the other tree's in the same round.
 Separate runs of two checkouts have read unchanged rows 1.2-1.8x apart on one
 host; rows interleaved in one process share its drift. BLAS threads are
-pinned to 1 before numpy loads. A run takes about a minute on 2 vCPUs, and
+pinned to 1 before numpy loads. A run takes about two minutes on 2 vCPUs, and
 about twice that with `--against`.
 """
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 
@@ -73,6 +84,7 @@ import numpy as np  # noqa: E402  (after the thread pinning)
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 import corpus  # noqa: E402  (perfbench's corpus generator)
+from workloads import WORKLOADS, write_config  # noqa: E402  (its serve workload)
 
 B, K_NEG, L = 256, 4, 61
 # a dev or test ranking: 300 playlists, each ranking 1 held-out song + 100 negatives
@@ -127,6 +139,25 @@ def _environment(root):
     }
 
 
+def _against(root, against, tmp, parser):
+    """(directory holding the other side's src/, its environment): `against`
+    when it is a directory, else revision `against` of the checkout `root`,
+    whose src/ `git archive` extracts into `tmp`."""
+    if os.path.isdir(against):
+        return os.path.abspath(against), _environment(os.path.abspath(against))
+    commit = subprocess.run(["git", "-C", root, "rev-parse", "--verify", "--quiet",
+                             f"{against}^{{commit}}"], capture_output=True, text=True).stdout.strip()
+    if not commit:
+        parser.error(f"--against {against}: neither a directory nor a git revision of {root}")
+    archive = subprocess.run(["git", "-C", root, "archive", commit, "src"],
+                             capture_output=True, check=True).stdout
+    path = os.path.join(tmp, "against-src")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(path, filter="data")
+    return path, dict(_environment(root), git_commit=commit, src_modified=False,
+                      source=f"git archive {against}")
+
+
 def _load_tree(root, name):
     """The package `<root>/src/metric_rec` imported as `name`, beside `metric_rec`;
     its modules import one another relatively, so each tree keeps its own."""
@@ -135,7 +166,7 @@ def _load_tree(root, name):
         name, init, submodule_search_locations=[os.path.dirname(init)])
     package = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(package)
-    for module in ("dataset", "evaluation", "models", "params", "training"):
+    for module in ("cli", "dataset", "evaluation", "models", "params", "training"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -292,6 +323,44 @@ def _prepare_groups(metric_rec, rng, tmp):
                  "V": v}, lambda: metric_rec.dataset.prepare(tsv, out, seed=1))]
 
 
+def _cli(cli, *args):
+    """Run `metric-rec <args>` in-process, as perfbench runs its commands,
+    without its output; a refusal exits."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main.main(args=[str(a) for a in args], prog_name="metric-rec", standalone_mode=False)
+
+
+def _serve_groups(metric_rec, rng, tmp):
+    """One group per corpus, perfbench `serve`'s and the 102,000-row one:
+    `evaluate` at seed 1 and a top-10 `recommend` of one playlist, through
+    `cli.main`, of a MASR manifest over perfbench `serve`'s MDR and MASS
+    checkpoints, untrained (0 epochs). The timed checkout's own `prepare`
+    and `train` wrote them all."""
+    cli, serve = metric_rec.cli, WORKLOADS["serve"]
+    for n, v, max_len in ((300, 2_000, 30), (3_000, 20_000, 63)):
+        d = os.path.join(tmp, f"serve-{n}")
+        tsv, split = os.path.join(tmp, f"serve-{n}.tsv"), os.path.join(d, "split")
+        corpus.write_tsv(corpus.planted_rows(1, n, v, 5, max_len), tsv)
+        _cli(cli, "prepare", "--input", tsv, "--out", split, "--seed", 1)
+        paths = {}
+        for kind, (config, _) in serve["checkpoints"].items():
+            paths[f"{kind}_checkpoint"] = os.path.join(d, kind, "checkpoint.json")
+            _cli(cli, "train", "--config", write_config(
+                os.path.join(d, f"{kind}.cfg"), split_dir=split, out_dir=os.path.join(d, kind),
+                seed=1, **dict(config, epochs=0)))
+        _cli(cli, "train", "--config", write_config(
+            os.path.join(d, "masr.cfg"), model="masr", out_dir=os.path.join(d, "masr"),
+            alpha=serve["alpha"], **paths))
+        masr, metrics = os.path.join(d, "masr", "masr.json"), os.path.join(d, "metrics.json")
+        shape = {"model": "masr", "playlists": n, "V": v}
+        yield [(dict(shape, layer="cli.evaluate"),
+                lambda: _cli(cli, "evaluate", "--checkpoint", masr, "--split", split,
+                             "--seed", 1, "--out", metrics)),
+               (dict(shape, layer="cli.recommend"),
+                lambda: _cli(cli, "recommend", "--checkpoint", masr, "--split", split,
+                             "--playlist", "p0", "--top", 10))]
+
+
 def _paired_rows(build, trees, seed, tmp):
     """Rows of the groups of calls that `build(package, rng, directory)` yields
     for each of `trees`, a list of (tag, package): each tree's rng is seeded
@@ -322,31 +391,31 @@ def main():
     parser.add_argument("--root", default=os.path.dirname(here),
                         help="checkout whose src/ is timed (default: this one)")
     parser.add_argument("--out", default=here, help="directory for BENCH_<tag>.json")
-    parser.add_argument("--against", help="checkout whose rows are timed interleaved "
-                                          "with <root>'s")
+    parser.add_argument("--against", help="checkout, or git revision of <root>, whose rows "
+                                          "are timed interleaved with <root>'s")
     args = parser.parse_args()
     root = os.path.abspath(args.root)
     sys.path.insert(0, os.path.join(root, "src"))
+    import metric_rec.cli
     import metric_rec.dataset
     import metric_rec.evaluation
     import metric_rec.models
     import metric_rec.params
     import metric_rec.training
 
-    trees = [("root", metric_rec)]
-    if args.against:
-        trees.append(("against", _load_tree(os.path.abspath(args.against), "against_rec")))
+    environment = _environment(root)
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
+        trees = [("root", metric_rec)]
+        if args.against:
+            against, environment["against"] = _against(root, args.against, tmp, parser)
+            trees.append(("against", _load_tree(against, "against_rec")))
         for tag, _ in trees:
             os.mkdir(os.path.join(tmp, tag))
         rows = [row for seed, build in enumerate((_model_groups, _sampler_groups,
                                                   _split_consumer_groups, _split_dir_groups,
-                                                  _prepare_groups))
+                                                  _prepare_groups, _serve_groups))
                 for row in _paired_rows(build, trees, seed, tmp)]
-    environment = _environment(root)
-    if args.against:
-        environment["against"] = _environment(os.path.abspath(args.against))
     doc = {"tag": args.tag, "environment": environment,
            "seconds": round(time.perf_counter() - t0, 1), "rows": rows}
     path = os.path.join(args.out, f"BENCH_{args.tag}.json")

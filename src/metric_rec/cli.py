@@ -265,9 +265,9 @@ def recommend(checkpoint, playlist_id, top, split_dir):
         scorer, _, parts = _load_model(checkpoint)
         catalog, split = dataset.load_split_dir(split_dir)
         _check_catalog(parts, catalog)
-        if playlist_id not in catalog.playlists:
+        p = catalog.playlists.get(playlist_id)
+        if p is None:
             _fail(f"unknown playlist id: {playlist_id}")
-        p = catalog.playlists[playlist_id]
         start, end = split.offsets[p:p + 2]
         if start == end:
             _fail(f"playlist {playlist_id} has no entry in the split under {split_dir}")
@@ -278,11 +278,8 @@ def recommend(checkpoint, playlist_id, top, split_dir):
         if not np.isfinite(scores).all():
             _fail(f"{checkpoint}: the model scores a candidate song as inf or nan")
         order = np.lexsort((candidates, scores))[:top]
-        top_songs = candidates[order].tolist()
-        wanted = set(top_songs)
-        ids = {i: song_id for song_id, i in catalog.songs.items() if i in wanted}
-        for song, score in zip(top_songs, scores[order]):
-            click.echo(f"{ids[song]}\t{score:.6f}")
+        for song_id, score in zip(catalog.song_ids(candidates[order]), scores[order]):
+            click.echo(f"{song_id}\t{score:.6f}")
     except (OSError, ValueError) as exc:
         _fail(exc)
 

@@ -17,7 +17,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, pairwise, repeat
 
 import numpy as np
@@ -33,33 +33,74 @@ ARENA_MAGIC = b"MRARENA2"
 _COPY_CHUNK = 1 << 16
 # the split companion `prepare` writes beside catalog.json and split.json
 SPLIT_ARENA = "split.json.arena"
+# a catalog's id -> index maps, in their order in its files
+_MAP_KEYS = ("users", "playlists", "songs")
 
 
-@dataclass
+def _id_map(key):
+    """The `Catalog` property of the map `key`: its id -> index dict, built on
+    first use from the ids and indices a split companion gave."""
+    def get(catalog):
+        table = catalog._maps[key]
+        if type(table) is tuple:
+            ids, indices = table
+            table = catalog._maps[key] = dict(zip(ids, indices.tolist()))
+        return table
+
+    def put(catalog, table):
+        catalog._maps[key] = table
+
+    return property(get, put)
+
+
 class Catalog:
     """Bijections between external ids and dense indices.
 
-    Users and playlists are indexed from 0; songs from 1 (0 is padding).
+    Users and playlists are indexed from 0; songs from 1 (0 is padding). Each
+    map is an id -> index dict, or a pair (list of ids, int64 array of their
+    indices) from which the dict is built on its first use; sizes and
+    `song_ids` read the pair as it is. Catalogs are equal when their dicts are.
     """
 
-    users: dict = field(default_factory=dict)
-    playlists: dict = field(default_factory=dict)
-    songs: dict = field(default_factory=dict)
-    # `fingerprint()` as a split companion stores it, set only by the
-    # companion's loader; "" when it is to be computed
-    stored_fingerprint: str = field(default="", init=False, compare=False, repr=False)
+    users = _id_map("users")
+    playlists = _id_map("playlists")
+    songs = _id_map("songs")
+
+    def __init__(self, users=None, playlists=None, songs=None):
+        self._maps = {key: {} if table is None else table
+                      for key, table in zip(_MAP_KEYS, (users, playlists, songs))}
+        # `fingerprint()` as a split companion stores it, set only by the
+        # companion's loader; "" when it is to be computed
+        self.stored_fingerprint = ""
+
+    def __eq__(self, other):
+        return isinstance(other, Catalog) and all(
+            getattr(self, key) == getattr(other, key) for key in _MAP_KEYS)
+
+    def _size(self, key):
+        table = self._maps[key]
+        return len(table[0] if type(table) is tuple else table)
 
     @property
     def num_users(self):
-        return len(self.users)
+        return self._size("users")
 
     @property
     def num_playlists(self):
-        return len(self.playlists)
+        return self._size("playlists")
 
     @property
     def num_songs(self):
-        return len(self.songs)
+        return self._size("songs")
+
+    def song_ids(self, songs):
+        """The ids of the song indices of the int array `songs`, in its order."""
+        table = self._maps["songs"]
+        ids, indices = table if type(table) is tuple else (
+            list(table), np.fromiter(table.values(), np.int64, len(table)))
+        position = np.empty(len(ids) + 1, dtype=np.int64)
+        position[indices] = np.arange(len(ids))
+        return list(map(ids.__getitem__, position[songs].tolist()))
 
     def inverse(self):
         inv_u = {v: k for k, v in self.users.items()}
@@ -151,9 +192,28 @@ def check_split(rows, songs, num_users, num_playlists, num_songs):
     empty train list or a song outside 1..num_songs; `dev`, then `test`, a
     song outside 1..num_songs; then `dev`, then `test`, a song in the train
     list. No entry gives (None, "top level").
+
+    A split without a fault is accepted by whole-array tests; only one that
+    fails them is searched, entry by entry, for its first fault.
     """
     if not len(rows):
         return None, "top level"
+    playlist, owner, dev, test, ends = rows.T
+    counts = np.diff(ends, prepend=0)
+    if (playlist.min() >= 0 and playlist.max() < num_playlists
+            and owner.min() >= 0 and owner.max() < num_users
+            and counts.min() > 0 and songs.min() >= 1 and songs.max() <= num_songs
+            and min(dev.min(), test.min()) >= 1 and max(dev.max(), test.max()) <= num_songs
+            and np.bincount(playlist).max() == 1
+            and not (np.repeat(dev, counts) == songs).any()
+            and not (np.repeat(test, counts) == songs).any()):
+        return None
+    return _first_fault(rows, songs, num_users, num_playlists, num_songs)
+
+
+def _first_fault(rows, songs, num_users, num_playlists, num_songs):
+    """`check_split`'s result for `rows`, which hold at least one entry, found
+    by testing every entry for every fault."""
     playlist, owner, dev, test, ends = rows.T
     counts = np.diff(ends, prepend=0)
     entry = np.repeat(np.arange(len(rows)), counts)
@@ -303,14 +363,46 @@ def songs_outside(full_set, num_songs):
     return np.flatnonzero(keep)
 
 
-def sample_negatives(full_set, num_songs, count, rng):
-    """Uniform draw of `count` distinct non-member songs (never the padding 0)."""
-    pool = songs_outside(full_set, num_songs)
-    if len(pool) < count:
-        raise ValueError(
-            f"candidate pool has {len(pool)} songs, need {count}"
-        )
-    return rng.choice(pool, size=count, replace=False)
+def negative_pools(split, num_songs):
+    """(sizes, gaps) of each playlist's negative pool, the songs 1..V outside
+    its full set e_0 < e_1 < ... (see `SplitDataset.full_sets`).
+
+    g_i = e_i - i - 1 is the number of pool songs below e_i, and pool rank r
+    (0-based) is song r + 1 + #{i : g_i <= r}. Row p of `gaps` holds p's
+    g_i, padded with V to the longest full set and raised by p (V + 1), so
+    that the table ascends as one flat array (see `pool_songs`).
+    """
+    offsets, full = split.full_sets(num_songs)
+    full_sizes = np.diff(offsets)
+    playlists = np.arange(len(full_sizes))
+    gaps = np.full((len(playlists), full_sizes.max(initial=0)), num_songs, dtype=np.int64)
+    # g_i = e_i - i - 1, i counted within each row
+    gaps[np.arange(gaps.shape[1]) < full_sizes[:, None]] = (
+        full - np.arange(len(full)) + np.repeat(offsets[:-1], full_sizes) - 1)
+    gaps += (playlists * (num_songs + 1))[:, None]
+    return num_songs - full_sizes, gaps
+
+
+def pool_songs(gaps, num_songs, playlists, ranks):
+    """(B, k) songs of the pool ranks `ranks`, row i's in the pool of playlist
+    `playlists[i]`, whose raised `gaps` `negative_pools` gave: for rank r of
+    playlist p, one `np.searchsorted` of r + p (V + 1) in the flat table
+    counts the gaps at or below r, less p times the row length."""
+    songs = np.searchsorted(gaps.ravel(), ranks + (playlists * (num_songs + 1))[:, None],
+                            side="right")
+    songs -= (playlists * gaps.shape[1] - 1)[:, None]
+    songs += ranks
+    return songs
+
+
+def sample_negatives(pool_size, count, rng):
+    """`count` distinct ranks of a pool of `pool_size` songs, drawn uniformly:
+    `rng.choice(pool_size, count, replace=False)`. The songs of those ranks
+    in the ascending pool are the songs `rng.choice` draws from the pool's
+    array, bit for bit (see `pool_songs`)."""
+    if pool_size < count:
+        raise ValueError(f"candidate pool has {pool_size} songs, need {count}")
+    return rng.choice(pool_size, size=count, replace=False)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +492,8 @@ def read_arena(path, sources, dtype, build):
     or None.
 
     `sources` maps each header key of a copy to the path of the live file it
-    must equal. `values` is the payload as a flat read-only `dtype` array.
+    must equal. `values` is the payload, read straight into a flat, aligned
+    and writable `dtype` array of its own.
     The result is None when a file cannot be read, the magic is not
     `ARENA_MAGIC`, the header does not parse, a stored copy is not exactly
     the bytes of its live file (the arena was written for other files), the
@@ -423,13 +516,17 @@ def read_arena(path, sources, dtype, build):
             if not all(type(n) is int and n >= 0 for n in sizes) or total - sum(sizes) < start:
                 return None
             f.seek(start)
-            payload = f.read(total - sum(sizes) - start)
+            size = total - sum(sizes) - start
+            values = np.empty(size // np.dtype(dtype).itemsize, dtype)
+            # the CRC-32 reads the payload while it is still in cache from its read
+            if (values.nbytes != size or f.readinto(values) != size
+                    or crc != zlib.crc32(values, zlib.crc32(_header_json(header)))):
+                return None
             # one pair of buffers for every copy, no longer than the longest copy
             buffers = [bytearray(min(max(sizes, default=0), _COPY_CHUNK)) for _ in range(2)]
-            if (not all(_same_bytes(f, sources[key], n, *buffers) for key, n in zip(keys, sizes))
-                    or crc != zlib.crc32(payload, zlib.crc32(_header_json(header)))):
+            if not all(_same_bytes(f, sources[key], n, *buffers) for key, n in zip(keys, sizes)):
                 return None
-        return build(header, np.frombuffer(payload, dtype))
+        return build(header, values)
     except (OSError, struct.error, ValueError, LookupError, TypeError, AttributeError):
         # Derived data that cannot be read (a missing file, a truncated or
         # altered one, a header of another layout) is not used: the caller
@@ -606,7 +703,8 @@ def load_split_dir(split_dir):
     two files, whose payload has the length its header implies, and which
     passes every check of `load_catalog` and `check_split`, the result is
     built from it without parsing either file, and the catalog keeps the
-    companion's fingerprint. It then equals what the JSON gives, the
+    companion's fingerprint and each map's ids and indices, whose dict is
+    built only when it is used. It then equals what the JSON gives, the
     catalog's dict order included. In every other case the JSON is parsed,
     with its own errors. Nothing is written.
     """
@@ -626,16 +724,17 @@ def _split_from_arena(header, values):
     `values`, or None unless they pass the vectorised form of the checks of
     `load_catalog` (ids each once, dense indices) and `check_split`."""
     maps, offset = {}, 0
-    for key, first in (("users", 0), ("playlists", 0), ("songs", 1)):
+    for key, first in zip(_MAP_KEYS, (0, 0, 1)):
         ids = header[key]
         indices = values[offset:offset + len(ids)]
         offset += len(ids)
-        if (type(ids) is not list or not set(map(type, ids)) <= {str}
+        if type(ids) is not list:
+            return None
+        "".join(ids)  # raises TypeError, which refuses the companion, for an id that is no string
+        if (len(set(ids)) != len(ids)  # an id given twice
                 or not np.array_equal(np.sort(indices), np.arange(first, first + len(ids)))):
             return None
-        maps[key] = dict(zip(ids, indices.tolist()))
-        if len(maps[key]) != len(ids):  # an id given twice
-            return None
+        maps[key] = ids, indices
     n, fingerprint = header["entries"], header["catalog_fingerprint"]
     if type(n) is not int or n < 0 or type(fingerprint) is not str:
         return None
@@ -644,10 +743,9 @@ def _split_from_arena(header, values):
     # the offsets are compared, not subtracted, so a count that wraps around
     # int64 is never used
     if (n and (np.any(ends < np.append(0, ends[:-1])) or ends[-1] != len(songs))
-            or check_split(rows, songs, len(maps["users"]), len(maps["playlists"]),
-                           len(maps["songs"]))):
+            or check_split(rows, songs, *(len(ids) for ids, _ in maps.values()))):
         return None
-    catalog = Catalog(**maps)
+    catalog = Catalog(**maps)  # its dicts are built when first used
     catalog.stored_fingerprint = fingerprint
     return catalog, split_from_rows(rows, songs, catalog.num_playlists)
 

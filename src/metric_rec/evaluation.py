@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .dataset import sample_negatives
+from .dataset import negative_pools, pool_songs, sample_negatives
 from .models import ScoreBatch
 
 DEFAULT_NUM_NEGATIVES = 100
@@ -43,24 +43,26 @@ def held_out(split, num_songs, seed=0, which="test", num_negatives=DEFAULT_NUM_N
     """Candidate lists of every dev or test playlist, in playlist order.
 
     Row i's `songs` are the held-out song followed by `num_negatives`
-    non-member songs drawn from the (seed, playlist) stream.
+    non-member songs drawn from the (seed, playlist) stream: the pool ranks
+    `sample_negatives` draws from it, mapped to songs all at once.
     """
     held = split.dev if which == "dev" else split.test
     playlists = np.flatnonzero(held)
     if not len(playlists):
         raise ValueError("empty evaluation set")
-    offsets, full = split.full_sets(num_songs)
+    pool_sizes, gaps = negative_pools(split, num_songs)
+    sizes = pool_sizes[playlists]
+    if sizes.min() < num_negatives:
+        i = int(np.argmax(sizes < num_negatives))
+        raise ValueError(
+            f"the {which} evaluation needs {num_negatives} sampled negative songs per "
+            f"playlist, but playlist index {playlists[i]} has only {sizes[i]} songs outside it"
+        )
     songs = np.empty((len(playlists), 1 + num_negatives), dtype=np.int64)
     songs[:, 0] = held[playlists]
-    for i, p in enumerate(playlists.tolist()):
-        outside = num_songs - (offsets[p + 1] - offsets[p])
-        if outside < num_negatives:
-            raise ValueError(
-                f"the {which} evaluation needs {num_negatives} sampled negative songs per "
-                f"playlist, but playlist index {p} has only {outside} songs outside it"
-            )
-        songs[i, 1:] = sample_negatives(full[offsets[p]:offsets[p + 1]], num_songs,
-                                        num_negatives, np.random.default_rng([seed, p]))
+    for i, (p, size) in enumerate(zip(playlists.tolist(), sizes.tolist())):
+        songs[i, 1:] = sample_negatives(size, num_negatives, np.random.default_rng([seed, p]))
+    songs[:, 1:] = pool_songs(gaps, num_songs, playlists, songs[:, 1:])  # ranks to songs
     return context_batch(split, playlists, songs)
 
 

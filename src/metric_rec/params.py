@@ -44,10 +44,14 @@ class Arena(dict):
     """
 
     def __init__(self, shapes, flat=None):
+        """The tensors of the name -> shape map `shapes` over `flat`, a flat
+        float64 array of exactly their values (default: zeros)."""
         super().__init__()
         self.layout = tuple((name, tuple(shape)) for name, shape in shapes.items())
         sizes = [math.prod(shape) for _, shape in self.layout]
         self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        if self.flat.size != sum(sizes):
+            raise ValueError(f"the tensors hold {sum(sizes)} values, the buffer {self.flat.size}")
         offset = 0
         for (name, shape), size in zip(self.layout, sizes):
             super().__setitem__(name, self.flat[offset:offset + size].reshape(shape))
@@ -246,45 +250,51 @@ def read_checkpoint(path):
     parse. Nothing is written.
     """
     loaded = read_arena(os.fspath(path) + ".arena", {"json_size": path}, "<f8",
-                        lambda header, values: checkpoint_from_doc(_with_values(header, values),
-                                                                   path))
+                        lambda header, values: _checkpoint_from_arena(header, values, path))
     if loaded:
         return loaded, None
     with open(path, "rb") as f:  # the JSON decides, with its own message if it fails too
         return None, parse_json(f.read(), path)
 
 
-def _with_values(doc, values):
-    """The checkpoint header `doc` with each tensor's `values`, its slice of
-    the arena file's float64 payload `values`, in the arena's order (the
-    header's keys are sorted). Raises ValueError unless the payload holds
-    exactly the values the header's model implies."""
-    offset = 0
-    for name, shape in tensor_shapes(ModelParams(**doc["model"])).items():
-        n = math.prod(shape)
-        doc["tensors"][name]["values"] = values[offset:offset + n]
-        offset += n
-    if offset != values.size:
-        raise ValueError("the arena file's payload does not match its header")
-    return doc
+def _checkpoint_from_arena(header, values, path):
+    """`checkpoint_from_doc`'s result for an arena file's `header`, whose
+    tensors hold their shapes and no values, and its float64 payload
+    `values`, which becomes the parameter arena's buffer: every tensor is a
+    view of it. None when a value is not finite. Raises ValueError where
+    `checkpoint_from_doc` would for the header, and unless `values` holds
+    exactly the values the header implies."""
+    params, shapes = _header_params(header, path)
+    for name, spec in header["tensors"].items():
+        _check_tensor_spec(path, name, spec, shapes[name], keys=("shape",))
+    params.tensors = Arena(shapes, values)
+    try:
+        params.check_finite()
+    except FloatingPointError:
+        return None
+    return params, header.get("hyperparams", {}), header.get("seed", 0)
 
 
-def _check_tensor_spec(path, name, spec):
-    """Refuse a tensor entry that is not an object holding a `shape` list and a
-    `values` list or flat float64 array."""
+def _check_tensor_spec(path, name, spec, shape, keys=("shape", "values")):
+    """Refuse a tensor entry that is not an object holding each of `keys`: a
+    `shape` list of the integers `shape`, and a `values` list of as many
+    values as `shape` implies."""
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: tensors.{name}: a tensor is a JSON object, "
                          f"this one is a {type(spec).__name__}")
-    for key in ("shape", "values"):
+    for key in keys:
         if key not in spec:
             raise ValueError(f"{path}: tensors.{name}.{key}: missing")
-        if key == "values" and isinstance(spec[key], np.ndarray):
-            if spec[key].dtype != np.float64 or spec[key].ndim != 1:
-                raise ValueError(f"{path}: tensors.{name}.values: must be a flat float64 "
-                                 f"array, got {spec[key].dtype} of shape {spec[key].shape}")
-        elif not isinstance(spec[key], list):
+        if not isinstance(spec[key], list):
             raise ValueError(f"{path}: tensors.{name}.{key}: must be a JSON array, "
                              f"got {type(spec[key]).__name__}")
+    if not all(type(n) is int for n in spec["shape"]):
+        raise ValueError(f"{path}: tensors.{name}.shape: must be integers only, "
+                         f"got {spec['shape']!r}")
+    size = len(spec["values"]) if "values" in keys else math.prod(shape)
+    if tuple(spec["shape"]) != shape or size != math.prod(shape):
+        raise ValueError(f"{path}: tensor {name} has shape {spec['shape']} and "
+                         f"{size} values, the header implies {list(shape)}")
 
 
 def checkpoint_from_doc(doc, path):
@@ -294,10 +304,39 @@ def checkpoint_from_doc(doc, path):
     older versions wrote still load. The tensors must be exactly those the
     header's kind, variant, attention and bias imply, each an object with a
     `shape` list of integers and a flat `values` list of numbers (not
-    booleans) or flat float64 array, with the shapes its sizes imply and
-    finite values; otherwise this raises ValueError naming the file and the
-    field.
+    booleans), with the shapes its sizes imply and finite values; otherwise
+    this raises ValueError naming the file and the field.
     """
+    params, shapes = _header_params(doc, path)
+    params.tensors = Arena(shapes)
+    for name, spec in doc["tensors"].items():
+        _check_tensor_spec(path, name, spec, shapes[name])
+        values, view = spec["values"], params.tensors[name]
+        # the flat list is converted straight into the arena, with no copy between
+        flat = view.reshape(-1)
+        try:
+            flat[...] = values
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: tensors.{name}.values: must be numbers only") from None
+        except OverflowError:  # an integer beyond the float64 range
+            raise ValueError(f"{path}: tensors.{name}.values: holds a number beyond "
+                             f"the float64 range") from None
+        # JSON true and false convert to 1.0 and 0.0, so only the positions
+        # holding those values are looked up in the list, not every value
+        bools = np.flatnonzero((flat == 0) | (flat == 1))
+        for i in bools:
+            if type(values[i]) is bool:
+                raise ValueError(f"{path}: tensors.{name}.values: must be numbers only, "
+                                 f"got {values[i]!r} at position {i}")
+        if not np.isfinite(view).all():
+            raise ValueError(f"{path}: tensor {name} holds a non-finite value")
+    return params, doc.get("hyperparams", {}), doc.get("seed", 0)
+
+
+def _header_params(doc, path):
+    """(ModelParams without tensors, name -> shape of the tensors it implies)
+    of the checkpoint document `doc`, read from `path`; raises ValueError as
+    `checkpoint_from_doc` does for its header and the names of its tensors."""
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level: a checkpoint is a JSON object, "
                          f"this file holds a {type(doc).__name__}")
@@ -325,37 +364,8 @@ def checkpoint_from_doc(doc, path):
         use_bias=m.get("use_bias", True), catalog_sha256=m.get("catalog_sha256", ""),
     )
     _check_header(params, f"{path}: model: ")
-    expected = tensor_shapes(params)
-    if set(doc["tensors"]) != set(expected):
+    shapes = tensor_shapes(params)
+    if set(doc["tensors"]) != set(shapes):
         raise ValueError(f"{path}: tensors {sorted(doc['tensors'])} do not match the "
-                         f"{sorted(expected)} its header implies")
-    params.tensors = Arena(expected)
-    for name, spec in doc["tensors"].items():
-        _check_tensor_spec(path, name, spec)
-        values, view = spec["values"], params.tensors[name]
-        if not all(type(n) is int for n in spec["shape"]):
-            raise ValueError(f"{path}: tensors.{name}.shape: must be integers only, "
-                             f"got {spec['shape']!r}")
-        if tuple(spec["shape"]) != expected[name] or len(values) != view.size:
-            raise ValueError(f"{path}: tensor {name} has shape {spec['shape']} and "
-                             f"{len(values)} values, the header implies "
-                             f"{list(expected[name])}")
-        # the flat list is converted straight into the arena, with no copy between
-        flat = view.reshape(-1)
-        try:
-            flat[...] = values
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: tensors.{name}.values: must be numbers only") from None
-        except OverflowError:  # an integer beyond the float64 range
-            raise ValueError(f"{path}: tensors.{name}.values: holds a number beyond "
-                             f"the float64 range") from None
-        # JSON true and false convert to 1.0 and 0.0, so only the positions
-        # holding those values are looked up in the list, not every value
-        bools = np.flatnonzero((flat == 0) | (flat == 1)) if isinstance(values, list) else ()
-        for i in bools:
-            if type(values[i]) is bool:
-                raise ValueError(f"{path}: tensors.{name}.values: must be numbers only, "
-                                 f"got {values[i]!r} at position {i}")
-        if not np.isfinite(view).all():
-            raise ValueError(f"{path}: tensor {name} holds a non-finite value")
-    return params, doc.get("hyperparams", {}), doc.get("seed", 0)
+                         f"{sorted(shapes)} its header implies")
+    return params, shapes

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .dataset import SplitDataset
+from .dataset import SplitDataset, negative_pools, pool_songs
 from .evaluation import evaluate
 from .models import ScoreBatch
 from .params import REGULARIZED, Arena
@@ -85,13 +85,8 @@ class TrainData:
     Instance i is song i of the split's flat train songs, `split.songs[i]`,
     in playlist `playlists[i]`, owned by `split.owner[playlists[i]]`; a
     minibatch gathers its members from the split's rows (see `_make_batch`).
-
-    Playlist p's pool is the songs 1..V outside its full set e_0 < e_1 < ...;
-    g_i = e_i - i - 1 is the number of pool songs below e_i, and pool rank r
-    (0-based) is song r + 1 + #{i : g_i <= r}. Row p of `gaps` holds p's
-    g_i, padded with V to the longest full set n and raised by p (V + 1).
-    The raised table ascends as one flat array, so for rank r of playlist p
-    the count is one `np.searchsorted` of r + p (V + 1) in it, less p n.
+    Playlist p's pool is the songs 1..V outside its full set, mapped from
+    pool ranks through `gaps` (see `dataset.negative_pools`).
     """
 
     split: SplitDataset
@@ -106,18 +101,11 @@ class TrainData:
 
 def build_train_data(split, num_songs):
     """One instance per (playlist, train song), in the split's train order."""
-    offsets, full = split.full_sets(num_songs)
-    full_sizes = np.diff(offsets)
-    playlists = np.arange(len(full_sizes))
-    gaps = np.full((len(playlists), full_sizes.max(initial=0)), num_songs, dtype=np.int64)
-    # g_i = e_i - i - 1, i counted within each row
-    gaps[np.arange(gaps.shape[1]) < full_sizes[:, None]] = (
-        full - np.arange(len(full)) + np.repeat(offsets[:-1], full_sizes) - 1)
-    gaps += (playlists * (num_songs + 1))[:, None]
+    pool_sizes, gaps = negative_pools(split, num_songs)
     return TrainData(
         split=split,
-        playlists=np.repeat(playlists, np.diff(split.offsets)),
-        pool_sizes=num_songs - full_sizes,
+        playlists=np.repeat(np.arange(len(pool_sizes)), np.diff(split.offsets)),
+        pool_sizes=pool_sizes,
         gaps=gaps,
         num_songs=num_songs,
     )
@@ -264,10 +252,7 @@ def draw_negatives(data, playlists, k, rng):
         for e in np.sort(ranks[:, :j], axis=1).T:
             r += r >= e
         ranks[:, j] = r
-    raised = playlists * (data.num_songs + 1)
-    below = np.searchsorted(data.gaps.ravel(), ranks + raised[:, None], side="right")
-    below -= (playlists * data.gaps.shape[1])[:, None]
-    return ranks + 1 + below
+    return pool_songs(data.gaps, data.num_songs, playlists, ranks)
 
 
 def _make_batch(idx, data, k, rng, members=True):

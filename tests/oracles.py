@@ -15,6 +15,11 @@ package's forward pass, whose gradient the gate checks.
 `hit_at_n` and `ndcg_at_n` are the per-list metrics that
 `evaluation.evaluate` averages over a rank array, one rank at a time.
 
+`sample_negatives` and `held_out_songs` draw each held-out list's negatives
+over the array of the pool's songs, as `evaluation.held_out` did before it
+drew pool ranks; `check_split` tests every split entry for every fault, as
+`dataset.check_split` does for a split that its whole-array tests refuse.
+
 `adam_step` is the optimizer's reference: the bias-corrected Adam update
 applied tensor by tensor to plain dicts, against which the package's
 one-buffer step is checked bit for bit. `row_sums`, `scatter_add` and
@@ -272,6 +277,67 @@ def draw_negatives(pool_sizes, gaps, k, rng):
             r += r >= e
         ranks[:, j] = r
     return ranks + 1 + np.sum(gaps[:, None, :] <= ranks[:, :, None], axis=2)
+
+
+def sample_negatives(full_set, num_songs, count, rng):
+    """`count` distinct songs 1..num_songs outside the collection `full_set`,
+    drawn by `rng.choice` over the ascending array of those songs: the draw
+    whose bits `dataset.sample_negatives`' pool ranks must give."""
+    pool = np.setdiff1d(np.arange(1, num_songs + 1), np.fromiter(full_set, np.int64))
+    if len(pool) < count:
+        raise ValueError(f"candidate pool has {len(pool)} songs, need {count}")
+    return rng.choice(pool, size=count, replace=False)
+
+
+def held_out_songs(split, num_songs, seed=0, which="test", num_negatives=100):
+    """The candidate `songs` of `evaluation.held_out`, or its error: playlist
+    by playlist, the held-out song, then `sample_negatives` over the pool's
+    songs from the (seed, playlist) stream."""
+    held = split.dev if which == "dev" else split.test
+    playlists = np.flatnonzero(held)
+    if not len(playlists):
+        raise ValueError("empty evaluation set")
+    songs = np.empty((len(playlists), 1 + num_negatives), dtype=np.int64)
+    songs[:, 0] = held[playlists]
+    for i, p in enumerate(playlists.tolist()):
+        full = full_set(split, p)
+        if num_songs - len(full) < num_negatives:
+            raise ValueError(
+                f"the {which} evaluation needs {num_negatives} sampled negative songs per "
+                f"playlist, but playlist index {p} has only {num_songs - len(full)} songs "
+                f"outside it")
+        songs[i, 1:] = sample_negatives(full, num_songs, num_negatives,
+                                        np.random.default_rng([seed, p]))
+    return songs
+
+
+def check_split(rows, songs, num_users, num_playlists, num_songs):
+    """`dataset.check_split`'s result, found by testing every entry of `rows`
+    for every fault, in the order that function names them."""
+    if not len(rows):
+        return None, "top level"
+    playlist, owner, dev, test, ends = rows.T
+    counts = np.diff(ends, prepend=0)
+    entry = np.repeat(np.arange(len(rows)), counts)
+    order = np.argsort(playlist, kind="stable")
+    repeated = np.zeros(len(rows), dtype=bool)
+    repeated[order[1:]] = playlist[order[1:]] == playlist[order[:-1]]
+
+    def per_entry(mask):  # the entries with a train song in `mask`
+        return np.bincount(entry[mask], minlength=len(rows)) > 0
+
+    faults = np.column_stack([
+        (playlist < 0) | (playlist >= num_playlists) | repeated,
+        (owner < 0) | (owner >= num_users),
+        (counts == 0) | per_entry((songs < 1) | (songs > num_songs)),
+        (dev < 1) | (dev > num_songs),
+        (test < 1) | (test > num_songs),
+        per_entry(np.repeat(dev, counts) == songs),
+        per_entry(np.repeat(test, counts) == songs),
+    ]).ravel()
+    first = int(np.argmax(faults))  # entry-major: the first entry's first fault
+    fields = ("id", "user", "train", "dev", "test", "dev", "test")
+    return (first // 7, fields[first % 7]) if faults[first] else None
 
 
 def bpr_loss(pos_scores, neg_scores, params=None, lambda_theta=0.0):

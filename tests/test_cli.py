@@ -289,6 +289,29 @@ def test_recommend_lists_top_songs(workspace):
     assert song.startswith("s")
 
 
+def test_recommend_names_the_catalog_ids_of_its_top_songs_from_either_split_source(workspace,
+                                                                                   tmp_path):
+    """The printed ids are catalog.json's ids of the best-scored songs outside
+    the playlist, through the split companion's id arrays or through the
+    JSON's map alike."""
+    ckpt = workspace / "mdr" / "checkpoint.json"
+    catalog = json.loads((workspace / "splits" / "catalog.json").read_text(encoding="utf-8"))
+    ids = {index: song_id for song_id, index in catalog["songs"].items()}
+    params, _, _ = params_mod.load_checkpoint(str(ckpt))
+    _, split = dataset.load_split_dir(str(workspace / "splits"))
+    p = catalog["playlists"]["p0"]
+    candidates = np.setdiff1d(np.arange(1, len(ids) + 1), sorted(oracles.full_set(split, p)))
+    scores = [oracles.mdr_score(params, split.owner[p], p, song) for song in candidates]
+    want = [ids[song] for song in candidates[np.lexsort((candidates, scores))[:5]].tolist()]
+    json_only = tmp_path / "splits"
+    shutil.copytree(workspace / "splits", json_only)
+    (json_only / "split.json.arena").unlink()
+    for split_dir in (workspace / "splits", json_only):
+        result = _run(["recommend", "--checkpoint", str(ckpt), "--split", str(split_dir),
+                       "--playlist", "p0", "--top", "5"])
+        assert [line.split("\t")[0] for line in result.output.splitlines()] == want
+
+
 def _single_error_line(result):
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.output

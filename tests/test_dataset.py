@@ -226,34 +226,50 @@ def test_songs_outside_matches_setdiff1d_reference():
 
 def test_sample_negatives_contract():
     rng = np.random.default_rng(0)
-    full = {2, 5}
-    out = dataset.sample_negatives(full, num_songs=200, count=100, rng=rng)
-    assert len(out) == 100
+    out = dataset.sample_negatives(198, count=100, rng=rng)
+    assert out.dtype == np.int64 and len(out) == 100
     assert len(np.unique(out)) == 100
-    assert not (set(out.tolist()) & full)
-    assert 0 not in out
+    assert out.min() >= 0 and out.max() < 198
+    # as ranks of the pool of songs 1..200 outside {2, 5}, they name pool songs
+    songs = dataset.songs_outside({2, 5}, 200)[out]
+    assert not (set(songs.tolist()) & {0, 2, 5})
 
 
 def test_sample_negatives_pool_too_small():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        dataset.sample_negatives({1, 2}, num_songs=4, count=3, rng=rng)
+    with pytest.raises(ValueError, match="candidate pool has 2 songs, need 3"):
+        dataset.sample_negatives(2, count=3, rng=rng)
 
 
 def test_sample_negatives_uniform():
     rng = np.random.default_rng(1)
-    full = {1, 2, 3}
-    pool_size = 10  # songs 4..13
+    pool_size = 10
     trials = 100000
     counts = {}
-    draws = [dataset.sample_negatives(full, 13, 1, rng)[0] for _ in range(trials)]
+    draws = [dataset.sample_negatives(pool_size, 1, rng)[0] for _ in range(trials)]
     for d in draws:
         counts[int(d)] = counts.get(int(d), 0) + 1
     expected = trials / pool_size
     sigma = np.sqrt(trials * (1 / pool_size) * (1 - 1 / pool_size))
-    assert set(counts) == set(range(4, 14))
+    assert set(counts) == set(range(pool_size))
     for c in counts.values():
         assert abs(c - expected) < 3 * sigma
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(num_songs=st.one_of(st.integers(1, 300), st.sampled_from([2_000, 20_000])),
+       data=st.data(), seed=st.integers(0, 2 ** 64 - 1))
+def test_sample_negatives_ranks_give_the_bits_of_a_draw_over_the_pool(num_songs, data, seed):
+    """The pool's songs at the drawn ranks are the songs `rng.choice` draws
+    from the pool's array, and the stream is left in the same state."""
+    full = data.draw(st.sets(st.integers(0, num_songs), max_size=min(num_songs, 80)))
+    pool = dataset.songs_outside(full, num_songs)
+    count = data.draw(st.integers(0, min(len(pool), 150)))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = pool[dataset.sample_negatives(len(pool), count, rng)]
+    want = oracles.sample_negatives(full, num_songs, count, ref_rng)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_catalog_roundtrip(tmp_path):
@@ -352,6 +368,53 @@ def _set_rows(*edits):
         "dev-before-test", "test-in-train", "test-outside-before-dev-in-train"])
 def test_check_split_names_the_first_bad_entry_and_its_first_bad_field(edits, fault):
     assert dataset.check_split(*_set_rows(*edits), 2, 3, 5) == fault
+
+
+_FAULTS = ("id-outside", "id-twice", "user", "empty-train", "song-outside", "dev-outside",
+           "test-outside", "dev-in-train", "test-in-train")
+
+
+@st.composite
+def _split_rows(draw):
+    """(rows, songs, num_users, num_playlists, num_songs): split entries over
+    a small catalog, valid but for up to three faults of any kind, each on
+    an entry of its own or on one another fault has already touched."""
+    num_users, num_playlists, num_songs = (draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+                                           draw(st.integers(3, 9)))
+    playlists = draw(st.permutations(range(num_playlists)))[:draw(st.integers(1, num_playlists))]
+    entries = []
+    for p in playlists:
+        songs = draw(st.permutations(range(1, num_songs + 1)))
+        size = draw(st.integers(1, num_songs - 2))
+        entries.append([p, draw(st.integers(0, num_users - 1)), songs[size], songs[size + 1],
+                        songs[:size]])
+    outside = st.sampled_from([-2 ** 63, -1, 0, num_songs + 1, 2 ** 63 - 1])
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=3)):
+        entry = draw(st.sampled_from(entries))
+        if fault == "id-outside":
+            entry[0] = draw(st.sampled_from([-2 ** 63, -1, num_playlists, 2 ** 63 - 1]))
+        elif fault == "id-twice":
+            entry[0] = draw(st.sampled_from(entries))[0]
+        elif fault == "user":
+            entry[1] = draw(st.sampled_from([-2 ** 63, -1, num_users, 2 ** 63 - 1]))
+        elif fault == "empty-train":
+            entry[4] = []
+        elif fault == "song-outside" and entry[4]:
+            entry[4][draw(st.integers(0, len(entry[4]) - 1))] = draw(outside)
+        elif fault in ("dev-outside", "test-outside"):
+            entry[2 + fault.startswith("test")] = draw(outside)
+        elif fault in ("dev-in-train", "test-in-train") and entry[4]:
+            entry[2 + fault.startswith("test")] = draw(st.sampled_from(entry[4]))
+    rows = np.array([entry[:4] + [0] for entry in entries], dtype=np.int64)
+    rows[:, 4] = np.cumsum([len(entry[4]) for entry in entries])
+    songs = np.array([song for entry in entries for song in entry[4]], dtype=np.int64)
+    return rows, songs, num_users, num_playlists, num_songs
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(split=_split_rows())
+def test_check_split_gives_what_the_entry_by_entry_locator_gives(split):
+    assert dataset.check_split(*split) == oracles.check_split(*split)
 
 
 def test_check_split_refuses_a_split_of_no_entry():

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import synthetic
@@ -233,3 +235,40 @@ def test_context_batch_pads_members():
     np.testing.assert_array_equal(batch.users, [split.owner[1], split.owner[0]])
     np.testing.assert_array_equal(batch.playlists, [1, 0])
     np.testing.assert_array_equal(batch.songs, [[5], [6]])
+
+
+@st.composite
+def _held_out_cases(draw):
+    """(split, num_songs, seed, which, num_negatives): up to 6 playlists over
+    a few songs or over 2,000 or 20,000, some without an entry or a held-out
+    song, train lists that may repeat a song, and at times more negatives
+    than a pool holds."""
+    num_songs = draw(st.one_of(st.integers(3, 40), st.sampled_from([2_000, 20_000])))
+    num_playlists = draw(st.integers(1, 6))
+    train, owner, dev, test = {}, {}, {}, {}
+    for p in draw(st.lists(st.integers(0, num_playlists - 1), min_size=1, unique=True)):
+        songs = draw(st.lists(st.integers(1, num_songs), min_size=3,
+                              max_size=min(num_songs, 30), unique=True))
+        train[p] = songs[2:] + draw(st.lists(st.sampled_from(songs[2:]), max_size=2))
+        owner[p] = draw(st.integers(0, 3))
+        dev[p], test[p] = (draw(st.sampled_from([song, song, song, 0])) for song in songs[:2])
+    split = synthetic.split_of(num_playlists, train, owner, dev, test)
+    num_negatives = draw(st.one_of(st.integers(0, num_songs), st.sampled_from([1, 100])))
+    return (split, num_songs, draw(st.integers(0, 2 ** 64 - 1)),
+            draw(st.sampled_from(["dev", "test"])), num_negatives)
+
+
+def _songs_or_error(draw):
+    try:
+        return draw().tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_held_out_cases())
+def test_held_out_draws_the_songs_of_the_per_playlist_draw_over_each_pool(case):
+    """Pool ranks mapped to songs in one pass give, bit for bit, the lists
+    that `rng.choice` over each pool's songs gave, and the same refusals."""
+    got = _songs_or_error(lambda: evaluation.held_out(*case).songs)
+    assert got == _songs_or_error(lambda: oracles.held_out_songs(*case))

@@ -87,6 +87,14 @@ def test_arena_refuses_a_new_name_or_shape():
     assert p.tensors.flat.tobytes() == before.tobytes()
 
 
+def test_arena_refuses_a_buffer_of_another_size():
+    shapes = {"S": (3, 2), "theta": (3,)}
+    assert params_mod.Arena(shapes, np.arange(9.0))["theta"].tolist() == [6.0, 7.0, 8.0]
+    for size in (8, 10):
+        with pytest.raises(ValueError, match="the tensors hold 9 values"):
+            params_mod.Arena(shapes, np.zeros(size))
+
+
 def test_copy_is_independent_of_its_source():
     p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(3), attention="mem_dot")
     q = p.copy()
@@ -369,6 +377,25 @@ def test_companion_loads_the_tensors_of_the_json_bit_identically(tmp_path, monke
         {k: v for k, v in vars(ref).items() if k != "tensors"}
     assert back.tensors.layout == ref.tensors.layout == p.tensors.layout
     assert back.tensors.flat.tobytes() == ref.tensors.flat.tobytes() == p.tensors.flat.tobytes()
+
+
+def test_arena_loaded_tensors_are_writable_views_of_one_read_buffer(tmp_path, monkeypatch):
+    p = params_mod.init_mass(3, 4, 5, 2, np.random.default_rng(13), variant="ups",
+                             attention="mem_metric")
+    path = tmp_path / "ckpt.json"
+    params_mod.save_checkpoint(p, path)
+    parses = _count_json_parses(monkeypatch)
+    back, _, _ = params_mod.load_checkpoint(path)
+    assert parses == []
+    flat = back.tensors.flat
+    # the buffer the payload was read into, not a view or a copy of another one
+    assert flat.base is None and flat.dtype == np.float64
+    assert flat.flags.writeable and flat.flags.aligned and flat.flags.c_contiguous
+    assert all(np.shares_memory(t, flat) and t.flags.writeable for t in back.tensors.values())
+    back.tensors["U"][1, 0] = 7.0
+    offset = back.tensors["S"].size
+    assert flat[offset + back.tensors["U"].shape[1]] == 7.0
+    assert flat.tobytes() != p.tensors.flat.tobytes()
 
 
 def test_companion_bytes_do_not_depend_on_the_time_or_the_file_name(tmp_path, monkeypatch):
