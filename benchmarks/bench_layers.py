@@ -28,7 +28,8 @@ Rows, at V in {2,000; 20,000} songs with V / 4 users and V / 4 playlists:
 - `dataset.prepare`, from the TSV to the three files of a split directory, on
   the perfbench `train-mdr` corpus at seed 1 (300 playlists of 5-30 songs
   over 2,000 songs, 5,250 rows) and on one of 3,000 playlists of 5-63 songs
-  over 20,000 songs (102,000 rows), each its own group;
+  over 20,000 songs (102,000 rows), each its own group, with
+  `dataset.leave_one_out`, the split of `prepare`'s indexed rows, beside it;
 - `cli.evaluate` and `cli.recommend`, end to end: `evaluate` and a top-10
   `recommend` of a MASR manifest, run in-process through `cli.main` as
   perfbench runs them, over perfbench `serve`'s MDR `ups` and MASS `us`
@@ -313,14 +314,19 @@ def _split_dir_groups(metric_rec, rng, tmp):
 
 def _prepare_groups(metric_rec, rng, tmp):
     """One group per corpus: `dataset.prepare` of the train-mdr corpus and of
-    the 102,000-row one."""
+    the 102,000-row one, and its `dataset.leave_one_out` of the same rows."""
+    dataset = metric_rec.dataset
     for n, v, max_len in ((300, 2_000, 30), (3_000, 20_000, 63)):
         rows = corpus.planted_rows(1, n, v, 5, max_len)
         tsv = os.path.join(tmp, f"prepare-{n}.tsv")
         corpus.write_tsv(rows, tsv)
         out = os.path.join(tmp, f"prepare-{n}")
-        yield [({"layer": "dataset.prepare", "model": "", "playlists": n, "rows": len(rows),
-                 "V": v}, lambda: metric_rec.dataset.prepare(tsv, out, seed=1))]
+        catalog, codes = dataset.index_interactions(*dataset.read_interactions(tsv))
+        shape = {"model": "", "playlists": n, "rows": len(rows), "V": v}
+        yield [(dict(shape, layer="dataset.prepare"),
+                lambda: dataset.prepare(tsv, out, seed=1)),
+               (dict(shape, layer="dataset.leave_one_out"),
+                lambda: dataset.leave_one_out(catalog, codes, 1))]
 
 
 def _cli(cli, *args):

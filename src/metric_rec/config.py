@@ -70,8 +70,9 @@ class RunConfig:
 
 
 def parse_config(path):
-    """Read and validate a config file."""
-    raw = {}
+    """Read and validate a config file. A key given twice is refused, not
+    overridden by its last line."""
+    raw, lines = {}, {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
@@ -80,7 +81,10 @@ def parse_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}: malformed config line {lineno}: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            raw[key] = value
+            if key in raw:
+                raise ValueError(f"{path}: config key {key} repeated on lines "
+                                 f"{lines[key]} and {lineno}")
+            raw[key], lines[key] = value, lineno
 
     values = {k: default for k, (_, default) in _SCHEMA.items()}
     for key, value in raw.items():

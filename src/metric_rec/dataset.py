@@ -330,9 +330,12 @@ def _renumber(ids, codes, start):
 def leave_one_out(catalog, rows, seed):
     """The SplitDataset of `index_interactions`' `catalog` and `rows`: each
     playlist's songs in row order, owned by the user of its last row, less
-    two held out by one `default_rng(seed)` stream, drawn playlist by
-    playlist in index order: of a playlist of n songs,
-    `rng.choice(n, 2, replace=False)` picks the test song, then the dev song.
+    two held out by one `default_rng(seed)` stream: of a playlist of n songs,
+    the test song, then the dev song, at the positions that
+    `rng.choice(n, 2, replace=False)` picks, playlist by playlist in index
+    order. One `rng.integers` call makes all of those draws, in the same
+    order: per playlist, Floyd's a in [0, n - 2] and b in [0, n - 1] (n - 1
+    when b == a), then c in [0, 1], which swaps the pair when 0.
     Raises ValueError naming the first playlist of fewer than 3 songs.
     """
     user, playlist, song = rows
@@ -344,8 +347,12 @@ def leave_one_out(catalog, rows, seed):
                          "need >= 3 to split")
     rng = np.random.default_rng(seed)
     starts = np.append(0, np.cumsum(counts))
-    held = starts[:-1, None] + np.array([rng.choice(n, 2, replace=False)
-                                         for n in counts.tolist()])
+    a, b, c = rng.integers(0, np.stack((counts - 2, counts - 1, np.ones_like(counts)), axis=1),
+                           endpoint=True).T
+    b[b == a] = counts[b == a] - 1
+    swap = c == 0
+    a[swap], b[swap] = b[swap], a[swap]
+    held = starts[:-1, None] + np.stack((a, b), axis=1)
     song = song[order]
     test, dev = song[held[:, 0]], song[held[:, 1]]
     train = np.ones(len(song), dtype=bool)

@@ -171,6 +171,17 @@ def test_train_refuses_a_bad_seed_or_lambda_delta_before_training(workspace, tmp
     assert not out_dir.exists()
 
 
+def test_train_refuses_a_repeated_config_key(workspace, tmp_path):
+    out_dir = tmp_path / "out"
+    cfg = _write_config(tmp_path / "twice.cfg", model="mdr", split_dir=workspace / "splits",
+                        out_dir=out_dir, epochs="1", batch_size="64", d="16")
+    with open(cfg, "a", encoding="utf-8") as f:
+        f.write("d = 64\n")
+    line = _single_error_line(_run(["train", "--config", cfg], expect_exit=1))
+    assert line == f"error: {cfg}: config key d repeated on lines 6 and 7"
+    assert not out_dir.exists()
+
+
 def test_train_apr_writes_both_checkpoints(workspace, tmp_path):
     out_dir = tmp_path / "apr"
     cfg = _write_config(tmp_path / "apr.cfg", model="mdr",

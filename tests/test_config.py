@@ -49,3 +49,10 @@ def test_bad_values_rejected(tmp_path):
         parse_config(_write(tmp_path, "epochs = 200\n"))
     with pytest.raises(ValueError, match="use_bias"):
         parse_config(_write(tmp_path, "use_bias = maybe\n"))
+
+
+def test_repeated_key_rejected_naming_both_lines(tmp_path):
+    path = _write(tmp_path, "model = mdr\nd = 16\n# wider\nd = 64\n")
+    with pytest.raises(ValueError) as exc:
+        parse_config(path)
+    assert str(exc.value) == f"{path}: config key d repeated on lines 2 and 4"

@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -141,6 +141,25 @@ def test_split_test_item_uniform():
         counts[split.test[0]] += 1
     freqs = counts[1:] / trials
     assert np.all(np.abs(freqs - 0.2) < 0.02)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.one_of(st.integers(3, 70), st.just(3)), min_size=1, max_size=500),
+       large=st.lists(st.tuples(st.integers(0, 500), st.integers(9_990, 10_050)), max_size=2),
+       seed=st.integers(0, 2 ** 64 - 1))
+@example(sizes=[3], large=[], seed=0)
+@example(sizes=[3] * 40, large=[], seed=2 ** 64 - 1)
+def test_leave_one_out_draws_the_pairs_of_per_playlist_choice(sizes, large, seed):
+    # the pairs that the per-playlist `rng.choice(n, 2, replace=False)` of
+    # the record-level reference holds out, from playlists of 3 songs up past
+    # the 10,000 songs where `Generator.choice` may change method
+    for at, size in large:
+        sizes.insert(at, size)
+    rows = [(f"u{p % 7}", f"p{p}", f"s{i}") for p, size in enumerate(sizes) for i in range(size)]
+    records = [oracles.InteractionRecord(*row) for row in rows]
+    catalog, codes = index_rows(rows)
+    assert (split_values(dataset.leave_one_out(catalog, codes, seed))
+            == split_values(oracles.leave_one_out_split(records, seed)))
 
 
 # ids holding characters that str.splitlines, unlike a file's lines, ends a line at
