@@ -35,7 +35,10 @@ Rows, at V in {2,000; 20,000} songs with V / 4 users and V / 4 playlists:
   perfbench runs them, over perfbench `serve`'s MDR `ups` and MASS `us`
   `nonmem_dot` models at d = 32, untrained, on the same two corpora, all
   written by the timed checkout's own `prepare` and `train`; a group per
-  corpus.
+  corpus;
+- `cli.attention_report`, end to end: `attention-report` run in-process
+  through `cli.main` over an untrained MASS `us` `mem_metric` model at
+  d = 32 on the same two corpora, a group per corpus.
 
 Each kind of row yields groups of calls, and each group is timed interleaved:
 after a warm-up, each round calls each of its calls once, over a fixed number
@@ -60,7 +63,8 @@ the median over rounds of its time over the other tree's in the same round.
 Separate runs of two checkouts have read unchanged rows 1.2-1.8x apart on one
 host; rows interleaved in one process share its drift. BLAS threads are
 pinned to 1 before numpy loads. A run takes about two minutes on 2 vCPUs, and
-about twice that with `--against`.
+about twice that with `--against`; about six minutes against a tree whose
+`attention-report` counts every song pair of every train list.
 """
 
 import argparse
@@ -367,6 +371,28 @@ def _serve_groups(metric_rec, rng, tmp):
                              "--playlist", "p0", "--top", 10))]
 
 
+def _attention_groups(metric_rec, rng, tmp):
+    """One group per corpus, perfbench `serve`'s and the 102,000-row one:
+    `attention-report` through `cli.main` of an untrained (0 epochs) MASS
+    `us` `mem_metric` model at d = 32, which the timed checkout's own
+    `prepare` and `train` wrote."""
+    cli = metric_rec.cli
+    for n, v, max_len in ((300, 2_000, 30), (3_000, 20_000, 63)):
+        d = os.path.join(tmp, f"attention-{n}")
+        tsv, split = os.path.join(tmp, f"attention-{n}.tsv"), os.path.join(d, "split")
+        corpus.write_tsv(corpus.planted_rows(1, n, v, 5, max_len), tsv)
+        _cli(cli, "prepare", "--input", tsv, "--out", split, "--seed", 1)
+        _cli(cli, "train", "--config", write_config(
+            os.path.join(d, "mass.cfg"), model="mass", mass_variant="us",
+            attention="mem_metric", d=32, epochs=0, split_dir=split,
+            out_dir=os.path.join(d, "mass"), seed=1))
+        checkpoint = os.path.join(d, "mass", "checkpoint.json")
+        yield [({"layer": "cli.attention_report", "model": "mass us mem_metric", "d": 32,
+                 "playlists": n, "V": v},
+                lambda: _cli(cli, "attention-report", "--checkpoint", checkpoint,
+                             "--split", split, "--out", os.path.join(d, "report")))]
+
+
 def _paired_rows(build, trees, seed, tmp):
     """Rows of the groups of calls that `build(package, rng, directory)` yields
     for each of `trees`, a list of (tag, package): each tree's rng is seeded
@@ -420,7 +446,8 @@ def main():
             os.mkdir(os.path.join(tmp, tag))
         rows = [row for seed, build in enumerate((_model_groups, _sampler_groups,
                                                   _split_consumer_groups, _split_dir_groups,
-                                                  _prepare_groups, _serve_groups))
+                                                  _prepare_groups, _serve_groups,
+                                                  _attention_groups))
                 for row in _paired_rows(build, trees, seed, tmp)]
     doc = {"tag": args.tag, "environment": environment,
            "seconds": round(time.perf_counter() - t0, 1), "rows": rows}

@@ -297,10 +297,8 @@ def attention_report(checkpoint, split_dir, out_dir):
         catalog, split = dataset.load_split_dir(split_dir)
         _check_catalog((ckpt,), catalog)
         os.makedirs(out_dir, exist_ok=True)
-        counts = analysis.count_cooccurrences(split.train_lists())
         rho, rows = analysis.attention_correlation(
-            ckpt, split, counts, csv_path=os.path.join(out_dir, "pmi_att.csv")
-        )
+            ckpt, split, csv_path=os.path.join(out_dir, "pmi_att.csv"))
         summary_path = os.path.join(out_dir, "attention_summary.json")
         dataset.write_json({"pearson_rho": rho, "num_pairs": len(rows)}, summary_path)
     except (OSError, ValueError) as exc:

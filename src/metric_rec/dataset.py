@@ -131,11 +131,6 @@ class SplitDataset:
     songs: np.ndarray
     max_members: int       # l: longest train list
 
-    def train_lists(self):
-        """Each playlist's train songs as a list of ints, in playlist order."""
-        songs = self.songs.tolist()
-        return [songs[a:b] for a, b in pairwise(self.offsets.tolist())]
-
     def members(self, playlists, drop=0):
         """(B, max_members) train songs of the int array `playlists`, 0-padded,
         and (B,) counts: row i holds playlist i's train songs other than every

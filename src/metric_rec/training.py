@@ -20,7 +20,7 @@ per call the gradient, perturbation and scratch arenas every step writes.
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,7 +233,6 @@ class TrainResult:
     params: object
     best_epoch: int = -1
     best_dev_hit10: float = -1.0
-    history: list = field(default_factory=list)
 
 
 def draw_negatives(data, playlists, k, rng):
@@ -331,7 +330,6 @@ def train(params, data, dev, hyper, mode="bpr", log_path=None, loss_scale=1.0, r
                     result.params = params.copy()
                     result.best_epoch = epoch
                     result.best_dev_hit10 = record["dev_hit10"]
-            result.history.append(record)
             if log_file:
                 json.dump(record, log_file, sort_keys=True)
                 log_file.write("\n")

@@ -27,6 +27,13 @@ one-buffer step is checked bit for bit. `row_sums`, `scatter_add` and
 sums, gradient scatter and negative sampler, in forms that reduce, sum
 and draw in the order the package's faster forms must keep, bit for bit.
 
+`count_cooccurrences`, `pmi` and `pmi_attention_scores` are the reference
+of `analysis.attention_correlation`'s PMI: every unordered song pair of
+every train list counted into a dict, and one `pmi` call per member.
+`attention_rows` chains them as the command did before it computed only
+the co-counts it reads; its model attention comes from `models.forward`.
+`train_lists` gives each playlist's train songs as a list.
+
 `read_training_log` and `runtime_report` read the per-epoch `seconds` of
 training logs; no command of the package reads them back.
 
@@ -43,13 +50,16 @@ Euclidean distance.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations, pairwise
 
 import numpy as np
 
+from metric_rec.analysis import PMI_FLOOR
 from metric_rec.dataset import (DEFAULT_K_CORE, DEFAULT_MAX_PLAYLISTS_PER_USER,
                                 DEFAULT_MAX_SONGS_PER_PLAYLIST, Catalog, split_from_rows)
-from metric_rec.models import ScoreBatch, score_batch
+from metric_rec.evaluation import context_batch
+from metric_rec.models import ScoreBatch, forward, score_batch
 from metric_rec.params import REGULARIZED
 
 
@@ -366,6 +376,78 @@ def batch_loss(params, batch, lambda_theta=0.0):
     scores = score_batch(params, batch)
     pos = np.broadcast_to(scores[:, :1], scores[:, 1:].shape)
     return bpr_loss(pos, scores[:, 1:], params, lambda_theta)
+
+
+def train_lists(split):
+    """Each playlist's train songs as a list of ints, in playlist order."""
+    songs = split.songs.tolist()
+    return [songs[a:b] for a, b in pairwise(split.offsets.tolist())]
+
+
+@dataclass
+class CooccurrenceCounts:
+    pair: dict = field(default_factory=dict)    # frozenset({k, t}) -> count
+    single: dict = field(default_factory=dict)  # k -> membership count
+    total_pairs: int = 0
+    total_singles: int = 0
+
+
+def count_cooccurrences(train_lists):
+    """Counts from training playlists (iterable of song-index lists)."""
+    counts = CooccurrenceCounts()
+    for songs in train_lists:
+        uniq = sorted(set(songs))
+        for s in uniq:
+            counts.single[s] = counts.single.get(s, 0) + 1
+            counts.total_singles += 1
+        for a, b in combinations(uniq, 2):
+            key = frozenset((a, b))
+            counts.pair[key] = counts.pair.get(key, 0) + 1
+            counts.total_pairs += 1
+    return counts
+
+
+def pmi(k, t, counts):
+    """Pointwise mutual information of songs k and t; requires a co-count."""
+    c_kt = counts.pair.get(frozenset((k, t)), 0)
+    if c_kt == 0:
+        raise ValueError(f"songs {k} and {t} never co-occur")
+    p_kt = c_kt / counts.total_pairs
+    p_k = counts.single[k] / counts.total_singles
+    p_t = counts.single[t] / counts.total_singles
+    return math.log(p_kt / (p_k * p_t))
+
+
+def pmi_attention_scores(members, target, counts, floor=PMI_FLOOR):
+    """Softmax over member-target PMI values; zero co-counts get the floor."""
+    if len(members) == 0:
+        raise ValueError("empty member list")
+    vals = np.array([
+        pmi(m, target, counts)
+        if counts.pair.get(frozenset((m, target)), 0) > 0 else floor
+        for m in members
+    ])
+    vals = vals - vals.max()
+    w = np.exp(vals)
+    return w / w.sum()
+
+
+def attention_rows(params, split):
+    """The rows of `analysis.attention_correlation`, from the counts of every
+    pair of every train list and one `pmi` call per member."""
+    playlists = np.flatnonzero(split.test)
+    targets = split.test[playlists]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, cache = forward(params, context_batch(split, playlists, targets))
+    train = train_lists(split)
+    counts = count_cooccurrences(train)
+    rows = []
+    for p, target, model_att in zip(playlists.tolist(), targets.tolist(), cache["alpha"]):
+        members = train[p]
+        pmi_att = pmi_attention_scores(members, target, counts)
+        for m, pa, ma in zip(members, pmi_att, model_att):
+            rows.append((p, m, float(pa), float(ma)))
+    return rows
 
 
 def read_training_log(path):

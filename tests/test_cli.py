@@ -659,6 +659,25 @@ def test_attention_report(workspace, tmp_path):
     assert "rho=" in result.output
 
 
+def test_attention_report_refuses_a_correlation_of_constant_attention(tmp_path):
+    # 3 songs a playlist: each test context has one member, whose PMI and
+    # model attention are both 1.0, so no correlation exists
+    tsv = tmp_path / "three.tsv"
+    synthetic.write_tsv([(f"u{p}", f"p{p}", f"s{(p * 3 + s) % 150}")
+                         for p in range(60) for s in range(3)], tsv)
+    _run(["prepare", "--input", str(tsv), "--out", str(tmp_path / "split"), "--k", "3"])
+    cfg = _write_config(tmp_path / "mass.cfg", model="mass", attention="mem_metric",
+                        split_dir=tmp_path / "split", out_dir=tmp_path / "mass", epochs="0")
+    _run(["train", "--config", cfg])
+    out = tmp_path / "report"
+    result = _run(["attention-report", "--checkpoint", str(tmp_path / "mass" / "checkpoint.json"),
+                   "--split", str(tmp_path / "split"), "--out", str(out)], expect_exit=1)
+    assert result.output.splitlines() == [
+        "error: the PMI or model attention is constant over every pair: "
+        "their correlation is undefined"]
+    assert not (out / "attention_summary.json").exists() and not (out / "pmi_att.csv").exists()
+
+
 def test_attention_report_rejects_mdr(workspace, tmp_path):
     result = _run(["attention-report",
                    "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),

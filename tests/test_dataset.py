@@ -102,7 +102,7 @@ def _toy_rows(num_songs=5, playlist="p", user="u"):
 
 def test_split_counts():
     _, split = catalog_and_split(_toy_rows(3))
-    (train,) = split.train_lists()
+    (train,) = oracles.train_lists(split)
     assert len(train) == 1
     assert split.dev[0] and split.test[0]
     assert split.max_members == 1
@@ -122,7 +122,7 @@ def test_split_deterministic():
 
 def test_split_disjoint_and_exhaustive():
     _, split = catalog_and_split(_toy_rows(8), seed=3)
-    (train,) = split.train_lists()
+    (train,) = oracles.train_lists(split)
     parts = set(train) | {split.dev[0], split.test[0]}
     assert len(parts) == 8
     assert split.dev[0] != split.test[0]
@@ -445,7 +445,7 @@ def test_split_from_rows_scatters_entries_into_playlist_rows():
     split = dataset.split_from_rows(*_set_rows(), num_playlists=3)
     assert split_values(split) == [("<i8", [0, 0, 1]), ("<i8", [4, 0, 1]), ("<i8", [5, 0, 5]),
                                    ("<i8", [0, 2, 2, 4]), ("<i8", [1, 2, 3, 4]), int, 2]
-    assert split.train_lists() == [[1, 2], [], [3, 4]]
+    assert oracles.train_lists(split) == [[1, 2], [], [3, 4]]
     offsets, full = split.full_sets(5)
     assert offsets.tolist() == [0, 4, 4, 8] and full.tolist() == [1, 2, 4, 5, 1, 3, 4, 5]
 

@@ -224,7 +224,7 @@ def test_evaluate_empty_set_rejected():
 
 def test_context_batch_pads_members():
     catalog, split = _toy_eval_split()
-    train = split.train_lists()
+    train = oracles.train_lists(split)
     train[1] = train[1][:2]
     split = synthetic.split_of(catalog.num_playlists, dict(enumerate(train)),
                                dict(enumerate(split.owner.tolist())))

@@ -61,7 +61,7 @@ def test_bpr_loss_regularization_term():
 def test_build_train_data_members_exclude_positive():
     catalog, split = _toy_split()
     data = training.build_train_data(split, catalog.num_songs)
-    assert len(data) == len(split.songs) == sum(map(len, split.train_lists()))
+    assert len(data) == len(split.songs) == sum(map(len, oracles.train_lists(split)))
     k = int(data.pool_sizes[data.playlists].min())
     batch = training._make_batch(np.arange(len(data)), data, k, np.random.default_rng(0))
     for i in range(len(data)):
@@ -75,7 +75,7 @@ def test_build_train_data_members_exclude_positive():
 def _reference_instances(split):
     """`build_train_data`'s instance arrays and each instance's members and
     counts, built one instance at a time."""
-    train = split.train_lists()
+    train = oracles.train_lists(split)
     instances = [(p, s) for p, songs in enumerate(train) for s in songs]
     members = np.zeros((len(instances), split.max_members), dtype=np.int64)
     counts = np.empty(len(instances), dtype=np.int64)
@@ -120,7 +120,7 @@ def test_build_train_data_matches_per_instance_reference():
                 np.testing.assert_array_equal(array, want[name][idx], err_msg=name)
         assert training._make_batch(idx, data, 1, rng, members=False).members is None
         # every playlist's context, with each repeated copy of a song kept
-        rows = [(p, songs) for p, songs in enumerate(split.train_lists()) if songs]
+        rows = [(p, songs) for p, songs in enumerate(oracles.train_lists(split)) if songs]
         context = evaluation.context_batch(split, [p for p, _ in rows], np.ones((len(rows), 1)))
         want = np.zeros((len(rows), split.max_members), dtype=np.int64)
         for i, (_, songs) in enumerate(rows):
