@@ -14,6 +14,7 @@ keeps the count of every pair as the reference.
 
 import csv
 import math
+import os
 from itertools import pairwise
 
 import numpy as np
@@ -41,9 +42,10 @@ def attention_correlation(params, split, csv_path=None):
 
     Pairs are collected over every test context and real member, in member
     order with repeats; returns (rho, rows) where rows are (playlist, member,
-    pmi_att, model_att). An attention weight that is not finite raises
-    FloatingPointError, and a PMI or model attention that is the same for
-    every pair, which has no correlation, raises ValueError.
+    pmi_att, model_att). With `csv_path` it writes them there, making the
+    directory only once they are computed. An attention weight that is not
+    finite raises FloatingPointError, and a PMI or model attention that is
+    the same for every pair, which has no correlation, raises ValueError.
     """
     playlists = np.flatnonzero(split.test)
     targets = split.test[playlists]
@@ -87,6 +89,7 @@ def attention_correlation(params, split, csv_path=None):
     rows = list(zip(np.repeat(playlists, counts).tolist(), members.tolist(),
                     pmi_att.tolist(), model_att.tolist()))
     if csv_path:
+        os.makedirs(os.path.dirname(csv_path) or os.curdir, exist_ok=True)
         with open(csv_path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
             w.writerow(["playlist", "member", "pmi_att", "model_att"])

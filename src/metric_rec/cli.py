@@ -278,8 +278,8 @@ def recommend(checkpoint, playlist_id, top, split_dir):
         if not np.isfinite(scores).all():
             _fail(f"{checkpoint}: the model scores a candidate song as inf or nan")
         order = np.lexsort((candidates, scores))[:top]
-        for song_id, score in zip(catalog.song_ids(candidates[order]), scores[order]):
-            click.echo(f"{song_id}\t{score:.6f}")
+        for song, score in zip(candidates[order].tolist(), scores[order]):
+            click.echo(f"{catalog.song_ids[song - 1]}\t{score:.6f}")
     except (OSError, ValueError) as exc:
         _fail(exc)
 
@@ -296,7 +296,6 @@ def attention_report(checkpoint, split_dir, out_dir):
             _fail("attention report requires a mass-family checkpoint")
         catalog, split = dataset.load_split_dir(split_dir)
         _check_catalog((ckpt,), catalog)
-        os.makedirs(out_dir, exist_ok=True)
         rho, rows = analysis.attention_correlation(
             ckpt, split, csv_path=os.path.join(out_dir, "pmi_att.csv"))
         summary_path = os.path.join(out_dir, "attention_summary.json")

@@ -8,7 +8,8 @@ playlist-size filter (k-core, single pass), assigns dense integer indices in
 first-appearance order (song index 0 is reserved for padding), and holds out
 two songs per playlist: the first draw becomes the test item, the second the
 dev item. Everything is deterministic given the seed. The record-by-record
-form of the same steps is the tests' reference.
+form of the same steps is the tests' reference. A `Catalog` holds the ids of
+each kind in index order; the manifests store them as id -> index maps.
 """
 
 import codecs
@@ -17,8 +18,9 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
-from itertools import chain, pairwise, repeat
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, count, pairwise, repeat
 
 import numpy as np
 import orjson
@@ -33,80 +35,48 @@ ARENA_MAGIC = b"MRARENA2"
 _COPY_CHUNK = 1 << 16
 # the split companion `prepare` writes beside catalog.json and split.json
 SPLIT_ARENA = "split.json.arena"
-# a catalog's id -> index maps, in their order in its files
-_MAP_KEYS = ("users", "playlists", "songs")
 
 
-def _id_map(key):
-    """The `Catalog` property of the map `key`: its id -> index dict, built on
-    first use from the ids and indices a split companion gave."""
-    def get(catalog):
-        table = catalog._maps[key]
-        if type(table) is tuple:
-            ids, indices = table
-            table = catalog._maps[key] = dict(zip(ids, indices.tolist()))
-        return table
-
-    def put(catalog, table):
-        catalog._maps[key] = table
-
-    return property(get, put)
-
-
+@dataclass
 class Catalog:
     """Bijections between external ids and dense indices.
 
-    Users and playlists are indexed from 0; songs from 1 (0 is padding). Each
-    map is an id -> index dict, or a pair (list of ids, int64 array of their
-    indices) from which the dict is built on its first use; sizes and
-    `song_ids` read the pair as it is. Catalogs are equal when their dicts are.
+    `user_ids`, `playlist_ids` and `song_ids` list the ids in index order:
+    user i, playlist i, and song s at position s - 1 (song 0 is padding).
+    The id -> index dicts `users`, `playlists` and `songs` are built from
+    them on first use. Catalogs are equal when their lists are.
     """
 
-    users = _id_map("users")
-    playlists = _id_map("playlists")
-    songs = _id_map("songs")
+    user_ids: list
+    playlist_ids: list
+    song_ids: list
+    # `fingerprint()` as a split companion stores it, set only by the
+    # companion's loader; "" when it is to be computed
+    stored_fingerprint: str = field(default="", compare=False)
 
-    def __init__(self, users=None, playlists=None, songs=None):
-        self._maps = {key: {} if table is None else table
-                      for key, table in zip(_MAP_KEYS, (users, playlists, songs))}
-        # `fingerprint()` as a split companion stores it, set only by the
-        # companion's loader; "" when it is to be computed
-        self.stored_fingerprint = ""
+    @cached_property
+    def users(self):
+        return dict(zip(self.user_ids, count()))
 
-    def __eq__(self, other):
-        return isinstance(other, Catalog) and all(
-            getattr(self, key) == getattr(other, key) for key in _MAP_KEYS)
+    @cached_property
+    def playlists(self):
+        return dict(zip(self.playlist_ids, count()))
 
-    def _size(self, key):
-        table = self._maps[key]
-        return len(table[0] if type(table) is tuple else table)
+    @cached_property
+    def songs(self):
+        return dict(zip(self.song_ids, count(1)))
 
     @property
     def num_users(self):
-        return self._size("users")
+        return len(self.user_ids)
 
     @property
     def num_playlists(self):
-        return self._size("playlists")
+        return len(self.playlist_ids)
 
     @property
     def num_songs(self):
-        return self._size("songs")
-
-    def song_ids(self, songs):
-        """The ids of the song indices of the int array `songs`, in its order."""
-        table = self._maps["songs"]
-        ids, indices = table if type(table) is tuple else (
-            list(table), np.fromiter(table.values(), np.int64, len(table)))
-        position = np.empty(len(ids) + 1, dtype=np.int64)
-        position[indices] = np.arange(len(ids))
-        return list(map(ids.__getitem__, position[songs].tolist()))
-
-    def inverse(self):
-        inv_u = {v: k for k, v in self.users.items()}
-        inv_p = {v: k for k, v in self.playlists.items()}
-        inv_s = {v: k for k, v in self.songs.items()}
-        return inv_u, inv_p, inv_s
+        return len(self.song_ids)
 
     def fingerprint(self):
         """SHA-256 hex digest of the user, playlist and song id -> index maps,
@@ -303,15 +273,12 @@ def index_interactions(users, playlists, songs, k=DEFAULT_K_CORE,
     if not keep.any():
         raise ValueError("no playlists survive filtering")
     rows = np.vstack((user[keep], playlist[keep], song[keep]))
-    maps = [_renumber(ids, codes, start)
-            for ids, codes, start in zip((user_ids, playlist_ids, song_ids), rows, (0, 0, 1))]
-    return Catalog(*maps), rows
+    return Catalog(*map(_renumber, (user_ids, playlist_ids, song_ids), rows, (0, 0, 1))), rows
 
 
 def _renumber(ids, codes, start):
-    """The id -> index map of the ids of `ids` that the int array `codes`
-    names, in first-appearance order from `start`; `codes` is rewritten to
-    those indices."""
+    """The ids of `ids` that the int array `codes` names, in first-appearance
+    order; `codes` is rewritten to their positions in that list plus `start`."""
     first = np.full(len(ids), len(codes))
     np.minimum.at(first, codes, np.arange(len(codes)))
     present = np.flatnonzero(first < len(codes))
@@ -319,7 +286,7 @@ def _renumber(ids, codes, start):
     index = np.empty(len(ids), dtype=np.int64)
     index[present] = np.arange(start, start + len(present))
     codes[:] = index[codes]
-    return dict(zip(map(ids.__getitem__, present.tolist()), range(start, start + len(present))))
+    return list(map(ids.__getitem__, present.tolist()))
 
 
 def leave_one_out(catalog, rows, seed):
@@ -338,7 +305,7 @@ def leave_one_out(catalog, rows, seed):
     counts = np.bincount(playlist, minlength=catalog.num_playlists)
     if counts.min() < 3:
         p = int(np.argmax(counts < 3))
-        raise ValueError(f"playlist {catalog.inverse()[1][p]} has only {counts[p]} songs; "
+        raise ValueError(f"playlist {catalog.playlist_ids[p]} has only {counts[p]} songs; "
                          "need >= 3 to split")
     rng = np.random.default_rng(seed)
     starts = np.append(0, np.cumsum(counts))
@@ -560,21 +527,32 @@ def load_catalog(path):
     """
     doc = read_json(path)
     _require_object(path, "top level", doc, "a catalog")
+    ids = []
     for key, first in (("users", 0), ("playlists", 0), ("songs", 1)):
         if key not in doc:
             raise ValueError(f"{path}: {key}: missing")
         _require_object(path, key, doc[key], "an id -> index map")
-        _require_dense(path, key, doc[key], first)
-    return Catalog(users=doc["users"], playlists=doc["playlists"], songs=doc["songs"])
+        ids.append(_ids_in_index_order(path, key, doc[key], first))
+    catalog = Catalog(*ids)
+    catalog.users, catalog.playlists, catalog.songs = doc["users"], doc["playlists"], doc["songs"]
+    return catalog
 
 
-def _require_dense(path, field_name, ids, first):
-    indices = list(ids.values())
+def _ids_in_index_order(path, field_name, table, first):
+    """The ids of the id -> index map `table` in index order; raises
+    ValueError unless its n indices are the integers first..first + n - 1,
+    each once."""
+    indices = list(table.values())
+    n, last = len(indices), first + len(indices) - 1
     # `type(...) is int` also refuses true and false, which compare as 1 and 0
-    if (not all(type(i) is int for i in indices)
-            or sorted(indices) != list(range(first, first + len(indices)))):
-        raise ValueError(f"{path}: {field_name}: the indices must be the integers "
-                         f"{first}..{first + len(indices) - 1}, each once")
+    if (list(map(type, indices)).count(int) == n
+            and min(indices, default=first) >= first and max(indices, default=last) <= last):
+        position = np.full(n, -1)
+        position[np.fromiter(indices, np.int64, n) - first] = np.arange(n)
+        if position.min(initial=0) >= 0:  # n indices fill the n slots only when each is once
+            return list(map(list(table).__getitem__, position.tolist()))
+    raise ValueError(f"{path}: {field_name}: the indices must be the integers "
+                     f"{first}..{last}, each once")
 
 
 def _require_object(path, field_name, value, what):
@@ -585,17 +563,17 @@ def _require_object(path, field_name, value, what):
 
 def save_split(split, catalog, path):
     """Split manifest keyed by external playlist id; returns the bytes written."""
-    inv_u, inv_p, inv_s = catalog.inverse()
+    song_ids = catalog.song_ids
     owner, dev, test = (a.tolist() for a in (split.owner, split.dev, split.test))
-    songs = list(map(inv_s.__getitem__, split.songs.tolist()))
+    songs = list(map(song_ids.__getitem__, (split.songs - 1).tolist()))
     doc = {}
     for p, (a, b) in enumerate(pairwise(split.offsets.tolist())):
         if a < b:
-            doc[inv_p[p]] = {
-                "user": inv_u[owner[p]],
+            doc[catalog.playlist_ids[p]] = {
+                "user": catalog.user_ids[owner[p]],
                 "train": songs[a:b],
-                "dev": inv_s[dev[p]],
-                "test": inv_s[test[p]],
+                "dev": song_ids[dev[p] - 1],
+                "test": song_ids[test[p] - 1],
             }
     return write_json(doc, path)
 
@@ -672,27 +650,21 @@ def save_split_arena(catalog, split, catalog_data, split_data, path):
     and `save_split` wrote for `catalog` and `split` (see `write_arena`).
 
     Its header holds `catalog_json_size` and `split_json_size`, the
-    catalog's `fingerprint()` as `catalog_fingerprint`, each map's ids in
-    catalog.json's key order (sorted, as `write_json` sorts keys) as
-    `users`, `playlists` and `songs`, and `entries`, the number of
-    split.json entries. Its int64 payload holds each map's indices in its
-    ids' order; then one row per split.json entry in file order (playlist,
-    owner, dev song, test song, and the end offset of its train songs);
-    then every entry's train songs, one list after another. The copies of
-    both files' bytes follow it.
+    catalog's `fingerprint()` as `catalog_fingerprint`, its id lists in
+    index order as `user_ids`, `playlist_ids` and `song_ids`, and
+    `entries`, the number of split.json entries. Its int64 payload holds
+    one row per entry in playlist-index order (playlist, owner, dev song,
+    test song, and the end offset of its train songs), then the split's
+    train songs, one list after another. The copies of both files' bytes
+    follow it.
     """
-    maps = {key: getattr(catalog, key) for key in ("users", "playlists", "songs")}
-    ids = {key: sorted(table) for key, table in maps.items()}
-    indices = [np.fromiter(map(maps[key].__getitem__, key_ids), "<i8", len(key_ids))
-               for key, key_ids in ids.items()]
-    lengths = np.diff(split.offsets)
-    playlists = indices[1][lengths[indices[1]] > 0]  # those with an entry, in id order
-    counts = lengths[playlists]
+    playlists = np.flatnonzero(np.diff(split.offsets))  # those with an entry
     rows = np.column_stack([playlists, *(a[playlists] for a in (split.owner, split.dev, split.test)),
-                            np.cumsum(counts)])
-    train = split.songs[row_positions(split.offsets[playlists], counts)]
-    header = dict(ids, catalog_fingerprint=catalog.fingerprint(), entries=len(playlists))
-    write_arena(path, header, np.concatenate(indices + [rows.ravel(), train], dtype="<i8"),
+                            split.offsets[playlists + 1]])
+    header = {"user_ids": catalog.user_ids, "playlist_ids": catalog.playlist_ids,
+              "song_ids": catalog.song_ids, "catalog_fingerprint": catalog.fingerprint(),
+              "entries": len(playlists)}
+    write_arena(path, header, np.concatenate([rows.ravel(), split.songs], dtype="<i8"),
                 {"catalog_json_size": catalog_data, "split_json_size": split_data})
 
 
@@ -702,13 +674,12 @@ def load_split_dir(split_dir):
 
     When `split_dir` holds a split companion (see `save_split_arena`) whose
     magic, header and CRC-32 are intact, whose copies are byte for byte the
-    two files, whose payload has the length its header implies, and which
-    passes every check of `load_catalog` and `check_split`, the result is
-    built from it without parsing either file, and the catalog keeps the
-    companion's fingerprint and each map's ids and indices, whose dict is
-    built only when it is used. It then equals what the JSON gives, the
-    catalog's dict order included. In every other case the JSON is parsed,
-    with its own errors. Nothing is written.
+    two files, whose payload has the length its header implies, whose id
+    lists each hold distinct strings, and which passes every check of
+    `check_split`, the result is built from it without parsing either file,
+    and the catalog keeps the companion's fingerprint. It then equals what
+    the JSON gives. In every other case, a companion of an earlier layout
+    included, the JSON is parsed, with its own errors. Nothing is written.
     """
     catalog_path = os.path.join(split_dir, "catalog.json")
     split_path = os.path.join(split_dir, "split.json")
@@ -723,32 +694,26 @@ def load_split_dir(split_dir):
 
 def _split_from_arena(header, values):
     """(Catalog, SplitDataset) from a split companion's header and payload
-    `values`, or None unless they pass the vectorised form of the checks of
-    `load_catalog` (ids each once, dense indices) and `check_split`."""
-    maps, offset = {}, 0
-    for key, first in zip(_MAP_KEYS, (0, 0, 1)):
-        ids = header[key]
-        indices = values[offset:offset + len(ids)]
-        offset += len(ids)
-        if type(ids) is not list:
-            return None
-        "".join(ids)  # raises TypeError, which refuses the companion, for an id that is no string
-        if (len(set(ids)) != len(ids)  # an id given twice
-                or not np.array_equal(np.sort(indices), np.arange(first, first + len(ids)))):
-            return None
-        maps[key] = ids, indices
+    `values`, or None unless its id lists hold distinct strings (as the keys
+    of catalog.json do) and its rows pass the vectorised checks of
+    `check_split`."""
+    ids = [header[key] for key in ("user_ids", "playlist_ids", "song_ids")]
     n, fingerprint = header["entries"], header["catalog_fingerprint"]
-    if type(n) is not int or n < 0 or type(fingerprint) is not str:
+    if (type(n) is not int or n < 0 or type(fingerprint) is not str
+            or not all(type(key_ids) is list for key_ids in ids)):
         return None
-    rows, songs = values[offset:offset + 5 * n].reshape(n, 5), values[offset + 5 * n:]
+    for key_ids in ids:
+        "".join(key_ids)  # raises TypeError, which refuses the companion, for a non-string id
+        if len(set(key_ids)) != len(key_ids):  # an id given twice
+            return None
+    rows, songs = values[:5 * n].reshape(n, 5), values[5 * n:]
     ends = rows[:, 4]
     # the offsets are compared, not subtracted, so a count that wraps around
     # int64 is never used
     if (n and (np.any(ends < np.append(0, ends[:-1])) or ends[-1] != len(songs))
-            or check_split(rows, songs, *(len(ids) for ids, _ in maps.values()))):
+            or check_split(rows, songs, *map(len, ids))):
         return None
-    catalog = Catalog(**maps)  # its dicts are built when first used
-    catalog.stored_fingerprint = fingerprint
+    catalog = Catalog(*ids, stored_fingerprint=fingerprint)
     return catalog, split_from_rows(rows, songs, catalog.num_playlists)
 
 

@@ -529,15 +529,10 @@ def k_core_filter(records, k=DEFAULT_K_CORE):
 
 def build_catalog(records):
     """Dense index assignment in first-appearance order."""
-    cat = Catalog()
-    for r in records:
-        if r.user_id not in cat.users:
-            cat.users[r.user_id] = len(cat.users)
-        if r.playlist_id not in cat.playlists:
-            cat.playlists[r.playlist_id] = len(cat.playlists)
-        if r.song_id not in cat.songs:
-            cat.songs[r.song_id] = len(cat.songs) + 1  # 0 is padding
-    return cat
+    users = list(dict.fromkeys(r.user_id for r in records))
+    playlists = list(dict.fromkeys(r.playlist_id for r in records))
+    songs = list(dict.fromkeys(r.song_id for r in records))  # song s at position s - 1
+    return Catalog(users, playlists, songs)
 
 
 def leave_one_out_split(records, seed, catalog=None):
@@ -558,7 +553,7 @@ def leave_one_out_split(records, seed, catalog=None):
     rows, train = [], []
     for p, songs in playlists.items():
         if len(songs) < 3:
-            pid = catalog.inverse()[1][p]
+            pid = catalog.playlist_ids[p]
             raise ValueError(f"playlist {pid} has only {len(songs)} songs; need >= 3 to split")
         test, dev = rng.choice(len(songs), size=2, replace=False)
         train += [s for i, s in enumerate(songs) if i not in (test, dev)]

@@ -471,7 +471,8 @@ def renamed_split(workspace, tmp_path_factory):
     split_dir = tmp_path_factory.mktemp("renamed")
     catalog = dataset.load_catalog(str(workspace / "splits" / "catalog.json"))
     split = dataset.load_split(str(workspace / "splits" / "split.json"), catalog)
-    catalog.songs = {f"x{s}": idx for s, idx in catalog.songs.items()}
+    catalog = dataset.Catalog(catalog.user_ids, catalog.playlist_ids,
+                              [f"x{s}" for s in catalog.song_ids])
     dataset.save_catalog(catalog, str(split_dir / "catalog.json"))
     dataset.save_split(split, catalog, str(split_dir / "split.json"))
     return split_dir
@@ -675,7 +676,7 @@ def test_attention_report_refuses_a_correlation_of_constant_attention(tmp_path):
     assert result.output.splitlines() == [
         "error: the PMI or model attention is constant over every pair: "
         "their correlation is undefined"]
-    assert not (out / "attention_summary.json").exists() and not (out / "pmi_att.csv").exists()
+    assert not out.exists()
 
 
 def test_attention_report_rejects_mdr(workspace, tmp_path):

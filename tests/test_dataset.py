@@ -92,8 +92,8 @@ def test_catalog_indexing():
     assert cat.playlists == {"p1": 0, "p2": 1}
     # songs indexed from 1; 0 is the padding slot
     assert cat.songs == {"s1": 1, "s2": 2}
-    inv_u, inv_p, inv_s = cat.inverse()
-    assert inv_s[2] == "s2"
+    assert (cat.user_ids, cat.playlist_ids, cat.song_ids) == (["u1", "u2"], ["p1", "p2"],
+                                                              ["s1", "s2"])
 
 
 def _toy_rows(num_songs=5, playlist="p", user="u"):
@@ -196,14 +196,13 @@ def _interaction_files(draw):
 
 
 def _outcome(prepare):
-    """The id -> index maps in dict order and the split arrays that
-    `prepare()` gives, or its error message."""
+    """The catalog's id lists and the split arrays that `prepare()` gives,
+    or its error message."""
     try:
         catalog, split = prepare()
     except ValueError as exc:
         return str(exc)
-    return ([list(getattr(catalog, key).items()) for key in ("users", "playlists", "songs")],
-            split_values(split))
+    return [catalog.user_ids, catalog.playlist_ids, catalog.song_ids], split_values(split)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -306,13 +305,12 @@ def test_catalog_fingerprint_covers_ids_not_order(tmp_path):
     path = str(tmp_path / "catalog.json")
     dataset.save_catalog(cat, path)
     assert dataset.load_catalog(path).fingerprint() == cat.fingerprint()
-    reordered = dataset.Catalog(users=cat.users, playlists=cat.playlists,
-                                songs=dict(reversed(list(cat.songs.items()))))
+    reordered = dataset.Catalog(cat.user_ids, cat.playlist_ids, cat.song_ids)
+    reordered.songs = dict(reversed(list(cat.songs.items())))
     assert reordered.fingerprint() == cat.fingerprint()
-    renamed = dataset.Catalog(users=cat.users, playlists=cat.playlists,
-                              songs={f"x{k}": v for k, v in cat.songs.items()})
-    swapped = dataset.Catalog(users=cat.users, playlists=cat.playlists,
-                              songs={**cat.songs, "s0": 2, "s1": 1})
+    renamed = dataset.Catalog(cat.user_ids, cat.playlist_ids, [f"x{k}" for k in cat.song_ids])
+    swapped = dataset.Catalog(cat.user_ids, cat.playlist_ids,
+                              [cat.song_ids[1], cat.song_ids[0], *cat.song_ids[2:]])
     assert len({cat.fingerprint(), renamed.fingerprint(), swapped.fingerprint()}) == 3
 
 
@@ -511,14 +509,14 @@ def split_values(split):
 
 
 def loaded_split(split_dir):
-    """What `load_split_dir` gives for `split_dir`, the catalog's dict order
-    included, or its error."""
+    """What `load_split_dir` gives for `split_dir`, the catalog as its id
+    lists, or its error."""
     try:
         catalog, split = dataset.load_split_dir(str(split_dir))
     except (OSError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return ([list(getattr(catalog, key).items()) for key in ("users", "playlists", "songs")],
-            split_values(split), catalog.fingerprint())
+    return ([catalog.user_ids, catalog.playlist_ids, catalog.song_ids], split_values(split),
+            catalog.fingerprint())
 
 
 def test_split_companion_gives_the_structures_of_the_json(tmp_path, monkeypatch):
@@ -535,7 +533,8 @@ def test_split_companion_gives_the_structures_of_the_json(tmp_path, monkeypatch)
     assert via_companion == loaded_split(split_dir)
     assert calls == ["load_catalog", "load_split"] * 2
     assert all(a.flags.writeable for a in (split.owner, split.offsets, split.songs))
-    assert list(catalog.songs) == sorted(_SONGS) != sorted(_SONGS, key=str.casefold)
+    # index order, not catalog.json's code-point key order
+    assert sorted(catalog.song_ids) == sorted(_SONGS) != catalog.song_ids
 
 
 def _edit_companion(edit):
@@ -557,10 +556,6 @@ def _copy_one_byte_short(split_dir):
                 copies[:-1])
 
 
-def _rows_start(header):
-    return sum(len(header[key]) for key in ("users", "playlists", "songs"))
-
-
 def _set(where, value):
     """An edit that sets payload[where(header)] to value(header, payload)."""
     def edit(header, payload):
@@ -569,10 +564,10 @@ def _set(where, value):
     return edit
 
 
-def _with_ends(header, payload, ends):
+def _with_ends(payload, ends):
     """`payload` with its first rows' train end offsets replaced by `ends`."""
     for i, end in enumerate(ends):
-        payload[_rows_start(header) + 5 * i + 4] = end
+        payload[5 * i + 4] = end
     return payload
 
 
@@ -625,6 +620,28 @@ def _dev_into_train(doc):
     entry["train"].append(entry["dev"])
 
 
+def _parent_layout(split_dir):
+    """The companion rewritten in the layout before it held id lists: each
+    map's ids sorted, as catalog.json's keys are, and a block of their
+    indices ahead of the rows, which follow split.json's entry order; the
+    magic, the CRC-32 and the copies match."""
+    path = split_dir / "split.json.arena"
+    header, payload, copies = read_arena(path, "<i8")
+    n = header["entries"]
+    rows = payload[:5 * n].reshape(n, 5)
+    lists = np.split(payload[5 * n:], rows[:-1, 4])
+    ids = {key: header.pop(f"{key}_ids") for key in ("user", "playlist", "song")}
+    block = []
+    for (key, key_ids), first in zip(ids.items(), (0, 0, 1)):
+        header[f"{key}s"] = sorted(key_ids)
+        block += [key_ids.index(i) + first for i in header[f"{key}s"]]
+    order = sorted(range(n), key=lambda i: ids["playlist"][rows[i, 0]])
+    ends = np.cumsum([len(lists[i]) for i in order])
+    parent_rows = np.column_stack([rows[order, :4], ends]).ravel()
+    write_arena(path, header, np.concatenate([block, parent_rows, *(lists[i] for i in order)],
+                                             dtype="<i8"), copies)
+
+
 def _other_splits_companion(split_dir):
     other = _prepared(split_dir.parent, name="other", seed=1)
     os.replace(other / "split.json.arena", split_dir / "split.json.arena")
@@ -650,21 +667,16 @@ SPLIT_COMPANION_DAMAGE = {
     "split-copy-byte": _flip(lambda data: len(data) - 2),
     "copy-one-byte-short": _copy_one_byte_short,
     "other-split": _other_splits_companion,
-    "song-out-of-range": _edit_companion(_set(lambda h: -1, lambda h, a: len(h["songs"]) + 1)),
-    "owner-out-of-range": _edit_companion(_set(lambda h: _rows_start(h) + 1,
-                                               lambda h, a: len(h["users"]))),
-    "held-out-in-train": _edit_companion(_set(lambda h: _rows_start(h) + 5 * h["entries"],
-                                              lambda h, a: a[_rows_start(h) + 2])),
-    "playlist-twice": _edit_companion(_set(lambda h: _rows_start(h) + 5,
-                                           lambda h, a: a[_rows_start(h)])),
-    "empty-train-list": _edit_companion(_set(lambda h: _rows_start(h) + 4, lambda h, a: 0)),
-    "song-index-twice": _edit_companion(_set(lambda h: len(h["users"]) + len(h["playlists"]),
-                                             lambda h, a: a[len(h["users"]) + len(h["playlists"])
-                                                            + 1])),
-    "song-id-twice": _edit_companion(lambda h, a: (dict(h, songs=[h["songs"][1]] + h["songs"][1:]),
-                                                   a)),
+    "parent-layout": _parent_layout,
+    "song-out-of-range": _edit_companion(_set(lambda h: -1, lambda h, a: len(h["song_ids"]) + 1)),
+    "owner-out-of-range": _edit_companion(_set(lambda h: 1, lambda h, a: len(h["user_ids"]))),
+    "held-out-in-train": _edit_companion(_set(lambda h: 5 * h["entries"], lambda h, a: a[2])),
+    "playlist-twice": _edit_companion(_set(lambda h: 5, lambda h, a: a[0])),
+    "empty-train-list": _edit_companion(_set(lambda h: 4, lambda h, a: 0)),
+    "song-id-twice": _edit_companion(
+        lambda h, a: (dict(h, song_ids=[h["song_ids"][1]] + h["song_ids"][1:]), a)),
     # offsets 2**63 - 1, -2, n: counts that wrap around int64 to 2**63 - 1, 2**63 - 1, n + 2
-    "offsets-that-wrap": _edit_companion(lambda h, a: (h, _with_ends(h, a, [2 ** 63 - 1, -2]))),
+    "offsets-that-wrap": _edit_companion(lambda h, a: (h, _with_ends(a, [2 ** 63 - 1, -2]))),
     "one-entry-fewer": _edit_companion(lambda h, a: (dict(h, entries=h["entries"] - 1), a)),
     "one-value-more": _edit_companion(lambda h, a: (h, np.append(a, 1))),
 }
