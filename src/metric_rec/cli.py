@@ -202,22 +202,23 @@ def train(config_path, apr):
 
 
 def _parse_n_list(spec):
+    """The N values of an `--n` spec, `N,N,...` or `LO..HI`, each from 1 to the
+    length of a ranked list; the bounds are checked before a range is built."""
     spec = spec.strip()
+    ends = spec.split("..", 1)
     try:
-        for sep in ("..", "-"):
-            if sep in spec:
-                lo, hi = spec.split(sep, 1)
-                n_list = list(range(int(lo), int(hi) + 1))
-                break
-        else:
-            n_list = [int(x) for x in spec.split(",")]
+        values = [int(x) for x in (ends if len(ends) == 2 else spec.split(","))]
     except ValueError:
         raise ValueError(f"--n {spec!r}: expected integers as N,N,... or LO..HI") from None
-    if not n_list:
+    if len(ends) == 2 and values[0] > values[1]:
         raise ValueError(f"--n {spec!r} gives no value of N")
-    if min(n_list) < 1:
-        raise ValueError(f"--n {spec!r}: N must be >= 1, got {min(n_list)}")
-    return n_list
+    if min(values) < 1:
+        raise ValueError(f"--n {spec!r}: N must be >= 1, got {min(values)}")
+    longest = 1 + evaluation.DEFAULT_NUM_NEGATIVES
+    if max(values) > longest:
+        raise ValueError(f"--n {spec!r}: N must be <= {longest}, the length of a ranked "
+                         f"list, got {max(values)}")
+    return list(range(values[0], values[1] + 1)) if len(ends) == 2 else values
 
 
 @main.command()

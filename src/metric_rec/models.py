@@ -32,10 +32,10 @@ rows are gathered with `ndarray.take`. MDR's backward reuses the anchor
 sums its forward computed (`kernels.row_sums`). The backward pass scatters row
 gradients into the tables in place with `np.add.at` over the flat slots
 that the batch's plan caches, member gradients over the B * l member
-slots, not once per candidate. Into a zeroed gradient arena this gives the
-bits of summing each slot's terms first. S and S_a, which a MASS pass
-writes twice (member rows, then candidate rows), take their candidate rows
-as one `np.bincount` sum.
+slots, not once per candidate. Each slot's terms are added onto it one by
+one in pass order, so no table-sized temporary is built; S and S_a, which
+a MASS pass writes twice, take their member rows and then their candidate
+rows.
 """
 
 from dataclasses import dataclass, field
@@ -128,27 +128,13 @@ def _flat_view(target):
 
 def _scatter_add(target, batch, field_name, rows):
     """target[batch.<field_name>] += rows, duplicate indices summed, in place:
-    each slot's terms are added onto it one by one, in batch order.
-
-    On a table that is still zero in this pass this gives the bits of
-    summing the terms from 0.0 first (as `np.bincount` does) and writes no
-    table-sized temporary. Every table a pass writes once takes this path.
+    each slot's terms are added onto its current value one by one, in batch
+    order, and no table-sized temporary is written. Every table write of the
+    backward pass takes this path. On a table still zero in this pass, each
+    slot gets the bits of its terms summed from 0.0 first.
     """
     width = target.shape[1] if target.ndim == 2 else 1
     np.add.at(_flat_view(target), _slots(batch, field_name, width), np.ravel(rows))
-
-
-def _scatter_add_sum(target, batch, field_name, rows):
-    """target[batch.<field_name>] += rows, with each slot's terms summed from
-    0.0 first and that sum then added to the table, as one `np.bincount`.
-
-    For a second scatter into a table within one pass: adding in place
-    would round (M + s1) + s2 where this rounds M + (s1 + s2).
-    """
-    width = target.shape[1] if target.ndim == 2 else 1
-    sums = np.bincount(_slots(batch, field_name, width), weights=np.ravel(rows),
-                       minlength=target.size)
-    target += sums.reshape(target.shape)
 
 
 def _context_rows(params):
@@ -315,14 +301,14 @@ def _mass_backward(params, batch, cache, dscores, grads):
     if mem:
         dsk_a = _query_backward(params, batch, cache["qcache_a"], dq_a, grads, mem=True)
         _scatter_add(grads["S_a"], batch, "members", dm_a)
-        _scatter_add_sum(grads["S_a"], batch, "songs", dsk_a)
+        _scatter_add(grads["S_a"], batch, "songs", dsk_a)
     else:
         dq = dq + dq_a
         dm = dm + dm_a
 
     dsk = _query_backward(params, batch, cache["qcache"], dq, grads, mem=False)
     _scatter_add(grads["S"], batch, "members", dm)
-    _scatter_add_sum(grads["S"], batch, "songs", dsk)
+    _scatter_add(grads["S"], batch, "songs", dsk)
 
 
 def forward(params, batch):
@@ -339,9 +325,11 @@ def forward(params, batch):
 def backward(params, batch, cache, dscores, grads):
     """Accumulate d(loss)/d(tensor) into `grads` given d(loss)/d(score).
 
-    Row terms are added onto the tables in place; into zeroed `grads`, as
-    `training.gradients` passes them, each slot gets the bits of its terms
-    summed from 0.0 first.
+    Row terms are added onto the tables in place, in pass order. Into zeroed
+    `grads`, as `training.gradients` passes them, a table written once gets
+    in each slot the bits of its terms summed from 0.0 first; S and S_a,
+    which MASS writes twice, get their member terms and then each candidate
+    term added on.
     """
     if params.kind == "mdr":
         _mdr_backward(params, batch, cache, dscores, grads)

@@ -209,15 +209,16 @@ def adversarial_delta(params, batch, epsilon, delta, work):
     is scratch: it receives params + delta, then the deviations from each
     tensor's mean.
 
-    The norm and the standard deviation are `np.linalg.norm`'s and `np.std`'s
-    own reductions, with their bits, taken on each tensor's flat view: one
-    dot for the norm; a sum, a subtract and a square, and a sum for the
-    spread. The wrappers cost more than the arithmetic at these sizes.
+    Both reductions are taken on each tensor's flat view without BLAS, so
+    their bits do not depend on its thread count: the norm is an einsum sum
+    of squares, and the spread is `np.std`'s own reduction, with its bits (a
+    sum, a subtract and a square, and a sum). The wrappers cost more than
+    the arithmetic at these sizes.
     """
     gradients(_perturbed(params, delta, work), batch, lambda_theta=0.0, out=delta)
     for name, g in delta.items():
         g, t, dev = (a.reshape(-1) for a in (g, params.tensors[name], work.tensors[name]))
-        norm = math.sqrt(g @ g)
+        norm = math.sqrt(np.einsum("i,i->", g, g))
         np.subtract(t, np.add.reduce(t) / t.size, out=dev)
         np.multiply(dev, dev, out=dev)
         std = math.sqrt(np.add.reduce(dev) / t.size)

@@ -25,7 +25,9 @@ applied tensor by tensor to plain dicts, against which the package's
 one-buffer step is checked bit for bit. `row_sums`, `scatter_add` and
 `draw_negatives` are the references of the training step's row-kernel
 sums, gradient scatter and negative sampler, in forms that reduce, sum
-and draw in the order the package's faster forms must keep, bit for bit.
+and draw in the order the package's faster forms must keep, bit for bit;
+`scatter_add` adds each slot's terms onto the table one round at a time,
+without `np.add.at`.
 
 `count_cooccurrences`, `pmi` and `pmi_attention_scores` are the reference
 of `analysis.attention_correlation`'s PMI: every unordered song pair of
@@ -247,14 +249,27 @@ def row_sums(b, x):
 
 
 def scatter_add(target, idx, rows):
-    """target[idx] += rows for a 1-D or 2-D table: each slot's terms are summed
-    from 0.0 in batch order, by one np.bincount over the table's flat slots,
-    and the sums are then added to the table."""
+    """target[idx] += rows for a 1-D or 2-D table, each slot's terms added onto
+    its current value in batch order: round r adds every slot's r-th term at
+    once, by a fancy-index add that writes no slot twice. On a zero table each
+    slot gets its terms summed from 0.0 in batch order, as np.bincount sums."""
     width = target.shape[1] if target.ndim == 2 else 1
     idx = np.ravel(idx)
     slots = idx if width == 1 else (idx[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(slots, weights=np.ravel(rows), minlength=target.size)
-    target += sums.reshape(target.shape)
+    terms = np.ravel(rows)
+    # rank of each term among its slot's terms: its position in a stable sort
+    # by slot less the position of its slot's first term
+    order = np.argsort(slots, kind="stable")
+    ranked = slots[order]
+    position = np.arange(len(ranked))
+    first = np.maximum.accumulate(np.where(np.r_[True, ranked[1:] != ranked[:-1]], position, 0))
+    rank = np.empty_like(position)
+    rank[order] = position - first
+    flat = target.reshape(-1).copy()
+    for r in range(rank.max(initial=-1) + 1):
+        take = rank == r
+        flat[slots[take]] += terms[take]
+    target[...] = flat.reshape(target.shape)
 
 
 def full_set(split, p):

@@ -237,10 +237,34 @@ def test_train_apr_writes_the_bytes_of_the_reference_step(workspace, tmp_path, m
 
     monkeypatch.setattr(kernels, "row_sums", oracles.row_sums)
     monkeypatch.setattr(models, "_scatter_add", scatter)
-    monkeypatch.setattr(models, "_scatter_add_sum", scatter)
     monkeypatch.setattr(training, "draw_negatives", lambda data, playlists, k, rng:
                         oracles.draw_negatives(pool_sizes[playlists], gaps[playlists], k, rng))
     assert train_grid("reference") == fast
+
+
+def test_train_apr_writes_the_same_checkpoint_at_one_and_two_blas_threads(tmp_path):
+    """APR's perturbation norms take no BLAS dot, whose sum OpenBLAS splits
+    across threads from about 20,000 values: a `train --apr` with a song table
+    of more than 20,000 values writes the same bytes at either thread count."""
+    tsv, split_dir = tmp_path / "wide.tsv", tmp_path / "wide"
+    synthetic.write_tsv(synthetic.planted_cluster_rows(songs_per_cluster=253, num_playlists=200),
+                        tsv)
+    _run(["prepare", "--input", str(tsv), "--out", str(split_dir), "--k", "1"])
+    d = 64
+    assert dataset.load_catalog(str(split_dir / "catalog.json")).num_songs * d > 30_000
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dataset.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        cfg = _write_config(tmp_path / f"threads-{threads}.cfg", model="mdr", split_dir=split_dir,
+                            out_dir=out, epochs="1", batch_size="64", d=str(d))
+        proc = subprocess.run([sys.executable, "-m", "metric_rec.cli", "train", "--config", cfg,
+                               "--apr"], capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("checkpoint.json", "checkpoint.json.arena")])
+    assert outputs[0] == outputs[1]
 
 
 def test_train_apr_builds_training_data_and_dev_lists_once(workspace, tmp_path, monkeypatch):
@@ -329,7 +353,7 @@ def _single_error_line(result):
     return lines[0]
 
 
-@pytest.mark.parametrize("spec", ["5..3", "1,,3", "1-", "a"])
+@pytest.mark.parametrize("spec", ["5..3", "1,,3", "1-", "a", "1-10", "1..102"])
 def test_evaluate_rejects_n_spec_without_values(workspace, tmp_path, spec):
     out = tmp_path / "m.json"
     result = _run(["evaluate", "--checkpoint", str(workspace / "mdr" / "checkpoint.json"),
