@@ -24,30 +24,12 @@ def _check_seed(seed):
         _fail(f"--seed must be in [0, 2**64 - 1], got {seed}")
 
 
-def _check_catalog(parts, catalog):
-    """Refuse models whose tables index another catalog than the split's.
-
-    Scoring such a model either indexes past a table's end or returns a
-    plausible answer about other users, playlists and songs. Sizes are
-    compared first; the catalog fingerprint too, when the checkpoint has one.
-    """
-    want = (catalog.num_users, catalog.num_playlists, catalog.num_songs)
-    fingerprint = catalog.fingerprint()
-    for p in parts:
-        have = (p.num_users, p.num_playlists, p.num_songs)
-        if have != want:
-            _fail(f"checkpoint does not match the split: (users, playlists, songs) "
-                  f"are {have} in the checkpoint, {want} in the split")
-        if p.catalog_sha256 and p.catalog_sha256 != fingerprint:
-            _fail(f"checkpoint does not match the split: its catalog fingerprint is "
-                  f"{p.catalog_sha256[:12]}..., the split's is {fingerprint[:12]}...")
-
-
 def _load_masr(doc, path):
     """The (mdr, mass) components and alpha of the fusion manifest `doc`, read from `path`.
 
     Raises ValueError naming `path` unless the manifest holds an MDR and a
-    MASS checkpoint, in that order, and a number alpha in [0, 1].
+    MASS checkpoint, in that order, of one catalog (equal users, playlists,
+    songs and catalog fingerprint), and a number alpha in [0, 1].
     """
     alpha = doc.get("alpha")
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha <= 1:
@@ -63,21 +45,46 @@ def _load_masr(doc, path):
             raise ValueError(f"{path}: {key}: {doc[key]} is a {part.kind!r} checkpoint, "
                              f"{kind!r} expected")
         parts.append(part)
+    mdr, mass = ((p.num_users, p.num_playlists, p.num_songs, p.catalog_sha256) for p in parts)
+    if mdr != mass:
+        raise ValueError(f"{path}: its checkpoints index different catalogs: (users, playlists, "
+                         f"songs, catalog fingerprint) are {mdr} for mdr_checkpoint, "
+                         f"{mass} for mass_checkpoint")
     return tuple(parts), alpha
 
 
-def _load_model(path):
-    """Load a model checkpoint or a fusion manifest; return (scorer, meta, its ModelParams)."""
+def _load_model(path, split_dir):
+    """(scorer, meta, parts, catalog, split) of the model checkpoint or fusion
+    manifest `path` and the split directory `split_dir`; `parts` holds the
+    model's ModelParams.
+
+    Raises ValueError unless the model's tables index the split's catalog:
+    equal (users, playlists, songs), and an equal catalog fingerprint when
+    the checkpoint has one. Scoring a model of another catalog either indexes
+    past a table's end or returns a plausible answer about other users,
+    playlists and songs.
+    """
     loaded, doc = params_mod.read_checkpoint(path)
     if isinstance(doc, dict) and doc.get("format") == MASR_FORMAT:
         parts, alpha = _load_masr(doc, path)
         scorer = models.make_scorer(parts, alpha=alpha)
         meta = {"model": "masr", "variant": "", "attention": "", "alpha": alpha}
-        return scorer, meta, parts
-    ckpt, _, _ = loaded or params_mod.checkpoint_from_doc(doc, path)
-    scorer = models.make_scorer(ckpt)
-    meta = {"model": ckpt.kind, "variant": ckpt.variant, "attention": ckpt.attention}
-    return scorer, meta, (ckpt,)
+    else:
+        ckpt, _, _ = loaded or params_mod.checkpoint_from_doc(doc, path)
+        parts, scorer = (ckpt,), models.make_scorer(ckpt)
+        meta = {"model": ckpt.kind, "variant": ckpt.variant, "attention": ckpt.attention}
+    catalog, split = dataset.load_split_dir(split_dir)
+    p = parts[0]  # a manifest's components index one catalog (see `_load_masr`)
+    have = (p.num_users, p.num_playlists, p.num_songs)
+    want = (catalog.num_users, catalog.num_playlists, catalog.num_songs)
+    if have != want:
+        raise ValueError(f"checkpoint does not match the split: (users, playlists, songs) "
+                         f"are {have} in the checkpoint, {want} in the split")
+    stamp, fingerprint = p.catalog_sha256, catalog.fingerprint()
+    if stamp and stamp != fingerprint:
+        raise ValueError(f"checkpoint does not match the split: its catalog fingerprint is "
+                         f"{stamp[:12]}..., the split's is {fingerprint[:12]}...")
+    return scorer, meta, parts, catalog, split
 
 
 @click.group()
@@ -236,9 +243,7 @@ def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
         _fail(f"--out {out_path}: its directory does not exist")
     try:
         n_list = _parse_n_list(n_spec)
-        scorer, meta, parts = _load_model(checkpoint)
-        catalog, split = dataset.load_split_dir(split_dir)
-        _check_catalog(parts, catalog)
+        scorer, meta, _, catalog, split = _load_model(checkpoint, split_dir)
         held = evaluation.held_out(split, catalog.num_songs, seed=seed)
         metrics = evaluation.evaluate(scorer, held, n_list=n_list)
         doc = dict(meta)
@@ -263,9 +268,7 @@ def recommend(checkpoint, playlist_id, top, split_dir):
     if top < 1:
         _fail(f"--top must be at least 1, got {top}")
     try:
-        scorer, _, parts = _load_model(checkpoint)
-        catalog, split = dataset.load_split_dir(split_dir)
-        _check_catalog(parts, catalog)
+        scorer, _, _, catalog, split = _load_model(checkpoint, split_dir)
         p = catalog.playlists.get(playlist_id)
         if p is None:
             _fail(f"unknown playlist id: {playlist_id}")
@@ -292,13 +295,11 @@ def recommend(checkpoint, playlist_id, top, split_dir):
 def attention_report(checkpoint, split_dir, out_dir):
     """PMI-vs-model attention correlation; writes pmi_att.csv and a summary."""
     try:
-        ckpt, _, _ = params_mod.load_checkpoint(checkpoint)
-        if ckpt.kind != "mass":
+        _, meta, parts, _, split = _load_model(checkpoint, split_dir)
+        if meta["model"] != "mass":
             _fail("attention report requires a mass-family checkpoint")
-        catalog, split = dataset.load_split_dir(split_dir)
-        _check_catalog((ckpt,), catalog)
         rho, rows = analysis.attention_correlation(
-            ckpt, split, csv_path=os.path.join(out_dir, "pmi_att.csv"))
+            parts[0], split, csv_path=os.path.join(out_dir, "pmi_att.csv"))
         summary_path = os.path.join(out_dir, "attention_summary.json")
         dataset.write_json({"pearson_rho": rho, "num_pairs": len(rows)}, summary_path)
     except (OSError, ValueError) as exc:

@@ -156,38 +156,21 @@ def check_split(rows, songs, num_users, num_playlists, num_songs):
     or given by an earlier entry; `user`, an owner outside it; `train`, an
     empty train list or a song outside 1..num_songs; `dev`, then `test`, a
     song outside 1..num_songs; then `dev`, then `test`, a song in the train
-    list. No entry gives (None, "top level").
-
-    A split without a fault is accepted by whole-array tests; only one that
-    fails them is searched, entry by entry, for its first fault.
+    list. Every entry is tested for every fault. No entry gives
+    (None, "top level").
     """
     if not len(rows):
         return None, "top level"
     playlist, owner, dev, test, ends = rows.T
-    counts = np.diff(ends, prepend=0)
-    if (playlist.min() >= 0 and playlist.max() < num_playlists
-            and owner.min() >= 0 and owner.max() < num_users
-            and counts.min() > 0 and songs.min() >= 1 and songs.max() <= num_songs
-            and min(dev.min(), test.min()) >= 1 and max(dev.max(), test.max()) <= num_songs
-            and np.bincount(playlist).max() == 1
-            and not (np.repeat(dev, counts) == songs).any()
-            and not (np.repeat(test, counts) == songs).any()):
-        return None
-    return _first_fault(rows, songs, num_users, num_playlists, num_songs)
-
-
-def _first_fault(rows, songs, num_users, num_playlists, num_songs):
-    """`check_split`'s result for `rows`, which hold at least one entry, found
-    by testing every entry for every fault."""
-    playlist, owner, dev, test, ends = rows.T
-    counts = np.diff(ends, prepend=0)
-    entry = np.repeat(np.arange(len(rows)), counts)
+    counts = ends - np.append(0, ends[:-1])
     order = np.argsort(playlist, kind="stable")
     repeated = np.zeros(len(rows), dtype=bool)
     repeated[order[1:]] = playlist[order[1:]] == playlist[order[:-1]]
 
-    def per_entry(mask):  # the entries with a train song in `mask`
-        return np.bincount(entry[mask], minlength=len(rows)) > 0
+    def per_entry(mask):  # the entries with a train song in `mask`: the first ending past it
+        faulty = np.zeros(len(rows), dtype=bool)
+        faulty[np.searchsorted(ends, np.flatnonzero(mask), side="right")] = True
+        return faulty
 
     faults = np.column_stack([
         (playlist < 0) | (playlist >= num_playlists) | repeated,
@@ -695,8 +678,7 @@ def load_split_dir(split_dir):
 def _split_from_arena(header, values):
     """(Catalog, SplitDataset) from a split companion's header and payload
     `values`, or None unless its id lists hold distinct strings (as the keys
-    of catalog.json do) and its rows pass the vectorised checks of
-    `check_split`."""
+    of catalog.json do) and its rows pass `check_split`."""
     ids = [header[key] for key in ("user_ids", "playlist_ids", "song_ids")]
     n, fingerprint = header["entries"], header["catalog_fingerprint"]
     if (type(n) is not int or n < 0 or type(fingerprint) is not str

@@ -17,8 +17,8 @@ package's forward pass, whose gradient the gate checks.
 
 `sample_negatives` and `held_out_songs` draw each held-out list's negatives
 over the array of the pool's songs, as `evaluation.held_out` did before it
-drew pool ranks; `check_split` tests every split entry for every fault, as
-`dataset.check_split` does for a split that its whole-array tests refuse.
+drew pool ranks; `check_split` tests a split's entries one at a time, field
+by field, and stops at the first fault.
 
 `adam_step` is the optimizer's reference: the bias-corrected Adam update
 applied tensor by tensor to plain dicts, against which the package's
@@ -337,32 +337,29 @@ def held_out_songs(split, num_songs, seed=0, which="test", num_negatives=100):
 
 
 def check_split(rows, songs, num_users, num_playlists, num_songs):
-    """`dataset.check_split`'s result, found by testing every entry of `rows`
-    for every fault, in the order that function names them."""
+    """`dataset.check_split`'s result, found entry by entry: each entry's
+    fields are tested in the order that function names them, and the first
+    fault ends the search."""
     if not len(rows):
         return None, "top level"
-    playlist, owner, dev, test, ends = rows.T
-    counts = np.diff(ends, prepend=0)
-    entry = np.repeat(np.arange(len(rows)), counts)
-    order = np.argsort(playlist, kind="stable")
-    repeated = np.zeros(len(rows), dtype=bool)
-    repeated[order[1:]] = playlist[order[1:]] == playlist[order[:-1]]
-
-    def per_entry(mask):  # the entries with a train song in `mask`
-        return np.bincount(entry[mask], minlength=len(rows)) > 0
-
-    faults = np.column_stack([
-        (playlist < 0) | (playlist >= num_playlists) | repeated,
-        (owner < 0) | (owner >= num_users),
-        (counts == 0) | per_entry((songs < 1) | (songs > num_songs)),
-        (dev < 1) | (dev > num_songs),
-        (test < 1) | (test > num_songs),
-        per_entry(np.repeat(dev, counts) == songs),
-        per_entry(np.repeat(test, counts) == songs),
-    ]).ravel()
-    first = int(np.argmax(faults))  # entry-major: the first entry's first fault
-    fields = ("id", "user", "train", "dev", "test", "dev", "test")
-    return (first // 7, fields[first % 7]) if faults[first] else None
+    seen, start = set(), 0
+    for i, (playlist, owner, dev, test, end) in enumerate(rows.tolist()):
+        train = songs[start:end].tolist()
+        start = end
+        if not 0 <= playlist < num_playlists or playlist in seen:
+            return i, "id"
+        seen.add(playlist)
+        if not 0 <= owner < num_users:
+            return i, "user"
+        if not train or not all(1 <= song <= num_songs for song in train):
+            return i, "train"
+        for field, song in (("dev", dev), ("test", test)):
+            if not 1 <= song <= num_songs:
+                return i, field
+        for field, song in (("dev", dev), ("test", test)):
+            if song in train:
+                return i, field
+    return None
 
 
 def bpr_loss(pos_scores, neg_scores, params=None, lambda_theta=0.0):

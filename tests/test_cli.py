@@ -475,7 +475,7 @@ def test_checkpoint_from_larger_catalog_fails_cleanly(
     checkpoint = workspace / ("mass" if command == "attention-report" else "mdr") / "checkpoint.json"
     if command == "masr":
         cfg = _write_config(tmp_path / "masr.cfg", model="masr", out_dir=tmp_path, alpha="0.5",
-                            mdr_checkpoint=small_catalog_checkpoints / "mdr" / "checkpoint.json",
+                            mdr_checkpoint=workspace / "mdr" / "checkpoint.json",
                             mass_checkpoint=workspace / "mass" / "checkpoint.json")
         _run(["train", "--config", cfg])
         command, checkpoint = "evaluate", tmp_path / "masr.json"
@@ -582,10 +582,10 @@ def test_load_model_takes_a_matching_companion_without_parsing_the_json(
                         lambda data, path: parses.append(path) or parse(data, path))
     for kind in ("mdr", "mass"):
         path = workspace / kind / "checkpoint.json"
-        _, meta, (ckpt,) = _load_model(str(path))
+        _, meta, (ckpt,), _, _ = _load_model(str(path), str(workspace / "splits"))
         assert parses == [] and meta["model"] == kind
         shutil.copy(path, tmp_path / f"{kind}.json")  # no companion beside it
-        _, _, (ref,) = _load_model(str(tmp_path / f"{kind}.json"))
+        _, _, (ref,), _, _ = _load_model(str(tmp_path / f"{kind}.json"), str(workspace / "splits"))
         assert parses == [str(tmp_path / f"{kind}.json")]
         assert ckpt.tensors.flat.tobytes() == ref.tensors.flat.tobytes()
         parses.clear()
@@ -711,6 +711,15 @@ def test_attention_report_rejects_mdr(workspace, tmp_path):
     assert "mass-family" in result.output
 
 
+def test_attention_report_rejects_a_masr_manifest(workspace, tmp_path):
+    manifest = _masr_manifest(workspace, tmp_path / "masr.json")
+    result = _run(["attention-report", "--checkpoint", str(manifest),
+                   "--split", str(workspace / "splits"), "--out", str(tmp_path / "out")],
+                  expect_exit=1)
+    assert _single_error_line(result) == "error: attention report requires a mass-family checkpoint"
+    assert not (tmp_path / "out").exists()
+
+
 def test_masr_manifest_and_evaluation(workspace, tmp_path):
     out_dir = tmp_path / "masr"
     cfg = _write_config(
@@ -767,6 +776,30 @@ def test_train_masr_checks_the_manifest_components_before_writing_it(workspace, 
     field = "mdr_checkpoint" if swap else "mass_checkpoint"
     assert f"{tmp_path / 'out' / 'masr.json'}: {field}: " in line
     assert not (tmp_path / "out").exists()
+
+
+def test_train_masr_refuses_checkpoints_of_different_catalogs(workspace, tmp_path):
+    """A MASS of another corpus fused with `workspace`'s MDR: `train` writes no
+    manifest, and `evaluate` refuses one written by hand before it loads the split."""
+    tsv = tmp_path / "other.tsv"
+    synthetic.write_tsv(synthetic.planted_cluster_rows(seed=1), tsv)
+    _run(["prepare", "--input", str(tsv), "--out", str(tmp_path / "split"), "--seed", "0"])
+    cfg = _write_config(tmp_path / "mass.cfg", model="mass", split_dir=tmp_path / "split",
+                        out_dir=tmp_path / "mass", epochs="0", d="8")
+    _run(["train", "--config", cfg])
+    mass = tmp_path / "mass" / "checkpoint.json"
+    out_dir = tmp_path / "out"
+    cfg = _write_config(tmp_path / "masr.cfg", model="masr", out_dir=out_dir, alpha="0.5",
+                        mdr_checkpoint=workspace / "mdr" / "checkpoint.json", mass_checkpoint=mass)
+    line = _single_error_line(_run(["train", "--config", cfg], expect_exit=1))
+    assert line.startswith(f"error: {out_dir / 'masr.json'}: its checkpoints index different "
+                           f"catalogs: (users, playlists, songs, catalog fingerprint) are ")
+    assert not out_dir.exists()
+    manifest = _masr_manifest(workspace, tmp_path / "masr.json", mass_checkpoint=str(mass))
+    line = _single_error_line(_run(["evaluate", "--checkpoint", str(manifest),
+                                    "--split", str(tmp_path / "nowhere"),
+                                    "--out", str(tmp_path / "m.json")], expect_exit=1))
+    assert line.startswith(f"error: {manifest}: its checkpoints index different catalogs: ")
 
 
 def _edited_split(workspace, split_dir, edit, playlist="p0"):

@@ -26,6 +26,12 @@ epochs = 10
     assert hyper.epochs == 10 and hyper.d == 16
 
 
+@pytest.mark.parametrize("spelling,value", [("true", True), ("YES", True), ("1", True),
+                                             ("false", False), ("no", False), ("0", False)])
+def test_use_bias_spellings(tmp_path, spelling, value):
+    assert parse_config(_write(tmp_path, f"use_bias = {spelling}\n")).use_bias is value
+
+
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config key: learningrate"):
         parse_config(_write(tmp_path, "learningrate = 0.001\n"))
@@ -49,6 +55,10 @@ def test_bad_values_rejected(tmp_path):
         parse_config(_write(tmp_path, "epochs = 200\n"))
     with pytest.raises(ValueError, match="use_bias"):
         parse_config(_write(tmp_path, "use_bias = maybe\n"))
+    with pytest.raises(ValueError, match="mdr_variant"):
+        parse_config(_write(tmp_path, "mdr_variant = uv\n"))
+    with pytest.raises(ValueError, match="mass_variant"):
+        parse_config(_write(tmp_path, "mass_variant = x\n"))
 
 
 def test_repeated_key_rejected_naming_both_lines(tmp_path):
