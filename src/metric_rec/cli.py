@@ -1,4 +1,5 @@
-"""Command-line entry point: prepare, train, evaluate, recommend, attention-report."""
+"""Command-line entry point: prepare, train, evaluate, recommend, attention-report.
+A command refuses its input by raising; `RefusingCommand` prints the refusal."""
 
 import os
 import sys
@@ -13,15 +14,35 @@ from .config import parse_config
 MASR_FORMAT = "metric-rec-masr-v1"
 
 
-def _fail(message):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
+class RefusingCommand(click.Command):
+    """The class of every command: an OSError, ValueError or FloatingPointError
+    it raises ends it with one `error:` line and exit status 1; a non-finite
+    value (FloatingPointError) is named after the `--checkpoint`, if any."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (OSError, ValueError) as exc:
+            message = exc
+        except FloatingPointError as exc:
+            checkpoint = ctx.params.get("checkpoint")
+            message = f"{checkpoint}: {exc}" if checkpoint else exc
+        click.echo(f"error: {message}", err=True)
+        sys.exit(1)
 
 
 def _check_seed(seed):
     """Refuse a `--seed` that numpy's generators do not take."""
     if not 0 <= seed < 2 ** 64:
-        _fail(f"--seed must be in [0, 2**64 - 1], got {seed}")
+        raise ValueError(f"--seed must be in [0, 2**64 - 1], got {seed}")
+
+
+def _load_split(split_dir):
+    """(catalog, split) of `split_dir`; a failed load names the directory."""
+    try:
+        return dataset.load_split_dir(split_dir)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load split from {split_dir!r}: {exc}") from None
 
 
 def _load_masr(doc, path):
@@ -73,7 +94,7 @@ def _load_model(path, split_dir):
         ckpt, _, _ = loaded or params_mod.checkpoint_from_doc(doc, path)
         parts, scorer = (ckpt,), models.make_scorer(ckpt)
         meta = {"model": ckpt.kind, "variant": ckpt.variant, "attention": ckpt.attention}
-    catalog, split = dataset.load_split_dir(split_dir)
+    catalog, split = _load_split(split_dir)
     p = parts[0]  # a manifest's components index one catalog (see `_load_masr`)
     have = (p.num_users, p.num_playlists, p.num_songs)
     want = (catalog.num_users, catalog.num_playlists, catalog.num_songs)
@@ -92,6 +113,9 @@ def main():
     """Playlist-continuation recommenders with learned diagonal metrics."""
 
 
+main.command_class = RefusingCommand
+
+
 @main.command()
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -104,27 +128,22 @@ def main():
 def prepare(input_path, out_dir, k, seed, max_playlists_per_user, max_playlist_len):
     """Filter raw interactions and write catalog + split manifests."""
     if k < 1:
-        _fail(f"--k must be >= 1, got {k}")
+        raise ValueError(f"--k must be >= 1, got {k}")
     _check_seed(seed)
-    try:
-        catalog, split = dataset.prepare(
-            input_path, out_dir, k=k, seed=seed,
-            max_playlists_per_user=max_playlists_per_user,
-            max_songs_per_playlist=max_playlist_len,
-        )
-    except (OSError, ValueError) as exc:
-        _fail(exc)
-    click.echo(
-        f"prepared {catalog.num_playlists} playlists, {catalog.num_songs} songs, "
-        f"{catalog.num_users} users -> {out_dir}"
+    catalog, split = dataset.prepare(
+        input_path, out_dir, k=k, seed=seed,
+        max_playlists_per_user=max_playlists_per_user,
+        max_songs_per_playlist=max_playlist_len,
     )
+    click.echo(f"prepared {catalog.num_playlists} playlists, {catalog.num_songs} songs, "
+               f"{catalog.num_users} users -> {out_dir}")
 
 
 def _make_out_dir(out_dir):
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        _fail(f"cannot create out_dir {out_dir!r}: {exc}")
+        raise OSError(f"cannot create out_dir {out_dir!r}: {exc}") from None
 
 
 def _write_masr_manifest(cfg):
@@ -133,26 +152,16 @@ def _write_masr_manifest(cfg):
     for key in ("mdr_checkpoint", "mass_checkpoint"):
         path = cfg.values[key]
         if not path:
-            _fail(f"missing config key {key} (masr needs both pretrained checkpoints)")
+            raise ValueError(f"missing config key {key} (masr needs both pretrained checkpoints)")
         if not os.path.isfile(path):
-            _fail(f"{key}: no checkpoint file at {path}")
-    manifest = {
-        "format": MASR_FORMAT,
-        "model": "masr",
-        "alpha": cfg.alpha,
-        "mdr_checkpoint": os.path.abspath(cfg.mdr_checkpoint),
-        "mass_checkpoint": os.path.abspath(cfg.mass_checkpoint),
-    }
+            raise ValueError(f"{key}: no checkpoint file at {path}")
+    manifest = {"format": MASR_FORMAT, "model": "masr", "alpha": cfg.alpha,
+                "mdr_checkpoint": os.path.abspath(cfg.mdr_checkpoint),
+                "mass_checkpoint": os.path.abspath(cfg.mass_checkpoint)}
     path = os.path.join(cfg.out_dir, "masr.json")
-    try:
-        _load_masr(manifest, path)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
+    _load_masr(manifest, path)
     _make_out_dir(cfg.out_dir)
-    try:
-        dataset.write_json(manifest, path)
-    except OSError as exc:
-        _fail(exc)
+    dataset.write_json(manifest, path)
     click.echo(f"wrote fusion manifest {path}")
 
 
@@ -161,20 +170,14 @@ def _write_masr_manifest(cfg):
 @click.option("--apr", is_flag=True, help="Run adversarial training after the base phase.")
 def train(config_path, apr):
     """Train the configured model; writes checkpoint and training log."""
-    try:
-        cfg = parse_config(config_path)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
+    cfg = parse_config(config_path)
     out_dir = cfg.out_dir
     if cfg.model == "masr":
         _write_masr_manifest(cfg)
         return
     if not cfg.split_dir:
-        _fail("missing config key split_dir")
-    try:
-        catalog, split = dataset.load_split_dir(cfg.split_dir)
-    except (OSError, ValueError) as exc:
-        _fail(f"cannot load split from {cfg.split_dir!r}: {exc}")
+        raise ValueError("missing config key split_dir")
+    catalog, split = _load_split(cfg.split_dir)
     _make_out_dir(out_dir)
     hyper = cfg.hyperparams()
     rng = np.random.default_rng(hyper.seed)
@@ -190,21 +193,18 @@ def train(config_path, apr):
         )
     params.catalog_sha256 = catalog.fingerprint()
 
-    try:
-        # Both phases train on the same instances and rank the same dev lists.
-        data = training.build_train_data(split, v)
-        dev = evaluation.held_out(split, v, hyper.seed, "dev") if hyper.epochs else None
-        result = training.train(params, data, dev, hyper, mode="bpr", rng=rng,
-                                log_path=os.path.join(out_dir, "train_log.jsonl"))
-        if apr:
-            bpr_path = os.path.join(out_dir, "checkpoint_bpr.json")
-            params_mod.save_checkpoint(result.params, bpr_path, asdict(hyper), hyper.seed)
-            result = training.train(result.params, data, dev, hyper, mode="apr", rng=rng,
-                                    log_path=os.path.join(out_dir, "apr_log.jsonl"))
-        ckpt_path = os.path.join(out_dir, "checkpoint.json")
-        params_mod.save_checkpoint(result.params, ckpt_path, asdict(hyper), hyper.seed)
-    except (FloatingPointError, OSError, ValueError) as exc:
-        _fail(exc)
+    # Both phases train on the same instances and rank the same dev lists.
+    data = training.build_train_data(split, v)
+    dev = evaluation.held_out(split, v, hyper.seed, "dev") if hyper.epochs else None
+    result = training.train(params, data, dev, hyper, mode="bpr", rng=rng,
+                            log_path=os.path.join(out_dir, "train_log.jsonl"))
+    if apr:
+        bpr_path = os.path.join(out_dir, "checkpoint_bpr.json")
+        params_mod.save_checkpoint(result.params, bpr_path, asdict(hyper), hyper.seed)
+        result = training.train(result.params, data, dev, hyper, mode="apr", rng=rng,
+                                log_path=os.path.join(out_dir, "apr_log.jsonl"))
+    ckpt_path = os.path.join(out_dir, "checkpoint.json")
+    params_mod.save_checkpoint(result.params, ckpt_path, asdict(hyper), hyper.seed)
     click.echo(f"wrote checkpoint {ckpt_path} (best epoch {result.best_epoch})")
 
 
@@ -238,23 +238,18 @@ def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
     """Leave-one-out test evaluation; writes a metrics JSON."""
     _check_seed(seed)
     if os.path.isdir(out_path):
-        _fail(f"--out {out_path}: is a directory")
+        raise ValueError(f"--out {out_path}: is a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
-        _fail(f"--out {out_path}: its directory does not exist")
-    try:
-        n_list = _parse_n_list(n_spec)
-        scorer, meta, _, catalog, split = _load_model(checkpoint, split_dir)
-        held = evaluation.held_out(split, catalog.num_songs, seed=seed)
-        metrics = evaluation.evaluate(scorer, held, n_list=n_list)
-        doc = dict(meta)
-        doc["N"] = {str(n): metrics["N"][n] for n in n_list}
-        doc["num_playlists"] = metrics["num_playlists"]
-        doc["seed"] = seed
-        dataset.write_json(doc, out_path)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
-    except FloatingPointError as exc:
-        _fail(f"{checkpoint}: {exc}")
+        raise ValueError(f"--out {out_path}: its directory does not exist")
+    n_list = _parse_n_list(n_spec)
+    scorer, meta, _, catalog, split = _load_model(checkpoint, split_dir)
+    held = evaluation.held_out(split, catalog.num_songs, seed=seed)
+    metrics = evaluation.evaluate(scorer, held, n_list=n_list)
+    doc = dict(meta)
+    doc["N"] = {str(n): metrics["N"][n] for n in n_list}
+    doc["num_playlists"] = metrics["num_playlists"]
+    doc["seed"] = seed
+    dataset.write_json(doc, out_path)
     click.echo(f"wrote metrics {out_path}")
 
 
@@ -266,26 +261,23 @@ def evaluate(checkpoint, split_dir, n_spec, seed, out_path):
 def recommend(checkpoint, playlist_id, top, split_dir):
     """Rank unseen songs for one playlist and print the top of the list."""
     if top < 1:
-        _fail(f"--top must be at least 1, got {top}")
-    try:
-        scorer, _, _, catalog, split = _load_model(checkpoint, split_dir)
-        p = catalog.playlists.get(playlist_id)
-        if p is None:
-            _fail(f"unknown playlist id: {playlist_id}")
-        start, end = split.offsets[p:p + 2]
-        if start == end:
-            _fail(f"playlist {playlist_id} has no entry in the split under {split_dir}")
-        candidates = dataset.songs_outside(
-            np.append(split.songs[start:end], (split.dev[p], split.test[p])), catalog.num_songs)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            scores = scorer(evaluation.context_batch(split, [p], candidates[None, :]))[0]
-        if not np.isfinite(scores).all():
-            _fail(f"{checkpoint}: the model scores a candidate song as inf or nan")
-        order = np.lexsort((candidates, scores))[:top]
-        for song, score in zip(candidates[order].tolist(), scores[order]):
-            click.echo(f"{catalog.song_ids[song - 1]}\t{score:.6f}")
-    except (OSError, ValueError) as exc:
-        _fail(exc)
+        raise ValueError(f"--top must be at least 1, got {top}")
+    scorer, _, _, catalog, split = _load_model(checkpoint, split_dir)
+    p = catalog.playlists.get(playlist_id)
+    if p is None:
+        raise ValueError(f"unknown playlist id: {playlist_id}")
+    start, end = split.offsets[p:p + 2]
+    if start == end:
+        raise ValueError(f"playlist {playlist_id} has no entry in the split under {split_dir}")
+    candidates = dataset.songs_outside(
+        np.append(split.songs[start:end], (split.dev[p], split.test[p])), catalog.num_songs)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        scores = scorer(evaluation.context_batch(split, [p], candidates[None, :]))[0]
+    if not np.isfinite(scores).all():
+        raise FloatingPointError("the model scores a candidate song as inf or nan")
+    order = np.lexsort((candidates, scores))[:top]
+    for song, score in zip(candidates[order].tolist(), scores[order]):
+        click.echo(f"{catalog.song_ids[song - 1]}\t{score:.6f}")
 
 
 @main.command("attention-report")
@@ -294,18 +286,13 @@ def recommend(checkpoint, playlist_id, top, split_dir):
 @click.option("--out", "out_dir", default=".", show_default=True)
 def attention_report(checkpoint, split_dir, out_dir):
     """PMI-vs-model attention correlation; writes pmi_att.csv and a summary."""
-    try:
-        _, meta, parts, _, split = _load_model(checkpoint, split_dir)
-        if meta["model"] != "mass":
-            _fail("attention report requires a mass-family checkpoint")
-        rho, rows = analysis.attention_correlation(
-            parts[0], split, csv_path=os.path.join(out_dir, "pmi_att.csv"))
-        summary_path = os.path.join(out_dir, "attention_summary.json")
-        dataset.write_json({"pearson_rho": rho, "num_pairs": len(rows)}, summary_path)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
-    except FloatingPointError as exc:
-        _fail(f"{checkpoint}: {exc}")
+    _, meta, parts, _, split = _load_model(checkpoint, split_dir)
+    if meta["model"] != "mass":
+        raise ValueError("attention report requires a mass-family checkpoint")
+    rho, rows = analysis.attention_correlation(
+        parts[0], split, csv_path=os.path.join(out_dir, "pmi_att.csv"))
+    summary_path = os.path.join(out_dir, "attention_summary.json")
+    dataset.write_json({"pearson_rho": rho, "num_pairs": len(rows)}, summary_path)
     click.echo(f"wrote {summary_path} (rho={rho:.4f})")
 
 

@@ -131,7 +131,7 @@ class SplitDataset:
 
 def split_from_rows(rows, songs, num_playlists):
     """The SplitDataset of the split entries `rows`, which `check_split` passes."""
-    playlist, counts = rows[:, 0], np.diff(rows[:, 4], prepend=0)
+    playlist, counts = rows[:, 0], rows[:, 4] - np.append(0, rows[:-1, 4])
     table = np.zeros((4, num_playlists), dtype=np.int64)
     table[:, playlist] = np.vstack((rows[:, 1:4].T, counts))
     owner, dev, test, lengths = table

@@ -17,6 +17,7 @@ instances and dev lists once for both phases, and `train` allocates once
 per call the gradient, perturbation and scratch arenas every step writes.
 """
 
+import contextlib
 import json
 import math
 import time
@@ -277,6 +278,8 @@ def train(params, data, dev, hyper, mode="bpr", log_path=None, loss_scale=1.0, r
     starting from the given (pretrained) parameters. With `dev`, the
     `held_out` dev lists, the result keeps a copy of the parameters of the
     best epoch by dev hit@10; with `dev=None` it holds `params` itself.
+    An overflow or invalid value in a step raises FloatingPointError naming
+    the mode and epoch, as does a loss that is not finite.
     """
     if rng is None:
         rng = np.random.default_rng(hyper.seed)
@@ -293,49 +296,49 @@ def train(params, data, dev, hyper, mode="bpr", log_path=None, loss_scale=1.0, r
     if mode == "apr":
         adv_grads, delta, work = params.zero_like(), params.zero_like(), params.copy()
     result = TrainResult(params=params)
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
+    log = open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext()
 
     try:
-        for epoch in range(hyper.epochs):
-            t0 = time.perf_counter()
-            order = rng.permutation(len(data))
-            epoch_loss = 0.0
-            for start in range(0, len(order), hyper.batch_size):
-                idx = order[start:start + hyper.batch_size]
-                batch = _make_batch(idx, data, k, rng, members=params.kind == "mass")
-                if mode == "bpr":
-                    loss, _ = gradients(params, batch, hyper.lambda_theta, loss_scale,
-                                        out=grads)
-                else:
-                    adversarial_delta(params, batch, hyper.epsilon, delta, work)
-                    loss, _ = gradients(params, batch, hyper.lambda_theta, out=grads)
-                    adv_loss, _ = gradients(_perturbed(params, delta, work), batch,
-                                            lambda_theta=0.0, out=adv_grads)
-                    loss += hyper.lambda_delta * adv_loss
-                    if hyper.lambda_delta != 1.0:  # a product with 1.0 changes no value
-                        adv_grads.flat *= hyper.lambda_delta
-                    grads.flat += adv_grads.flat
-                if not np.isfinite(loss):
-                    raise FloatingPointError("non-finite training loss")
-                adam_update(params, grads, state, hyper.learning_rate)
-                params.check_finite()
-                epoch_loss += loss
-            seconds = time.perf_counter() - t0
+        with log as log_file, np.errstate(over="raise", invalid="raise"):
+            for epoch in range(hyper.epochs):
+                t0 = time.perf_counter()
+                order = rng.permutation(len(data))
+                epoch_loss = 0.0
+                for start in range(0, len(order), hyper.batch_size):
+                    idx = order[start:start + hyper.batch_size]
+                    batch = _make_batch(idx, data, k, rng, members=params.kind == "mass")
+                    if mode == "bpr":
+                        loss, _ = gradients(params, batch, hyper.lambda_theta, loss_scale,
+                                            out=grads)
+                    else:
+                        adversarial_delta(params, batch, hyper.epsilon, delta, work)
+                        loss, _ = gradients(params, batch, hyper.lambda_theta, out=grads)
+                        adv_loss, _ = gradients(_perturbed(params, delta, work), batch,
+                                                lambda_theta=0.0, out=adv_grads)
+                        loss += hyper.lambda_delta * adv_loss
+                        if hyper.lambda_delta != 1.0:  # a product with 1.0 changes no value
+                            adv_grads.flat *= hyper.lambda_delta
+                        grads.flat += adv_grads.flat
+                    if not np.isfinite(loss):
+                        raise FloatingPointError("non-finite training loss")
+                    adam_update(params, grads, state, hyper.learning_rate)
+                    params.check_finite()
+                    epoch_loss += loss
+                seconds = time.perf_counter() - t0
 
-            record = {"epoch": epoch, "train_loss": epoch_loss, "seconds": seconds}
-            if dev is not None:
-                metrics = evaluate(models.make_scorer(params), dev, n_list=[10])
-                record["dev_hit10"] = metrics["N"][10]["hit"]
-                record["dev_ndcg10"] = metrics["N"][10]["ndcg"]
-                if record["dev_hit10"] > result.best_dev_hit10:
-                    result.params = params.copy()
-                    result.best_epoch = epoch
-                    result.best_dev_hit10 = record["dev_hit10"]
-            if log_file:
-                json.dump(record, log_file, sort_keys=True)
-                log_file.write("\n")
-                log_file.flush()
-    finally:
-        if log_file:
-            log_file.close()
+                record = {"epoch": epoch, "train_loss": epoch_loss, "seconds": seconds}
+                if dev is not None:
+                    metrics = evaluate(models.make_scorer(params), dev, n_list=[10])
+                    record["dev_hit10"] = metrics["N"][10]["hit"]
+                    record["dev_ndcg10"] = metrics["N"][10]["ndcg"]
+                    if record["dev_hit10"] > result.best_dev_hit10:
+                        result.params = params.copy()
+                        result.best_epoch = epoch
+                        result.best_dev_hit10 = record["dev_hit10"]
+                if log_file:
+                    json.dump(record, log_file, sort_keys=True)
+                    log_file.write("\n")
+                    log_file.flush()
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{mode} epoch {epoch}: {exc}") from None
     return result

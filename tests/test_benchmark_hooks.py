@@ -1,6 +1,8 @@
 """The benchmark under perfbench/ reaches into the package by name: its tracer
 wraps the layers' entry points listed in `spans.TARGETS` and the CLI
-commands' callbacks, and its run record reads `kernels.active_backend()`.
+commands' callbacks, its workloads time `cli.training.train` and calibrate
+on `cli.training.adam_update`, and its run record reads
+`kernels.active_backend()`.
 A refactor that moves or renames one of them breaks the traced run, so
 these names are checked here; perfbench/spans.py is only read."""
 
@@ -8,7 +10,7 @@ import importlib
 from pathlib import Path
 
 import metric_rec
-from metric_rec import cli, kernels
+from metric_rec import cli, kernels, training
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -33,3 +35,8 @@ def test_every_traced_entry_point_resolves():
 
 def test_the_recorded_kernel_backend_resolves():
     assert isinstance(kernels.active_backend(), str)
+
+
+def test_the_training_entry_points_the_workloads_patch_resolve_through_cli():
+    assert cli.training is training
+    assert callable(cli.training.train) and callable(cli.training.adam_update)

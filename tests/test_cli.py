@@ -421,6 +421,19 @@ def test_train_names_a_split_dir_it_cannot_load_before_making_out_dir(tmp_path, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "attention-report"])
+def test_reading_commands_name_a_split_dir_they_cannot_load(workspace, tmp_path, command):
+    """The readers word a split directory that does not load as `train` does."""
+    missing, out = tmp_path / "nope", tmp_path / "out"
+    args = {"evaluate": ["--out", str(out)], "recommend": ["--playlist", "p0"],
+            "attention-report": ["--out", str(out)]}[command]
+    result = _run([command, "--checkpoint", str(workspace / "mass" / "checkpoint.json"),
+                   "--split", str(missing), *args], expect_exit=1)
+    assert _single_error_line(result).startswith(
+        f"error: cannot load split from {str(missing)!r}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("blocked", ["checkpoint_bpr.json", "checkpoint.json",
                                      "checkpoint.json.arena"])
 def test_train_that_cannot_write_a_checkpoint_fails_cleanly(workspace, tmp_path, blocked):
@@ -1070,6 +1083,17 @@ def test_finite_values_whose_scores_overflow_fail_cleanly(workspace, tmp_path, c
     assert not out.exists() or not os.listdir(out)
 
 
+def _one_error_line_in_a_fresh_process(args):
+    """The stderr of `python -m metric_rec.cli <args>`, where no test runner
+    captures numpy's warnings, once it is checked to be one line after exit 1."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dataset.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "metric_rec.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
+    return proc.stderr
+
+
 @pytest.mark.parametrize("command", ["evaluate", "recommend", "attention-report"])
 def test_overflowing_scores_print_one_stderr_line_in_a_fresh_process(workspace, tmp_path,
                                                                      command):
@@ -1080,14 +1104,24 @@ def test_overflowing_scores_print_one_stderr_line_in_a_fresh_process(workspace, 
                        1e300)
     args = {"evaluate": ["--out", str(tmp_path / "m.json")], "recommend": ["--playlist", "p0"],
             "attention-report": ["--out", str(tmp_path / "att")]}[command]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dataset.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "metric_rec.cli", command, "--checkpoint",
-                           str(path), "--split", str(workspace / "splits"), *args],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-                          timeout=300)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
-    assert proc.stderr.startswith(f"error: {path}: "), proc.stderr
+    stderr = _one_error_line_in_a_fresh_process(
+        [command, "--checkpoint", str(path), "--split", str(workspace / "splits"), *args])
+    assert stderr.startswith(f"error: {path}: "), stderr
+
+
+@pytest.mark.parametrize("lambda_delta", ["1e300", "1e308"])
+def test_train_refuses_a_diverging_apr_step_with_one_stderr_line_in_a_fresh_process(
+        workspace, tmp_path, lambda_delta):
+    """An adversarial weight that overflows an APR step ends `train --apr` with
+    one `error:` line naming the phase and epoch, and no final checkpoint: at
+    1e300 Adam's second moment overflows, at 1e308 the weighted gradient."""
+    out_dir = tmp_path / "out"
+    cfg = _write_config(tmp_path / "apr.cfg", model="mdr", split_dir=workspace / "splits",
+                        out_dir=out_dir, epochs="1", batch_size="64", d="8",
+                        lambda_delta=lambda_delta)
+    stderr = _one_error_line_in_a_fresh_process(["train", "--config", cfg, "--apr"])
+    assert stderr.startswith("error: apr epoch 0: "), stderr
+    assert not (out_dir / "checkpoint.json").exists()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
