@@ -11,6 +11,8 @@ Rows, at V in {2,000; 20,000} songs with V / 4 users and V / 4 playlists:
   and backward into a zeroed gradient arena by `training.gradients`, then
   `training.adam_update`); `evaluation.rank_candidates` on one ranking of
   B = 300 contexts of l = 61 members, C = 101 distinct candidates each;
+  `ModelParams.check_finite`, the finiteness pass over the parameter set
+  that closes every training step;
   `params.save_checkpoint` of the parameter set, the JSON and its arena
   file; and `params.load_checkpoint` of the checkpoint that the timed
   checkout's own `save_checkpoint` wrote there;
@@ -227,6 +229,7 @@ def _model_groups(metric_rec, rng, tmp):
                 state = training.AdamState()
                 shape = {"model": f"{kind} {variant} {attention}".strip(),
                          "B": B, "C": 1 + K_NEG, "l": L, "d": d, "V": v}
+                checkpoint = {"model": shape["model"], "d": d, "V": v}
                 yield [
                     (dict(shape, layer="models.forward"),
                      lambda: models.forward(params, _fresh(models, batch))),
@@ -239,9 +242,9 @@ def _model_groups(metric_rec, rng, tmp):
                      lambda: _step(training, params, _fresh(models, batch), grads, state)),
                     (dict(shape, layer="evaluation.rank_candidates", B=RANK_B, C=RANK_C),
                      lambda: evaluation.rank_candidates(scorer, held)),
+                    (dict(checkpoint, layer="ModelParams.check_finite"), params.check_finite),
                 ]
                 path = os.path.join(tmp, f"{kind}-{attention}-{v}-{d}.json")
-                checkpoint = {"model": shape["model"], "d": d, "V": v}
                 yield [(dict(checkpoint, layer="params.save_checkpoint"),
                         lambda: params_mod.save_checkpoint(params, path))]
                 yield [(dict(checkpoint, layer="params.load_checkpoint"),

@@ -12,7 +12,6 @@ computed, from each playlist's distinct train songs; `tests/oracles.py`
 keeps the count of every pair as the reference.
 """
 
-import csv
 import math
 import os
 from itertools import pairwise
@@ -90,8 +89,8 @@ def attention_correlation(params, split, csv_path=None):
                     pmi_att.tolist(), model_att.tolist()))
     if csv_path:
         os.makedirs(os.path.dirname(csv_path) or os.curdir, exist_ok=True)
+        # the bytes of `csv.writer`'s default dialect: repr floats, "\r\n" ends
         with open(csv_path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["playlist", "member", "pmi_att", "model_att"])
-            w.writerows(rows)
+            f.write("playlist,member,pmi_att,model_att\r\n" + "".join(
+                f"{p},{m},{a!r},{b!r}\r\n" for p, m, a, b in rows))
     return rho, rows

@@ -271,10 +271,7 @@ def recommend(checkpoint, playlist_id, top, split_dir):
         raise ValueError(f"playlist {playlist_id} has no entry in the split under {split_dir}")
     candidates = dataset.songs_outside(
         np.append(split.songs[start:end], (split.dev[p], split.test[p])), catalog.num_songs)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        scores = scorer(evaluation.context_batch(split, [p], candidates[None, :]))[0]
-    if not np.isfinite(scores).all():
-        raise FloatingPointError("the model scores a candidate song as inf or nan")
+    scores = scorer(evaluation.context_batch(split, [p], candidates[None, :]))[0]
     order = np.lexsort((candidates, scores))[:top]
     for song, score in zip(candidates[order].tolist(), scores[order]):
         click.echo(f"{catalog.song_ids[song - 1]}\t{score:.6f}")

@@ -70,10 +70,10 @@ def rank_candidates(scorer, batch):
     """(B,) ranks (1 = best) of each row's first candidate among that row's songs.
 
     Scores ascend (lower = more relevant); ties break by ascending song index.
-    A score that is not finite raises FloatingPointError. The first call on a
-    batch checks it for duplicate candidates and cuts it into sub-batches,
-    which its `plan` keeps for later calls, with the member masks that
-    scoring caches in theirs.
+    A scorer's FloatingPointError (see `models.make_scorer`) passes through.
+    The first call on a batch checks it for duplicate candidates and cuts it
+    into sub-batches, which its `plan` keeps for later calls, with the member
+    masks that scoring caches in theirs.
     """
     songs = batch.songs
     chunks = batch.plan.get("chunks")
@@ -90,11 +90,8 @@ def rank_candidates(scorer, batch):
             chunks.append((rows, ScoreBatch(*(None if a is None else a[rows] for a in (
                 batch.users, batch.playlists, songs, batch.members, batch.counts)))))
     scores = np.empty(songs.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for rows, chunk in chunks:
-            scores[rows] = scorer(chunk)
-    if not np.isfinite(scores).all():
-        raise FloatingPointError("the model scores a candidate song as inf or nan")
+    for rows, chunk in chunks:
+        scores[rows] = scorer(chunk)
     first = scores[:, :1]
     ahead = (scores < first) | ((scores == first) & (songs < songs[:, :1]))
     return 1 + ahead.sum(axis=1)

@@ -347,16 +347,24 @@ def make_scorer(model, alpha=None):
     """Callable (batch -> scores) for a single model or an (mdr, mass) blend.
 
     `model` is either a ModelParams or a pair (mdr_params, mass_params), in
-    which case `alpha`, required, weighs the MDR component.
+    which case `alpha`, required, weighs the MDR component. Finite weights
+    can still overflow a distance: the scorer scores with numpy's overflow
+    and invalid warnings off and raises FloatingPointError on an inf or nan.
     """
-    if isinstance(model, ModelParams):
-        return lambda batch: score_batch(model, batch)
-    mdr_params, mass_params = model
-    if alpha is None or not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if not isinstance(model, ModelParams):
+        mdr_params, mass_params = model
+        if alpha is None or not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
-    def blended(batch):
-        o_mdr, o_mass = score_batch(mdr_params, batch), score_batch(mass_params, batch)
-        return alpha * o_mdr + (1.0 - alpha) * o_mass
+    def scorer(batch):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            if isinstance(model, ModelParams):
+                scores = score_batch(model, batch)
+            else:
+                o_mdr, o_mass = score_batch(mdr_params, batch), score_batch(mass_params, batch)
+                scores = alpha * o_mdr + (1.0 - alpha) * o_mass
+        if not np.isfinite(scores).all():
+            raise FloatingPointError("the model scores a candidate song as inf or nan")
+        return scores
 
-    return blended
+    return scorer

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -107,6 +108,27 @@ def test_attention_correlation_writes_csv(tmp_path):
         table = list(csv.reader(f))
     assert table[0] == ["playlist", "member", "pmi_att", "model_att"]
     assert len(table) == len(rows) + 1
+
+
+@pytest.mark.parametrize("setup", ["tiny", "planted"])
+def test_pmi_att_csv_holds_the_bytes_csv_writer_writes(tmp_path, setup):
+    """pmi_att.csv is, byte for byte, what `csv.writer` writes for the header
+    and the returned rows."""
+    if setup == "tiny":
+        _, split, params = _tiny_mass_setup()
+    else:
+        catalog, split = synthetic.planted_cluster_split(seed=1)
+        params = params_mod.init_mass(catalog.num_users, catalog.num_playlists,
+                                      catalog.num_songs, 8, np.random.default_rng(2),
+                                      attention="mem_metric")
+    path = tmp_path / "pmi_att.csv"
+    _, rows = analysis.attention_correlation(params, split, csv_path=str(path))
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["playlist", "member", "pmi_att", "model_att"])
+    writer.writerows(rows)
+    assert len(rows) > 10
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 @st.composite

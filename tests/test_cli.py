@@ -1114,14 +1114,17 @@ def test_train_refuses_a_diverging_apr_step_with_one_stderr_line_in_a_fresh_proc
         workspace, tmp_path, lambda_delta):
     """An adversarial weight that overflows an APR step ends `train --apr` with
     one `error:` line naming the phase and epoch, and no final checkpoint: at
-    1e300 Adam's second moment overflows, at 1e308 the weighted gradient."""
+    1e300 Adam's second moment overflows, at 1e308 the weighted gradient.
+    `out_dir` keeps what the BPR phase wrote and an empty APR log."""
     out_dir = tmp_path / "out"
     cfg = _write_config(tmp_path / "apr.cfg", model="mdr", split_dir=workspace / "splits",
                         out_dir=out_dir, epochs="1", batch_size="64", d="8",
                         lambda_delta=lambda_delta)
     stderr = _one_error_line_in_a_fresh_process(["train", "--config", cfg, "--apr"])
     assert stderr.startswith("error: apr epoch 0: "), stderr
-    assert not (out_dir / "checkpoint.json").exists()
+    assert sorted(os.listdir(out_dir)) == [
+        "apr_log.jsonl", "checkpoint_bpr.json", "checkpoint_bpr.json.arena", "train_log.jsonl"]
+    assert (out_dir / "apr_log.jsonl").read_bytes() == b""
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

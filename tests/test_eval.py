@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,33 @@ def test_rank_candidates_is_bitwise_the_per_context_loop(
     assert len(chunks) == -(-b // chunk)
     assert np.concatenate(chunks).tobytes() == ref_scores.tobytes()
     assert ranks.tolist() == ref_ranks.tolist()
+
+
+@pytest.mark.parametrize("blend", [False, True], ids=["mdr", "mdr-mass"])
+def test_a_scorer_refuses_scores_that_overflow_and_ranking_passes_it_on(blend):
+    """A metric weight of 1e300 is finite, but every squared distance under it
+    overflows: the scorer of the MDR model, or of its blend with a MASS model,
+    raises FloatingPointError without a numpy warning, also where overflow is
+    set to raise, and `rank_candidates` lets the error through."""
+    rng = np.random.default_rng(31)
+    v, m, n, d, b, c, l = 40, 3, 4, 8, 11, 9, 5
+    mdr = params_mod.init_mdr(m, n, v, d, rng)
+    mdr.tensors["B1"][0] = 1e300
+    model = (mdr, params_mod.init_mass(m, n, v, d, rng)) if blend else mdr
+    scorer = models.make_scorer(model, alpha=0.5 if blend else None)
+    batch = ScoreBatch(users=rng.integers(m, size=b), playlists=rng.integers(n, size=b),
+                       songs=np.array([rng.choice(v, c, replace=False) + 1 for _ in range(b)]),
+                       members=rng.integers(1, v + 1, size=(b, l)),
+                       counts=rng.integers(1, l + 1, size=b))
+    message = "^the model scores a candidate song as inf or nan$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (scorer, lambda batch: evaluation.rank_candidates(scorer, batch)):
+            with pytest.raises(FloatingPointError, match=message):
+                call(batch)
+            with np.errstate(over="raise", invalid="raise"), \
+                    pytest.raises(FloatingPointError, match=message):
+                call(batch)
 
 
 def test_rank_rejects_duplicate_candidates():
