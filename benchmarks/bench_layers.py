@@ -11,11 +11,14 @@ Rows, at V in {2,000; 20,000} songs with V / 4 users and V / 4 playlists:
   and backward into a zeroed gradient arena by `training.gradients`, then
   `training.adam_update`); `evaluation.rank_candidates` on one ranking of
   B = 300 contexts of l = 61 members, C = 101 distinct candidates each;
-  `ModelParams.check_finite`, the finiteness pass over the parameter set
-  that closes every training step;
   `params.save_checkpoint` of the parameter set, the JSON and its arena
   file; and `params.load_checkpoint` of the checkpoint that the timed
   checkout's own `save_checkpoint` wrote there;
+- `training.train`, one BPR epoch and one APR epoch without dev lists, for
+  MDR `ups` and MASS `us` `mem_metric` at d = 32 with B = 256 and k = 4, on
+  the 976 training instances of 16 playlists of 63 songs split by the timed
+  checkout's own `prepare`; each row trains its own copy of the parameter
+  set, one group per V;
 - `training._make_batch`, a minibatch's negatives and index gathers: MDR at
   B = 256 without members, MASS at B = 16 and 256 with l = 61 members
   gathered from the split's rows;
@@ -61,11 +64,14 @@ package name, and group i of each tree runs in the same rounds, on the same
 inputs. `--against <revision>` names a git revision of `<root>` instead: its
 `src/` is taken from `git archive`, so that neither side is a separate
 clone. Every row then records its `tree` (`root` or `against`) and `ratio`,
-the median over rounds of its time over the other tree's in the same round.
-Separate runs of two checkouts have read unchanged rows 1.2-1.8x apart on one
-host; rows interleaved in one process share its drift. BLAS threads are
-pinned to 1 before numpy loads. A run takes about two minutes on 2 vCPUs, and
-about twice that with `--against`; about six minutes against a tree whose
+the median over rounds of its time over the other tree's in the same round;
+a group whose rows (layer and shape) differ between the trees is refused
+with an error that names it, since its rows cannot be paired. Separate runs
+of two checkouts have read unchanged rows 1.2-1.8x apart on one host; rows
+interleaved in one process share its drift. BLAS threads are
+pinned to 1 before numpy loads. A run takes about two and a half minutes on
+2 vCPUs, and about twice that with `--against`, of which the `training.train`
+rows take about 30 s per tree; about seven minutes against a tree whose
 `attention-report` counts every song pair of every train list.
 """
 
@@ -104,6 +110,8 @@ MODELS = (
     ("mass", "us", "nonmem_dot"),
 )
 WARMUP, ROUNDS = 3, 20
+# the `training.train` rows' instances: 61 train songs of each playlist
+TRAIN_PLAYLISTS = 16
 
 
 def _interleaved_times(calls):
@@ -242,7 +250,6 @@ def _model_groups(metric_rec, rng, tmp):
                      lambda: _step(training, params, _fresh(models, batch), grads, state)),
                     (dict(shape, layer="evaluation.rank_candidates", B=RANK_B, C=RANK_C),
                      lambda: evaluation.rank_candidates(scorer, held)),
-                    (dict(checkpoint, layer="ModelParams.check_finite"), params.check_finite),
                 ]
                 path = os.path.join(tmp, f"{kind}-{attention}-{v}-{d}.json")
                 yield [(dict(checkpoint, layer="params.save_checkpoint"),
@@ -261,6 +268,30 @@ def _split(dataset, rng, v, n, tmp):
     corpus.write_tsv([(f"u{p}", f"p{p}", f"s{s}") for p in range(n)
                       for s in rng.choice(np.arange(1, v + 1), L + 2, replace=False)], tsv)
     return dataset.prepare(tsv, os.path.join(tmp, f"split-{v}-{n}"), seed=0)[1]
+
+
+def _train_groups(metric_rec, rng, tmp):
+    """One group per V: `training.train` for one BPR and one APR epoch, without
+    dev lists, of MDR `ups` and MASS `us` `mem_metric` at d = 32, on the
+    instances of TRAIN_PLAYLISTS playlists of 63 songs; each row trains its
+    own parameter set, from the same start in both trees."""
+    params_mod, training = metric_rec.params, metric_rec.training
+    hyper = training.Hyperparams(d=32, epochs=1, batch_size=B, negatives_per_positive=K_NEG)
+    for v in SONGS:
+        m = n = v // 4
+        data = training.build_train_data(
+            _split(metric_rec.dataset, rng, v, TRAIN_PLAYLISTS, tmp), v)
+        calls = []
+        for model, params in (
+                ("mdr ups", params_mod.init_mdr(m, n, v, 32, rng, variant="ups")),
+                ("mass us mem_metric", params_mod.init_mass(m, n, v, 32, rng, variant="us",
+                                                           attention="mem_metric"))):
+            for mode in ("bpr", "apr"):
+                calls.append(({"layer": "training.train", "mode": mode, "model": model,
+                               "instances": len(data), "B": B, "k": K_NEG, "d": 32, "V": v},
+                              lambda p=params.copy(), d=data, mode=mode:
+                              training.train(p, d, None, hyper, mode=mode)))
+        yield calls
 
 
 def _sampler_groups(metric_rec, rng, tmp):
@@ -407,6 +438,11 @@ def _paired_rows(build, trees, seed, tmp):
               for tag, package in trees]
     rows = []
     for groups in zip(*builds, strict=True):
+        layouts = [[row for row, _ in group] for group in groups]
+        if any(layout != layouts[0] for layout in layouts):
+            layers = sorted({row["layer"] for layout in layouts for row in layout})
+            raise ValueError(f"the {', '.join(layers)} group holds other rows in each tree, "
+                             f"so no row can be paired: {layouts}")
         calls = [(dict(row, tree=tag), fn)
                  for (tag, _), group in zip(trees, groups) for row, fn in group]
         times = _interleaved_times(calls)
@@ -450,7 +486,7 @@ def main():
         rows = [row for seed, build in enumerate((_model_groups, _sampler_groups,
                                                   _split_consumer_groups, _split_dir_groups,
                                                   _prepare_groups, _serve_groups,
-                                                  _attention_groups))
+                                                  _attention_groups, _train_groups))
                 for row in _paired_rows(build, trees, seed, tmp)]
     doc = {"tag": args.tag, "environment": environment,
            "seconds": round(time.perf_counter() - t0, 1), "rows": rows}

@@ -173,6 +173,8 @@ def train(config_path, apr):
     cfg = parse_config(config_path)
     out_dir = cfg.out_dir
     if cfg.model == "masr":
+        if apr:
+            raise ValueError("--apr does not apply to model = masr, which trains nothing")
         _write_masr_manifest(cfg)
         return
     if not cfg.split_dir:

@@ -79,6 +79,8 @@ def sqdist_rows_backward(b, x, y, dout, sums):
     # the einsums build no (B, C, d) temporary
     sq = (np.einsum("bc,bcd,bcd->d", dout, y, y) - 2.0 * np.einsum("bkd,bd->kd", x, s)
           + np.einsum("b,bkd->kd", r, x * x))
+    if not np.isfinite(sq).all():  # np.einsum reports no overflow; inf - inf is a quiet nan
+        raise FloatingPointError("overflow encountered in einsum")
     dy = y * w
     dy -= a[:, None, :]
     dy *= 2.0 * dout[:, :, None]

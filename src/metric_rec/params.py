@@ -94,13 +94,6 @@ class ModelParams:
         """An arena of zeros in the tensors' layout."""
         return self.tensors.like()
 
-    def check_finite(self):
-        """Raise FloatingPointError naming the first tensor that holds an inf
-        or nan; one `np.isfinite` pass over the arena when none does."""
-        if not np.isfinite(self.tensors.flat).all():
-            name = next(n for n, t in self.tensors.items() if not np.isfinite(t).all())
-            raise FloatingPointError(f"non-finite values in tensor {name}")
-
     def zero_padding_rows(self, target=None):
         """Zero the frozen padding rows, in-place, on `target` (default: own tensors)."""
         tensors = self.tensors if target is None else target

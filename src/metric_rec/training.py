@@ -278,8 +278,10 @@ def train(params, data, dev, hyper, mode="bpr", log_path=None, loss_scale=1.0, r
     starting from the given (pretrained) parameters. With `dev`, the
     `held_out` dev lists, the result keeps a copy of the parameters of the
     best epoch by dev hit@10; with `dev=None` it holds `params` itself.
-    An overflow or invalid value in a step raises FloatingPointError naming
-    the mode and epoch, as does a loss that is not finite.
+    Steps run under `np.errstate(over="raise", invalid="raise")`: an overflow
+    or invalid value raises FloatingPointError naming the mode and epoch, as
+    does a loss that is not finite. No finiteness pass over the parameters
+    follows a step: each value a step makes is checked where it is made.
     """
     if rng is None:
         rng = np.random.default_rng(hyper.seed)
@@ -322,7 +324,6 @@ def train(params, data, dev, hyper, mode="bpr", log_path=None, loss_scale=1.0, r
                     if not np.isfinite(loss):
                         raise FloatingPointError("non-finite training loss")
                     adam_update(params, grads, state, hyper.learning_rate)
-                    params.check_finite()
                     epoch_loss += loss
                 seconds = time.perf_counter() - t0
 

@@ -749,6 +749,20 @@ def test_masr_manifest_and_evaluation(workspace, tmp_path):
     assert json.loads(out.read_text())["model"] == "masr"
 
 
+def test_train_apr_refuses_a_masr_config_before_writing_anything(workspace, tmp_path):
+    """MASR blends two trained checkpoints and trains nothing, so `--apr` has
+    nothing to run on: one `error:` line, and neither out_dir nor masr.json."""
+    out_dir = tmp_path / "masr"
+    cfg = _write_config(
+        tmp_path / "masr.cfg", model="masr", out_dir=out_dir, alpha="0.5",
+        mdr_checkpoint=workspace / "mdr" / "checkpoint.json",
+        mass_checkpoint=workspace / "mass" / "checkpoint.json",
+    )
+    line = _single_error_line(_run(["train", "--config", cfg, "--apr"], expect_exit=1))
+    assert line == "error: --apr does not apply to model = masr, which trains nothing"
+    assert not out_dir.exists()
+
+
 def test_masr_requires_both_checkpoints(workspace, tmp_path):
     cfg = _write_config(tmp_path / "masr.cfg", model="masr",
                         out_dir=tmp_path,

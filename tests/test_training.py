@@ -1,7 +1,10 @@
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import synthetic
@@ -465,6 +468,92 @@ def test_train_calls_the_hooked_entry_points_once_per_minibatch(monkeypatch, mod
     minibatches = 2 * -(-len(data) // 64)
     assert calls == {"adam_update": minibatches, "gradients": passes * minibatches,
                      "adversarial_delta": minibatches if mode == "apr" else 0}
+
+
+def test_backward_raises_when_two_finite_scatter_terms_overflow_one_slot():
+    """Under `train`'s errstate, `np.add.at` raises when two rows of a batch
+    add finite terms onto one slot and their sum overflows: two contexts of
+    user 0 each give U[0, 0] a term of about -1.6e308. Every other value of
+    the pass is finite, so the scatter is what raises."""
+    catalog, split = _toy_split()
+    p = _small_model("mdr", catalog, split, variant="us", use_bias=False)
+    p.tensors.flat.fill(0.0)
+    p.tensors["B1"][0] = np.sqrt(0.8e308)  # 2 B1^2 = 1.6e308
+    p.tensors["S"][1, 0] = 1.0
+    dscores = np.zeros((2, 5))
+    dscores[:, 0] = 1.0
+
+    def backward(rows):
+        batch = models.ScoreBatch(users=np.zeros(rows, dtype=np.int64),
+                                  playlists=np.zeros(rows, dtype=np.int64),
+                                  songs=np.tile(np.arange(1, 6), (rows, 1)))
+        grads = p.zero_like()
+        with np.errstate(over="raise", invalid="raise"):
+            _, cache = models.forward(p, batch)
+            models.backward(p, batch, cache, dscores[:rows], grads)
+        return grads
+
+    one = backward(1)
+    assert np.isfinite(one.flat).all() and one["U"][0, 0] < -1e308
+    with pytest.raises(FloatingPointError, match="^overflow encountered in add$") as exc:
+        backward(2)
+    assert exc.traceback[-1].name == "_scatter_add"
+
+
+def test_an_einsum_sum_that_overflows_raises_where_it_is_made():
+    """np.einsum reports no overflow, even under np.errstate. Here the metric
+    gradient's cross term sums an inf product (user 1's) and a -inf one (user
+    0's) into a nan, which Adam would copy into B1 without any error, since
+    every value made outside the einsums is finite. The row backward raises."""
+    catalog, split = _toy_split()
+    p = _small_model("mdr", catalog, split, variant="us", use_bias=False)
+    p.tensors.flat.fill(0.0)
+    p.tensors["B1"][0] = 1e-5  # a small metric weight keeps the scores and loss finite
+    p.tensors["U"][:2, 0] = [1.3e154, 0.3e154]
+    p.tensors["S"][1:11, 0] = [-1.3e154] + [1.3e154] * 4 + [1.34e154] + [-0.7e154] * 4
+    batch = models.ScoreBatch(users=np.array([0, 1]), playlists=np.array([0, 1]),
+                              songs=np.arange(1, 11).reshape(2, 5))
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError, match="^overflow encountered in einsum$") as exc:
+            training.gradients(p, batch, out=p.zero_like())
+    assert exc.traceback[-1].name == "sqdist_rows_backward"
+
+
+@st.composite
+def _perturbed_models(draw):
+    """An MDR `ups` or a MASS `us` model of a drawn attention kind on the toy
+    corpus, with up to three of its values set to drawn finite floats."""
+    catalog, split = _toy_split()
+    if draw(st.booleans()):
+        p = _small_model("mdr", catalog, split, variant="ups")
+    else:
+        p = _small_model("mass", catalog, split, variant="us",
+                         attention=draw(st.sampled_from(params_mod.ATTENTION_KINDS)))
+    names = sorted(p.tensors)
+    for _ in range(draw(st.integers(0, 3))):
+        t = p.tensors[draw(st.sampled_from(names))]
+        t.flat[draw(st.integers(0, t.size - 1))] = draw(
+            st.floats(allow_nan=False, allow_infinity=False))
+    return catalog, split, p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_perturbed_models(), mode=st.sampled_from(["bpr", "apr"]))
+def test_an_epoch_raises_on_or_keeps_finite_every_parameter(case, mode):
+    """No non-finite value enters the parameters unseen: from any finite
+    values, a BPR or APR epoch either ends in a FloatingPointError worded
+    as numpy's ("... encountered in ...") or in the loss check, or leaves
+    every parameter finite."""
+    catalog, split, p = case
+    hyper = Hyperparams(epochs=1, batch_size=4, seed=0)
+    data = training.build_train_data(split, catalog.num_songs)
+    try:
+        training.train(p, data, None, hyper, mode=mode)
+    except FloatingPointError as exc:
+        assert re.fullmatch(f"{mode} epoch 0: (.+ encountered in .+|non-finite training loss)",
+                            str(exc)), str(exc)
+    else:
+        assert np.isfinite(p.tensors.flat).all()
 
 
 def test_adversarial_delta_norm_invariant():
